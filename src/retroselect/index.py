@@ -1,9 +1,13 @@
 """Exact top-K cosine retrieval over the candidate pool's key embeddings.
 
-Selection runs a float32 matrix-vector pass with a safety margin, then
-rescopes the shortlisted rows in float64 per-row dot products, so results
-are exactly the float64 cosine ranking with ascending-id tie-breaks while
-the scan itself stays a single fast BLAS pass.
+One batched kernel, ``CandidateIndex.topk_rows``, serves every selection:
+a single query (``query_topk``), a beam round (one row per live hypothesis)
+and hard-negative mining (one row per anchor). It scans the keys in float32,
+one column block at a time, keeps each row's top K plus every entry within
+a safety margin of its K-th value, and rescores that shortlist in float64.
+Results are therefore exactly the float64 cosine ranking with ascending-id
+tie-breaks, while score memory stays O(query rows x block) however large
+the pool is.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encoder import ParamStore, embed_pool
+from .scoring import ZERO_NORM_EPS
 
 HALT_ID = -1
 
@@ -23,6 +28,13 @@ _HEADER = struct.Struct("<4sIQIB")
 
 # Float32 scan error is far below this; used to widen the shortlist.
 _REFINE_MARGIN = 1e-4
+# Bytes that one column block of float32 scores may take across all query
+# rows; the block width follows from it, so score memory does not grow
+# with the pool. The float64 rescoring gathers shortlisted keys in chunks
+# of at most _RESCORE_BYTES.
+_BLOCK_BYTES = 16 << 20
+_RESCORE_BYTES = 1 << 20
+_LOWEST32 = np.finfo(np.float32).min
 
 
 class EmptyIndex(ValueError):
@@ -73,6 +85,10 @@ class CandidateIndex:
             return np.concatenate([self.ids, [HALT_ID]])
         return self.ids
 
+    def row_of(self, mol_id: int) -> int:
+        """Key row of a candidate id, or of the halt row for ``HALT_ID``."""
+        return self._row_of[int(mol_id)]
+
     def row_for(self, mol_id: int) -> np.ndarray:
         return self.keys[self._row_of[mol_id]]
 
@@ -118,51 +134,114 @@ class CandidateIndex:
 
     # --- queries ---
 
+    def topk_rows(self, queries: np.ndarray, k: int,
+                  exclude_rows=None) -> tuple[np.ndarray, np.ndarray]:
+        """Each query's K key rows of highest float64 cosine.
+
+        ``queries`` is [L, d]; ``exclude_rows``, if given, holds one
+        collection of key rows per query that it must not return. Returns
+        ``(rows, scores)``, both [L, min(K, key rows)]: each line is ordered
+        by descending float64 cosine, then ascending id, and ends in row -1
+        with score -inf where the query has fewer valid rows. A zero query
+        or zero key scores 0.
+        """
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        n_rows = self.keys.shape[0]
+        if n_rows == 0:
+            raise EmptyIndex("index has no rows")
+        q64 = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+        n_queries = q64.shape[0]
+        k = min(k, n_rows)
+        qn = np.sqrt(_pair_dots(q64, q64))
+        q32 = (q64 / np.where(qn < ZERO_NORM_EPS, 1.0, qn)[:, None]).astype(np.float32)
+        ex_q, ex_r = _flat_exclusions(exclude_rows, n_queries, n_rows)
+
+        # Float32 scan, one column block at a time. ``best`` holds each
+        # query's K highest values so far, so its first column is a lower
+        # bound on the final K-th value: every entry that can reach the
+        # final top K is within the margin of it when its block is scanned.
+        width = max(1, _BLOCK_BYTES // (4 * max(n_queries, 1)))
+        best = np.full((n_queries, k), -np.inf, dtype=np.float32)
+        found = []
+        for lo in range(0, n_rows, width):
+            block = q32 @ self.keys[lo:lo + width].T
+            inside = (ex_r >= lo) & (ex_r < lo + width)
+            block[ex_q[inside], ex_r[inside] - lo] = -np.inf
+            both = np.concatenate([best, block], axis=1)
+            best = np.partition(both, both.shape[1] - k, axis=1)[:, -k:].copy()
+            # (flatnonzero then divmod is several times faster than a 2-D nonzero)
+            flat = np.flatnonzero(block >= _shortlist_floor(best)[:, None])
+            qi, col = np.divmod(flat, block.shape[1])
+            found.append((qi, col + lo, block.ravel()[flat]))
+        qi, rows, approx = (np.concatenate(parts) for parts in zip(*found))
+        keep = approx >= _shortlist_floor(best)[qi]
+        qi, rows = qi[keep], rows[keep]
+
+        exact = np.empty(rows.shape[0])
+        step = max(1, _RESCORE_BYTES // (8 * self.dim))
+        for lo in range(0, rows.shape[0], step):
+            part = slice(lo, lo + step)
+            exact[part] = _pair_cosines(q64[qi[part]],
+                                        self.keys[rows[part]].astype(np.float64))
+        order = np.lexsort((self.all_ids()[rows], -exact, qi))
+        qi, rows, exact = qi[order], rows[order], exact[order]
+        rank = np.arange(qi.shape[0]) - np.searchsorted(qi, qi)
+        keep = rank < k
+        out_rows = np.full((n_queries, k), -1, dtype=np.int64)
+        out_scores = np.full((n_queries, k), -np.inf)
+        out_rows[qi[keep], rank[keep]] = rows[keep]
+        out_scores[qi[keep], rank[keep]] = exact[keep]
+        return out_rows, out_scores
+
     def query_topk(self, query: np.ndarray, k: int,
                    exclude=()) -> list[tuple[int, float]]:
         """K highest float64 cosine scores, descending, id-ascending ties.
 
         Returns fewer than K pairs if the non-excluded pool is smaller.
         """
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        if self.keys.shape[0] == 0:
-            raise EmptyIndex("index has no rows")
-        query = np.asarray(query)
-        all_ids = self.all_ids()
-        valid = np.ones(self.keys.shape[0], dtype=bool)
-        for mol_id in exclude:
-            row = self._row_of.get(int(mol_id))
-            if row is not None:
-                valid[row] = False
-        n_valid = int(valid.sum())
-        if n_valid == 0:
-            return []
-        query64 = query.astype(np.float64)
-        qn = np.linalg.norm(query64)
-        if qn < 1e-12:
-            # Convention: zero query scores 0 everywhere; ids break ties.
-            chosen = np.flatnonzero(valid)
-            chosen = chosen[np.argsort(all_ids[chosen], kind="stable")][:k]
-            return [(int(all_ids[r]), 0.0) for r in chosen]
-        approx = self.keys @ (query.astype(np.float32) / np.float32(qn))
-        approx = np.where(valid, approx, -np.inf)
-        k_eff = min(k, n_valid)
-        kth = np.partition(approx, approx.shape[0] - k_eff)[approx.shape[0] - k_eff]
-        shortlist = np.flatnonzero(approx >= kth - _REFINE_MARGIN)
-        exact = np.empty(shortlist.shape[0], dtype=np.float64)
-        for j, row in enumerate(shortlist):
-            exact[j] = _exact_cosine(self.keys[row], query64, qn)
-        order = np.lexsort((all_ids[shortlist], -exact))[:k_eff]
-        return [(int(all_ids[shortlist[j]]), float(exact[j])) for j in order]
+        excluded = [self._row_of[i] for i in map(int, exclude) if i in self._row_of]
+        rows, scores = self.topk_rows(np.asarray(query)[None, :], k, [excluded])
+        found = rows[0] >= 0
+        return list(zip(self.all_ids()[rows[0][found]].tolist(),
+                        scores[0][found].tolist()))
 
 
-def _exact_cosine(row32: np.ndarray, query64: np.ndarray, qn: float) -> float:
-    row = row32.astype(np.float64)
-    rn = np.linalg.norm(row)
-    if rn < 1e-12:
-        return 0.0
-    return float(np.dot(row, query64)) / (rn * qn)
+def _shortlist_floor(best: np.ndarray) -> np.ndarray:
+    """Lowest float32 value kept per query: the margin below the K-th best
+    so far, but above -inf so that excluded entries never pass."""
+    return np.maximum(best[:, 0] - _REFINE_MARGIN, _LOWEST32)
+
+
+def _flat_exclusions(exclude_rows, n_queries: int,
+                     n_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-query excluded rows as flat (query, row) index arrays."""
+    if exclude_rows is None:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    per_query = [np.fromiter(rows, dtype=np.int64) for rows in exclude_rows]
+    if len(per_query) != n_queries:
+        raise ValueError(f"{len(per_query)} exclusion lists for {n_queries} queries")
+    ex_q = np.repeat(np.arange(n_queries), [rows.shape[0] for rows in per_query])
+    ex_r = np.concatenate(per_query) if per_query else np.empty(0, dtype=np.int64)
+    if ex_r.size and (ex_r.min() < 0 or ex_r.max() >= n_rows):
+        raise IndexError("excluded row outside the index")
+    return ex_q, ex_r
+
+
+def _pair_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two [m, d] float64 arrays. A stack of
+    1 x d by d x 1 products makes numpy call the same BLAS dot as ``a @ b``
+    on two vectors, so each value matches it bit for bit."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _pair_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise float64 cosines, equal bit for bit to ``scoring.cosine64``
+    on each pair of rows (zero-norm rows score 0)."""
+    na = np.sqrt(_pair_dots(a, a))
+    nb = np.sqrt(_pair_dots(b, b))
+    zero = (na < ZERO_NORM_EPS) | (nb < ZERO_NORM_EPS)
+    return np.where(zero, 0.0, _pair_dots(a, b) / np.where(zero, 1.0, na * nb))
 
 
 def _normalize_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -183,23 +262,26 @@ def hard_neighbors(index: CandidateIndex, anchor_ids, k: int,
                    embed_query=None) -> set[int]:
     """Union of each anchor's top-K nearest candidate ids, anchors excluded.
 
-    Anchors absent from the index (e.g. products outside the pool) need
+    All anchors go through one batched ``topk_rows`` call. Anchors absent
+    from the index (e.g. products outside the pool) need
     ``embed_query(anchor_id) -> vector``.
     """
-    if k <= 0:
+    anchors = sorted(int(a) for a in anchor_ids)
+    if k <= 0 or not anchors:
         return set()
-    out: set[int] = set()
-    for anchor in sorted(int(a) for a in anchor_ids):
+    halt = [index.row_of(HALT_ID)] if index.includes_halt else []
+    queries, excluded = [], []
+    for anchor in anchors:
         if index.has_id(anchor):
-            query = index.row_for(anchor)
+            queries.append(index.row_for(anchor))
+            excluded.append([index.row_of(anchor)] + halt)
         elif embed_query is not None:
-            query = embed_query(anchor)
+            queries.append(embed_query(anchor))
+            excluded.append(halt)
         else:
             raise KeyError(f"anchor {anchor} not in index and no embedder given")
-        for mol_id, _ in index.query_topk(query, k, exclude={anchor, HALT_ID}):
-            if mol_id != HALT_ID:
-                out.add(mol_id)
-    return out
+    rows, _ = index.topk_rows(np.stack(queries), k, excluded)
+    return set(index.all_ids()[rows[rows >= 0]].tolist())
 
 
 def refresh(index: CandidateIndex, params: ParamStore,

@@ -1,9 +1,14 @@
 """Beam-search prediction of ranked reactant sets and multi-step routes.
 
 Beam search selects candidates sequentially by the backward score against
-the key index (one matrix product per round), banking a hypothesis whenever
-it selects the halt row. Banked hypotheses are deduplicated as id sets and
-re-ranked by the full permutation-maximized overall score.
+the key index. Each round is one batched ``CandidateIndex.topk_rows`` call
+over all live hypotheses (a blocked float32 scan with float64 rescoring, so
+score memory is O(live x block) and each hypothesis's extensions follow the
+exact float64 cosine order with ascending-id ties), then one merge of at
+most live x beam extensions. A hypothesis is banked at every round with the
+float64 cosine of its query against the halt key. Banked hypotheses are
+deduplicated as id sets and re-ranked by the full permutation-maximized
+overall score.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import numpy as np
 
 from .chem import Molecule, canonical_form, featurize, pack
 from .encoder import ParamStore, embed_graphs, embed_matrix, type_bias
-from .index import CandidateIndex, EmptyIndex
+from .index import HALT_ID, CandidateIndex, EmptyIndex
 from .scoring import QueryVector, ScoredSet, cosine64, reaction_score
 
 
@@ -64,11 +69,13 @@ def beam_search(product: Molecule | None, index: CandidateIndex, params: ParamSt
     exclude_ids = set(exclude_ids or ())
 
     cand_ids = index.ids
-    halt_row = index.keys.shape[0] - 1
-    row_of = {int(mol_id): row for row, mol_id in enumerate(cand_ids)}
+    halt_key = params.tensors["halt_key"].data
+    blocked = [index.row_of(HALT_ID)] + [index.row_of(i) for i in exclude_ids
+                                         if index.has_id(i)]
     banked: dict[frozenset, Hypothesis] = {}
 
-    def bank(hyp: Hypothesis, halt_psi: float) -> None:
+    def bank(hyp: Hypothesis) -> None:
+        halt_psi = cosine64(hyp.query.vector, halt_key)
         done = Hypothesis(hyp.chosen, hyp.query, hyp.cum_psi + halt_psi, True)
         key = done.id_set
         kept = banked.get(key)
@@ -76,44 +83,28 @@ def beam_search(product: Molecule | None, index: CandidateIndex, params: ParamSt
             banked[key] = done
 
     live = [root]
-    for _depth in range(1, n_max + 1):
-        queries = np.stack([h.query.vector for h in live])
-        norms = np.linalg.norm(queries, axis=1)
-        safe = np.where(norms < 1e-12, 1.0, norms)
-        scores = (queries / safe[:, None]).astype(np.float32) @ index.keys.T
-        scores = scores.astype(np.float64)
-        scores[norms < 1e-12] = 0.0
-
-        extensions = []  # (total, hyp_index, candidate_id, psi)
-        for hyp_index, hyp in enumerate(live):
-            row_scores = scores[hyp_index]
-            bank(hyp, float(row_scores[halt_row]))
-            blocked = exclude_ids.union(hyp.chosen)
-            for mol_id in blocked:
-                row = row_of.get(mol_id)
-                if row is not None:
-                    row_scores[row] = -np.inf
-            order = np.lexsort((cand_ids, -row_scores[:index.n_candidates]))
-            for row in order[:beam]:
-                value = float(row_scores[row])
-                if value == -np.inf:
-                    break
-                extensions.append((hyp.cum_psi + value, hyp_index,
-                                   int(cand_ids[row]), value))
-        if not extensions:
+    for depth in range(n_max + 1):
+        for hyp in live:
+            bank(hyp)
+        if depth == n_max:
+            break  # depth cap: the halt step above was forced
+        rows, psi = index.topk_rows(
+            np.stack([h.query.vector for h in live]), beam,
+            [blocked + [index.row_of(i) for i in h.chosen] for h in live])
+        hyp_index, slot = np.nonzero(rows >= 0)
+        if hyp_index.size == 0:
             break
-        extensions.sort(key=lambda e: (-e[0], e[1], e[2]))
+        rows = rows[hyp_index, slot]
+        totals = np.array([h.cum_psi for h in live])[hyp_index] + psi[hyp_index, slot]
+        # Ties prefer the earlier hypothesis, then the lower id.
+        order = np.lexsort((cand_ids[rows], hyp_index, -totals))[:beam]
         next_live = []
-        for total, hyp_index, mol_id, _psi in extensions[:beam]:
-            parent = live[hyp_index]
-            query = parent.query.subtract(g_pool[row_of[mol_id]], mol_id)
-            next_live.append(Hypothesis(parent.chosen + (mol_id,), query, total))
+        for h, row, total in zip(hyp_index[order].tolist(), rows[order].tolist(),
+                                 totals[order].tolist()):
+            mol_id = int(cand_ids[row])
+            query = live[h].query.subtract(g_pool[row], mol_id)
+            next_live.append(Hypothesis(live[h].chosen + (mol_id,), query, total))
         live = next_live
-
-    # Depth cap reached: force a halt step on whatever is still live.
-    for hyp in live:
-        halt_psi = cosine64(hyp.query.vector, params.tensors["halt_key"].data)
-        bank(hyp, halt_psi)
     return list(banked.values())
 
 
@@ -134,12 +125,11 @@ def rank(product: Molecule | None, hypotheses: list[Hypothesis], params: ParamSt
     halt_key = params.tensors["halt_key"].data
     u_bias = type_bias(params, "u", rxn_type)
     v_bias = type_bias(params, "v", rxn_type)
-    row_of = {int(mol_id): row for row, mol_id in enumerate(index.ids)}
     scored = []
     for hyp in hypotheses:
         ids = sorted(hyp.chosen)
-        g_by_id = {i: g_pool[row_of[i]] for i in ids}
-        h_by_id = {i: index.keys[row_of[i]] for i in ids}
+        g_by_id = {i: g_pool[index.row_of(i)] for i in ids}
+        h_by_id = {i: index.row_for(i) for i in ids}
         scored.append(reaction_score(f_p, h_p, g_by_id, h_by_id, halt_key,
                                      u_bias=u_bias, v_bias=v_bias,
                                      perm_threshold=perm_threshold))
@@ -251,7 +241,7 @@ def route_search(product: Molecule, building_blocks: set[str],
         visited.add(node.open_forms)
         expansions += 1
         target_form = min(node.open_forms)
-        mol = _molecule_for(predictor, target_form)
+        mol = _molecule_for(target_form)
         for scored in predictor.predict(mol, k_per_step):
             forms = tuple(sorted(predictor.form_of_id[i]
                                  for i in scored.reactant_ids))
@@ -268,6 +258,6 @@ def route_search(product: Molecule, building_blocks: set[str],
     return None
 
 
-def _molecule_for(predictor: Predictor, form: str) -> Molecule:
+def _molecule_for(form: str) -> Molecule:
     from .chem import parse_smiles
     return parse_smiles(form, allow_fragments=True)

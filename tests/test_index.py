@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from retroselect import index as index_module
 from retroselect.chem import parse_smiles
 from retroselect.encoder import embed_molecule
 from retroselect.index import (HALT_ID, CandidateIndex, CorruptIndexCache,
                                hard_neighbors, load_index, refresh, save_index)
+from retroselect.scoring import cosine64
 
 
 def naive_topk(keys, ids, query, k, exclude=()):
@@ -120,6 +122,143 @@ def test_query_scale_invariance(rng):
         assert [i for i, _ in scaled] == [i for i, _ in base]
 
 
+# --- batched kernel: topk_rows ---
+
+def naive_topk_rows(index, queries, k, exclude_rows):
+    """One full float64 scan per query: the oracle for ``topk_rows``."""
+    all_ids = index.all_ids()
+    return [naive_topk(index.keys, all_ids, query, k,
+                       exclude={int(all_ids[r]) for r in excluded})
+            for query, excluded in zip(queries, exclude_rows)]
+
+
+def kernel_lists(index, rows, scores):
+    """``topk_rows`` output as per-query (id, score) lists, checking that
+    every slot past a query's valid rows is padded with -1 and -inf."""
+    all_ids = index.all_ids()
+    out = []
+    for line_rows, line_scores in zip(rows, scores):
+        valid = line_rows >= 0
+        n_valid = int(valid.sum())
+        assert valid[:n_valid].all() and not valid[n_valid:].any()
+        assert np.all(line_scores[n_valid:] == -np.inf)
+        out.append([(int(all_ids[r]), float(s))
+                    for r, s in zip(line_rows[:n_valid], line_scores[:n_valid])])
+    return out
+
+
+def plant_near_ties(index, rows, rng):
+    """Make ``rows`` copies of one key, each coordinate nudged by up to two
+    float32 ulps: their cosines with a query near that key differ by less
+    than the float32 scan can resolve. Returns the shared key in float64."""
+    base = index.keys[rows[0]].copy()
+    for row in rows:
+        steps = rng.integers(-2, 3, size=base.shape[0]).astype(np.float32)
+        index.keys[row] = base + steps * np.spacing(np.abs(base))
+    return base.astype(np.float64)
+
+
+def random_exclusions(rng, n_queries, n_rows, most=5):
+    return [rng.choice(n_rows, size=int(rng.integers(0, most + 1)),
+                       replace=False).tolist() for _ in range(n_queries)]
+
+
+def test_topk_rows_matches_naive_scan_with_exclusions(rng):
+    for trial in range(20):
+        n = int(rng.integers(5, 300))
+        d = int(rng.integers(2, 24))
+        index = build_random_index(rng, n=n, d=d, halt=bool(trial % 2))
+        n_rows = index.keys.shape[0]
+        queries = rng.standard_normal((int(rng.integers(1, 25)), d))
+        k = int(rng.integers(1, n + 3))
+        exclude = random_exclusions(rng, queries.shape[0], n_rows)
+        rows, scores = index.topk_rows(queries, k, exclude)
+        assert rows.shape == scores.shape == (queries.shape[0], min(k, n_rows))
+        assert kernel_lists(index, rows, scores) == \
+            naive_topk_rows(index, queries, k, exclude), trial
+
+
+def test_topk_rows_zero_keys_and_zero_queries(rng):
+    raw = rng.standard_normal((40, 5)).astype(np.float32)
+    raw[[3, 17, 30]] = 0.0
+    index = CandidateIndex.from_raw_keys(raw, rng.permutation(40) + 100)
+    queries = rng.standard_normal((6, 5))
+    queries[[1, 4]] = 0.0
+    exclude = random_exclusions(rng, 6, 40)
+    for k in (1, 4, 40):
+        rows, scores = index.topk_rows(queries, k, exclude)
+        got = kernel_lists(index, rows, scores)
+        assert got == naive_topk_rows(index, queries, k, exclude)
+        # A zero query scores 0 everywhere, so it lists the lowest ids.
+        assert all(s == 0.0 for _, s in got[1])
+        assert [i for i, _ in got[1]] == sorted(i for i, _ in got[1])
+
+
+def test_topk_rows_exact_ties_resolve_to_ascending_id(rng):
+    raw = rng.standard_normal((12, 4)).astype(np.float32)
+    raw[[2, 5, 9, 11]] = raw[7]
+    ids = np.array([40, 8, 31, 2, 90, 5, 77, 60, 13, 1, 50, 20])
+    index = CandidateIndex.from_raw_keys(raw, ids)
+    rows, scores = index.topk_rows(np.stack([raw[7], raw[7]]), 3, [[], [9]])
+    # Rows 2, 5, 7, 9 and 11 (ids 31, 5, 60, 1, 20) tie exactly.
+    assert index.ids[rows[0]].tolist() == [1, 5, 20]
+    assert index.ids[rows[1]].tolist() == [5, 20, 31]
+    assert scores[0][0] == scores[0][1] == scores[0][2]
+
+
+def test_topk_rows_planted_near_ties(rng):
+    index = build_random_index(rng, n=200, d=16)
+    tied = rng.choice(200, size=40, replace=False)
+    base = plant_near_ties(index, tied, rng)
+    queries = base + 1e-3 * rng.standard_normal((8, 16))
+    approx = index.keys[tied] @ queries.T.astype(np.float32)
+    exact = np.array([[cosine64(q, index.keys[r]) for q in queries] for r in tied])
+    # The float32 scan orders the planted rows differently from float64.
+    assert any((np.argsort(-approx[:, j], kind="stable")
+                != np.argsort(-exact[:, j], kind="stable")).any() for j in range(8))
+    for k in (1, 5, 20, 40, 41):
+        rows, scores = index.topk_rows(queries, k)
+        assert kernel_lists(index, rows, scores) == \
+            naive_topk_rows(index, queries, k, [[]] * 8)
+
+
+def test_topk_rows_spans_column_blocks(rng, monkeypatch):
+    d, n_queries = 3, 7
+    monkeypatch.setattr(index_module, "_BLOCK_BYTES", 4 * n_queries * 64)
+    index = build_random_index(rng, n=300, d=d, halt=True)
+    assert index.keys.shape[0] >= 3 * 64
+    groups = rng.permutation(300)[:30].reshape(3, 10)
+    queries = [plant_near_ties(index, group, rng) for group in groups]
+    queries = np.stack(queries + [rng.standard_normal(d) for _ in range(4)])
+    exclude = random_exclusions(rng, n_queries, index.keys.shape[0], most=20)
+    for k in (1, 6, 10, 65, 400):
+        rows, scores = index.topk_rows(queries, k, exclude)
+        assert kernel_lists(index, rows, scores) == \
+            naive_topk_rows(index, queries, k, exclude)
+
+
+def test_topk_rows_k_at_or_above_valid_rows(rng):
+    index = build_random_index(rng, n=9, d=4, halt=True)
+    queries = rng.standard_normal((3, 4))
+    exclude = [[], [0, 4, 9], list(range(10))]
+    for k in (7, 10, 25):
+        rows, scores = index.topk_rows(queries, k, exclude)
+        assert rows.shape == (3, min(k, 10))
+        got = kernel_lists(index, rows, scores)
+        assert [len(line) for line in got] == [min(k, 10), min(k, 7), 0]
+        assert got == naive_topk_rows(index, queries, k, exclude)
+
+
+def test_topk_rows_rejects_bad_exclusions(rng):
+    index = build_random_index(rng, n=5, d=3)
+    with pytest.raises(ValueError):
+        index.topk_rows(rng.standard_normal((2, 3)), 2, [[1]])
+    with pytest.raises(IndexError):
+        index.topk_rows(rng.standard_normal((1, 3)), 2, [[5]])
+    with pytest.raises(ValueError):
+        index.topk_rows(rng.standard_normal((1, 3)), 0)
+
+
 def test_hard_neighbors_contract(rng):
     index = build_random_index(rng, n=20)
     assert hard_neighbors(index, [1, 2], 0) == set()
@@ -139,6 +278,22 @@ def test_hard_neighbors_external_anchor(rng):
     assert len(out) == 3
     with pytest.raises(KeyError):
         hard_neighbors(index, [999], 3)
+
+
+def test_hard_neighbors_match_per_anchor_naive_scan(rng, monkeypatch):
+    monkeypatch.setattr(index_module, "_BLOCK_BYTES", 4 * 5 * 32)
+    index = build_random_index(rng, n=120, d=6, halt=True)
+    plant_near_ties(index, rng.choice(120, size=10, replace=False), rng)
+    probe = rng.standard_normal(6)
+    anchors = [7, 31, 999, 64, 7]
+    for k in (1, 3, 8):
+        got = hard_neighbors(index, anchors, k, embed_query=lambda _id: probe)
+        expected = set()
+        for anchor in set(anchors):
+            query = index.row_for(anchor) if index.has_id(anchor) else probe
+            expected |= {i for i, _ in naive_topk(index.keys, index.all_ids(), query,
+                                                  k, exclude={anchor, HALT_ID})}
+        assert got == expected
 
 
 def test_refresh_stamps_and_stability(tiny_params):

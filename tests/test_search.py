@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from retroselect import index as index_module
 from retroselect.chem import canonical_form, parse_smiles
 from retroselect.encoder import ModelDims, init_params
 from retroselect.index import CandidateIndex
@@ -68,6 +69,109 @@ def test_beam_cum_psi_includes_halt(rng):
     halt = params.tensors["halt_key"].data
     empty = next(h for h in done if h.chosen == ())
     assert empty.cum_psi == pytest.approx(cosine64(np.asarray(f_p, float), halt))
+
+
+def reference_beam(index, params, g_pool, f_p, beam, n_max, exclude_ids=()):
+    """Float64 reference beam: each hypothesis scans the whole pool with
+    ``cosine64``, keeps its top ``beam`` by (-score, id), and the round keeps
+    the top ``beam`` extensions by (-total, hypothesis index, id). Returns
+    {id set: (chosen order, cum_psi)} with the halt term from ``cosine64``."""
+    halt = params.tensors["halt_key"].data
+    ids = index.ids.tolist()
+    banked = {}
+    live = [((), np.asarray(f_p, dtype=np.float64), 0.0)]
+    for depth in range(n_max + 1):
+        for chosen, query, cum in live:
+            total = cum + cosine64(query, halt)
+            key = frozenset(chosen)
+            if key not in banked or total > banked[key][1]:
+                banked[key] = (chosen, total)
+        if depth == n_max:
+            break
+        extensions = []
+        for hyp_index, (chosen, query, cum) in enumerate(live):
+            scored = sorted(((cosine64(query, index.keys[row]), mol_id)
+                             for row, mol_id in enumerate(ids)
+                             if mol_id not in chosen and mol_id not in exclude_ids),
+                            key=lambda pair: (-pair[0], pair[1]))
+            extensions += [(cum + psi, hyp_index, mol_id)
+                           for psi, mol_id in scored[:beam]]
+        if not extensions:
+            break
+        extensions.sort(key=lambda e: (-e[0], e[1], e[2]))
+        live = [(live[h][0] + (mol_id,),
+                 live[h][1] - g_pool[ids.index(mol_id)].astype(np.float64), total)
+                for total, h, mol_id in extensions[:beam]]
+    return banked
+
+
+def near_tie_world(rng, n, d, copies=6):
+    """Pool of ``n // copies`` directions, each repeated ``copies`` times with
+    float32-ulp nudges (some exact duplicates), under shuffled ids."""
+    params, _, _, f_p = synthetic_world(rng, n=1, d=d)
+    base = rng.standard_normal((n // copies, d)).astype(np.float32)
+    base /= np.linalg.norm(base, axis=1, keepdims=True)
+    keys = np.repeat(base, copies, axis=0)
+    top = np.argmax(np.abs(keys), axis=1)
+    rows = np.arange(keys.shape[0])
+    nudge = rng.integers(0, 3, size=keys.shape[0]).astype(np.float32)
+    keys[rows, top] -= np.sign(keys[rows, top]) * nudge * np.spacing(
+        np.abs(keys[rows, top]))
+    halt = params.tensors["halt_key"].data
+    halt_row = (halt / np.linalg.norm(halt)).astype(np.float32)[None, :]
+    ids = rng.permutation(keys.shape[0]) * 3 + 1
+    index = CandidateIndex(np.vstack([keys, halt_row]), ids, includes_halt=True)
+    # Copies share their g row, so exact duplicates give exactly tied totals.
+    g_pool = np.repeat(0.3 * rng.standard_normal((n // copies, d)), copies,
+                       axis=0).astype(np.float32)
+    f_p = base[0].astype(np.float64) + 0.01 * rng.standard_normal(d)
+    return params, index, g_pool, f_p
+
+
+def assert_same_beam(done, reference):
+    got = {h.id_set: h for h in done}
+    assert set(got) == set(reference)
+    for key, (chosen, cum_psi) in reference.items():
+        assert got[key].chosen == chosen
+        assert abs(got[key].cum_psi - cum_psi) <= 1e-12
+
+
+def test_beam_matches_float64_reference_on_near_ties(rng):
+    for trial in range(4):
+        params, index, g_pool, f_p = near_tie_world(rng, n=48, d=5)
+        exclude = {int(index.ids[trial])}
+        for beam in (1, 4, 9):
+            done = beam_search(None, index, params, g_pool, beam=beam, n_max=3,
+                               exclude_ids=exclude, f_product=f_p)
+            assert_same_beam(done, reference_beam(index, params, g_pool, f_p,
+                                                  beam, 3, exclude))
+
+
+def test_beam_matches_float64_reference_across_blocks(rng, monkeypatch):
+    beam = 6
+    # Six live hypotheses fill a block of 40 columns, so the pool spans 4.
+    monkeypatch.setattr(index_module, "_BLOCK_BYTES", 4 * beam * 40)
+    params, index, g_pool, f_p = near_tie_world(rng, n=150, d=4, copies=5)
+    assert index.keys.shape[0] > 3 * 40
+    done = beam_search(None, index, params, g_pool, beam=beam, n_max=3,
+                       f_product=f_p)
+    assert_same_beam(done, reference_beam(index, params, g_pool, f_p, beam, 3))
+
+
+def test_banked_cum_psi_is_float64_step_sum_plus_halt(rng):
+    params, index, g_pool, f_p = synthetic_world(rng, n=30)
+    halt = params.tensors["halt_key"].data
+    done = beam_search(None, index, params, g_pool, beam=12, n_max=3,
+                       f_product=f_p)
+    assert any(len(h.chosen) == 3 for h in done)
+    for hyp in done:
+        query = np.asarray(f_p, dtype=np.float64)
+        total = 0.0
+        for mol_id in hyp.chosen:
+            total += cosine64(query, index.row_for(mol_id))
+            query = query - g_pool[index.row_of(mol_id)].astype(np.float64)
+        total += cosine64(query, halt)
+        assert abs(hyp.cum_psi - total) <= 1e-12
 
 
 def test_rank_matches_exhaustive_scoring(rng):
