@@ -2,10 +2,10 @@
 
 Covers exactly the operator set the encoder and the contrastive losses
 need: affine maps, ReLU, batch normalization, segment sums / row gathers
-over graphs, cosine similarities and a stable log-softmax pick, plus SGD
-with momentum and global-norm clipping. Arrays are float32 by default;
-building the parameters in float64 switches the whole tape to float64 for
-gradient checking.
+through a cached sparse ``Scatter``, a query-by-key cosine matrix and a
+row-wise masked log-softmax pick, plus SGD with momentum and global-norm
+clipping. Arrays are float32 by default; building the parameters in
+float64 switches the whole tape to float64 for gradient checking.
 """
 
 from __future__ import annotations
@@ -204,18 +204,6 @@ def relu(x: Tensor) -> Tensor:
     return out
 
 
-def sum_rows(x: Tensor) -> Tensor:
-    """Column sums of a matrix: [m, d] -> [d]."""
-    if x.data.ndim != 2:
-        raise ShapeMismatch(f"sum_rows needs a matrix, got {x.shape}")
-    out = Tensor(_checked(x.data.sum(axis=0), "sum_rows"), parents=(x,))
-
-    def _bw(g):
-        x._accumulate(np.broadcast_to(g, x.shape))
-    out._backward = _bw if out.requires_grad else None
-    return out
-
-
 def sum_all(x: Tensor) -> Tensor:
     out = Tensor(_checked(np.asarray(x.data.sum()), "sum_all"), parents=(x,))
 
@@ -257,79 +245,33 @@ class Scatter:
         return self._mats[key]
 
 
-def segment_sum(x: Tensor, segments, num_segments: int | None = None) -> Tensor:
+def segment_sum(x: Tensor, segments: Scatter) -> Tensor:
     """Row j of the output is the sum of input rows with segment id j.
 
-    Passing a Scatter reuses its cached sparse matrices (the encoder builds
-    one per graph batch and shares it across layers); a raw id array takes
-    the plain accumulate path.
+    The Scatter's cached sparse matrices are reused across calls (the
+    encoder builds one per graph batch and shares it across layers).
     """
-    if isinstance(segments, Scatter):
-        if x.data.ndim != 2 or x.shape[0] != segments.segment_ids.shape[0]:
-            raise ShapeMismatch(f"segment_sum rows {x.shape} vs ids "
-                                f"{segments.segment_ids.shape}")
-        mat, mat_t = segments.mats(x.dtype)
-        out = Tensor(_checked(mat @ x.data, "segment_sum"), parents=(x,))
-
-        def _bw(g):
-            x._accumulate(mat_t @ g)
-        out._backward = _bw if out.requires_grad else None
-        return out
-
-    ids = np.asarray(segments, dtype=np.int64)
-    if num_segments is None:
-        num_segments = int(ids.max()) + 1 if ids.size else 0
-    if x.data.ndim != 2 or x.shape[0] != ids.shape[0]:
-        raise ShapeMismatch(f"segment_sum rows {x.shape} vs ids {ids.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= num_segments):
-        raise ShapeMismatch("segment id out of range")
-    summed = np.zeros((num_segments, x.shape[1]), dtype=x.dtype)
-    np.add.at(summed, ids, x.data)
-    out = Tensor(_checked(summed, "segment_sum"), parents=(x,))
+    if x.data.ndim != 2 or x.shape[0] != segments.segment_ids.shape[0]:
+        raise ShapeMismatch(f"segment_sum rows {x.shape} vs ids "
+                            f"{segments.segment_ids.shape}")
+    mat, mat_t = segments.mats(x.dtype)
+    out = Tensor(_checked(mat @ x.data, "segment_sum"), parents=(x,))
 
     def _bw(g):
-        x._accumulate(g[ids])
+        x._accumulate(mat_t @ g)
     out._backward = _bw if out.requires_grad else None
     return out
 
 
-def gather_rows(x: Tensor, index) -> Tensor:
-    """out[j] = x[index[j]]; backward scatter-adds."""
-    if isinstance(index, Scatter):
-        scatter = index
-        if scatter.n_segments != x.shape[0]:
-            raise ShapeMismatch("gather index space does not match rows")
-        mat, mat_t = scatter.mats(x.dtype)
-        out = Tensor(mat_t @ x.data, parents=(x,))
-
-        def _bw(g):
-            x._accumulate(mat @ g)
-        out._backward = _bw if out.requires_grad else None
-        return out
-
-    ids = np.asarray(index, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= x.shape[0]):
-        raise ShapeMismatch("gather index out of range")
-    out = Tensor(x.data[ids], parents=(x,))
+def gather_rows(x: Tensor, index: Scatter) -> Tensor:
+    """out[j] = x[index.segment_ids[j]]; backward scatter-adds."""
+    if x.data.ndim != 2 or index.n_segments != x.shape[0]:
+        raise ShapeMismatch("gather index space does not match rows")
+    mat, mat_t = index.mats(x.dtype)
+    out = Tensor(mat_t @ x.data, parents=(x,))
 
     def _bw(g):
-        buf = np.zeros_like(x.data)
-        np.add.at(buf, ids, g)
-        x._accumulate(buf)
-    out._backward = _bw if out.requires_grad else None
-    return out
-
-
-def pick_row(x: Tensor, row: int) -> Tensor:
-    """One row of a matrix as a vector."""
-    if x.data.ndim != 2 or not 0 <= row < x.shape[0]:
-        raise ShapeMismatch(f"pick_row {row} from {x.shape}")
-    out = Tensor(x.data[row], parents=(x,))
-
-    def _bw(g):
-        buf = np.zeros_like(x.data)
-        buf[row] = g
-        x._accumulate(buf)
+        x._accumulate(mat @ g)
     out._backward = _bw if out.requires_grad else None
     return out
 
@@ -413,94 +355,85 @@ def batchnorm(x: Tensor, state: BatchNormState, mode: str = "train",
 ZERO_NORM_EPS = 1e-12
 
 
-def cosine(a: Tensor, b: Tensor) -> Tensor:
-    """Cosine similarity of two vectors; 0 if either norm is (near) zero."""
-    if a.data.ndim != 1 or a.shape != b.shape:
-        raise ShapeMismatch(f"cosine {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a.data))
-    nb = float(np.linalg.norm(b.data))
-    if na < ZERO_NORM_EPS or nb < ZERO_NORM_EPS:
-        out = Tensor(np.zeros((), dtype=a.dtype), parents=(a, b))
-        out._backward = (lambda g: None) if out.requires_grad else None
-        return out
-    value = float(a.data @ b.data) / (na * nb)
-    out = Tensor(np.asarray(value, dtype=a.dtype), parents=(a, b))
+def cosine_matrix(queries: Tensor, *keys: Tensor) -> Tensor:
+    """Cosine of every query row against every key row: [Q, K].
+
+    The key tensors are stacked row-wise in the order given; a 1-D key is
+    one row. A query or key whose norm is below ZERO_NORM_EPS scores 0
+    against everything and receives no gradient.
+    """
+    if queries.data.ndim != 2 or not keys:
+        raise ShapeMismatch(f"cosine_matrix needs a query matrix and keys, "
+                            f"got {queries.shape}")
+    width = queries.shape[1]
+    for key in keys:
+        if key.data.ndim not in (1, 2) or key.shape[-1] != width:
+            raise ShapeMismatch(f"cosine_matrix key {key.shape} vs width {width}")
+
+    def unit_rows(rows):
+        norms = np.linalg.norm(rows, axis=1)
+        live = norms >= ZERO_NORM_EPS
+        safe = np.where(live, norms, 1.0)[:, None]
+        return rows / safe * live[:, None], safe, live[:, None]
+
+    q_unit, q_norm, q_live = unit_rows(queries.data)
+    k_unit, k_norm, k_live = unit_rows(
+        np.concatenate([key.data.reshape(-1, width) for key in keys]))
+    out = Tensor(_checked(q_unit @ k_unit.T, "cosine_matrix"),
+                 parents=(queries,) + keys)
 
     def _bw(g):
-        g = float(g)
-        if a.requires_grad:
-            a._accumulate(g * (b.data / (na * nb) - value * a.data / (na * na)))
-        if b.requires_grad:
-            b._accumulate(g * (a.data / (na * nb) - value * b.data / (nb * nb)))
-    out._backward = _bw if out.requires_grad else None
-    return out
-
-
-def cosine_scores(query: Tensor, keys: Tensor) -> Tensor:
-    """Cosine similarity of one query vector against each key row."""
-    if query.data.ndim != 1 or keys.data.ndim != 2 or keys.shape[1] != query.shape[0]:
-        raise ShapeMismatch(f"cosine_scores {query.shape} vs {keys.shape}")
-    qn = float(np.linalg.norm(query.data))
-    kn = np.linalg.norm(keys.data, axis=1)
-    live = kn >= ZERO_NORM_EPS
-    if qn < ZERO_NORM_EPS:
-        out = Tensor(np.zeros(keys.shape[0], dtype=query.dtype), parents=(query, keys))
-        out._backward = (lambda g: None) if out.requires_grad else None
-        return out
-    denom = np.where(live, kn * qn, 1.0)
-    raw = keys.data @ query.data
-    values = np.where(live, raw / denom, 0.0).astype(query.dtype)
-    out = Tensor(_checked(values, "cosine_scores"), parents=(query, keys))
-
-    def _bw(g):
-        g = g * live
-        if query.requires_grad:
-            dq = (g / denom) @ keys.data - float(g @ values) * query.data / (qn * qn)
-            query._accumulate(dq)
-        if keys.requires_grad:
-            dk = np.outer(g / denom, query.data)
-            dk -= (g * values / np.where(live, kn * kn, 1.0))[:, None] * keys.data
-            keys._accumulate(dk)
-    out._backward = _bw if out.requires_grad else None
-    return out
-
-
-def concat1d(parts: list[Tensor]) -> Tensor:
-    """Concatenate scalars and 1-D tensors into one vector."""
-    if not parts:
-        raise ShapeMismatch("concat1d needs at least one part")
-    arrays = [np.atleast_1d(p.data) for p in parts]
-    out = Tensor(np.concatenate(arrays), parents=tuple(parts))
-
-    def _bw(g):
+        # d(x/|x|) projects out the x direction and divides by |x|.
+        if queries.requires_grad:
+            dq = g @ k_unit
+            dq -= (dq * q_unit).sum(axis=1, keepdims=True) * q_unit
+            queries._accumulate(dq / q_norm * q_live)
+        if not any(key.requires_grad for key in keys):
+            return
+        dk = g.T @ q_unit
+        dk -= (dk * k_unit).sum(axis=1, keepdims=True) * k_unit
+        dk = dk / k_norm * k_live
         offset = 0
-        for part, arr in zip(parts, arrays):
-            chunk = g[offset:offset + arr.shape[0]]
-            if part.requires_grad:
-                part._accumulate(chunk.reshape(part.shape))
-            offset += arr.shape[0]
+        for key in keys:
+            rows = 1 if key.data.ndim == 1 else key.shape[0]
+            if key.requires_grad:
+                key._accumulate(dk[offset:offset + rows].reshape(key.shape))
+            offset += rows
     out._backward = _bw if out.requires_grad else None
     return out
 
 
-def log_softmax_pick(scores: Tensor, target: int) -> Tensor:
-    """scores[target] - logsumexp(scores), max-subtracted for stability."""
-    if scores.data.ndim != 1 or scores.shape[0] < 1:
-        raise ShapeMismatch(f"log_softmax_pick needs a non-empty vector, "
+def log_softmax_pick(scores: Tensor, targets, live=None) -> Tensor:
+    """Per row i: scores[i, targets[i]] - logsumexp of the live scores of row i.
+
+    ``live`` is a boolean [Q, K] mask of the columns that take part in each
+    row's softmax (all of them when omitted); masked columns get no
+    gradient. Max-subtracted for stability. Returns a vector [Q].
+    """
+    if scores.data.ndim != 2 or scores.shape[1] < 1:
+        raise ShapeMismatch(f"log_softmax_pick needs a non-empty matrix, "
                             f"got {scores.shape}")
-    if not 0 <= target < scores.shape[0]:
-        raise ShapeMismatch(f"target {target} out of range {scores.shape[0]}")
-    high = scores.data.max()
-    shifted = scores.data - high
-    log_z = np.log(np.exp(shifted).sum()) + high
-    value = scores.data[target] - log_z
-    out = Tensor(_checked(np.asarray(value, dtype=scores.dtype), "log_softmax_pick"),
+    n_rows, n_cols = scores.shape
+    targets = np.asarray(targets, dtype=np.int64)
+    if targets.shape != (n_rows,) or (n_rows and (targets.min() < 0
+                                                  or targets.max() >= n_cols)):
+        raise ShapeMismatch(f"targets {targets} out of range for {scores.shape}")
+    rows = np.arange(n_rows)
+    if live is None:
+        live = np.ones(scores.shape, dtype=bool)
+    live = np.asarray(live, dtype=bool)
+    if live.shape != scores.shape or not live[rows, targets].all():
+        raise ShapeMismatch("every row's target column must be live")
+    masked = np.where(live, scores.data, -np.inf)
+    high = masked.max(axis=1, keepdims=True)
+    log_z = np.log(np.exp(masked - high).sum(axis=1, keepdims=True)) + high
+    values = scores.data[rows, targets] - log_z[:, 0]
+    out = Tensor(_checked(values.astype(scores.dtype), "log_softmax_pick"),
                  parents=(scores,))
 
     def _bw(g):
-        softmax = np.exp(scores.data - log_z)
-        grad = -softmax * float(g)
-        grad[target] += float(g)
+        grad = -np.exp(masked - log_z) * g[:, None]
+        grad[rows, targets] += g
         scores._accumulate(grad)
     out._backward = _bw if out.requires_grad else None
     return out

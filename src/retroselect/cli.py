@@ -33,9 +33,19 @@ def _limit_threads(n: int) -> None:
     if n == 1:
         try:
             import threadpoolctl
-            threadpoolctl.threadpool_limits(1)
         except ImportError:
-            pass
+            print("warning: threadpoolctl is not installed, so BLAS threads "
+                  "were not pinned; set OPENBLAS_NUM_THREADS=1 to pin them",
+                  file=sys.stderr)
+            return
+        threadpoolctl.threadpool_limits(1)
+
+
+def _report_corpus(corpus) -> None:
+    """One stderr line with the load counts, dropped lines included."""
+    print("corpus: " + " ".join(f"{key}={corpus.stats.get(key, 0)}" for key in
+                                ("lines", "parse_errors", "duplicates_dropped",
+                                 "self_product_dropped")), file=sys.stderr)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -193,6 +203,7 @@ def _cmd_train(args) -> int:
     if args.val:
         paths["val"] = args.val
     corpus = load_corpus(paths, candidates_path=args.candidates)
+    _report_corpus(corpus)
     n_types = args.types if args.types is not None else max(corpus.n_types, 1)
     dims = ModelDims(d=args.dim, n_layers=args.layers, n_types=n_types)
     metrics = MetricsLog(args.metrics_out)
@@ -307,6 +318,7 @@ def _cmd_evaluate(args) -> int:
     from .search import Predictor
     params, candidates, forms = _load_pool(args)
     corpus = load_corpus({"test": args.test}, candidates_path=args.candidates)
+    _report_corpus(corpus)
     records = corpus.reactions["test"]
     if args.limit:
         records = records[:args.limit]

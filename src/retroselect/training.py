@@ -1,10 +1,13 @@
 """Contrastive training over per-batch candidate sets with hard negatives.
 
 Each step embeds every molecule of the batch candidate set inside the tape
-(train-mode batch norm over all node rows), evaluates the backward
-selection loss and the forward synthesizability loss per reaction, and
-applies one clipped SGD update. The candidate index used for hard-negative
-mining is rebuilt periodically from the current parameters.
+(train-mode batch norm over all node rows), scores the whole batch with one
+masked log-softmax pick over one cosine matrix (a query row per backward
+selection step and per forward synthesizability check, a key column per
+candidate plus the halt key), and applies one clipped SGD update. The
+candidate index used for hard-negative mining is rebuilt periodically from
+the current parameters; validation reuses it when it was rebuilt at that
+step.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import SgdConfig, Tensor
+from .autodiff import Scatter, SgdConfig, Tensor
 from .chem import featurize, pack
 from .data import Corpus, MetricsLog, ReactionRecord
 from .encoder import ModelDims, ParamStore, embed_graphs, init_params
@@ -100,16 +103,13 @@ def build_embed_table(candidate_ids: list[int], corpus: Corpus,
                       embeddings["h"])
 
 
-def _row_vector(matrix: Tensor, row: int) -> Tensor:
-    return ad.pick_row(matrix, row)
-
-
-def _bias_row(params: ParamStore, table: str, rxn_type: int | None) -> Tensor | None:
+def _type_row(params: ParamStore, rxn_type: int | None) -> int | None:
+    """Row of a reaction type in the type.u / type.v tables, or None."""
     if rxn_type is None:
         return None
     if not 1 <= rxn_type <= params.dims.n_types:
         raise ValueError(f"reaction type {rxn_type} outside model range")
-    return _row_vector(params.tensors[f"type.{table}"], rxn_type - 1)
+    return rxn_type - 1
 
 
 def _selection_order(record: ReactionRecord, table: EmbedTable,
@@ -192,65 +192,115 @@ def forward_class_ids(candidate_ids, reactant_ids) -> list[int]:
     return [i for i in candidate_ids if i not in reactant_set]
 
 
+def batch_loss(batch: list[ReactionRecord], table: EmbedTable,
+               params: ParamStore, tau: float, perm_threshold: int = 5,
+               halt_mode: str = "always", sides=("backward", "forward")):
+    """Summed contrastive losses of a batch from one cosine matrix.
+
+    Query rows: each backward selection step of each record (the product's
+    f row plus its type.u row minus the g rows already chosen, in the order
+    ``_selection_order`` returns, then the halt step), followed by one
+    forward row per record (its reactants' g rows plus its type.v row). Key
+    columns: every table row's h, then ``halt_key``. The live mask drops the
+    product from its backward rows, the halt key from non-final steps when
+    ``halt_mode`` is "final", and the reactants and the halt key from
+    forward rows. Returns the negated summed pick as a scalar tensor and the
+    detached per-record backward and forward losses (zero for a side left
+    out of ``sides``).
+    """
+    for record in batch:
+        missing = [i for i in record.molecule_ids() if i not in table.row_of]
+        if missing or record.product_id in record.reactant_ids:
+            raise ReactantNotInCandidates(
+                f"{record}: molecules {missing} not in candidate set, or the "
+                f"product is among the reactants")
+    row_of = table.row_of
+    halt_col = len(table.ids)
+    u_table = params.tensors["type.u"]
+    # Per query-building term: source tensor, source rows, query rows; the
+    # one subtracted term comes last.
+    terms = {name: (tensor, [], []) for name, tensor in
+             (("f", table.f), ("g+", table.g), ("u", u_table),
+              ("v", params.tensors["type.v"]), ("g-", table.g))}
+    targets, dead, owners = [], [], []
+
+    def add_term(name, src_row, query):
+        terms[name][1].append(src_row)
+        terms[name][2].append(query)
+
+    if "backward" in sides:
+        for owner, record in enumerate(batch):
+            product_row = row_of[record.product_id]
+            u_row = _type_row(params, record.rxn_type)
+            order = _selection_order(
+                record, table, params, tau, perm_threshold, halt_mode,
+                backward_class_ids(table.ids, record.product_id),
+                None if u_row is None else u_table.data[u_row].astype(np.float64))
+            for step, chosen in enumerate(order + (HALT_ID,)):
+                query = len(targets)
+                add_term("f", product_row, query)
+                if u_row is not None:
+                    add_term("u", u_row, query)
+                for earlier in order[:step]:
+                    add_term("g-", row_of[earlier], query)
+                dead.append((query, product_row))
+                final = step == len(order)
+                if not final and halt_mode == "final":
+                    dead.append((query, halt_col))
+                targets.append(halt_col if final else row_of[chosen])
+                owners.append(owner)
+    n_backward = len(targets)
+    if "forward" in sides:
+        for record in batch:
+            query = len(targets)
+            for reactant in record.reactant_ids:
+                add_term("g+", row_of[reactant], query)
+                dead.append((query, row_of[reactant]))
+            v_row = _type_row(params, record.rxn_type)
+            if v_row is not None:
+                add_term("v", v_row, query)
+            dead.append((query, halt_col))
+            targets.append(row_of[record.product_id])
+    if not targets:
+        raise ValueError("batch_loss needs at least one record and one side")
+
+    queries = None
+    for name, (source, rows, query_rows) in terms.items():
+        if not rows:
+            continue
+        term = ad.segment_sum(ad.gather_rows(source, Scatter(rows, source.shape[0])),
+                              Scatter(query_rows, len(targets)))
+        if queries is None:
+            queries = term
+        else:
+            queries = (ad.sub if name == "g-" else ad.add)(queries, term)
+    live = np.ones((len(targets), halt_col + 1), dtype=bool)
+    dead_rows, dead_cols = zip(*dead)
+    live[list(dead_rows), list(dead_cols)] = False
+    scores = ad.scale(ad.cosine_matrix(queries, table.h, params.tensors["halt_key"]),
+                      1.0 / tau)
+    picks = ad.log_softmax_pick(scores, targets, live)
+    losses = -picks.data.astype(np.float64)
+    loss_b = np.bincount(np.asarray(owners, dtype=np.int64),
+                         weights=losses[:n_backward], minlength=len(batch))
+    loss_f = losses[n_backward:] if "forward" in sides else np.zeros(len(batch))
+    return ad.scale(ad.sum_all(picks), -1.0), loss_b, loss_f
+
+
 def loss_backward(record: ReactionRecord, table: EmbedTable, params: ParamStore,
                   tau: float, perm_threshold: int = 5,
                   halt_mode: str = "always") -> Tensor:
     """Negated best-order sum of step log-probs of selecting each true
     reactant (then halt) against the candidate keys."""
-    class_ids = backward_class_ids(table.ids, record.product_id)
-    missing = [i for i in record.reactant_ids if i not in set(class_ids)]
-    if missing:
-        raise ReactantNotInCandidates(f"reactants {missing} not in candidate set")
-    class_rows = np.array([table.row_of[i] for i in class_ids], dtype=np.int64)
-    class_pos = {mol_id: j for j, mol_id in enumerate(class_ids)}
-    u_row_np = None
-    u_bias = _bias_row(params, "u", record.rxn_type)
-    if u_bias is not None:
-        u_row_np = u_bias.data.astype(np.float64)
-    order = _selection_order(record, table, params, tau, perm_threshold,
-                             halt_mode, class_ids, u_row_np)
-
-    keys = ad.gather_rows(table.h, class_rows)
-    halt_key = params.tensors["halt_key"]
-    query = _row_vector(table.f, table.row_of[record.product_id])
-    if u_bias is not None:
-        query = ad.add(query, u_bias)
-    steps: list[Tensor] = []
-    n = len(order)
-    for step_index, chosen in enumerate(order + (HALT_ID,)):
-        final = step_index == n
-        include_halt = halt_mode == "always" or final
-        sims = ad.cosine_scores(query, keys)
-        if include_halt:
-            scores = ad.concat1d([sims, ad.cosine(query, halt_key)])
-        else:
-            scores = sims
-        target = scores.shape[0] - 1 if final else class_pos[chosen]
-        steps.append(ad.log_softmax_pick(ad.scale(scores, 1.0 / tau), target))
-        if not final:
-            query = ad.sub(query, _row_vector(table.g, table.row_of[chosen]))
-    total = steps[0]
-    for term in steps[1:]:
-        total = ad.add(total, term)
-    return ad.scale(total, -1.0)
+    return batch_loss([record], table, params, tau, perm_threshold, halt_mode,
+                      sides=("backward",))[0]
 
 
 def loss_forward(record: ReactionRecord, table: EmbedTable, params: ParamStore,
                  tau: float) -> Tensor:
     """Negated log-prob of the true product against candidate products,
     scored by the summed reactant queries (halt is never a product)."""
-    class_ids = forward_class_ids(table.ids, record.reactant_ids)
-    class_rows = np.array([table.row_of[i] for i in class_ids], dtype=np.int64)
-    target = class_ids.index(record.product_id)
-    reactant_rows = np.array([table.row_of[i] for i in record.reactant_ids],
-                             dtype=np.int64)
-    query = ad.sum_rows(ad.gather_rows(table.g, reactant_rows))
-    v_bias = _bias_row(params, "v", record.rxn_type)
-    if v_bias is not None:
-        query = ad.add(query, v_bias)
-    scores = ad.scale(ad.cosine_scores(query, ad.gather_rows(table.h, class_rows)),
-                      1.0 / tau)
-    return ad.scale(ad.log_softmax_pick(scores, target), -1.0)
+    return batch_loss([record], table, params, tau, sides=("forward",))[0]
 
 
 def _anchor_queries(batch: list[ReactionRecord], index: CandidateIndex,
@@ -279,22 +329,19 @@ def train_step(batch: list[ReactionRecord], index: CandidateIndex,
                params: ParamStore, cfg: TrainConfig, corpus: Corpus,
                optimizer: SgdConfig, embed_query=None,
                bundle_cache: dict | None = None) -> dict:
-    """One forward/backward/clip/update cycle; returns step metrics."""
+    """One forward/backward/clip/update cycle; returns step metrics.
+
+    Mines the batch candidate set, embeds it on the tape, and takes the
+    whole batch's loss from one ``batch_loss`` call; ``loss_b``/``loss_f``
+    are per-record means of its detached values.
+    """
     if embed_query is None and cfg.hard_k > 0:
         embed_query = _anchor_queries(batch, index, corpus, params, bundle_cache)
     candidate_ids = batch_candidates(batch, index, cfg.hard_k, embed_query)
     table = build_embed_table(candidate_ids, corpus, params, "train", bundle_cache)
-    backward_terms = []
-    forward_terms = []
-    for record in batch:
-        backward_terms.append(loss_backward(record, table, params, cfg.tau,
-                                            cfg.perm_threshold,
-                                            cfg.halt_in_denominator))
-        forward_terms.append(loss_forward(record, table, params, cfg.tau))
-    total = backward_terms[0]
-    for term in backward_terms[1:] + forward_terms:
-        total = ad.add(total, term)
-    mean_loss = ad.scale(total, 1.0 / len(batch))
+    loss, loss_b, loss_f = batch_loss(batch, table, params, cfg.tau,
+                                      cfg.perm_threshold, cfg.halt_in_denominator)
+    mean_loss = ad.scale(loss, 1.0 / len(batch))
     params.zero_grad()
     ad.backward(mean_loss)
     grads = params.gradients()
@@ -303,8 +350,8 @@ def train_step(batch: list[ReactionRecord], index: CandidateIndex,
     ad.sgd_step(params, grads, optimizer)
     params.step += 1
     return {
-        "loss_b": float(np.mean([t.item() for t in backward_terms])),
-        "loss_f": float(np.mean([t.item() for t in forward_terms])),
+        "loss_b": float(np.mean(loss_b)),
+        "loss_f": float(np.mean(loss_f)),
         "grad_norm": grad_norm,
     }
 
@@ -357,12 +404,16 @@ def train(corpus: Corpus, cfg: TrainConfig, dims: ModelDims | None = None,
         batch = sampler.next_batch()
         step_metrics = train_step(batch, index, params, cfg, corpus,
                                   optimizer, bundle_cache=bundle_cache)
-        if step % cfg.refresh_every == 0 and step < cfg.total_iters:
+        refreshed = step % cfg.refresh_every == 0 and step < cfg.total_iters
+        if refreshed:
             index = CandidateIndex.build(params, candidates, candidate_ids,
                                          build_step=index.build_step + 1)
         if step % cfg.eval_every == 0 or step == cfg.total_iters:
+            # An index rebuilt at this step holds the current keys; Predictor
+            # appends the halt key itself.
             predictor = Predictor(params, candidates, candidate_ids,
                                   forms=[corpus.form(i) for i in corpus.candidate_ids],
+                                  index=index if refreshed else None,
                                   beam=cfg.val_beam, n_max=cfg.val_n_max,
                                   perm_threshold=cfg.perm_threshold)
             hits = 0

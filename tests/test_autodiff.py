@@ -130,30 +130,41 @@ def test_batchnorm_eval_backward(rng):
 
 def test_segment_sum_merges_rows():
     x = ad.constant(np.array([[1.0, 2.0], [3.0, 4.0]]))
-    out = ad.segment_sum(x, [0, 0], 1)
+    out = ad.segment_sum(x, ad.Scatter([0, 0], 1))
     assert out.data.tolist() == [[4.0, 6.0]]
 
 
 def test_segment_sum_identity_and_empty():
     x = ad.constant(np.arange(6.0).reshape(3, 2))
-    assert np.array_equal(ad.segment_sum(x, [0, 1, 2], 3).data, x.data)
-    out = ad.segment_sum(x, [0, 0, 3], 4)
+    assert np.array_equal(ad.segment_sum(x, ad.Scatter([0, 1, 2], 3)).data, x.data)
+    out = ad.segment_sum(x, ad.Scatter([0, 0, 3], 4))
     assert np.all(out.data[1] == 0) and np.all(out.data[2] == 0)
+    none = ad.segment_sum(ad.constant(np.zeros((0, 2))), ad.Scatter([], 3))
+    assert none.shape == (3, 2) and np.all(none.data == 0)
 
 
 def test_segment_sum_matches_loop_oracle(rng):
     x = rng.standard_normal((40, 5))
     ids = rng.integers(0, 7, size=40)
-    out = ad.segment_sum(ad.constant(x), ids, 7).data
+    out = ad.segment_sum(ad.constant(x), ad.Scatter(ids, 7)).data
     expected = np.zeros((7, 5))
     for row, seg in zip(x, ids):
         expected[seg] += row
     assert np.abs(out - expected).max() < 1e-12
+    gathered = ad.gather_rows(ad.constant(x), ad.Scatter(ids, 40)).data
+    assert np.array_equal(gathered, np.stack([x[i] for i in ids]))
+
+
+def test_scatter_rejects_out_of_range_ids():
+    with pytest.raises(ad.ShapeMismatch):
+        ad.Scatter([0, 3], 3)
+    with pytest.raises(ad.ShapeMismatch):
+        ad.gather_rows(ad.constant(np.zeros((4, 2))), ad.Scatter([0, 1], 3))
 
 
 def test_gather_and_segment_gradients(rng):
     x = ad.parameter(rng.standard_normal((6, 3)))
-    idx = np.array([0, 0, 2, 5, 1])
+    idx = ad.Scatter([0, 0, 2, 5, 1], 6)
     weights = ad.constant(rng.standard_normal((5, 3)))
 
     def loss():
@@ -163,86 +174,146 @@ def test_gather_and_segment_gradients(rng):
     seg_weights = ad.constant(rng.standard_normal((3, 3)))
 
     def loss2():
-        return ad.sum_all(ad.mul(ad.segment_sum(x, [0, 1, 1, 2, 0, 2], 3),
+        return ad.sum_all(ad.mul(ad.segment_sum(x, ad.Scatter([0, 1, 1, 2, 0, 2], 3)),
                                  seg_weights))
     fd_check(loss2, [x])
 
 
-# --- cosine ---
+# --- cosine_matrix ---
 
 def test_cosine_conventions():
-    a = ad.constant(np.array([1.0, 2.0]))
-    assert ad.cosine(a, a).item() == pytest.approx(1.0)
-    assert ad.cosine(a, ad.scale(a, -1.0)).item() == pytest.approx(-1.0)
-    e1 = ad.constant(np.array([1.0, 0.0]))
-    e2 = ad.constant(np.array([0.0, 1.0]))
-    assert ad.cosine(e1, e2).item() == 0.0
-    zero = ad.constant(np.zeros(2))
-    assert ad.cosine(zero, a).item() == 0.0
+    a = np.array([1.0, 2.0])
+    queries = ad.constant(np.stack([a, -a, [1.0, 0.0], [0.0, 0.0]]))
+    keys = ad.constant(np.stack([a, [0.0, 1.0], [0.0, 0.0]]))
+    out = ad.cosine_matrix(queries, keys).data
+    assert out[0, 0] == pytest.approx(1.0)      # parallel
+    assert out[1, 0] == pytest.approx(-1.0)     # anti-parallel
+    assert out[2, 1] == 0.0                     # orthogonal
+    assert np.all(out[:, 2] == 0.0)             # zero-norm key
+    assert np.all(out[3] == 0.0)                # zero-norm query
 
 
 def test_cosine_gradients(rng):
-    a = ad.parameter(rng.standard_normal(5))
-    b = ad.parameter(rng.standard_normal(5))
-    fd_check(lambda: ad.cosine(a, b), [a, b])
+    queries = ad.parameter(rng.standard_normal((3, 5)))
+    keys = ad.parameter(rng.standard_normal((4, 5)))
+    weights = ad.constant(rng.standard_normal((3, 4)))
+    fd_check(lambda: ad.sum_all(ad.mul(ad.cosine_matrix(queries, keys), weights)),
+             [queries, keys])
 
 
-def test_cosine_scores_matches_per_row(rng):
-    q = rng.standard_normal(4)
+def test_cosine_matrix_matches_loop_oracle(rng):
+    q = rng.standard_normal((3, 4))
+    q[1] = 0.0
     keys = rng.standard_normal((6, 4))
-    keys[2] = 0.0  # zero row convention
-    out = ad.cosine_scores(ad.constant(q), ad.constant(keys)).data
-    for i in range(6):
-        expected = ad.cosine(ad.constant(q), ad.constant(keys[i])).item()
-        assert abs(out[i] - expected) < 1e-12
-    assert out[2] == 0.0
+    keys[2] = 0.0
+    halt = rng.standard_normal(4)
+    out = ad.cosine_matrix(ad.constant(q), ad.constant(keys), ad.constant(halt)).data
+    stacked = list(keys) + [halt]
+    for i in range(3):
+        for j in range(7):
+            na, nb = np.linalg.norm(q[i]), np.linalg.norm(stacked[j])
+            want = 0.0 if min(na, nb) < 1e-12 else q[i] @ stacked[j] / (na * nb)
+            assert abs(out[i, j] - want) < 1e-12
+    assert out.shape == (3, 7)
 
 
-def test_cosine_scores_gradients(rng):
-    q = ad.parameter(rng.standard_normal(4))
+def test_cosine_matrix_gradients_with_zero_norm_rows(rng):
+    queries = ad.parameter(rng.standard_normal((3, 4)))
     keys = ad.parameter(rng.standard_normal((5, 4)))
-    weights = ad.constant(rng.standard_normal(5))
+    zero_key = ad.parameter(np.zeros(4))
+    weights = ad.constant(rng.standard_normal((3, 6)))
 
     def loss():
-        return ad.sum_all(ad.mul(ad.cosine_scores(q, keys), weights))
-    fd_check(loss, [q, keys])
+        return ad.sum_all(ad.mul(ad.cosine_matrix(queries, keys, zero_key), weights))
+    fd_check(loss, [queries, keys])
+    assert np.all(zero_key.grad == 0.0)
+
+    queries.data[0] = 0.0
+    queries.grad = None
+    ad.backward(loss())
+    assert np.all(queries.grad[0] == 0.0) and np.all(queries.grad[1:] != 0.0)
+
+
+def test_cosine_matrix_stacked_keys_gradients(rng):
+    queries = ad.parameter(rng.standard_normal((2, 3)))
+    block = ad.parameter(rng.standard_normal((3, 3)))
+    extra = ad.parameter(rng.standard_normal(3))
+    weights = ad.constant(rng.standard_normal((2, 4)))
+
+    def loss():
+        return ad.sum_all(ad.mul(ad.cosine_matrix(queries, block, extra), weights))
+    fd_check(loss, [queries, block, extra])
+    assert extra.grad.shape == (3,)
+    with pytest.raises(ad.ShapeMismatch):
+        ad.cosine_matrix(queries, ad.constant(np.zeros((2, 4))))
 
 
 # --- log_softmax_pick ---
 
 def test_log_softmax_pick_values():
-    single = ad.constant(np.array([3.7]))
-    assert ad.log_softmax_pick(single, 0).item() == pytest.approx(0.0)
-    uniform = ad.constant(np.zeros(4))
-    assert ad.log_softmax_pick(uniform, 2).item() == pytest.approx(np.log(0.25))
+    single = ad.constant(np.array([[3.7]]))
+    assert ad.log_softmax_pick(single, [0]).data[0] == pytest.approx(0.0)
+    uniform = ad.constant(np.zeros((2, 4)))
+    out = ad.log_softmax_pick(uniform, [2, 0]).data
+    assert np.allclose(out, np.log(0.25))
+    live = np.array([[True, False, True, False], [True, True, True, True]])
+    masked = ad.log_softmax_pick(uniform, [2, 0], live).data
+    assert masked[0] == pytest.approx(np.log(0.5)) and masked[1] == pytest.approx(np.log(0.25))
 
 
 def test_log_softmax_pick_against_direct_sum(rng):
-    scores = rng.standard_normal(10)
-    out = ad.log_softmax_pick(ad.constant(scores), 3).item()
-    direct = scores[3] - np.log(np.exp(scores).sum())
-    assert abs(out - direct) < 1e-6
+    scores = rng.standard_normal((3, 10))
+    live = rng.random((3, 10)) < 0.6
+    targets = np.array([3, 0, 9])
+    live[np.arange(3), targets] = True
+    out = ad.log_softmax_pick(ad.constant(scores), targets, live).data
+    for i, t in enumerate(targets):
+        direct = scores[i, t] - np.log(np.exp(scores[i][live[i]]).sum())
+        assert abs(out[i] - direct) < 1e-12
 
 
 def test_log_softmax_pick_extreme_scores_stable():
-    scores = ad.constant(np.array([1000.0, 0.0, -1000.0]))
-    value = ad.log_softmax_pick(scores, 0).item()
-    assert np.isfinite(value) and value == pytest.approx(0.0, abs=1e-6)
+    scores = ad.constant(np.array([[1000.0, 0.0, -1000.0], [5000.0, -5000.0, 0.0]]))
+    live = np.array([[True, True, True], [False, True, True]])
+    value = ad.log_softmax_pick(scores, [0, 2], live).data
+    assert np.all(np.isfinite(value))
+    assert value[0] == pytest.approx(0.0, abs=1e-6) and value[1] == pytest.approx(0.0, abs=1e-6)
 
 
 def test_log_softmax_pick_gradients(rng):
-    scores = ad.parameter(rng.standard_normal(7))
-    fd_check(lambda: ad.log_softmax_pick(scores, 4), [scores])
+    scores = ad.parameter(rng.standard_normal((3, 7)))
+    live = np.ones((3, 7), dtype=bool)
+    live[0, [1, 5]] = False
+    live[2, 6] = False
+    targets = [4, 0, 2]
+    weights = ad.constant(rng.standard_normal(3))
+    fd_check(lambda: ad.sum_all(ad.mul(ad.log_softmax_pick(scores, targets, live),
+                                       weights)), [scores], samples=21)
+    assert np.all(scores.grad[~live] == 0.0)
 
 
-def test_concat1d_gradients(rng):
-    a = ad.parameter(rng.standard_normal(3))
-    b = ad.parameter(rng.standard_normal(()))
-    weights = ad.constant(rng.standard_normal(4))
+def test_log_softmax_pick_rejects_dead_target():
+    with pytest.raises(ad.ShapeMismatch):
+        ad.log_softmax_pick(ad.constant(np.zeros((1, 3))), [1],
+                            np.array([[True, False, True]]))
+    with pytest.raises(ad.ShapeMismatch):
+        ad.log_softmax_pick(ad.constant(np.zeros((2, 3))), [0, 3])
+
+
+def test_masked_cosine_pick_gradients(rng):
+    """The contrastive loss shape: queries against keys plus a halt row,
+    with masked columns, through the scaled pick."""
+    queries = ad.parameter(rng.standard_normal((4, 5)))
+    keys = ad.parameter(rng.standard_normal((6, 5)))
+    halt = ad.parameter(rng.standard_normal(5))
+    live = np.ones((4, 7), dtype=bool)
+    live[0, 2] = live[1, 6] = live[3, [0, 1, 6]] = False
+    targets = [1, 3, 6, 4]
 
     def loss():
-        return ad.sum_all(ad.mul(ad.concat1d([a, b]), weights))
-    fd_check(loss, [a, b])
+        scores = ad.scale(ad.cosine_matrix(queries, keys, halt), 1 / 0.3)
+        return ad.sum_all(ad.log_softmax_pick(scores, targets, live))
+    fd_check(loss, [queries, keys, halt], samples=12)
 
 
 # --- backward ---

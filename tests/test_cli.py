@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 
 import pytest
 
@@ -216,3 +217,31 @@ def test_threads_flag_consistent(trained_world, tmp_path, capsys):
         assert code == EXIT_OK
         outputs.append(out_file.read_text(encoding="utf-8"))
     assert outputs[0] == outputs[1]
+
+
+def test_limit_threads_warns_without_threadpoolctl(monkeypatch, capsys):
+    from retroselect.cli import _limit_threads
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+    _limit_threads(1)
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "not pinned" in err and "OPENBLAS_NUM_THREADS=1" in err
+    _limit_threads(2)
+    assert capsys.readouterr().err == ""
+
+
+def test_train_and_evaluate_report_dropped_lines(tmp_path, capsys):
+    reactions = tmp_path / "reactions.txt"
+    lines = ["CCO.CC(=O)O>>CC(=O)OCC"] * 100 + ["CN.CC(=O)O>>CC(=O)NC", "C1CC>>CC"]
+    reactions.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    pool = tmp_path / "pool.txt"
+    pool.write_text("CCO\nCC(=O)O\nCN\n", encoding="utf-8")
+    ckpt = str(tmp_path / "model.rclc")
+    expected = ("corpus: lines=102 parse_errors=1 duplicates_dropped=99 "
+                "self_product_dropped=0")
+    assert main(["train", "--train", str(reactions), "--checkpoint", ckpt,
+                 "--total-iters", "0", "--dim", "8", "--layers", "1"]) == EXIT_OK
+    assert expected in capsys.readouterr().err.splitlines()
+    assert main(["evaluate", "--checkpoint", ckpt, "--candidates", str(pool),
+                 "--test", str(reactions), "--beam", "4"]) == EXIT_OK
+    assert expected in capsys.readouterr().err.splitlines()

@@ -9,8 +9,10 @@ from retroselect.chem import featurize, pack, parse_smiles
 from retroselect.data import Corpus, ReactionRecord
 from retroselect.encoder import ModelDims, init_params
 from retroselect.index import CandidateIndex
-from retroselect.training import (ReactantNotInCandidates, TrainConfig,
-                                  backward_class_ids, batch_candidates,
+from retroselect.search import Predictor
+from retroselect.training import (EmbedTable, ReactantNotInCandidates,
+                                  TrainConfig, backward_class_ids,
+                                  batch_candidates, batch_loss,
                                   build_embed_table, forward_class_ids,
                                   loss_backward, loss_forward, train, train_step)
 
@@ -130,31 +132,58 @@ def cos(a, b):
     return float(a @ b) / (na * nb)
 
 
-def oracle_losses(params, corpus, record, candidate_ids, tau):
-    """Brute-force loss values over all selection orders (float64)."""
-    embs = numpy_forward(params, candidate_ids, corpus)
+def oracle_losses(params, corpus, record, candidate_ids, tau,
+                  halt_mode="always", embs=None, greedy=False):
+    """Loss values by straight-line float64 arithmetic.
+
+    The backward loss takes the best of all selection orders, or with
+    ``greedy`` the order that picks the highest-cosine remaining reactant
+    (ties to the lower id). ``embs`` (f/g/h rows in ``candidate_ids``
+    order) defaults to a plain-numpy forward pass.
+    """
+    if embs is None:
+        embs = numpy_forward(params, candidate_ids, corpus)
     row = {mol_id: i for i, mol_id in enumerate(candidate_ids)}
-    halt = params.tensors["halt_key"].data.astype(np.float64)
+    t = params.tensors
+    halt = t["halt_key"].data.astype(np.float64)
+    u = v = 0.0
+    if record.rxn_type is not None:
+        u = t["type.u"].data[record.rxn_type - 1]
+        v = t["type.v"].data[record.rxn_type - 1]
 
     back_ids = [i for i in candidate_ids if i != record.product_id]
-    keys = [embs["h"][row[i]] for i in back_ids]
-    best = -np.inf
-    for perm in itertools.permutations(record.reactant_ids):
-        query = embs["f"][row[record.product_id]].copy()
+    keys = {i: embs["h"][row[i]] for i in back_ids}
+
+    def order_total(perm):
+        query = embs["f"][row[record.product_id]] + u
         total = 0.0
         for step, chosen in enumerate(list(perm) + [None]):
-            sims = np.array([cos(query, k) for k in keys] + [cos(query, halt)])
-            scores = sims / tau
+            sims = [cos(query, keys[i]) for i in back_ids]
+            if chosen is None or halt_mode == "always":
+                sims.append(cos(query, halt))
+            scores = np.array(sims) / tau
             logz = np.log(np.exp(scores - scores.max()).sum()) + scores.max()
-            target = len(keys) if chosen is None else back_ids.index(chosen)
+            target = len(back_ids) if chosen is None else back_ids.index(chosen)
             total += scores[target] - logz
             if chosen is not None:
                 query = query - embs["g"][row[chosen]]
-        best = max(best, total)
-    loss_b = -best
+        return total
+
+    if greedy:
+        query = embs["f"][row[record.product_id]] + u
+        remaining, order = list(record.reactant_ids), []
+        while remaining:
+            pick = max(remaining, key=lambda i: (cos(query, keys[i]), -i))
+            remaining.remove(pick)
+            order.append(pick)
+            query = query - embs["g"][row[pick]]
+        loss_b = -order_total(order)
+    else:
+        loss_b = -max(order_total(perm)
+                      for perm in itertools.permutations(record.reactant_ids))
 
     fwd_ids = [i for i in candidate_ids if i not in record.reactant_ids]
-    query = np.sum([embs["g"][row[i]] for i in record.reactant_ids], axis=0)
+    query = np.sum([embs["g"][row[i]] for i in record.reactant_ids], axis=0) + v
     sims = np.array([cos(query, embs["h"][row[i]]) for i in fwd_ids]) / tau
     logz = np.log(np.exp(sims - sims.max()).sum()) + sims.max()
     loss_f = -(sims[fwd_ids.index(record.product_id)] - logz)
@@ -176,6 +205,48 @@ def test_losses_match_straight_line_oracle():
         assert got_b == pytest.approx(want_b, rel=1e-9), record
         assert got_f == pytest.approx(want_f, rel=1e-9), record
         assert got_b >= 0 and got_f >= 0
+
+
+def synthetic_batch():
+    """Float64 table over 9 molecules with typed and untyped records of 1,
+    2 and 3 reactants; molecule 8 is a distractor with a zero-norm key."""
+    rng = np.random.default_rng(21)
+    params = init_params(4, ModelDims(d=6, n_layers=1, n_types=2),
+                         dtype=np.float64)
+    for name in ("type.u", "type.v"):
+        params.tensors[name].data[:] = rng.standard_normal((2, 6))
+    f, g, h = (ad.parameter(rng.standard_normal((9, 6))) for _ in range(3))
+    h.data[8] = 0.0
+    records = [ReactionRecord((0,), 5, 1), ReactionRecord((1, 2, 3), 6, None),
+               ReactionRecord((2, 4), 7, 2)]
+    return EmbedTable(list(range(9)), f, g, h), params, records
+
+
+@pytest.mark.parametrize("perm_threshold", [1, 5])
+@pytest.mark.parametrize("halt_mode", ["always", "final"])
+def test_batch_loss_matches_oracle_sum(halt_mode, perm_threshold):
+    table, params, records = synthetic_batch()
+    loss, loss_b, loss_f = batch_loss(records, table, params, 0.5,
+                                      perm_threshold, halt_mode)
+    embs = {name: getattr(table, name).data for name in "fgh"}
+    want_b, want_f = zip(*(oracle_losses(
+        params, None, record, table.ids, 0.5, halt_mode, embs,
+        greedy=len(record.reactant_ids) > perm_threshold) for record in records))
+    assert loss.item() == pytest.approx(sum(want_b) + sum(want_f), rel=1e-12)
+    assert loss_b == pytest.approx(want_b, rel=1e-12)
+    assert loss_f == pytest.approx(want_f, rel=1e-12)
+    params.zero_grad()
+    ad.backward(loss)
+    assert np.all(table.h.grad[8] == 0.0)  # zero-norm key: no gradient
+    assert np.any(table.h.grad[:8] != 0.0)
+
+
+def test_batch_loss_sides_add_up():
+    table, params, records = synthetic_batch()
+    total = batch_loss(records, table, params, 0.5)[0].item()
+    parts = sum(loss_backward(r, table, params, 0.5).item()
+                + loss_forward(r, table, params, 0.5).item() for r in records)
+    assert total == pytest.approx(parts, rel=1e-12)
 
 
 def test_loss_forward_single_class_is_zero(world):
@@ -285,6 +356,19 @@ def test_typed_training_updates_bias_tables(world):
                  if t not in typed_rows]
     for rxn_type in untouched:
         assert np.all(u[rxn_type - 1] == 0)
+
+
+def test_predictor_reusing_training_index_matches_fresh(world):
+    corpus, records, params, index = world
+    kwargs = dict(forms=[corpus.form(i) for i in corpus.candidate_ids],
+                  beam=8, n_max=3)
+    ids = np.array(corpus.candidate_ids)
+    fresh = Predictor(params, corpus.candidates(), ids, **kwargs)
+    reused = Predictor(params, corpus.candidates(), ids, index=index, **kwargs)
+    assert np.array_equal(fresh.index.keys, reused.index.keys)
+    for record in records:
+        product = corpus.molecule(record.product_id)
+        assert fresh.predict(product, 5) == reused.predict(product, 5)
 
 
 def test_train_zero_iters_returns_init(tmp_path):
