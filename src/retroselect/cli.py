@@ -198,7 +198,11 @@ def _cmd_train(args) -> int:
     from .data import MetricsLog, load_corpus, save_checkpoint
     from .encoder import ModelDims
     from .training import train
-    cfg = _train_config(args)
+    try:
+        cfg = _train_config(args)
+    except (TypeError, ValueError) as exc:  # rejected by TrainConfig or JSON
+        print(f"error: bad train config: {exc}", file=sys.stderr)
+        return EXIT_DATA
     paths = {"train": args.train}
     if args.val:
         paths["val"] = args.val

@@ -284,14 +284,6 @@ def hard_neighbors(index: CandidateIndex, anchor_ids, k: int,
     return set(index.all_ids()[rows[rows >= 0]].tolist())
 
 
-def refresh(index: CandidateIndex, params: ParamStore,
-            candidates: list) -> CandidateIndex:
-    """New snapshot from current parameters; the old one stays valid."""
-    return CandidateIndex.build(
-        params, candidates, candidate_ids=index.ids,
-        include_halt=index.includes_halt, build_step=index.build_step + 1)
-
-
 # --- on-disk cache ---
 
 def save_index(index: CandidateIndex, path: str) -> None:

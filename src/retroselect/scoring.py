@@ -10,6 +10,7 @@ float64 over eval-mode embeddings.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -17,6 +18,8 @@ import numpy as np
 
 ZERO_NORM_EPS = 1e-12
 PERM_THRESHOLD = 5
+# The exhaustive order table holds n! x n positions: 40,320 x 8 at 8.
+MAX_PERM_THRESHOLD = 8
 
 
 class ProductInReactants(ValueError):
@@ -35,37 +38,70 @@ def cosine64(a: np.ndarray, b: np.ndarray) -> float:
 
 
 @dataclass
-class QueryVector:
-    """Product query f(P) (+u bias) minus the g-embeddings chosen so far."""
-
-    vector: np.ndarray
-    product_id: int | None = None
-    given_ids: tuple[int, ...] = ()
-
-    @classmethod
-    def start(cls, f_product: np.ndarray, product_id: int | None = None,
-              u_bias: np.ndarray | None = None) -> "QueryVector":
-        vec = np.asarray(f_product, dtype=np.float64).copy()
-        if u_bias is not None:
-            vec += np.asarray(u_bias, dtype=np.float64)
-        return cls(vec, product_id, ())
-
-    def subtract(self, g_vector: np.ndarray, chosen_id: int) -> "QueryVector":
-        return QueryVector(self.vector - np.asarray(g_vector, dtype=np.float64),
-                           self.product_id, self.given_ids + (chosen_id,))
-
-
-@dataclass
 class ScoredSet:
     reactant_ids: tuple[int, ...]   # sorted
     score: float
-    best_order: tuple[int, ...]     # permutation achieving the psi maximum
+    best_order: tuple[int, ...]     # order achieving the selection-score maximum
 
 
-def psi(query: QueryVector | np.ndarray, key: np.ndarray) -> float:
-    """Backward selection score: cosine of the running query with a key."""
-    vec = query.vector if isinstance(query, QueryVector) else query
-    return cosine64(vec, key)
+def cosine_table(queries: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Float64 cosines of every query row with every key row, ``[m, k]``,
+    with the zero-norm-gives-zero convention."""
+    q_norms = np.linalg.norm(queries, axis=1)
+    k_norms = np.linalg.norm(keys, axis=1)
+    live = (q_norms >= ZERO_NORM_EPS)[:, None] & (k_norms >= ZERO_NORM_EPS)[None, :]
+    denom = np.where(live, np.outer(q_norms, k_norms), 1.0)
+    return np.where(live, (queries @ keys.T) / denom, 0.0)
+
+
+@functools.lru_cache(maxsize=MAX_PERM_THRESHOLD + 1)
+def _orders(n: int) -> np.ndarray:
+    """All orders of ``range(n)`` as read-only rows, in lexicographic
+    order."""
+    orders = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    orders.flags.writeable = False
+    return orders
+
+
+def best_order(start: np.ndarray, g: np.ndarray, score,
+               perm_threshold: int) -> tuple[tuple[int, ...], float, np.ndarray]:
+    """Order of the ``g`` rows maximizing the summed step scores.
+
+    The query after choosing a subset is ``start`` minus the ``g`` rows of
+    that subset; ``score(queries [m, d]) -> [m, n]`` gives the step score of
+    choosing each member from each query. Exhaustive for n <= perm_threshold
+    (every subset query is scored in one call, every order is summed step by
+    step, left to right, and the first maximum keeps the lexicographically
+    smallest order); greedy beyond (ties to the smaller position). Returns
+    the positions, their summed score and the query after all n members.
+    """
+    n = g.shape[0]
+    if not 0 <= perm_threshold <= MAX_PERM_THRESHOLD:
+        raise ValueError(f"perm_threshold must be in 0..{MAX_PERM_THRESHOLD}")
+    if n > perm_threshold:
+        order, total, query = [], 0.0, start
+        remaining = list(range(n))
+        while remaining:
+            step = score(query[None, :])[0]
+            pick = remaining.pop(int(np.argmax(step[remaining])))
+            total += float(step[pick])
+            query = query - g[pick]
+            order.append(pick)
+        return tuple(order), total, query
+    # queries[s] is start minus the g rows of the bits of s, ascending.
+    queries = np.empty((1 << n, start.shape[0]))
+    queries[0] = start
+    for i in range(n):
+        queries[1 << i:2 << i] = queries[:1 << i] - g[i]
+    steps = score(queries)
+    orders = _orders(n)
+    totals = np.zeros(orders.shape[0])
+    taken = np.zeros(orders.shape[0], dtype=np.intp)
+    for column in orders.T:
+        totals += steps[taken, column]
+        taken |= 1 << column
+    best = int(np.argmax(totals))
+    return tuple(orders[best].tolist()), float(totals[best]), queries[-1]
 
 
 def phi(reactant_g_embeddings, product_h: np.ndarray,
@@ -86,46 +122,23 @@ def best_permutation(f_product: np.ndarray,
                      halt_key: np.ndarray,
                      u_bias: np.ndarray | None = None,
                      perm_threshold: int = PERM_THRESHOLD) -> tuple[tuple[int, ...], float]:
-    """Order of the reactant ids maximizing the summed selection scores.
+    """Order of the reactant ids maximizing the summed selection scores
+    (``best_order`` over the cosines with their ``h`` rows), and that sum.
 
     The halt term is always last and uses the query after all subtractions,
-    so it is order-independent. Exhaustive for n <= perm_threshold, greedy
-    beyond; ties break toward the lexicographically smallest id sequence.
+    so it is order-independent. Ties break toward the lexicographically
+    smallest id sequence.
     """
     ids = sorted(g_by_id)
-    start = QueryVector.start(f_product, u_bias=u_bias)
-    final_vec = start.vector - sum((np.asarray(g_by_id[i], dtype=np.float64)
-                                    for i in ids), np.zeros_like(start.vector))
-    halt_term = cosine64(final_vec, halt_key)
-    if not ids:
-        return (), halt_term
-    if len(ids) <= perm_threshold:
-        best_order: tuple[int, ...] | None = None
-        best_sum = -np.inf
-        for perm in itertools.permutations(ids):
-            vec = start.vector.copy()
-            total = 0.0
-            for chosen in perm:
-                total += cosine64(vec, h_by_id[chosen])
-                vec -= np.asarray(g_by_id[chosen], dtype=np.float64)
-            if total > best_sum:
-                best_sum = total
-                best_order = perm
-        assert best_order is not None
-        return best_order, best_sum + halt_term
-    # Greedy fallback: repeatedly take the highest-scoring remaining reactant.
-    vec = start.vector.copy()
-    remaining = list(ids)
-    order: list[int] = []
-    total = 0.0
-    while remaining:
-        scored = [(cosine64(vec, h_by_id[i]), -i) for i in remaining]
-        best = max(range(len(remaining)), key=lambda j: scored[j])
-        chosen = remaining.pop(best)
-        total += scored[best][0]
-        vec -= np.asarray(g_by_id[chosen], dtype=np.float64)
-        order.append(chosen)
-    return tuple(order), total + halt_term
+    start = np.asarray(f_product, dtype=np.float64).copy()
+    if u_bias is not None:
+        start += np.asarray(u_bias, dtype=np.float64)
+    shape = (len(ids), start.shape[0])
+    g = np.array([g_by_id[i] for i in ids], dtype=np.float64).reshape(shape)
+    h = np.array([h_by_id[i] for i in ids], dtype=np.float64).reshape(shape)
+    positions, total, final = best_order(start, g, lambda q: cosine_table(q, h),
+                                         perm_threshold)
+    return tuple(ids[p] for p in positions), total + cosine64(final, halt_key)
 
 
 def reaction_score(f_product: np.ndarray,

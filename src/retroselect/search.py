@@ -21,7 +21,7 @@ import numpy as np
 from .chem import Molecule, canonical_form, featurize, pack
 from .encoder import ParamStore, embed_graphs, embed_matrix, type_bias
 from .index import HALT_ID, CandidateIndex, EmptyIndex
-from .scoring import QueryVector, ScoredSet, cosine64, reaction_score
+from .scoring import MAX_PERM_THRESHOLD, ScoredSet, cosine64, reaction_score
 
 
 @dataclass
@@ -29,7 +29,7 @@ class Hypothesis:
     """Partial reactant selection: chosen ids, running query, score sum."""
 
     chosen: tuple[int, ...]
-    query: QueryVector
+    query: np.ndarray       # float64: f(P) (+u bias) minus the chosen g rows
     cum_psi: float
     done: bool = False
 
@@ -63,9 +63,11 @@ def beam_search(product: Molecule | None, index: CandidateIndex, params: ParamSt
     if f_product is None:
         f_embs = embed_graphs(pack([featurize(product)]), params, "eval", heads=("f",))
         f_product = f_embs["f"].data[0]
-    f_p = np.asarray(f_product, dtype=np.float64)
+    query = np.asarray(f_product, dtype=np.float64).copy()
     u_bias = type_bias(params, "u", rxn_type)
-    root = Hypothesis((), QueryVector.start(f_p, u_bias=u_bias), 0.0)
+    if u_bias is not None:
+        query += np.asarray(u_bias, dtype=np.float64)
+    root = Hypothesis((), query, 0.0)
     exclude_ids = set(exclude_ids or ())
 
     cand_ids = index.ids
@@ -75,7 +77,7 @@ def beam_search(product: Molecule | None, index: CandidateIndex, params: ParamSt
     banked: dict[frozenset, Hypothesis] = {}
 
     def bank(hyp: Hypothesis) -> None:
-        halt_psi = cosine64(hyp.query.vector, halt_key)
+        halt_psi = cosine64(hyp.query, halt_key)
         done = Hypothesis(hyp.chosen, hyp.query, hyp.cum_psi + halt_psi, True)
         key = done.id_set
         kept = banked.get(key)
@@ -89,7 +91,7 @@ def beam_search(product: Molecule | None, index: CandidateIndex, params: ParamSt
         if depth == n_max:
             break  # depth cap: the halt step above was forced
         rows, psi = index.topk_rows(
-            np.stack([h.query.vector for h in live]), beam,
+            np.stack([h.query for h in live]), beam,
             [blocked + [index.row_of(i) for i in h.chosen] for h in live])
         hyp_index, slot = np.nonzero(rows >= 0)
         if hyp_index.size == 0:
@@ -101,9 +103,9 @@ def beam_search(product: Molecule | None, index: CandidateIndex, params: ParamSt
         next_live = []
         for h, row, total in zip(hyp_index[order].tolist(), rows[order].tolist(),
                                  totals[order].tolist()):
-            mol_id = int(cand_ids[row])
-            query = live[h].query.subtract(g_pool[row], mol_id)
-            next_live.append(Hypothesis(live[h].chosen + (mol_id,), query, total))
+            query = live[h].query - np.asarray(g_pool[row], dtype=np.float64)
+            next_live.append(Hypothesis(live[h].chosen + (int(cand_ids[row]),),
+                                        query, total))
         live = next_live
     return list(banked.values())
 
@@ -145,6 +147,8 @@ class Predictor:
                  index: CandidateIndex | None = None,
                  g_pool: np.ndarray | None = None,
                  beam: int = 200, n_max: int = 4, perm_threshold: int = 5):
+        if not 0 <= perm_threshold <= MAX_PERM_THRESHOLD:
+            raise ValueError(f"perm_threshold must be in 0..{MAX_PERM_THRESHOLD}")
         self.params = params
         if candidate_ids is None:
             candidate_ids = np.arange(len(candidates), dtype=np.int64)

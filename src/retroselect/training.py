@@ -12,7 +12,6 @@ step.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +22,7 @@ from .chem import featurize, pack
 from .data import Corpus, MetricsLog, ReactionRecord
 from .encoder import ModelDims, ParamStore, embed_graphs, init_params
 from .index import HALT_ID, CandidateIndex, hard_neighbors
+from .scoring import MAX_PERM_THRESHOLD, best_order, cosine_table
 
 
 class ReactantNotInCandidates(ValueError):
@@ -56,6 +56,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive")
         if self.learning_rate < 0:
             raise ValueError("learning_rate must be non-negative")
+        if not 0 <= self.perm_threshold <= MAX_PERM_THRESHOLD:
+            raise ValueError(f"perm_threshold must be in 0..{MAX_PERM_THRESHOLD}")
         if self.halt_in_denominator not in ("always", "final"):
             raise ValueError("halt_in_denominator must be 'always' or 'final'")
 
@@ -112,84 +114,27 @@ def _type_row(params: ParamStore, rxn_type: int | None) -> int | None:
     return rxn_type - 1
 
 
-def _selection_order(record: ReactionRecord, table: EmbedTable,
-                     params: ParamStore, tau: float, perm_threshold: int,
-                     halt_mode: str, class_ids: list[int],
-                     u_row: np.ndarray | None) -> tuple[int, ...]:
-    """Detached argmax over selection orders of the summed step log-probs.
+def _selection_order(record: ReactionRecord, table: EmbedTable, keys: np.ndarray,
+                     start: np.ndarray, tau: float, perm_threshold: int,
+                     halt_mode: str) -> tuple[int, ...]:
+    """Detached ``best_order`` of the record's reactants on the float64 step
+    log-probs the loss picks (``keys``: the table's h rows, then the halt
+    key); the loss then follows this active branch of the order max."""
+    live = np.ones(keys.shape[0], dtype=bool)
+    live[table.row_of[record.product_id]] = False
+    if halt_mode == "final":
+        live[-1] = False
+    members = [table.row_of[i] for i in record.reactant_ids]
 
-    Exhaustive for small sets, greedy on the step selection score beyond;
-    the loss tape then follows the returned order (the active branch of the
-    permutation max). Ties keep the lexicographically smallest id sequence.
-    """
-    reactants = record.reactant_ids
-    if len(reactants) == 1:
-        return reactants
-    class_rows = np.array([table.row_of[i] for i in class_ids], dtype=np.int64)
-    f_p = table.f.data[table.row_of[record.product_id]].astype(np.float64)
-    if u_row is not None:
-        f_p = f_p + u_row
-    g_rows = {i: table.g.data[table.row_of[i]].astype(np.float64) for i in reactants}
-    h_keys = table.h.data[class_rows].astype(np.float64)
-    halt = params.tensors["halt_key"].data.astype(np.float64)
-    key_norms = np.linalg.norm(h_keys, axis=1)
-    halt_norm = np.linalg.norm(halt)
-    class_pos = {mol_id: j for j, mol_id in enumerate(class_ids)}
+    def step_scores(queries: np.ndarray) -> np.ndarray:
+        scores = np.where(live, cosine_table(queries, keys) / tau, -np.inf)
+        high = scores.max(axis=1, keepdims=True)
+        log_z = high + np.log(np.exp(scores - high).sum(axis=1, keepdims=True))
+        return scores[:, members] - log_z
 
-    def step_logps(query: np.ndarray) -> np.ndarray:
-        qn = np.linalg.norm(query)
-        if qn < 1e-12:
-            sims = np.zeros(h_keys.shape[0])
-            halt_sim = 0.0
-        else:
-            denom = np.where(key_norms < 1e-12, 1.0, key_norms * qn)
-            sims = np.where(key_norms < 1e-12, 0.0, (h_keys @ query) / denom)
-            halt_sim = 0.0 if halt_norm < 1e-12 else float(halt @ query) / (halt_norm * qn)
-        if halt_mode == "always":
-            scores = np.concatenate([sims, [halt_sim]]) / tau
-        else:
-            scores = sims / tau
-        return scores - _logsumexp(scores)
-
-    if len(reactants) <= perm_threshold:
-        best_order, best_value = None, -np.inf
-        for perm in itertools.permutations(reactants):
-            query = f_p.copy()
-            total = 0.0
-            for chosen in perm:
-                total += step_logps(query)[class_pos[chosen]]
-                query = query - g_rows[chosen]
-            if total > best_value:
-                best_value, best_order = total, perm
-        return best_order
-    # Greedy on the raw selection score (argmax over remaining reactants of
-    # the step log-prob equals argmax of the similarity, shared denominator).
-    query = f_p.copy()
-    remaining = list(reactants)
-    order = []
-    while remaining:
-        sims = step_logps(query)
-        pick = max(remaining, key=lambda i: (sims[class_pos[i]], -i))
-        remaining.remove(pick)
-        order.append(pick)
-        query = query - g_rows[pick]
-    return tuple(order)
-
-
-def _logsumexp(scores: np.ndarray) -> float:
-    high = scores.max()
-    return float(np.log(np.exp(scores - high).sum()) + high)
-
-
-def backward_class_ids(candidate_ids, product_id: int) -> list[int]:
-    """Reactant classes of the backward softmax: candidates minus the product."""
-    return [i for i in candidate_ids if i != product_id]
-
-
-def forward_class_ids(candidate_ids, reactant_ids) -> list[int]:
-    """Product classes of the forward softmax: candidates minus the reactants."""
-    reactant_set = set(reactant_ids)
-    return [i for i in candidate_ids if i not in reactant_set]
+    positions, _, _ = best_order(start, table.g.data[members].astype(np.float64),
+                                 step_scores, perm_threshold)
+    return tuple(record.reactant_ids[p] for p in positions)
 
 
 def batch_loss(batch: list[ReactionRecord], table: EmbedTable,
@@ -229,13 +174,15 @@ def batch_loss(batch: list[ReactionRecord], table: EmbedTable,
         terms[name][2].append(query)
 
     if "backward" in sides:
+        keys = np.vstack([table.h.data, params.tensors["halt_key"].data]).astype(np.float64)
         for owner, record in enumerate(batch):
             product_row = row_of[record.product_id]
             u_row = _type_row(params, record.rxn_type)
-            order = _selection_order(
-                record, table, params, tau, perm_threshold, halt_mode,
-                backward_class_ids(table.ids, record.product_id),
-                None if u_row is None else u_table.data[u_row].astype(np.float64))
+            start = table.f.data[product_row].astype(np.float64)
+            if u_row is not None:
+                start += u_table.data[u_row]
+            order = _selection_order(record, table, keys, start, tau,
+                                     perm_threshold, halt_mode)
             for step, chosen in enumerate(order + (HALT_ID,)):
                 query = len(targets)
                 add_term("f", product_row, query)

@@ -43,6 +43,16 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flags", [["--tau", "-1"], ["--perm-threshold", "99"]])
+def test_bad_train_config_is_data_error(flags, tmp_path, capsys):
+    code = main(["train", "--train", str(tmp_path / "unread.txt"),
+                 "--checkpoint", str(tmp_path / "model.rclc")] + flags)
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+    assert "Traceback" not in err
+
+
 def test_canon_echoes_canonical_form(tmp_path, capsys):
     source = tmp_path / "in.smi"
     source.write_text("OCC\nCCO\n# comment\n", encoding="utf-8")

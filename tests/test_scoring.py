@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from retroselect.chem import parse_smiles
-from retroselect.scoring import (ProductInReactants, QueryVector, ReactionScorer,
-                                 best_permutation, cosine64, phi, psi,
-                                 reaction_score)
+from retroselect.scoring import (MAX_PERM_THRESHOLD, ProductInReactants,
+                                 ReactionScorer, best_order, best_permutation,
+                                 cosine64, cosine_table, phi, reaction_score)
 
 
 def unit(vec):
@@ -14,15 +14,22 @@ def unit(vec):
     return vec / np.linalg.norm(vec)
 
 
+def cosine_score(keys):
+    return lambda queries: cosine_table(queries, keys)
+
+
 def test_psi_stub_identities(rng):
     key = rng.standard_normal(8)
-    query = QueryVector.start(key)
-    assert psi(query, key) == pytest.approx(1.0)
-    assert psi(query, -key) == pytest.approx(-1.0)
+    for sign in (1.0, -1.0):
+        _, total, _ = best_order(key, np.zeros((1, 8)),
+                                 cosine_score(sign * key[None, :]), 5)
+        assert total == pytest.approx(sign)
 
 
 def test_psi_zero_convention():
-    assert psi(QueryVector.start(np.zeros(4)), np.ones(4)) == 0.0
+    zero, ones = np.zeros((1, 4)), np.ones((1, 4))
+    assert best_order(np.zeros(4), ones, cosine_score(ones), 5)[1] == 0.0
+    assert best_order(np.ones(4), ones, cosine_score(zero), 5)[1] == 0.0
 
 
 def test_phi_conventions(rng):
@@ -42,13 +49,88 @@ def test_phi_type_bias_shifts_query(rng):
 
 def test_incremental_query_matches_recompute(rng):
     f_p = rng.standard_normal(8)
-    gs = [rng.standard_normal(8) for _ in range(4)]
-    query = QueryVector.start(f_p)
-    for i, g in enumerate(gs):
-        query = query.subtract(g, i)
+    gs = rng.standard_normal((4, 8))
     direct = f_p - np.sum(gs, axis=0)
-    assert np.abs(query.vector - direct).max() < 1e-5
-    assert query.given_ids == (0, 1, 2, 3)
+    for threshold in (5, 3):  # exhaustive, then greedy
+        _, _, final = best_order(f_p, gs, cosine_score(gs), threshold)
+        assert np.abs(final - direct).max() < 1e-12
+
+
+def oracle_best_order(start, g, h):
+    """First maximum over itertools orders of the summed cosine64 steps."""
+    best, best_total = None, -np.inf
+    for perm in itertools.permutations(range(len(g))):
+        query, total = start.copy(), 0.0
+        for p in perm:
+            total += cosine64(query, h[p])
+            query = query - g[p]
+        if total > best_total:
+            best, best_total = perm, total
+    return best, best_total
+
+
+def test_best_order_matches_itertools_oracle(rng):
+    for n in range(6):
+        for _ in range(5):
+            start = rng.standard_normal(6)
+            g, h = rng.standard_normal((n, 6)), rng.standard_normal((n, 6))
+            positions, total, final = best_order(start, g, cosine_score(h), 5)
+            want, want_total = oracle_best_order(start, g, h)
+            assert positions == want
+            assert abs(total - want_total) <= 1e-12
+            assert np.abs(final - (start - g.sum(axis=0))).max() < 1e-12
+
+
+def test_best_order_exact_ties_take_smallest_order(rng):
+    start = rng.standard_normal(6)
+    same = np.tile(rng.standard_normal(6), (4, 1))
+    for threshold in (5, 3):  # exhaustive, then greedy
+        assert best_order(start, same, cosine_score(same), threshold)[0] == (0, 1, 2, 3)
+    # Rows 0/1 and 2/3 are duplicates: the best order must take each pair
+    # in ascending position, whatever the winning interleaving.
+    for _ in range(10):
+        a, b = rng.standard_normal((2, 6))
+        g = np.array([a, a, b, b])
+        keys = rng.standard_normal((2, 6))
+        h = keys[[0, 0, 1, 1]]
+        positions, total, _ = best_order(start, g, cosine_score(h), 5)
+        assert positions.index(0) < positions.index(1)
+        assert positions.index(2) < positions.index(3)
+        assert abs(total - oracle_best_order(start, g, h)[1]) <= 1e-12
+    ids = {4: a, 9: a}
+    scored = reaction_score(start, start, ids, {4: keys[0], 9: keys[0]},
+                            rng.standard_normal(6))
+    assert scored.best_order == (4, 9)
+
+
+def test_best_order_greedy_matches_loop_oracle(rng):
+    start = rng.standard_normal(5)
+    g, h = rng.standard_normal((7, 5)), rng.standard_normal((7, 5))
+    calls = []
+
+    def score(queries):
+        calls.append(queries.shape[0])
+        return cosine_table(queries, h)
+
+    positions, total, final = best_order(start, g, score, 5)
+    assert calls == [1] * 7
+    query, remaining, want, want_total = start.copy(), list(range(7)), [], 0.0
+    while remaining:
+        pick = max(remaining, key=lambda p: (cosine64(query, h[p]), -p))
+        want_total += cosine64(query, h[pick])
+        query = query - g[pick]
+        remaining.remove(pick)
+        want.append(pick)
+    assert positions == tuple(want)
+    assert abs(total - want_total) <= 1e-12
+    assert np.abs(final - query).max() < 1e-12
+
+
+def test_best_order_rejects_threshold_outside_table_range():
+    for threshold in (-1, MAX_PERM_THRESHOLD + 1):
+        with pytest.raises(ValueError):
+            best_order(np.ones(3), np.ones((2, 3)), cosine_score(np.ones((2, 3))),
+                       threshold)
 
 
 def test_best_permutation_empty_is_halt_only(rng):

@@ -8,7 +8,7 @@ from retroselect.chem import canonical_form, parse_smiles
 from retroselect.encoder import ModelDims, init_params
 from retroselect.index import CandidateIndex
 from retroselect.scoring import ScoredSet, cosine64
-from retroselect.search import beam_search, rank, route_search
+from retroselect.search import Predictor, beam_search, rank, route_search
 
 
 def synthetic_world(rng, n=8, d=6):
@@ -60,6 +60,12 @@ def test_beam_requires_halt_index(rng, tiny_params):
     with pytest.raises(ValueError):
         beam_search(parse_smiles("CCOC"), index, tiny_params,
                     np.zeros((1, tiny_params.dims.d), np.float32))
+
+
+def test_predictor_rejects_perm_threshold_outside_order_table(tiny_params):
+    for threshold in (-1, 9):
+        with pytest.raises(ValueError):
+            Predictor(tiny_params, [], perm_threshold=threshold)
 
 
 def test_beam_cum_psi_includes_halt(rng):

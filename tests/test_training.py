@@ -9,12 +9,13 @@ from retroselect.chem import featurize, pack, parse_smiles
 from retroselect.data import Corpus, ReactionRecord
 from retroselect.encoder import ModelDims, init_params
 from retroselect.index import CandidateIndex
+from retroselect.scoring import best_order
 from retroselect.search import Predictor
+from retroselect import training
 from retroselect.training import (EmbedTable, ReactantNotInCandidates,
-                                  TrainConfig, backward_class_ids,
-                                  batch_candidates, batch_loss,
-                                  build_embed_table, forward_class_ids,
-                                  loss_backward, loss_forward, train, train_step)
+                                  TrainConfig, batch_candidates, batch_loss,
+                                  build_embed_table, loss_backward,
+                                  loss_forward, train, train_step)
 
 
 def make_corpus(smiles_reactions):
@@ -70,12 +71,6 @@ def test_batch_candidates_bounds(world):
     assert set(base) <= set(mined)
     assert len(mined) <= len(base) * (2 + 1)
     assert mined == sorted(mined)
-
-
-def test_class_id_exclusions():
-    ids = [0, 1, 2, 3, 4]
-    assert backward_class_ids(ids, 2) == [0, 1, 3, 4]
-    assert forward_class_ids(ids, (1, 3)) == [0, 2, 4]
 
 
 # --- independent straight-line oracle ---
@@ -241,6 +236,60 @@ def test_batch_loss_matches_oracle_sum(halt_mode, perm_threshold):
     assert np.any(table.h.grad[:8] != 0.0)
 
 
+def oracle_order(table, params, record, tau, halt_mode):
+    """First maximum over itertools orders of the summed float64 step
+    log-probs (product column masked, halt column only in "always" mode)."""
+    keys = [i for i in table.ids if i != record.product_id]
+    h, g = table.h.data, table.g.data
+    halt = params.tensors["halt_key"].data
+    best, best_total = None, -np.inf
+    for perm in itertools.permutations(record.reactant_ids):
+        query, total = table.f.data[record.product_id].copy(), 0.0
+        if record.rxn_type is not None:
+            query = query + params.tensors["type.u"].data[record.rxn_type - 1]
+        for chosen in perm:
+            scores = [cos(query, h[i]) / tau for i in keys]
+            if halt_mode == "always":
+                scores.append(cos(query, halt) / tau)
+            high = max(scores)
+            log_z = high + np.log(sum(np.exp(x - high) for x in scores))
+            total += cos(query, h[chosen]) / tau - log_z
+            query = query - g[chosen]
+        if total > best_total:
+            best, best_total = perm, total
+    return best
+
+
+@pytest.mark.parametrize("halt_mode", ["always", "final"])
+def test_batch_loss_order_matches_itertools_oracle(halt_mode, monkeypatch):
+    followed = []
+
+    def spy(*args):
+        result = best_order(*args)
+        followed.append(result[0])
+        return result
+
+    monkeypatch.setattr(training, "best_order", spy)
+    rng = np.random.default_rng(5)
+    params = init_params(6, ModelDims(d=6, n_layers=1, n_types=2),
+                         dtype=np.float64)
+    params.tensors["type.u"].data[:] = rng.standard_normal((2, 6))
+    for _ in range(10):
+        f, g, h = (ad.parameter(rng.standard_normal((12, 6))) for _ in range(3))
+        table = EmbedTable(list(range(12)), f, g, h)
+        records = []
+        for owner in range(4):
+            members = rng.choice(11, size=int(rng.integers(2, 5)), replace=False)
+            product = int(rng.choice(sorted(set(range(12)) - set(members.tolist()))))
+            records.append(ReactionRecord(tuple(sorted(members.tolist())), product,
+                                          owner % 3 or None))
+        followed.clear()
+        batch_loss(records, table, params, 0.1, 5, halt_mode, sides=("backward",))
+        for record, positions in zip(records, followed, strict=True):
+            got = tuple(record.reactant_ids[p] for p in positions)
+            assert got == oracle_order(table, params, record, 0.1, halt_mode)
+
+
 def test_batch_loss_sides_add_up():
     table, params, records = synthetic_batch()
     total = batch_loss(records, table, params, 0.5)[0].item()
@@ -379,6 +428,13 @@ def test_train_zero_iters_returns_init(tmp_path):
     fresh = init_params(9, dims)
     for name, arr in fresh.state_arrays().items():
         assert np.array_equal(arr, out.state_arrays()[name]), name
+
+
+def test_perm_threshold_range_matches_order_table():
+    for threshold in (-1, 9):
+        with pytest.raises(ValueError):
+            TrainConfig(perm_threshold=threshold)
+    assert TrainConfig(perm_threshold=8).perm_threshold == 8
 
 
 def test_config_validation():
