@@ -28,19 +28,8 @@ class NumericsError(FloatingPointError):
     """A public operation produced NaN/Inf."""
 
 
-_FINITE_CHECKS = True
-
-
-def set_finite_checks(enabled: bool) -> bool:
-    """Toggle NaN/Inf output checking; returns the previous setting."""
-    global _FINITE_CHECKS
-    previous = _FINITE_CHECKS
-    _FINITE_CHECKS = enabled
-    return previous
-
-
 def _checked(data: np.ndarray, op: str) -> np.ndarray:
-    if _FINITE_CHECKS and not np.isfinite(data).all():
+    if not np.isfinite(data).all():
         raise NumericsError(f"non-finite values produced by {op}")
     return data
 

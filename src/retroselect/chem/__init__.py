@@ -1,6 +1,6 @@
 """SMILES parsing, canonicalization and featurization."""
 
-from .canon import canonical_form, canonical_ranks
+from .canon import canonical_form
 from .errors import (ChemError, EmptyInput, InvalidCharge, MalformedReaction,
                      MultiFragmentProduct, SmilesError, SmilesSyntaxError,
                      UnbalancedParenthesis, UnclosedRingBond, UnknownElement,
@@ -14,7 +14,7 @@ __all__ = [
     "Atom", "Bond", "Molecule", "disjoint_union",
     "SINGLE", "DOUBLE", "TRIPLE", "AROMATIC",
     "parse_smiles", "parse_reaction", "write_smiles",
-    "canonical_form", "canonical_ranks",
+    "canonical_form",
     "featurize", "pack", "FeatureBundle", "PackedGraphs",
     "D_ATOM", "D_BOND", "ELEMENTS",
     "ChemError", "SmilesError", "EmptyInput", "SmilesSyntaxError",

@@ -1,13 +1,31 @@
-"""Canonical SMILES via iterative neighborhood-invariant refinement.
+"""Canonical SMILES via individualization-refinement with automorphism pruning.
 
-The canonical form is the lexicographically smallest SMILES obtainable by
-refining atom invariants to a stable partition and, whenever a tie class
-survives refinement, branching on each member of the first tie class. The
-branch set is isomorphism-invariant, so isomorphic molecules always map to
-the same string; the form is also idempotent under re-parse.
+Atom invariants are refined to a stable partition. Whenever a tie class
+survives refinement, the search individualizes each member of the lowest-
+ranked tie class in turn (members in index order) and refines again; every
+leaf of that tree is a discrete atom order, written with ``write_smiles``
+and its fragments sorted. The canonical form is the smallest leaf string.
+The branch set is isomorphism-invariant, so isomorphic molecules map to the
+same string, and the form is idempotent under re-parse.
+
+The tree is pruned with automorphisms, after McKay & Piperno, "Practical
+graph isomorphism, II". When a leaf gives the same string as an earlier
+leaf, mapping the earlier leaf's atom at each rank position to this leaf's
+atom at that position is a candidate automorphism; it is kept only if an
+explicit check confirms that it preserves every atom's written fields and
+every bond with its order. At a node whose path individualized v1..vk, a
+tie member is skipped when an automorphism that fixes v1..vk pointwise (or
+a product of such) maps it to an already explored member; when a new
+automorphism does so for the member a node is still exploring, the rest of
+that member's subtree is abandoned. Refinement commutes with such an
+automorphism, so the skipped subtree is its image of an explored one and
+gives the same leaf strings: the minimum, and so the canonical form, is
+byte-identical to the exhaustive search's.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from .mol import Molecule
 from .writer import write_smiles
@@ -22,13 +40,8 @@ def canonical_form(mol: Molecule) -> str:
     """Deterministic SMILES equal for all isomorphic renumberings of mol."""
     if mol._canonical is None:
         ranks = _refine(mol, _initial_ranks(mol))
-        mol._canonical = _best_string(mol, ranks)
+        mol._canonical = _Search(mol).best_string(ranks)
     return mol._canonical
-
-
-def canonical_ranks(mol: Molecule) -> list[int]:
-    """Stable-refinement ranks (possibly with ties), exposed for tests."""
-    return _refine(mol, _initial_ranks(mol))
 
 
 def _initial_ranks(mol: Molecule) -> list[int]:
@@ -61,21 +74,130 @@ def _refine(mol: Molecule, ranks: list[int]) -> list[int]:
         n_classes = new_count
 
 
-def _best_string(mol: Molecule, ranks: list[int]) -> str:
-    n = len(mol.atoms)
-    if len(set(ranks)) == n:
-        order = sorted(range(n), key=ranks.__getitem__)
-        pieces = write_smiles(mol, order).split(".")
-        return ".".join(sorted(pieces))
-    # Branch on every member of the lowest-ranked tie class; the class is
-    # determined by invariant values only, so the branch set is invariant.
-    tie_rank = min(r for r in ranks if ranks.count(r) > 1)
-    members = [idx for idx in range(n) if ranks[idx] == tie_rank]
-    best: str | None = None
-    for pick in members:
-        split = [2 * r - (1 if idx == pick else 0) for idx, r in enumerate(ranks)]
-        candidate = _best_string(mol, _refine(mol, _dense(split)))
-        if best is None or candidate < best:
-            best = candidate
-    assert best is not None
-    return best
+class _Node:
+    """A search-tree node: its path, its tie class and the members' orbits
+    under the stored automorphisms that fix the path pointwise."""
+
+    __slots__ = ("ranks", "path", "tie_rank", "orbit", "used", "explored")
+
+    def __init__(self, ranks: list[int], path: list[int], tie_rank: int):
+        self.ranks = ranks
+        self.path = path
+        self.tie_rank = tie_rank
+        self.orbit = list(range(len(ranks)))  # union-find over atoms
+        self.used = 0  # stored automorphisms merged into ``orbit`` so far
+        self.explored: list[int] = []
+
+    def merge(self, automorphisms) -> None:
+        # An automorphism fixing the path maps the tie class onto itself, so
+        # only members need merging.
+        while self.used < len(automorphisms):
+            gamma, moved = automorphisms[self.used]
+            self.used += 1
+            if moved.isdisjoint(self.path):
+                for v in moved:
+                    if self.ranks[v] == self.tie_rank:
+                        _union(self.orbit, v, gamma[v])
+
+    def seen(self, pick: int, explored: list[int]) -> bool:
+        root = _find(self.orbit, pick)
+        return any(_find(self.orbit, done) == root for done in explored)
+
+
+class _Search:
+    """One canonical-form search over one molecule."""
+
+    def __init__(self, mol: Molecule):
+        self.mol = mol
+        # Everything ``write_smiles`` reads of an atom.
+        self.atom_keys = [(a.element, a.formal_charge, a.explicit_h, a.total_h,
+                           a.aromatic) for a in mol.atoms]
+        self.bond_orders = {(b.a, b.b): b.order for b in mol.bonds}
+        self.first_leaf: dict[str, list[int]] = {}
+        # (map, set of atoms it moves) for every verified automorphism.
+        self.automorphisms: list[tuple[list[int], frozenset[int]]] = []
+        self.stack: list[_Node] = []
+        self.abandon: int | None = None
+        self.best: str | None = None
+
+    def best_string(self, ranks: list[int]) -> str:
+        self._explore(ranks, [])
+        assert self.best is not None
+        return self.best
+
+    def _explore(self, ranks: list[int], path: list[int]) -> None:
+        n = len(ranks)
+        counts = Counter(ranks)
+        if len(counts) == n:
+            self._leaf(ranks)
+            return
+        # Branch on the lowest-ranked tie class; it is determined by invariant
+        # values only, so the branch set is invariant.
+        tie_rank = min(r for r, c in counts.items() if c > 1)
+        node = _Node(ranks, path, tie_rank)
+        depth = len(self.stack)
+        self.stack.append(node)
+        for pick in [idx for idx in range(n) if ranks[idx] == tie_rank]:
+            node.merge(self.automorphisms)
+            if node.seen(pick, node.explored):
+                continue
+            node.explored.append(pick)
+            # ``pick`` takes a rank of its own, just below its former class.
+            split = [2 * r - (1 if idx == pick else 0) for idx, r in enumerate(ranks)]
+            self._explore(_refine(self.mol, _dense(split)), path + [pick])
+            if self.abandon is not None:
+                if self.abandon < depth:
+                    break
+                self.abandon = None
+        self.stack.pop()
+
+    def _leaf(self, ranks: list[int]) -> None:
+        order = [0] * len(ranks)
+        for idx, r in enumerate(ranks):
+            order[r] = idx
+        text = ".".join(sorted(write_smiles(self.mol, order).split(".")))
+        first = self.first_leaf.setdefault(text, order)
+        if first is not order:
+            gamma = [0] * len(order)
+            for a, b in zip(first, order):
+                gamma[a] = b
+            moved = frozenset(v for v in range(len(gamma)) if gamma[v] != v)
+            if moved and self._is_automorphism(gamma):
+                self.automorphisms.append((gamma, moved))
+                self._find_abandon()
+        if self.best is None or text < self.best:
+            self.best = text
+
+    def _find_abandon(self) -> None:
+        # The shallowest open node whose current member now shares an orbit
+        # with a member it finished earlier: the rest of that member's subtree
+        # is an automorphic image of an explored one.
+        for depth, node in enumerate(self.stack):
+            node.merge(self.automorphisms)
+            if node.seen(node.explored[-1], node.explored[:-1]):
+                self.abandon = depth
+                return
+
+    def _is_automorphism(self, gamma: list[int]) -> bool:
+        keys = self.atom_keys
+        if any(keys[gamma[i]] != keys[i] for i in range(len(gamma))):
+            return False
+        orders = self.bond_orders
+        for (a, b), order in orders.items():
+            x, y = gamma[a], gamma[b]
+            if orders.get((x, y) if x < y else (y, x)) != order:
+                return False
+        return True
+
+
+def _find(parent: list[int], v: int) -> int:
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
+
+
+def _union(parent: list[int], a: int, b: int) -> None:
+    ra, rb = _find(parent, a), _find(parent, b)
+    if ra != rb:
+        parent[max(ra, rb)] = min(ra, rb)

@@ -8,7 +8,7 @@ features; three residual heads (``f`` product-query, ``g`` reactant-query,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -109,6 +109,19 @@ class ParamStore:
                 raise ValueError(f"shape mismatch for {name}: "
                                  f"{target.shape} vs {value.shape}")
             target[...] = value
+
+    def detached(self) -> "ParamStore":
+        """The same weights as constants, for forwards that are never
+        differentiated: no op records a reverse-mode tape, so intermediates
+        are freed as soon as the next op has consumed them. Arrays are shared,
+        batch-norm running statistics included, so outputs are bitwise those
+        of the trainable store."""
+        view = ParamStore(self.dims, self.dtype)
+        view.tensors = {name: ad.constant(t.data) for name, t in self.tensors.items()}
+        view.bn_states = {name: replace(state, gamma=ad.constant(state.gamma.data),
+                                        beta=ad.constant(state.beta.data))
+                          for name, state in self.bn_states.items()}
+        return view
 
     def copy(self) -> "ParamStore":
         clone = ParamStore(self.dims, self.dtype)
@@ -243,12 +256,14 @@ def embed_molecule(mol: Molecule, head: str, params: ParamStore,
 
 def embed_matrix(mols: list[Molecule], params: ParamStore, head: str,
                  batch_size: int = 512) -> np.ndarray:
-    """Raw (unnormalized) eval-mode embeddings, one row per molecule."""
+    """Raw (unnormalized) eval-mode embeddings, one row per molecule,
+    computed on detached parameters."""
     out = np.zeros((len(mols), params.dims.d), dtype=np.float32)
+    frozen = params.detached()
     for start in range(0, len(mols), batch_size):
         chunk = mols[start:start + batch_size]
         packed = pack([featurize(m) for m in chunk])
-        rows = embed_graphs(packed, params, "eval", heads=(head,))[head]
+        rows = embed_graphs(packed, frozen, "eval", heads=(head,))[head]
         out[start:start + len(chunk)] = rows.data.astype(np.float32)
     return out
 

@@ -267,7 +267,7 @@ def _anchor_queries(batch: list[ReactionRecord], index: CandidateIndex,
             if bundle_cache is not None:
                 bundle_cache[mol_id] = bundle
             bundles.append(bundle)
-    rows = embed_graphs(pack(bundles), params, "eval", heads=("h",))["h"].data
+    rows = embed_graphs(pack(bundles), params.detached(), "eval", heads=("h",))["h"].data
     vectors = {mol_id: rows[i] for i, mol_id in enumerate(missing)}
     return vectors.__getitem__
 

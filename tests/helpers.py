@@ -6,7 +6,8 @@ import random
 
 import networkx as nx
 
-from retroselect.chem import Molecule
+from retroselect.chem import Molecule, write_smiles
+from retroselect.chem.canon import _dense, _initial_ranks, _refine
 
 # Diverse corpus used across parser/canonical/encoder tests: chains, rings,
 # fused aromatics, charges, bracket atoms, multi-valent S/P, halogens.
@@ -73,3 +74,30 @@ def random_permutation(n: int, rng: random.Random) -> list[int]:
 def relative_error(a, b, floor: float = 1.0) -> float:
     """|a-b| / max(floor, |a|, |b|); floor=1 keeps near-zero values honest."""
     return abs(a - b) / max(floor, abs(a), abs(b))
+
+
+def exhaustive_canonical_form(mol: Molecule) -> str:
+    """Reference canonical form: the search without automorphism pruning.
+
+    Refines to a stable partition, branches on every member of the
+    lowest-ranked tie class and returns the smallest leaf string, exactly
+    as the library's search did before it pruned automorphic subtrees.
+    Exponential on symmetric groups; keep inputs small.
+    """
+    def best_string(ranks: list[int]) -> str:
+        n = len(mol.atoms)
+        if len(set(ranks)) == n:
+            order = sorted(range(n), key=ranks.__getitem__)
+            pieces = write_smiles(mol, order).split(".")
+            return ".".join(sorted(pieces))
+        tie_rank = min(r for r in ranks if ranks.count(r) > 1)
+        members = [idx for idx in range(n) if ranks[idx] == tie_rank]
+        best = None
+        for pick in members:
+            split = [2 * r - (1 if idx == pick else 0) for idx, r in enumerate(ranks)]
+            candidate = best_string(_refine(mol, _dense(split)))
+            if best is None or candidate < best:
+                best = candidate
+        return best
+
+    return best_string(_refine(mol, _initial_ranks(mol)))

@@ -62,6 +62,17 @@ def test_canon_echoes_canonical_form(tmp_path, capsys):
     assert lines[0] == lines[1]
 
 
+def test_canon_symmetric_dendrimer_exits_zero(tmp_path, capsys):
+    from retroselect.chem import canonical_form, parse_smiles
+    dendrimer = ("CC(C)(C)C(C(C)(C)C)(C(C)(C)C)C(C(C(C)(C)C)(C(C)(C)C)C(C)(C)C)"
+                 "(C(C(C)(C)C)(C(C)(C)C)C(C)(C)C)C(C(C)(C)C)(C(C)(C)C)C(C)(C)C")
+    source = tmp_path / "in.smi"
+    source.write_text(dendrimer + "\n", encoding="utf-8")
+    assert main(["canon", "--input", str(source)]) == EXIT_OK
+    out = capsys.readouterr().out.strip()
+    assert out == canonical_form(parse_smiles(dendrimer))
+
+
 def test_canon_bad_smiles_is_data_error(tmp_path, capsys):
     source = tmp_path / "in.smi"
     source.write_text("C1CC\n", encoding="utf-8")

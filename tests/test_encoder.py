@@ -121,6 +121,35 @@ def test_embed_pool_matches_loop(tiny_params):
     assert np.abs(norms - 1.0).max() < 1e-6
 
 
+def test_detached_forward_is_bitwise_and_tape_free(tiny_params):
+    packed = pack([featurize(parse_smiles(s)) for s in CORPUS_SMILES])
+    frozen = tiny_params.detached()
+    taped = embed_graphs(packed, tiny_params, "eval")
+    free = embed_graphs(packed, frozen, "eval")
+    for head in HEADS:
+        assert taped[head].requires_grad
+        assert not free[head].requires_grad and free[head]._parents == ()
+        assert np.array_equal(taped[head].data, free[head].data)
+    # Views share the arrays, so an in-place update is seen by a fresh view.
+    for name, tensor in tiny_params.tensors.items():
+        assert frozen.tensors[name].data is tensor.data
+    for name, state in tiny_params.bn_states.items():
+        view = frozen.bn_states[name]
+        assert view.running_mean is state.running_mean
+        assert view.gamma.data is state.gamma.data and not view.gamma.requires_grad
+
+
+def test_embed_pool_bitwise_equal_to_taped_forward(tiny_params):
+    mols = [parse_smiles(s) for s in CORPUS_SMILES]
+    keys, _ = embed_pool(mols, tiny_params, batch_size=8)
+    for start in range(0, len(mols), 8):
+        packed = pack([featurize(m) for m in mols[start:start + 8]])
+        rows = embed_graphs(packed, tiny_params, "eval", heads=("h",))["h"].data
+        rows = rows.astype(np.float32)
+        rows /= np.linalg.norm(rows, axis=1).astype(np.float32)[:, None]
+        assert np.array_equal(keys[start:start + 8], rows)
+
+
 def test_embed_pool_empty(tiny_params):
     keys, zero_mask = embed_pool([], tiny_params)
     assert keys.shape == (0, tiny_params.dims.d)

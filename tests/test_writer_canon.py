@@ -1,11 +1,30 @@
 import random
+import time
 
 import pytest
 
 from retroselect.chem import (canonical_form, disjoint_union, parse_smiles,
                               write_smiles)
+from retroselect.toy import make_memorization_world, make_route_world
 
-from helpers import CORPUS_SMILES, isomorphic, random_permutation
+from helpers import (CORPUS_SMILES, exhaustive_canonical_form, isomorphic,
+                     random_permutation)
+
+TETRA_TERT_BUTYLMETHANE = "CC(C)(C)C(C(C)(C)C)(C(C)(C)C)C(C)(C)C"
+# Central carbon carrying three tri-tert-butylmethyl arms and one tBu: 53 atoms.
+NESTED_TBU_DENDRIMER = (
+    "CC(C)(C)C(C(C)(C)C)(C(C)(C)C)C(C(C(C)(C)C)(C(C)(C)C)C(C)(C)C)"
+    "(C(C(C)(C)C)(C(C)(C)C)C(C)(C)C)C(C(C)(C)C)(C(C)(C)C)C(C)(C)C")
+C60 = ("c12c3c4c5c1c1c6c7c2c2c8c3c3c9c4c4c%10c5c5c1c1c6c6c%11c7c2c2c7c8c3c3"
+       "c8c9c4c4c9c%10c5c5c1c1c6c6c%11c2c2c7c3c3c8c4c4c9c5c1c1c6c2c3c41")
+
+# Fragment grammar for molecules whose interchangeable atoms make the search
+# branch: ring templates, and tert-butyl, trifluoromethyl and trimethylsilyl
+# groups.
+_RINGS = ("cccccc", "nccccc", "scccc", "CCCCCC", "CCNCCC")
+_LINKERS = ("", "C", "O", "CC", "C(=O)N", "N")
+_SUBSTITUENTS = ("C", "O", "OC", "N", "Cl", "F", "C#N", "C(=O)O", "N(C)C")
+_SYMMETRIC_GROUPS = ("C(C)(C)C", "C(F)(F)F", "[Si](C)(C)C")
 
 
 def test_round_trip_identity():
@@ -85,3 +104,127 @@ def test_writer_rejects_bad_permutation():
     mol = parse_smiles("CCO")
     with pytest.raises(Exception):
         write_smiles(mol, [0, 1])
+
+
+def _ring(rng: random.Random, digit: int, groups: list[str]) -> str:
+    """A ring with ``groups`` on random atoms; a linker may follow its last
+    atom or precede its first, so those two atoms take no group."""
+    tokens = rng.choice(_RINGS)
+    subs = dict(zip(rng.sample(range(1, len(tokens) - 1), len(groups)), groups))
+    text = ""
+    for pos, token in enumerate(tokens):
+        text += token + (str(digit) if pos in (0, len(tokens) - 1) else "")
+        if pos in subs:
+            text += f"({subs[pos]})"
+    return text
+
+
+def _symmetric_molecule(rng: random.Random) -> str:
+    """One or two rings with 1-3 symmetric groups and up to one substituent."""
+    groups = [rng.choice(_SYMMETRIC_GROUPS) for _ in range(rng.randint(1, 3))]
+    groups += [rng.choice(_SUBSTITUENTS)] * rng.randint(0, 1)
+    rng.shuffle(groups)
+    if rng.random() < 0.3:
+        return _ring(rng, 1, groups[:3])
+    cut = rng.randint(0, len(groups))
+    return (_ring(rng, 1, groups[:cut][:3]) + rng.choice(_LINKERS)
+            + _ring(rng, 2, groups[cut:][:3]))
+
+
+def _symmetric_sample(seed: int, size: int) -> list[str]:
+    """Single molecules plus multi-fragment inputs, some with a fragment
+    repeated, so fragment order and fragment swaps are exercised too."""
+    rng = random.Random(seed)
+    out = [_symmetric_molecule(rng) for _ in range(size)]
+    for i in range(size // 10):
+        first = out[i]
+        out.append(f"{first}.{first}" if first.count("(") <= 3
+                   else f"{first}.{rng.choice(_SUBSTITUENTS)}")
+        out.append(f"{rng.choice(_SYMMETRIC_GROUPS)}.C.C.{rng.choice(_SYMMETRIC_GROUPS)}")
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_pruned_search_matches_exhaustive_on_symmetric_sample(seed):
+    for smiles in _symmetric_sample(seed, 60):
+        mol = parse_smiles(smiles, allow_fragments=True)
+        assert canonical_form(mol) == exhaustive_canonical_form(mol), smiles
+
+
+def test_pruned_search_matches_exhaustive_on_toy_worlds(tmp_path):
+    memorization = make_memorization_world(str(tmp_path / "mem"), seed=3,
+                                           n_fragments=80, n_reactions=60,
+                                           n_distractors=40)
+    routes = make_route_world(str(tmp_path / "route"), seed=3, n_blocks=30,
+                              n_intermediates=20, n_targets=30)
+    molecules = (memorization.load(include_distractors=True).molecules
+                 + routes.load().molecules)
+    assert len(molecules) > 200
+    for mol in molecules:
+        assert canonical_form(mol) == exhaustive_canonical_form(mol)
+
+
+def test_pruned_search_matches_exhaustive_on_hand_picked():
+    cases = CORPUS_SMILES + [
+        "CC(C)(C)C(C)(C(C)(C)C)C(C)(C)C",  # tri-tert-butylmethane
+        "FC(F)(F)c1cc(C(F)(F)F)cc(C(F)(F)F)c1",
+        "C[Si](C)(C)C#C[Si](C)(C)C",
+        "C1CC2CCC1CC2.C1CC2CCC1CC2",
+        "CC(C)(C)[CH2]C(C)(C)C",      # explicit-H atom among equivalent ones
+        "[CH3]C(C)(C)C.CC(C)(C)C",
+        "C.C.C.C.C.C",
+        "c1ccccc1.c1ccccc1.C1CCCCC1",
+        "C12C3C4C1C5C2C3C45",           # cubane
+        # Leaves with equal strings whose rank-position map is no automorphism:
+        # an explicit-H atom equivalent to a bare one, and three regular
+        # components that refinement cannot tell apart.
+        "[CH3]C.[CH3]C",
+        "C1CCCCCCCCN1.C12C3C4C3C3C1C3C24.C12C3C4C3C1C1C2C41",
+    ]
+    for smiles in cases:
+        mol = parse_smiles(smiles, allow_fragments=True)
+        assert canonical_form(mol) == exhaustive_canonical_form(mol), smiles
+
+
+def test_orbits_use_only_automorphisms_fixing_the_path():
+    from retroselect.chem.canon import _Node
+    # Atoms 0-2 form the tie class of a node whose path individualized atom 3.
+    node = _Node([0, 0, 0, 1, 2], path=[3], tie_rank=0)
+    swap_01 = [1, 0, 2, 3, 4]
+    swap_12_and_path = [0, 2, 1, 4, 3]  # moves the path atom 3
+    node.merge([(swap_01, frozenset({0, 1})),
+                (swap_12_and_path, frozenset({1, 2, 3, 4}))])
+    assert node.seen(1, [0])
+    assert not node.seen(2, [0, 1])
+
+
+def _best_canon_seconds(smiles: str, repeats: int = 3) -> float:
+    """Fastest of a few runs on fresh parses (the form is cached per molecule)."""
+    best = float("inf")
+    for _ in range(repeats):
+        mol = parse_smiles(smiles)
+        started = time.perf_counter()
+        canonical_form(mol)
+        best = min(best, time.perf_counter() - started)
+    return best
+
+
+def test_tetra_tert_butylmethane_is_fast():
+    assert _best_canon_seconds(TETRA_TERT_BUTYLMETHANE) < 0.05
+
+
+def test_nested_tert_butyl_dendrimer_is_fast():
+    mol = parse_smiles(NESTED_TBU_DENDRIMER)
+    assert len(mol.atoms) == 53
+    assert _best_canon_seconds(NESTED_TBU_DENDRIMER) < 1.0
+
+
+@pytest.mark.parametrize("smiles", [C60, NESTED_TBU_DENDRIMER])
+def test_large_symmetric_forms_stable_under_rewrites(smiles):
+    mol = parse_smiles(smiles)
+    base = canonical_form(mol)
+    assert canonical_form(parse_smiles(base)) == base
+    rng = random.Random(60)
+    for _ in range(20):
+        order = random_permutation(len(mol.atoms), rng)
+        assert canonical_form(parse_smiles(write_smiles(mol, order))) == base
