@@ -1,11 +1,21 @@
 """Dense-tensor kernel with reverse-mode differentiation.
 
 Covers exactly the operator set the encoder and the contrastive losses
-need: affine maps, ReLU, batch normalization, segment sums / row gathers
-through a cached sparse ``Scatter``, a query-by-key cosine matrix and a
-row-wise masked log-softmax pick, plus SGD with momentum and global-norm
-clipping. Arrays are float32 by default; building the parameters in
-float64 switches the whole tape to float64 for gradient checking.
+need: affine maps, ReLU, batch normalization, products with a constant
+``SparseMatrix`` (every graph gather, segment sum, adjacency sum and signed
+row selection), a query-by-key cosine matrix and a row-wise masked
+log-softmax pick, plus SGD with momentum and global-norm clipping.
+
+``affine_batchnorm`` is one ``x @ w + b (+ residual) -> batchnorm`` site.
+In train mode it is that composition of nodes. In eval mode batch norm is
+an affine map of its running statistics, so it is folded into the weights
+(scaled by s = gamma / sqrt(running_var + eps)), the bias
+((b - running_mean) * s + beta) and the residual (scaled by s), and the site
+is one node with its own backward (after Jacob et al., arXiv:1712.05877).
+
+Arrays are float32 by default; building the parameters in float64 switches
+the whole tape to float64 for gradient checking. Every op output that can
+overflow passes a finite check. Gradients are accumulated without copies.
 """
 
 from __future__ import annotations
@@ -58,14 +68,12 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> np.ndarray:
-        return self.data
-
     def _accumulate(self, grad: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.array(grad, dtype=self.data.dtype)
-        else:
-            self.grad += grad
+        # Arrays are kept as handed over, never copied: an op may pass the
+        # same array to several parents, so a later gradient adds out of place.
+        if self.grad is not None:
+            grad = self.grad + grad
+        self.grad = grad if grad.dtype == self.data.dtype else grad.astype(self.data.dtype)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
@@ -119,20 +127,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             a._accumulate(g)
         if b.requires_grad:
             b._accumulate(g)
-    out._backward = _bw if out.requires_grad else None
-    return out
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"sub {a.shape} vs {b.shape}")
-    out = Tensor(_checked(a.data - b.data, "sub"), parents=(a, b))
-
-    def _bw(g):
-        if a.requires_grad:
-            a._accumulate(g)
-        if b.requires_grad:
-            b._accumulate(-g)
     out._backward = _bw if out.requires_grad else None
     return out
 
@@ -204,63 +198,50 @@ def sum_all(x: Tensor) -> Tensor:
 
 # --- graph ops ---
 
-class Scatter:
-    """Sparse 0/1 matrix mapping input rows to segments.
+class SparseMatrix:
+    """Constant sparse matrix [n_rows, n_cols] from (row, col, value) entries.
 
-    ``mat`` is [n_segments, n_rows] with mat[seg[j], j] = 1, so
-    ``mat @ x`` is a segment sum and ``mat_t @ y`` gathers segment rows
-    back to input rows. Built once per graph and reused by every layer.
+    Duplicate entries add up, so one matrix expresses a segment sum
+    (mat[seg[j], j] = 1), a row gather (mat[j, idx[j]] = 1), a graph's
+    adjacency (one entry per directed edge) or a signed sum of selected
+    rows. CSR copies are built per dtype on first use; the transpose only
+    when a backward pass needs it.
     """
 
-    __slots__ = ("segment_ids", "n_segments", "_mats")
+    __slots__ = ("rows", "cols", "values", "shape", "_csr")
 
-    def __init__(self, segment_ids: np.ndarray, n_segments: int):
-        segment_ids = np.asarray(segment_ids, dtype=np.int64)
-        if segment_ids.size and (segment_ids.min() < 0 or segment_ids.max() >= n_segments):
-            raise ShapeMismatch("segment id out of range")
-        self.segment_ids = segment_ids
-        self.n_segments = n_segments
-        self._mats: dict = {}
+    def __init__(self, rows, cols, shape: tuple[int, int], values=None):
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        values = np.ones(rows.shape) if values is None else np.asarray(values)
+        if rows.ndim != 1 or rows.shape != cols.shape or values.shape != rows.shape:
+            raise ShapeMismatch("sparse entries need equal-length row, column and "
+                                "value vectors")
+        if rows.size and (rows.min() < 0 or rows.max() >= shape[0]
+                          or cols.min() < 0 or cols.max() >= shape[1]):
+            raise ShapeMismatch(f"sparse entry out of range for shape {shape}")
+        self.rows, self.cols, self.values = rows, cols, values
+        self.shape = (int(shape[0]), int(shape[1]))
+        self._csr: dict = {}
 
-    def mats(self, dtype):
-        key = np.dtype(dtype).name
-        if key not in self._mats:
-            n_rows = self.segment_ids.shape[0]
-            ones = np.ones(n_rows, dtype=dtype)
-            mat = sp.csr_matrix(
-                (ones, (self.segment_ids, np.arange(n_rows))),
-                shape=(self.n_segments, n_rows))
-            self._mats[key] = (mat, mat.T.tocsr())
-        return self._mats[key]
+    def csr(self, dtype, transpose: bool = False):
+        key = (np.dtype(dtype).name, transpose)
+        if key not in self._csr:
+            rows, cols = (self.cols, self.rows) if transpose else (self.rows, self.cols)
+            shape = self.shape[::-1] if transpose else self.shape
+            self._csr[key] = sp.csr_matrix(
+                (self.values.astype(dtype), (rows, cols)), shape=shape)
+        return self._csr[key]
 
 
-def segment_sum(x: Tensor, segments: Scatter) -> Tensor:
-    """Row j of the output is the sum of input rows with segment id j.
-
-    The Scatter's cached sparse matrices are reused across calls (the
-    encoder builds one per graph batch and shares it across layers).
-    """
-    if x.data.ndim != 2 or x.shape[0] != segments.segment_ids.shape[0]:
-        raise ShapeMismatch(f"segment_sum rows {x.shape} vs ids "
-                            f"{segments.segment_ids.shape}")
-    mat, mat_t = segments.mats(x.dtype)
-    out = Tensor(_checked(mat @ x.data, "segment_sum"), parents=(x,))
+def sparse_matmul(mat: SparseMatrix, x: Tensor) -> Tensor:
+    """mat @ x for a constant sparse matrix; backward mat.T @ g."""
+    if x.data.ndim != 2 or x.shape[0] != mat.shape[1]:
+        raise ShapeMismatch(f"sparse_matmul {mat.shape} @ {x.shape}")
+    out = Tensor(_checked(mat.csr(x.dtype) @ x.data, "sparse_matmul"), parents=(x,))
 
     def _bw(g):
-        x._accumulate(mat_t @ g)
-    out._backward = _bw if out.requires_grad else None
-    return out
-
-
-def gather_rows(x: Tensor, index: Scatter) -> Tensor:
-    """out[j] = x[index.segment_ids[j]]; backward scatter-adds."""
-    if x.data.ndim != 2 or index.n_segments != x.shape[0]:
-        raise ShapeMismatch("gather index space does not match rows")
-    mat, mat_t = index.mats(x.dtype)
-    out = Tensor(mat_t @ x.data, parents=(x,))
-
-    def _bw(g):
-        x._accumulate(mat @ g)
+        x._accumulate(mat.csr(x.dtype, transpose=True) @ g)
     out._backward = _bw if out.requires_grad else None
     return out
 
@@ -291,35 +272,28 @@ class BatchNormState:
         return self.gamma.data.shape[0]
 
 
-def batchnorm(x: Tensor, state: BatchNormState, mode: str = "train",
-              update_running: bool = True) -> Tensor:
-    """Normalize rows of x per feature column.
+def batchnorm(x: Tensor, state: BatchNormState, update_running: bool = True) -> Tensor:
+    """Train-mode normalization of the rows of x per feature column.
 
-    Train mode uses biased batch statistics and folds them into the running
-    estimates (unbiased variance); eval mode is a per-row affine map using
-    the running statistics only.
+    Uses biased batch statistics and folds them into the running estimates
+    (unbiased variance). Eval mode is an affine map of the running
+    statistics, which ``affine_batchnorm`` folds into the preceding weights.
     """
     if x.data.ndim != 2 or x.shape[1] != state.width:
         raise ShapeMismatch(f"batchnorm width {x.shape} vs {state.width}")
     n = x.shape[0]
+    if n < 2:
+        raise DegenerateBatch(f"train-mode batchnorm needs n >= 2, got {n}")
     gamma, beta = state.gamma, state.beta
-    if mode == "train":
-        if n < 2:
-            raise DegenerateBatch(f"train-mode batchnorm needs n >= 2, got {n}")
-        mean = x.data.mean(axis=0)
-        var = x.data.var(axis=0)
-        inv_std = 1.0 / np.sqrt(var + state.epsilon)
-        x_hat = (x.data - mean) * inv_std
-        if update_running:
-            m = state.momentum
-            state.running_mean += m * (mean - state.running_mean)
-            unbiased = var * (n / (n - 1))
-            state.running_var += m * (unbiased - state.running_var)
-    elif mode == "eval":
-        inv_std = 1.0 / np.sqrt(state.running_var + state.epsilon)
-        x_hat = (x.data - state.running_mean) * inv_std
-    else:
-        raise ValueError(f"unknown batchnorm mode {mode!r}")
+    mean = x.data.mean(axis=0)
+    var = x.data.var(axis=0)
+    inv_std = 1.0 / np.sqrt(var + state.epsilon)
+    x_hat = (x.data - mean) * inv_std
+    if update_running:
+        m = state.momentum
+        state.running_mean += m * (mean - state.running_mean)
+        unbiased = var * (n / (n - 1))
+        state.running_var += m * (unbiased - state.running_var)
     out = Tensor(_checked(x_hat * gamma.data + beta.data, "batchnorm"),
                  parents=(x, gamma, beta))
 
@@ -329,12 +303,77 @@ def batchnorm(x: Tensor, state: BatchNormState, mode: str = "train",
         if beta.requires_grad:
             beta._accumulate(g.sum(axis=0))
         if x.requires_grad:
-            if mode == "train":
-                g_mean = g.mean(axis=0)
-                gx_mean = (g * x_hat).mean(axis=0)
-                x._accumulate(gamma.data * inv_std * (g - g_mean - x_hat * gx_mean))
-            else:
-                x._accumulate(g * gamma.data * inv_std)
+            g_mean = g.mean(axis=0)
+            gx_mean = (g * x_hat).mean(axis=0)
+            x._accumulate(gamma.data * inv_std * (g - g_mean - x_hat * gx_mean))
+    out._backward = _bw if out.requires_grad else None
+    return out
+
+
+def affine_batchnorm(terms, b: Tensor, state: BatchNormState, mode: str,
+                     residual: Tensor | None = None) -> Tensor:
+    """Batch norm of ``sum(x @ w for x, w in terms) + b (+ residual)``.
+
+    Train mode is that composition of ``linear``, ``add`` and ``batchnorm``.
+    Eval mode folds the running statistics into the affine map: with
+    s = gamma / sqrt(running_var + eps) it computes
+    ``sum(x @ (w * s)) + (b - running_mean) * s + beta (+ residual * s)``
+    as one node with its own backward, so no normalized copy is made.
+    """
+    x0, w0 = terms[0]
+    for x, w in terms:
+        if x.data.ndim != 2 or w.data.ndim != 2 or x.shape != (x0.shape[0], w.shape[0]) \
+                or w.shape[1] != state.width:
+            raise ShapeMismatch(f"affine_batchnorm {x.shape} @ {w.shape} "
+                                f"into width {state.width}")
+    if b.shape != (state.width,) or (residual is not None
+                                     and residual.shape != (x0.shape[0], state.width)):
+        raise ShapeMismatch("affine_batchnorm bias or residual shape")
+    if mode == "train":
+        pre = linear(x0, w0, b)
+        for x, w in terms[1:]:
+            pre = add(pre, linear(x, w))
+        if residual is not None:
+            pre = add(pre, residual)
+        return batchnorm(pre, state)
+    if mode != "eval":
+        raise ValueError(f"unknown batchnorm mode {mode!r}")
+    gamma, beta, mean = state.gamma, state.beta, state.running_mean
+    inv_std = 1.0 / np.sqrt(state.running_var + state.epsilon)
+    s = gamma.data * inv_std
+    y = x0.data @ (w0.data * s)
+    for x, w in terms[1:]:
+        y += x.data @ (w.data * s)
+    y += (b.data - mean) * s + beta.data
+    if residual is not None:
+        y += residual.data * s
+    parents = tuple(t for pair in terms for t in pair) + (b, gamma, beta)
+    if residual is not None:
+        parents += (residual,)
+    out = Tensor(_checked(y, "affine_batchnorm"), parents=parents)
+
+    def _bw(g):
+        # ds collects d(loss)/ds column-wise; gamma's gradient is ds * inv_std.
+        g_sum = g.sum(axis=0)
+        gs = g * s
+        ds = (b.data - mean) * g_sum
+        for x, w in terms:
+            xtg = x.data.T @ g
+            ds += (w.data * xtg).sum(axis=0)
+            if x.requires_grad:
+                x._accumulate(gs @ w.data.T)
+            if w.requires_grad:
+                w._accumulate(xtg * s)
+        if residual is not None:
+            ds += (g * residual.data).sum(axis=0)
+            if residual.requires_grad:
+                residual._accumulate(gs)
+        if b.requires_grad:
+            b._accumulate(g_sum * s)
+        if gamma.requires_grad:
+            gamma._accumulate(ds * inv_std)
+        if beta.requires_grad:
+            beta._accumulate(g_sum)
     out._backward = _bw if out.requires_grad else None
     return out
 

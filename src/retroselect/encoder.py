@@ -4,6 +4,16 @@ A shared L-layer trunk computes per-atom embeddings from atom and bond
 features; three residual heads (``f`` product-query, ``g`` reactant-query,
 ``h`` key) sum-pool atoms into molecule vectors. Reaction-type bias rows
 ``u``/``v`` and the trainable halt key live alongside the network weights.
+
+Message passing is written as sparse-dense products (Kipf & Welling,
+arXiv:1609.02907): a layer's neighbour sum over edges into atom i is one
+adjacency product ``A @ h`` with ``A[i, j]`` the number of edges j -> i, and
+the per-edge bond term ``sum_e x_bond[e] @ w_bond`` is reassociated as
+``B @ w_bond`` with ``B`` the bond features summed per atom once per batch.
+Pooling is one product with the atom-to-molecule matrix. Each
+linear(+residual) -> batch-norm site is one ``ad.affine_batchnorm``, which
+folds eval-mode batch norm into the weights, on trainable and detached
+parameters alike.
 """
 
 from __future__ import annotations
@@ -13,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import BatchNormState, Scatter, Tensor
+from .autodiff import BatchNormState, SparseMatrix, Tensor
 from .chem import D_ATOM, D_BOND, FeatureBundle, Molecule, PackedGraphs, featurize, pack
 
 HEADS = ("f", "g", "h")
@@ -173,13 +183,16 @@ def init_params(seed: int, dims: ModelDims | None = None, dtype=np.float32) -> P
 # --- forward passes ---
 
 class _GraphOps:
-    """Cached scatter structure for one packed graph batch."""
+    """Sparse structure of one packed graph batch, shared by every layer:
+    the adjacency (one entry per directed edge, ``(A @ h)[i]`` sums h over
+    the sources of edges into atom i) and the atom-to-molecule pooling."""
 
     def __init__(self, packed: PackedGraphs):
         n = packed.atom_features.shape[0]
-        self.dst = Scatter(packed.edge_dst, n)
-        self.src = Scatter(packed.edge_src, n)
-        self.pool = Scatter(packed.mol_ids, packed.n_mols)
+        self.adjacency = SparseMatrix(packed.edge_dst, packed.edge_src, (n, n))
+        self.bond_sum = SparseMatrix(packed.edge_dst, np.arange(packed.edge_dst.shape[0]),
+                                     (n, packed.edge_dst.shape[0]))
+        self.pool = SparseMatrix(packed.mol_ids, np.arange(n), (packed.n_mols, n))
 
 
 def _as_packed(feats) -> PackedGraphs:
@@ -199,41 +212,39 @@ def embed_nodes(feats, params: ParamStore, mode: str = "eval",
     if packed.bond_features.shape[1] != params.dims.d_bond:
         raise ad.ShapeMismatch("bond feature width does not match parameters")
     ops = ops or _GraphOps(packed)
-    t = params.tensors
+    t, bn = params.tensors, params.bn_states
     x_atom = ad.constant(packed.atom_features, params.dtype)
-    x_bond = ad.constant(packed.bond_features, params.dtype)
+    # Bond features summed per destination atom once: each layer's bond term
+    # is then bonds @ w_bond instead of a per-edge product summed per atom.
+    bonds = ad.sparse_matmul(ops.bond_sum, ad.constant(packed.bond_features, params.dtype))
 
-    bond_term = ad.segment_sum(ad.linear(x_bond, t["trunk.w0_bond"]), ops.dst)
-    h = ad.relu(ad.batchnorm(
-        ad.add(ad.linear(x_atom, t["trunk.w0_atom"], t["trunk.b0"]), bond_term),
-        params.bn_states["trunk.bn0"], mode))
+    h = ad.relu(ad.affine_batchnorm([(x_atom, t["trunk.w0_atom"]),
+                                     (bonds, t["trunk.w0_bond"])],
+                                    t["trunk.b0"], bn["trunk.bn0"], mode))
     for layer in range(1, params.dims.n_layers + 1):
         prefix = f"trunk.l{layer}"
-        neighbor_sum = ad.segment_sum(ad.gather_rows(h, ops.src), ops.dst)
-        bond_term = ad.segment_sum(ad.linear(x_bond, t[f"{prefix}.w_bond"]), ops.dst)
-        stage1 = ad.relu(ad.batchnorm(
-            ad.add(ad.linear(neighbor_sum, t[f"{prefix}.w1"], t[f"{prefix}.b1"]),
-                   bond_term),
-            params.bn_states[f"{prefix}.bn1"], mode))
-        h = ad.relu(ad.batchnorm(
-            ad.add(ad.linear(stage1, t[f"{prefix}.w2"], t[f"{prefix}.b2"]), h),
-            params.bn_states[f"{prefix}.bn2"], mode))
+        neighbor_sum = ad.sparse_matmul(ops.adjacency, h)
+        stage1 = ad.relu(ad.affine_batchnorm([(neighbor_sum, t[f"{prefix}.w1"]),
+                                              (bonds, t[f"{prefix}.w_bond"])],
+                                             t[f"{prefix}.b1"], bn[f"{prefix}.bn1"], mode))
+        del neighbor_sum  # free it before the next product when no tape holds it
+        h = ad.relu(ad.affine_batchnorm([(stage1, t[f"{prefix}.w2"])], t[f"{prefix}.b2"],
+                                        bn[f"{prefix}.bn2"], mode, residual=h))
     return ad.linear(h, t["trunk.w_last"], t["trunk.b_last"])
 
 
 def head_embeddings(node_matrix: Tensor, head: str, params: ParamStore,
-                    mode: str, pool: Scatter) -> Tensor:
+                    mode: str, pool: SparseMatrix) -> Tensor:
     """Sum-pooled residual head on top of trunk node embeddings: [m, d]."""
     if head not in HEADS:
         raise ValueError(f"unknown head {head!r}")
-    t = params.tensors
+    t, bn = params.tensors, params.bn_states
     prefix = f"head.{head}"
-    z = ad.relu(node_matrix)
-    z = ad.relu(ad.batchnorm(ad.linear(z, t[f"{prefix}.w1"], t[f"{prefix}.b1"]),
-                             params.bn_states[f"{prefix}.bn1"], mode))
-    z = ad.batchnorm(ad.linear(z, t[f"{prefix}.w2"], t[f"{prefix}.b2"]),
-                     params.bn_states[f"{prefix}.bn2"], mode)
-    return ad.segment_sum(ad.add(node_matrix, z), pool)
+    z = ad.relu(ad.affine_batchnorm([(ad.relu(node_matrix), t[f"{prefix}.w1"])],
+                                    t[f"{prefix}.b1"], bn[f"{prefix}.bn1"], mode))
+    z = ad.affine_batchnorm([(z, t[f"{prefix}.w2"])], t[f"{prefix}.b2"],
+                            bn[f"{prefix}.bn2"], mode)
+    return ad.sparse_matmul(pool, ad.add(node_matrix, z))
 
 
 def embed_graphs(feats, params: ParamStore, mode: str = "eval",

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Scatter, SgdConfig, Tensor
+from .autodiff import SgdConfig, Tensor
 from .chem import featurize, pack
 from .data import Corpus, MetricsLog, ReactionRecord
 from .encoder import ModelDims, ParamStore, embed_graphs, init_params
@@ -162,16 +162,17 @@ def batch_loss(batch: list[ReactionRecord], table: EmbedTable,
     row_of = table.row_of
     halt_col = len(table.ids)
     u_table = params.tensors["type.u"]
-    # Per query-building term: source tensor, source rows, query rows; the
-    # one subtracted term comes last.
-    terms = {name: (tensor, [], []) for name, tensor in
-             (("f", table.f), ("g+", table.g), ("u", u_table),
-              ("v", params.tensors["type.v"]), ("g-", table.g))}
+    # Per source tensor: query rows, source rows and signs of the entries of
+    # one sparse matrix, so each source adds one sparse product to the queries.
+    sources = {"f": table.f, "g": table.g, "u": u_table, "v": params.tensors["type.v"]}
+    terms = {name: ([], [], []) for name in sources}
     targets, dead, owners = [], [], []
 
-    def add_term(name, src_row, query):
-        terms[name][1].append(src_row)
-        terms[name][2].append(query)
+    def add_term(name, src_row, query, sign=1.0):
+        query_rows, src_rows, signs = terms[name]
+        query_rows.append(query)
+        src_rows.append(src_row)
+        signs.append(sign)
 
     if "backward" in sides:
         keys = np.vstack([table.h.data, params.tensors["halt_key"].data]).astype(np.float64)
@@ -189,7 +190,7 @@ def batch_loss(batch: list[ReactionRecord], table: EmbedTable,
                 if u_row is not None:
                     add_term("u", u_row, query)
                 for earlier in order[:step]:
-                    add_term("g-", row_of[earlier], query)
+                    add_term("g", row_of[earlier], query, -1.0)
                 dead.append((query, product_row))
                 final = step == len(order)
                 if not final and halt_mode == "final":
@@ -201,7 +202,7 @@ def batch_loss(batch: list[ReactionRecord], table: EmbedTable,
         for record in batch:
             query = len(targets)
             for reactant in record.reactant_ids:
-                add_term("g+", row_of[reactant], query)
+                add_term("g", row_of[reactant], query)
                 dead.append((query, row_of[reactant]))
             v_row = _type_row(params, record.rxn_type)
             if v_row is not None:
@@ -212,15 +213,14 @@ def batch_loss(batch: list[ReactionRecord], table: EmbedTable,
         raise ValueError("batch_loss needs at least one record and one side")
 
     queries = None
-    for name, (source, rows, query_rows) in terms.items():
-        if not rows:
+    for name, (query_rows, src_rows, signs) in terms.items():
+        if not query_rows:
             continue
-        term = ad.segment_sum(ad.gather_rows(source, Scatter(rows, source.shape[0])),
-                              Scatter(query_rows, len(targets)))
-        if queries is None:
-            queries = term
-        else:
-            queries = (ad.sub if name == "g-" else ad.add)(queries, term)
+        source = sources[name]
+        select = ad.SparseMatrix(query_rows, src_rows, (len(targets), source.shape[0]),
+                                 signs)
+        term = ad.sparse_matmul(select, source)
+        queries = term if queries is None else ad.add(queries, term)
     live = np.ones((len(targets), halt_col + 1), dtype=bool)
     dead_rows, dead_cols = zip(*dead)
     live[list(dead_rows), list(dead_cols)] = False

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 
 import networkx as nx
+import numpy as np
 
 from retroselect.chem import Molecule, write_smiles
 from retroselect.chem.canon import _dense, _initial_ranks, _refine
@@ -101,3 +102,67 @@ def exhaustive_canonical_form(mol: Molecule) -> str:
         return best
 
     return best_string(_refine(mol, _initial_ranks(mol)))
+
+
+def edge_loop_embeddings(packed, params, mode: str, heads=("f", "g", "h")) -> dict:
+    """Reference encoder forward in float64 numpy, the way the encoder was
+    first written: every layer projects each edge's bond features and
+    scatters them to the edge's destination atom, gathers the source atom's
+    row onto each edge and scatters it back, all in Python loops over edges,
+    then applies unfolded batch norm (batch statistics in train mode, left
+    un-updated; running statistics in eval mode). Returns the node matrix
+    under "nodes" and the sum-pooled rows of each head."""
+    t = {name: tensor.data.astype(np.float64) for name, tensor in params.tensors.items()}
+    x_atom = packed.atom_features.astype(np.float64)
+    x_bond = packed.bond_features.astype(np.float64)
+    n_atoms = x_atom.shape[0]
+
+    def batchnorm(x, name):
+        state = params.bn_states[name]
+        mean, var = (x.mean(axis=0), x.var(axis=0)) if mode == "train" \
+            else (state.running_mean, state.running_var)
+        return (x - mean) / np.sqrt(var + state.epsilon) * state.gamma.data + state.beta.data
+
+    def relu(x):
+        return np.maximum(x, 0.0)
+
+    def scatter(edge_rows):
+        out = np.zeros((n_atoms, edge_rows.shape[1]))
+        for edge, dst in enumerate(packed.edge_dst):
+            out[dst] += edge_rows[edge]
+        return out
+
+    def gather(rows):
+        out = np.zeros((len(packed.edge_src), rows.shape[1]))
+        for edge, src in enumerate(packed.edge_src):
+            out[edge] = rows[src]
+        return out
+
+    h = relu(batchnorm(x_atom @ t["trunk.w0_atom"] + t["trunk.b0"]
+                       + scatter(x_bond @ t["trunk.w0_bond"]), "trunk.bn0"))
+    for layer in range(1, params.dims.n_layers + 1):
+        p = f"trunk.l{layer}"
+        stage1 = relu(batchnorm(scatter(gather(h)) @ t[f"{p}.w1"] + t[f"{p}.b1"]
+                                + scatter(x_bond @ t[f"{p}.w_bond"]), f"{p}.bn1"))
+        h = relu(batchnorm(stage1 @ t[f"{p}.w2"] + t[f"{p}.b2"] + h, f"{p}.bn2"))
+    nodes = h @ t["trunk.w_last"] + t["trunk.b_last"]
+    out = {"nodes": nodes}
+    for head in heads:
+        p = f"head.{head}"
+        z = relu(batchnorm(relu(nodes) @ t[f"{p}.w1"] + t[f"{p}.b1"], f"{p}.bn1"))
+        z = batchnorm(z @ t[f"{p}.w2"] + t[f"{p}.b2"], f"{p}.bn2")
+        pooled = np.zeros((packed.n_mols, nodes.shape[1]))
+        for atom, mol in enumerate(packed.mol_ids):
+            pooled[mol] += nodes[atom] + z[atom]
+        out[head] = pooled
+    return out
+
+
+def randomize_batchnorm(params, rng) -> None:
+    """Non-trivial running statistics, gamma and beta in every BN layer."""
+    for state in params.bn_states.values():
+        state.running_mean[:] = rng.standard_normal(state.width)
+        state.running_var[:] = rng.uniform(0.3, 3.0, state.width)
+        state.gamma.data[:] = rng.uniform(-1.5, 1.5, state.width)
+        state.beta.data[:] = rng.standard_normal(state.width)
+

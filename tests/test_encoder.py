@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from retroselect import autodiff as ad
-from retroselect.chem import disjoint_union, featurize, pack, parse_smiles, write_smiles
+from retroselect.chem import (D_ATOM, D_BOND, PackedGraphs, disjoint_union, featurize, pack,
+                              parse_smiles, write_smiles)
 from retroselect.encoder import (HEADS, ModelDims, embed_graphs, embed_molecule,
                                  embed_nodes, embed_pool, init_params, type_bias)
 
-from helpers import CORPUS_SMILES, random_permutation
+from helpers import CORPUS_SMILES, edge_loop_embeddings, random_permutation, randomize_batchnorm
 
 
 def rel_max(a, b):
@@ -148,6 +149,33 @@ def test_embed_pool_bitwise_equal_to_taped_forward(tiny_params):
         rows = rows.astype(np.float32)
         rows /= np.linalg.norm(rows, axis=1).astype(np.float32)[:, None]
         assert np.array_equal(keys[start:start + 8], rows)
+
+
+def _directed_batch(rng) -> PackedGraphs:
+    """Two graphs with one-way edges (a 3-cycle plus a chord, a path with a
+    repeated edge), so the adjacency is not symmetric, and random features."""
+    src = np.array([0, 1, 2, 0, 3, 4, 4])
+    dst = np.array([1, 2, 0, 2, 4, 5, 5])
+    return PackedGraphs(rng.random((6, D_ATOM)).astype(np.float32),
+                        rng.random((len(src), D_BOND)).astype(np.float32),
+                        src, dst, np.array([0, 0, 0, 1, 1, 1]), 2)
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_encoder_matches_edge_loop_reference(mode):
+    """Adjacency and bond-sum products, the eval fold and sparse pooling
+    against per-edge gathers and scatters with unfolded batch norm."""
+    rng = np.random.default_rng(21)
+    params = init_params(4, ModelDims(d=12, n_layers=3, n_types=1), dtype=np.float64)
+    randomize_batchnorm(params, rng)
+    batches = [pack([featurize(parse_smiles(s)) for s in CORPUS_SMILES[:12]]),
+               _directed_batch(rng)]
+    for packed in batches:
+        expected = edge_loop_embeddings(packed, params, mode)
+        nodes = embed_nodes(packed, params, mode).data
+        heads = embed_graphs(packed, params, mode)
+        for name, got in [("nodes", nodes)] + [(h, heads[h].data) for h in HEADS]:
+            assert rel_max(got, expected[name]) < 1e-10, (name, packed.n_mols)
 
 
 def test_embed_pool_empty(tiny_params):
