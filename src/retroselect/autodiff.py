@@ -272,7 +272,7 @@ class BatchNormState:
         return self.gamma.data.shape[0]
 
 
-def batchnorm(x: Tensor, state: BatchNormState, update_running: bool = True) -> Tensor:
+def batchnorm(x: Tensor, state: BatchNormState) -> Tensor:
     """Train-mode normalization of the rows of x per feature column.
 
     Uses biased batch statistics and folds them into the running estimates
@@ -289,11 +289,10 @@ def batchnorm(x: Tensor, state: BatchNormState, update_running: bool = True) -> 
     var = x.data.var(axis=0)
     inv_std = 1.0 / np.sqrt(var + state.epsilon)
     x_hat = (x.data - mean) * inv_std
-    if update_running:
-        m = state.momentum
-        state.running_mean += m * (mean - state.running_mean)
-        unbiased = var * (n / (n - 1))
-        state.running_var += m * (unbiased - state.running_var)
+    m = state.momentum
+    state.running_mean += m * (mean - state.running_mean)
+    unbiased = var * (n / (n - 1))
+    state.running_var += m * (unbiased - state.running_var)
     out = Tensor(_checked(x_hat * gamma.data + beta.data, "batchnorm"),
                  parents=(x, gamma, beta))
 

@@ -1,13 +1,15 @@
 """Exact top-K cosine retrieval over the candidate pool's key embeddings.
 
-One batched kernel, ``CandidateIndex.topk_rows``, serves every selection:
-a single query (``query_topk``), a beam round (one row per live hypothesis)
-and hard-negative mining (one row per anchor). It scans the keys in float32,
-one column block at a time, keeps each row's top K plus every entry within
-a safety margin of its K-th value, and rescores that shortlist in float64.
-Results are therefore exactly the float64 cosine ranking with ascending-id
-tie-breaks, while score memory stays O(query rows x block) however large
-the pool is.
+One blocked scan serves every selection. It scans the keys in float32, one
+column block at a time, keeps a running top K plus every entry within a
+safety margin of its K-th value, and rescores that shortlist in float64.
+``CandidateIndex.topk_rows`` keeps a top K per query row: a single query
+(``query_topk``) or one row per anchor in hard-negative mining.
+``CandidateIndex.topk_pairs`` keeps one top K over all rows at once, each
+row's cosines shifted by an offset: a beam round, where the offset is a
+hypothesis's running score. Results are therefore exactly the float64
+ranking with ascending-id tie-breaks, while score memory stays
+O(query rows x block) however large the pool is.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .encoder import ParamStore, embed_pool
-from .scoring import ZERO_NORM_EPS
+from .scoring import ZERO_NORM_EPS, pair_cosines, pair_dots
 
 HALT_ID = -1
 
@@ -139,60 +141,108 @@ class CandidateIndex:
         """Each query's K key rows of highest float64 cosine.
 
         ``queries`` is [L, d]; ``exclude_rows``, if given, holds one
-        collection of key rows per query that it must not return. Returns
-        ``(rows, scores)``, both [L, min(K, key rows)]: each line is ordered
-        by descending float64 cosine, then ascending id, and ends in row -1
-        with score -inf where the query has fewer valid rows. A zero query
-        or zero key scores 0.
+        collection of key rows per query that it must not return (or an
+        [L, m] array of them). Returns ``(rows, scores)``, both
+        [L, min(K, key rows)]: each line is ordered by descending float64
+        cosine, then ascending id, and ends in row -1 with score -inf where
+        the query has fewer valid rows. A zero query or zero key scores 0.
         """
         if k < 1:
             raise ValueError("k must be >= 1")
+        k = min(k, self.keys.shape[0])
+        qi, rows, exact = self._shortlist(queries, k, exclude_rows)
+        qi, rows, exact, rank = self._per_query_topk(qi, rows, exact, k)
+        n_queries = np.atleast_2d(queries).shape[0]
+        out_rows = np.full((n_queries, k), -1, dtype=np.int64)
+        out_scores = np.full((n_queries, k), -np.inf)
+        out_rows[qi, rank] = rows
+        out_scores[qi, rank] = exact
+        return out_rows, out_scores
+
+    def topk_pairs(self, queries: np.ndarray, offsets: np.ndarray, k: int,
+                   exclude_rows=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The K (query, key row) pairs of highest ``offsets[query]`` plus
+        float64 cosine, over all queries at once.
+
+        Each query offers only its own top K rows (``topk_rows`` order), and
+        the pairs are ordered by descending total, then query, then id.
+        ``exclude_rows`` is as for ``topk_rows``. Returns ``(query, row,
+        total)`` arrays of at most K pairs.
+
+        A pair that ranks in the top K has a total at least the K-th
+        highest total, and so do its query's better rows. The scan keeps
+        one top K of approximate totals, and every pair within the margin
+        of it reaches the float64 rescoring together with those rows.
+        """
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        offsets = np.asarray(offsets, dtype=np.float64)
+        qi, rows, exact = self._shortlist(queries, k, exclude_rows, offsets)
+        qi, rows, exact, _ = self._per_query_topk(qi, rows, exact, k)
+        totals = offsets[qi] + exact
+        order = np.lexsort((self.all_ids()[rows], qi, -totals))[:k]
+        return qi[order], rows[order], totals[order]
+
+    def _shortlist(self, queries: np.ndarray, k: int, exclude_rows,
+                   offsets: np.ndarray | None = None):
+        """Float64 cosines of every (query, row) pair that can reach the top
+        K, as ``(query, row, cosine)`` arrays.
+
+        The top K is each query's own by cosine or, with ``offsets``, one
+        over all queries by ``offsets[query] + cosine``.
+        """
         n_rows = self.keys.shape[0]
         if n_rows == 0:
             raise EmptyIndex("index has no rows")
         q64 = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         n_queries = q64.shape[0]
-        k = min(k, n_rows)
-        qn = np.sqrt(_pair_dots(q64, q64))
+        qn = np.sqrt(pair_dots(q64, q64))
         q32 = (q64 / np.where(qn < ZERO_NORM_EPS, 1.0, qn)[:, None]).astype(np.float32)
         ex_q, ex_r = _flat_exclusions(exclude_rows, n_queries, n_rows)
 
-        # Float32 scan, one column block at a time. ``best`` holds each
-        # query's K highest values so far, so its first column is a lower
-        # bound on the final K-th value: every entry that can reach the
-        # final top K is within the margin of it when its block is scanned.
+        # Float32 scan, one column block at a time. ``best`` holds the K
+        # highest values so far (per query, or over all of them), so its
+        # first column is a lower bound on the final K-th value: every entry
+        # that can reach the final top K is within the margin of it when
+        # its block is scanned.
         width = max(1, _BLOCK_BYTES // (4 * max(n_queries, 1)))
-        best = np.full((n_queries, k), -np.inf, dtype=np.float32)
+        best = np.full((n_queries if offsets is None else 1, k), -np.inf,
+                       dtype=np.float32)
+        shift = None if offsets is None else offsets.astype(np.float32)[:, None]
         found = []
         for lo in range(0, n_rows, width):
             block = q32 @ self.keys[lo:lo + width].T
             inside = (ex_r >= lo) & (ex_r < lo + width)
             block[ex_q[inside], ex_r[inside] - lo] = -np.inf
-            both = np.concatenate([best, block], axis=1)
+            if shift is not None:
+                block += shift
+            both = np.concatenate([best, block.reshape(best.shape[0], -1)], axis=1)
             best = np.partition(both, both.shape[1] - k, axis=1)[:, -k:].copy()
             # (flatnonzero then divmod is several times faster than a 2-D nonzero)
             flat = np.flatnonzero(block >= _shortlist_floor(best)[:, None])
             qi, col = np.divmod(flat, block.shape[1])
             found.append((qi, col + lo, block.ravel()[flat]))
         qi, rows, approx = (np.concatenate(parts) for parts in zip(*found))
-        keep = approx >= _shortlist_floor(best)[qi]
+        keep = approx >= np.broadcast_to(_shortlist_floor(best), (n_queries,))[qi]
         qi, rows = qi[keep], rows[keep]
 
         exact = np.empty(rows.shape[0])
         step = max(1, _RESCORE_BYTES // (8 * self.dim))
         for lo in range(0, rows.shape[0], step):
             part = slice(lo, lo + step)
-            exact[part] = _pair_cosines(q64[qi[part]],
-                                        self.keys[rows[part]].astype(np.float64))
+            exact[part] = pair_cosines(q64[qi[part]],
+                                       self.keys[rows[part]].astype(np.float64))
+        return qi, rows, exact
+
+    def _per_query_topk(self, qi: np.ndarray, rows: np.ndarray, exact: np.ndarray,
+                        k: int):
+        """Each query's first K pairs by descending cosine, then ascending
+        id, grouped by query, with their positions within the query."""
         order = np.lexsort((self.all_ids()[rows], -exact, qi))
         qi, rows, exact = qi[order], rows[order], exact[order]
         rank = np.arange(qi.shape[0]) - np.searchsorted(qi, qi)
         keep = rank < k
-        out_rows = np.full((n_queries, k), -1, dtype=np.int64)
-        out_scores = np.full((n_queries, k), -np.inf)
-        out_rows[qi[keep], rank[keep]] = rows[keep]
-        out_scores[qi[keep], rank[keep]] = exact[keep]
-        return out_rows, out_scores
+        return qi[keep], rows[keep], exact[keep], rank[keep]
 
     def query_topk(self, query: np.ndarray, k: int,
                    exclude=()) -> list[tuple[int, float]]:
@@ -208,8 +258,8 @@ class CandidateIndex:
 
 
 def _shortlist_floor(best: np.ndarray) -> np.ndarray:
-    """Lowest float32 value kept per query: the margin below the K-th best
-    so far, but above -inf so that excluded entries never pass."""
+    """Lowest float32 value kept per row of ``best``: the margin below the
+    K-th best so far, but above -inf so that excluded entries never pass."""
     return np.maximum(best[:, 0] - _REFINE_MARGIN, _LOWEST32)
 
 
@@ -218,30 +268,20 @@ def _flat_exclusions(exclude_rows, n_queries: int,
     """Per-query excluded rows as flat (query, row) index arrays."""
     if exclude_rows is None:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    per_query = [np.fromiter(rows, dtype=np.int64) for rows in exclude_rows]
-    if len(per_query) != n_queries:
-        raise ValueError(f"{len(per_query)} exclusion lists for {n_queries} queries")
-    ex_q = np.repeat(np.arange(n_queries), [rows.shape[0] for rows in per_query])
-    ex_r = np.concatenate(per_query) if per_query else np.empty(0, dtype=np.int64)
+    if isinstance(exclude_rows, np.ndarray):
+        per_query = exclude_rows.shape[0]
+        ex_q = np.repeat(np.arange(per_query), exclude_rows.shape[1])
+        ex_r = exclude_rows.astype(np.int64).ravel()
+    else:
+        lists = [np.fromiter(rows, dtype=np.int64) for rows in exclude_rows]
+        per_query = len(lists)
+        ex_q = np.repeat(np.arange(per_query), [rows.shape[0] for rows in lists])
+        ex_r = np.concatenate(lists) if lists else np.empty(0, dtype=np.int64)
+    if per_query != n_queries:
+        raise ValueError(f"{per_query} exclusion lists for {n_queries} queries")
     if ex_r.size and (ex_r.min() < 0 or ex_r.max() >= n_rows):
         raise IndexError("excluded row outside the index")
     return ex_q, ex_r
-
-
-def _pair_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two [m, d] float64 arrays. A stack of
-    1 x d by d x 1 products makes numpy call the same BLAS dot as ``a @ b``
-    on two vectors, so each value matches it bit for bit."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
-def _pair_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise float64 cosines, equal bit for bit to ``scoring.cosine64``
-    on each pair of rows (zero-norm rows score 0)."""
-    na = np.sqrt(_pair_dots(a, a))
-    nb = np.sqrt(_pair_dots(b, b))
-    zero = (na < ZERO_NORM_EPS) | (nb < ZERO_NORM_EPS)
-    return np.where(zero, 0.0, _pair_dots(a, b) / np.where(zero, 1.0, na * nb))
 
 
 def _normalize_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

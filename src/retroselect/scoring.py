@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,9 @@ ZERO_NORM_EPS = 1e-12
 PERM_THRESHOLD = 5
 # The exhaustive order table holds n! x n positions: 40,320 x 8 at 8.
 MAX_PERM_THRESHOLD = 8
+# Bytes that one batched ``best_order`` call may take for its subset
+# queries, step scores and order totals; larger batches go in parts.
+_BATCH_BYTES = 16 << 20
 
 
 class ProductInReactants(ValueError):
@@ -45,13 +49,32 @@ class ScoredSet:
 
 
 def cosine_table(queries: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Float64 cosines of every query row with every key row, ``[m, k]``,
-    with the zero-norm-gives-zero convention."""
-    q_norms = np.linalg.norm(queries, axis=1)
-    k_norms = np.linalg.norm(keys, axis=1)
-    live = (q_norms >= ZERO_NORM_EPS)[:, None] & (k_norms >= ZERO_NORM_EPS)[None, :]
-    denom = np.where(live, np.outer(q_norms, k_norms), 1.0)
-    return np.where(live, (queries @ keys.T) / denom, 0.0)
+    """Float64 cosines of every query row with every key row, ``[..., m, k]``
+    over any shared leading batch axes, with the zero-norm-gives-zero
+    convention."""
+    q_norms = np.linalg.norm(queries, axis=-1)[..., :, None]
+    k_norms = np.linalg.norm(keys, axis=-1)[..., None, :]
+    live = (q_norms >= ZERO_NORM_EPS) & (k_norms >= ZERO_NORM_EPS)
+    denom = np.where(live, q_norms * k_norms, 1.0)
+    return np.where(live, (queries @ np.swapaxes(keys, -1, -2)) / denom, 0.0)
+
+
+def pair_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two [m, d] float64 arrays. A stack of
+    1 x d by d x 1 products makes numpy call the same BLAS dot as ``a @ b``
+    on two vectors, so each value matches it bit for bit."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def pair_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise float64 cosines, equal bit for bit to ``cosine64`` on each
+    pair of rows (zero-norm rows score 0). ``b`` may be one [d] row shared
+    by every row of ``a``."""
+    b = np.broadcast_to(b, a.shape)
+    na = np.sqrt(pair_dots(a, a))
+    nb = np.sqrt(pair_dots(b, b))
+    zero = (na < ZERO_NORM_EPS) | (nb < ZERO_NORM_EPS)
+    return np.where(zero, 0.0, pair_dots(a, b) / np.where(zero, 1.0, na * nb))
 
 
 @functools.lru_cache(maxsize=MAX_PERM_THRESHOLD + 1)
@@ -63,57 +86,112 @@ def _orders(n: int) -> np.ndarray:
     return orders
 
 
-def best_order(start: np.ndarray, g: np.ndarray, score,
-               perm_threshold: int) -> tuple[tuple[int, ...], float, np.ndarray]:
-    """Order of the ``g`` rows maximizing the summed step scores.
+def best_order(start: np.ndarray, g: np.ndarray, score, perm_threshold: int):
+    """Order of the ``g`` rows maximizing the summed step scores, for a
+    batch of m sets of the same size n.
 
-    The query after choosing a subset is ``start`` minus the ``g`` rows of
-    that subset; ``score(queries [m, d]) -> [m, n]`` gives the step score of
+    ``start`` is [m, d] and ``g`` [m, n, d]. The query after choosing a
+    subset is ``start`` minus the ``g`` rows of that subset;
+    ``score(queries [m, q, d]) -> [m, q, n]`` gives the step score of
     choosing each member from each query. Exhaustive for n <= perm_threshold
     (every subset query is scored in one call, every order is summed step by
-    step, left to right, and the first maximum keeps the lexicographically
-    smallest order); greedy beyond (ties to the smaller position). Returns
-    the positions, their summed score and the query after all n members.
+    step, left to right, one shared order table for the batch, and the first
+    maximum keeps the lexicographically smallest order); greedy beyond (ties
+    to the smaller position). Returns the positions [m, n], their summed
+    scores [m] and the queries after all n members [m, d].
+
+    A single set may be passed unbatched: ``start`` [d], ``g`` [n, d] and
+    ``score`` mapping [q, d] to [q, n]; the result is then a positions
+    tuple, a float and a [d] query.
     """
-    n = g.shape[0]
     if not 0 <= perm_threshold <= MAX_PERM_THRESHOLD:
         raise ValueError(f"perm_threshold must be in 0..{MAX_PERM_THRESHOLD}")
+    if np.ndim(start) == 1:
+        orders, totals, finals = best_order(start[None], g[None],
+                                            lambda q: score(q[0])[None],
+                                            perm_threshold)
+        return tuple(orders[0].tolist()), float(totals[0]), finals[0]
+    m, n = g.shape[:2]
+    sets = np.arange(m)
     if n > perm_threshold:
-        order, total, query = [], 0.0, start
-        remaining = list(range(n))
-        while remaining:
-            step = score(query[None, :])[0]
-            pick = remaining.pop(int(np.argmax(step[remaining])))
-            total += float(step[pick])
-            query = query - g[pick]
-            order.append(pick)
-        return tuple(order), total, query
-    # queries[s] is start minus the g rows of the bits of s, ascending.
-    queries = np.empty((1 << n, start.shape[0]))
-    queries[0] = start
+        orders = np.empty((m, n), dtype=np.intp)
+        totals, query = np.zeros(m), start
+        taken = np.zeros((m, n), dtype=bool)
+        for step in range(n):
+            steps = np.where(taken, -np.inf, score(query[:, None, :])[:, 0])
+            pick = np.argmax(steps, axis=1)
+            totals += steps[sets, pick]
+            query = query - g[sets, pick]
+            taken[sets, pick] = True
+            orders[:, step] = pick
+        return orders, totals, query
+    # queries[:, s] is start minus the g rows of the bits of s, ascending.
+    queries = np.empty((m, 1 << n, start.shape[-1]))
+    queries[:, 0] = start
     for i in range(n):
-        queries[1 << i:2 << i] = queries[:1 << i] - g[i]
+        queries[:, 1 << i:2 << i] = queries[:, :1 << i] - g[:, i, None]
     steps = score(queries)
     orders = _orders(n)
-    totals = np.zeros(orders.shape[0])
+    totals = np.zeros((m, orders.shape[0]))
     taken = np.zeros(orders.shape[0], dtype=np.intp)
     for column in orders.T:
-        totals += steps[taken, column]
+        totals += steps[:, taken, column]
         taken |= 1 << column
-    best = int(np.argmax(totals))
-    return tuple(orders[best].tolist()), float(totals[best]), queries[-1]
+    best = np.argmax(totals, axis=1)
+    return orders[best], totals[sets, best], queries[:, -1]
+
+
+def _selection_sums(f_product: np.ndarray, u_bias: np.ndarray | None,
+                    g: np.ndarray, h: np.ndarray, halt_key: np.ndarray,
+                    perm_threshold: int) -> tuple[np.ndarray, np.ndarray]:
+    """Best orders [m, n] (positions) and their selection-score sums [m],
+    halt term included, of m sets whose float64 rows ``g``, ``h`` are
+    [m, n, d]."""
+    m, n, d = g.shape
+    start = np.asarray(f_product, dtype=np.float64).copy()
+    if u_bias is not None:
+        start += np.asarray(u_bias, dtype=np.float64)
+    halt_key = np.asarray(halt_key, dtype=np.float64)
+    # An exhaustive call holds 2^n subset queries with their step scores
+    # and n! order totals per set, a greedy call one query and its scores.
+    per_set = ((1 << n) * (d + 4 * n) + 2 * math.factorial(n)
+               if n <= perm_threshold else d + 4 * n)
+    step = max(1, _BATCH_BYTES // (8 * per_set))
+    orders = np.empty((m, n), dtype=np.intp)
+    sums = np.empty(m)
+    for lo in range(0, m, step):
+        part = slice(lo, lo + step)
+        keys = h[part]
+        orders[part], totals, finals = best_order(
+            np.broadcast_to(start, (keys.shape[0], d)), g[part],
+            lambda queries: cosine_table(queries, keys), perm_threshold)
+        sums[part] = totals + pair_cosines(finals, halt_key)
+    return orders, sums
+
+
+def _forward_scores(g: np.ndarray, product_h: np.ndarray,
+                    v_bias: np.ndarray | None) -> np.ndarray:
+    """``phi`` of m sets whose reactant query rows ``g`` are [m, n, d]."""
+    total = np.zeros((g.shape[0], g.shape[2]))
+    for i in range(g.shape[1]):
+        total += g[:, i]
+    if v_bias is not None:
+        total += np.asarray(v_bias, dtype=np.float64)
+    return pair_cosines(total, np.asarray(product_h, dtype=np.float64))
 
 
 def phi(reactant_g_embeddings, product_h: np.ndarray,
         v_bias: np.ndarray | None = None) -> float:
     """Forward synthesizability score: cosine of summed reactant queries
     (plus optional type bias) with the product key."""
-    total = np.zeros(np.asarray(product_h).shape[0], dtype=np.float64)
-    for vec in reactant_g_embeddings:
-        total += np.asarray(vec, dtype=np.float64)
-    if v_bias is not None:
-        total += np.asarray(v_bias, dtype=np.float64)
-    return cosine64(total, product_h)
+    d = np.asarray(product_h).shape[0]
+    g = np.array(list(reactant_g_embeddings), dtype=np.float64).reshape(1, -1, d)
+    return float(_forward_scores(g, product_h, v_bias)[0])
+
+
+def _stacked_rows(by_id: dict[int, np.ndarray], ids, d: int) -> np.ndarray:
+    """One set's rows in ``ids`` order as a [1, n, d] float64 batch."""
+    return np.array([by_id[i] for i in ids], dtype=np.float64).reshape(1, len(ids), d)
 
 
 def best_permutation(f_product: np.ndarray,
@@ -130,15 +208,26 @@ def best_permutation(f_product: np.ndarray,
     smallest id sequence.
     """
     ids = sorted(g_by_id)
-    start = np.asarray(f_product, dtype=np.float64).copy()
-    if u_bias is not None:
-        start += np.asarray(u_bias, dtype=np.float64)
-    shape = (len(ids), start.shape[0])
-    g = np.array([g_by_id[i] for i in ids], dtype=np.float64).reshape(shape)
-    h = np.array([h_by_id[i] for i in ids], dtype=np.float64).reshape(shape)
-    positions, total, final = best_order(start, g, lambda q: cosine_table(q, h),
-                                         perm_threshold)
-    return tuple(ids[p] for p in positions), total + cosine64(final, halt_key)
+    d = np.asarray(f_product).shape[0]
+    orders, sums = _selection_sums(f_product, u_bias, _stacked_rows(g_by_id, ids, d),
+                                   _stacked_rows(h_by_id, ids, d), halt_key,
+                                   perm_threshold)
+    return tuple(ids[p] for p in orders[0]), float(sums[0])
+
+
+def score_sets(f_product: np.ndarray, h_product: np.ndarray, g: np.ndarray,
+               h: np.ndarray, halt_key: np.ndarray,
+               u_bias: np.ndarray | None = None,
+               v_bias: np.ndarray | None = None,
+               perm_threshold: int = PERM_THRESHOLD) -> tuple[np.ndarray, np.ndarray]:
+    """Overall scores (psi_sum + phi) / (n + 2) of m reactant sets of one
+    size n, ``g`` and ``h`` [m, n, d] holding each set's rows in ascending
+    id order. Returns the scores [m] and each set's best order as positions
+    [m, n]; each set's values equal ``reaction_score`` on it bit for bit."""
+    g = np.asarray(g, dtype=np.float64)
+    orders, sums = _selection_sums(f_product, u_bias, g, np.asarray(h, dtype=np.float64),
+                                   halt_key, perm_threshold)
+    return (sums + _forward_scores(g, h_product, v_bias)) / (g.shape[1] + 2), orders
 
 
 def reaction_score(f_product: np.ndarray,
@@ -154,11 +243,11 @@ def reaction_score(f_product: np.ndarray,
     ids = tuple(sorted(g_by_id))
     if product_id is not None and product_id in g_by_id:
         raise ProductInReactants(f"product id {product_id} appears in reactant set")
-    order, psi_sum = best_permutation(f_product, g_by_id, h_by_id, halt_key,
-                                      u_bias, perm_threshold)
-    forward = phi([g_by_id[i] for i in ids], h_product, v_bias)
-    value = (psi_sum + forward) / (len(ids) + 2)
-    return ScoredSet(ids, value, order)
+    d = np.asarray(f_product).shape[0]
+    scores, orders = score_sets(f_product, h_product, _stacked_rows(g_by_id, ids, d),
+                                _stacked_rows(h_by_id, ids, d), halt_key,
+                                u_bias, v_bias, perm_threshold)
+    return ScoredSet(ids, float(scores[0]), tuple(ids[p] for p in orders[0]))
 
 
 class ReactionScorer:

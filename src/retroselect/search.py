@@ -1,14 +1,18 @@
 """Beam-search prediction of ranked reactant sets and multi-step routes.
 
 Beam search selects candidates sequentially by the backward score against
-the key index. Each round is one batched ``CandidateIndex.topk_rows`` call
-over all live hypotheses (a blocked float32 scan with float64 rescoring, so
-score memory is O(live x block) and each hypothesis's extensions follow the
-exact float64 cosine order with ascending-id ties), then one merge of at
-most live x beam extensions. A hypothesis is banked at every round with the
-float64 cosine of its query against the halt key. Banked hypotheses are
-deduplicated as id sets and re-ranked by the full permutation-maximized
-overall score.
+the key index. The beam is held as arrays (chosen rows, running queries and
+score sums, one line per live hypothesis), and each round is one
+``CandidateIndex.topk_pairs`` call over all live hypotheses: a blocked
+float32 scan of running sum plus cosine against one top-``beam`` floor,
+with the few pairs near it rescored in float64, so score memory is
+O(live x block) and the round keeps exactly the float64 top ``beam``
+extensions (each hypothesis offering its own top ``beam`` by cosine, then
+ascending id). Every live hypothesis is banked at every round with the
+float64 cosine of its query against the halt key, and banked hypotheses
+are deduplicated as id sets. ``rank`` re-ranks them by the full
+permutation-maximized overall score, one batched ``scoring.score_sets``
+call per set size.
 """
 
 from __future__ import annotations
@@ -21,7 +25,10 @@ import numpy as np
 from .chem import Molecule, canonical_form, featurize, pack
 from .encoder import ParamStore, embed_graphs, embed_matrix, type_bias
 from .index import HALT_ID, CandidateIndex, EmptyIndex
-from .scoring import MAX_PERM_THRESHOLD, ScoredSet, cosine64, reaction_score
+# ``cosine64`` and ``reaction_score`` are looked up here by the benchmark's
+# tracer (perfbench/layers.py), so they stay importable from this module.
+from .scoring import (MAX_PERM_THRESHOLD, ScoredSet, cosine64,  # noqa: F401
+                      pair_cosines, reaction_score, score_sets)
 
 
 @dataclass
@@ -49,7 +56,8 @@ def beam_search(product: Molecule | None, index: CandidateIndex, params: ParamSt
     candidate rows. The product's own pool id (if any) must be passed in
     ``exclude_ids``; chosen ids are excluded from later rounds. Hypotheses
     still live at depth ``n_max`` are finalized with a forced halt term.
-    ``f_product`` overrides the product-query embedding (synthetic tests).
+    ``f_product`` is the product-query embedding if the caller already has
+    it; otherwise it is embedded from ``product``.
     """
     if not index.includes_halt:
         raise ValueError("beam search needs an index built with the halt key")
@@ -67,47 +75,45 @@ def beam_search(product: Molecule | None, index: CandidateIndex, params: ParamSt
     u_bias = type_bias(params, "u", rxn_type)
     if u_bias is not None:
         query += np.asarray(u_bias, dtype=np.float64)
-    root = Hypothesis((), query, 0.0)
-    exclude_ids = set(exclude_ids or ())
 
-    cand_ids = index.ids
-    halt_key = params.tensors["halt_key"].data
-    blocked = [index.row_of(HALT_ID)] + [index.row_of(i) for i in exclude_ids
-                                         if index.has_id(i)]
-    banked: dict[frozenset, Hypothesis] = {}
-
-    def bank(hyp: Hypothesis) -> None:
-        halt_psi = cosine64(hyp.query, halt_key)
-        done = Hypothesis(hyp.chosen, hyp.query, hyp.cum_psi + halt_psi, True)
-        key = done.id_set
-        kept = banked.get(key)
-        if kept is None or done.cum_psi > kept.cum_psi:
-            banked[key] = done
-
-    live = [root]
+    halt_key = np.asarray(params.tensors["halt_key"].data, dtype=np.float64)
+    blocked = np.array([index.row_of(HALT_ID)]
+                       + [index.row_of(i) for i in exclude_ids or () if index.has_id(i)],
+                       dtype=np.int64)
+    # The beam, one line per live hypothesis: chosen key rows in selection
+    # order, running query and running score sum.
+    chosen = np.empty((1, 0), dtype=np.int64)
+    queries = query[None, :]
+    cum = np.zeros(1)
+    banked: list[Hypothesis] = []
     for depth in range(n_max + 1):
-        for hyp in live:
-            bank(hyp)
+        banked += _banked(index.ids[chosen], queries, cum + pair_cosines(queries, halt_key))
         if depth == n_max:
             break  # depth cap: the halt step above was forced
-        rows, psi = index.topk_rows(
-            np.stack([h.query for h in live]), beam,
-            [blocked + [index.row_of(i) for i in h.chosen] for h in live])
-        hyp_index, slot = np.nonzero(rows >= 0)
-        if hyp_index.size == 0:
+        excluded = np.hstack([np.broadcast_to(blocked, (cum.shape[0], blocked.shape[0])),
+                              chosen])
+        hyp, rows, cum = index.topk_pairs(queries, cum, beam, excluded)
+        if hyp.size == 0:
             break
-        rows = rows[hyp_index, slot]
-        totals = np.array([h.cum_psi for h in live])[hyp_index] + psi[hyp_index, slot]
-        # Ties prefer the earlier hypothesis, then the lower id.
-        order = np.lexsort((cand_ids[rows], hyp_index, -totals))[:beam]
-        next_live = []
-        for h, row, total in zip(hyp_index[order].tolist(), rows[order].tolist(),
-                                 totals[order].tolist()):
-            query = live[h].query - np.asarray(g_pool[row], dtype=np.float64)
-            next_live.append(Hypothesis(live[h].chosen + (int(cand_ids[row]),),
-                                        query, total))
-        live = next_live
-    return list(banked.values())
+        queries = queries[hyp] - g_pool[rows].astype(np.float64)
+        chosen = np.hstack([chosen[hyp], rows[:, None]])
+    return banked
+
+
+def _banked(chosen_ids: np.ndarray, queries: np.ndarray,
+            totals: np.ndarray) -> list[Hypothesis]:
+    """Finished hypotheses of one round, one per distinct id set: the one
+    with the highest total (the earliest on ties), in order of each set's
+    first appearance. Sets of different rounds differ in size, so rounds
+    never share a set."""
+    _, first, group = np.unique(np.sort(chosen_ids, axis=1), axis=0,
+                                return_index=True, return_inverse=True)
+    by_group = np.lexsort((-totals, group))
+    best = by_group[np.searchsorted(group[by_group], np.arange(first.shape[0]))]
+    best = best[np.argsort(first)]
+    return [Hypothesis(tuple(ids), query, total, True)
+            for ids, query, total in zip(chosen_ids[best].tolist(), queries[best],
+                                         totals[best].tolist())]
 
 
 def rank(product: Molecule | None, hypotheses: list[Hypothesis], params: ParamStore,
@@ -116,25 +122,30 @@ def rank(product: Molecule | None, hypotheses: list[Hypothesis], params: ParamSt
          f_product: np.ndarray | None = None,
          h_product: np.ndarray | None = None) -> list[ScoredSet]:
     """Rescore completed hypotheses with the overall reaction score and sort
-    descending; ties prefer fewer reactants, then lexicographic ids."""
+    descending; ties prefer fewer reactants, then lexicographic ids. Sets of
+    one size are scored in one batched call, each exactly as
+    ``reaction_score`` scores it alone."""
     if f_product is None or h_product is None:
         embs = embed_graphs(pack([featurize(product)]), params, "eval",
                             heads=("f", "h"))
         f_product = embs["f"].data[0] if f_product is None else f_product
         h_product = embs["h"].data[0] if h_product is None else h_product
-    f_p = np.asarray(f_product, dtype=np.float64)
-    h_p = np.asarray(h_product, dtype=np.float64)
     halt_key = params.tensors["halt_key"].data
     u_bias = type_bias(params, "u", rxn_type)
     v_bias = type_bias(params, "v", rxn_type)
-    scored = []
+    by_size: dict[int, list[list[int]]] = {}
     for hyp in hypotheses:
-        ids = sorted(hyp.chosen)
-        g_by_id = {i: g_pool[index.row_of(i)] for i in ids}
-        h_by_id = {i: index.row_for(i) for i in ids}
-        scored.append(reaction_score(f_p, h_p, g_by_id, h_by_id, halt_key,
-                                     u_bias=u_bias, v_bias=v_bias,
-                                     perm_threshold=perm_threshold))
+        by_size.setdefault(len(hyp.chosen), []).append(sorted(hyp.chosen))
+    scored = []
+    for n, sets in by_size.items():
+        ids = np.array(sets, dtype=np.int64).reshape(len(sets), n)
+        rows = np.array([index.row_of(i) for i in ids.ravel().tolist()],
+                        dtype=np.int64).reshape(ids.shape)
+        scores, orders = score_sets(f_product, h_product, g_pool[rows], index.keys[rows],
+                                    halt_key, u_bias, v_bias, perm_threshold)
+        best_ids = np.take_along_axis(ids, orders, axis=1)
+        scored += [ScoredSet(tuple(s), value, tuple(order)) for s, value, order
+                   in zip(ids.tolist(), scores.tolist(), best_ids.tolist())]
     scored.sort(key=lambda s: (-s.score, len(s.reactant_ids), s.reactant_ids))
     return scored
 
@@ -177,11 +188,16 @@ class Predictor:
         own_id = self.id_of_form.get(canonical_form(product))
         if own_id is not None:
             exclude.add(own_id)
+        embs = embed_graphs(pack([featurize(product)]), self.params, "eval",
+                            heads=("f", "h"))
+        f_product, h_product = embs["f"].data[0], embs["h"].data[0]
         hypotheses = beam_search(product, self.index, self.params, self.g_pool,
                                  beam=self.beam, n_max=self.n_max,
-                                 rxn_type=rxn_type, exclude_ids=exclude)
+                                 rxn_type=rxn_type, exclude_ids=exclude,
+                                 f_product=f_product)
         ranked = rank(product, hypotheses, self.params, self.index, self.g_pool,
-                      rxn_type=rxn_type, perm_threshold=self.perm_threshold)
+                      rxn_type=rxn_type, perm_threshold=self.perm_threshold,
+                      f_product=f_product, h_product=h_product)
         return ranked[:k]
 
     def predict_forms(self, product: Molecule, k: int,

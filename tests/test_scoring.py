@@ -71,6 +71,7 @@ def oracle_best_order(start, g, h):
 
 def test_best_order_matches_itertools_oracle(rng):
     for n in range(6):
+        cases = []
         for _ in range(5):
             start = rng.standard_normal(6)
             g, h = rng.standard_normal((n, 6)), rng.standard_normal((n, 6))
@@ -79,6 +80,17 @@ def test_best_order_matches_itertools_oracle(rng):
             assert positions == want
             assert abs(total - want_total) <= 1e-12
             assert np.abs(final - (start - g.sum(axis=0))).max() < 1e-12
+            cases.append((start, g, h, positions, total, final))
+        # The batched call gives each set its unbatched result bit for bit,
+        # exhaustive and greedy.
+        start, g, h = (np.stack([case[i] for case in cases]) for i in range(3))
+        for threshold in (5, max(n - 1, 0)):
+            orders, totals, finals = best_order(start, g, cosine_score(h), threshold)
+            for row, case in enumerate(cases):
+                alone = best_order(case[0], case[1], cosine_score(case[2]), threshold)
+                assert tuple(orders[row].tolist()) == alone[0]
+                assert totals[row] == alone[1]
+                assert np.array_equal(finals[row], alone[2])
 
 
 def test_best_order_exact_ties_take_smallest_order(rng):

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from retroselect import index as index_module
+from retroselect import scoring
 from retroselect.chem import canonical_form, parse_smiles
 from retroselect.encoder import ModelDims, init_params
 from retroselect.index import CandidateIndex
-from retroselect.scoring import ScoredSet, cosine64
-from retroselect.search import Predictor, beam_search, rank, route_search
+from retroselect.scoring import ScoredSet, cosine64, reaction_score
+from retroselect.search import Hypothesis, Predictor, beam_search, rank, route_search
 
 
 def synthetic_world(rng, n=8, d=6):
@@ -146,7 +147,8 @@ def test_beam_matches_float64_reference_on_near_ties(rng):
     for trial in range(4):
         params, index, g_pool, f_p = near_tie_world(rng, n=48, d=5)
         exclude = {int(index.ids[trial])}
-        for beam in (1, 4, 9):
+        # 60 is wider than the 49 key rows.
+        for beam in (1, 4, 9, 60):
             done = beam_search(None, index, params, g_pool, beam=beam, n_max=3,
                                exclude_ids=exclude, f_product=f_p)
             assert_same_beam(done, reference_beam(index, params, g_pool, f_p,
@@ -162,6 +164,18 @@ def test_beam_matches_float64_reference_across_blocks(rng, monkeypatch):
     done = beam_search(None, index, params, g_pool, beam=beam, n_max=3,
                        f_product=f_p)
     assert_same_beam(done, reference_beam(index, params, g_pool, f_p, beam, 3))
+
+
+def test_beam_wider_than_all_extensions_across_blocks(rng, monkeypatch):
+    # Eight columns per block, so the first round scans the 31 key rows in
+    # four blocks. The first two rounds have fewer extensions (30, then
+    # 30 x 29) than the beam keeps, so every pair is banked.
+    monkeypatch.setattr(index_module, "_BLOCK_BYTES", 4 * 8)
+    params, index, g_pool, f_p = near_tie_world(rng, n=30, d=4, copies=5)
+    done = beam_search(None, index, params, g_pool, beam=1000, n_max=3,
+                       f_product=f_p)
+    assert sum(len(h.chosen) == 2 for h in done) == 30 * 29 // 2
+    assert_same_beam(done, reference_beam(index, params, g_pool, f_p, 1000, 3))
 
 
 def test_banked_cum_psi_is_float64_step_sum_plus_halt(rng):
@@ -215,6 +229,48 @@ def test_rank_matches_exhaustive_scoring(rng):
     # Scores agree to summation-order rounding (order equality is exact).
     assert np.allclose([s.score for s in ranked], [o[1] for o in oracle],
                        rtol=1e-12, atol=0)
+
+
+def test_rank_matches_per_set_reaction_score_loop(rng, monkeypatch):
+    """Batched ``rank`` scores every set bit for bit as ``reaction_score``
+    scores it alone: sizes 0..n_max, exact ties from duplicated rows, the
+    greedy path below n_max, biases, and batches split across calls."""
+    n, d, n_max = 300, 16, 4
+    for trial in range(20):
+        params = init_params(trial, ModelDims(d=d, n_layers=1, n_types=1))
+        for name in ("halt_key", "type.u", "type.v"):
+            tensor = params.tensors[name].data
+            tensor[:] = rng.standard_normal(tensor.shape)
+        raw = rng.standard_normal((n, d)).astype(np.float32)
+        g_pool = rng.standard_normal((n, d)).astype(np.float32)
+        raw[:10], g_pool[:10] = raw[10:20], g_pool[10:20]  # exact duplicates
+        index = CandidateIndex.from_raw_keys(raw, rng.permutation(n) * 2 + 1,
+                                             halt_key=params.tensors["halt_key"].data)
+        ids = index.ids
+        sets = [rng.choice(ids, size=size, replace=False)
+                for size in range(n_max + 1) for _ in range(12)]
+        sets += [ids[[row, row + 10] + extra]
+                 for row, extra in ((0, []), (3, [40]), (7, [41, 42]))]
+        hypotheses = [Hypothesis(tuple(map(int, chosen)), np.zeros(d), 0.0, True)
+                      for chosen in sets]
+        f_p, h_p = rng.standard_normal(d), rng.standard_normal(d)
+        rxn_type = 1 if trial % 2 else None
+        if trial % 4 == 3:
+            # Room for about three size-4 sets per batched call.
+            monkeypatch.setattr(scoring, "_BATCH_BYTES", 8 * 3 * (16 * (d + 16) + 48))
+        for threshold in (5, 2):
+            ranked = rank(None, hypotheses, params, index, g_pool, rxn_type=rxn_type,
+                          perm_threshold=threshold, f_product=f_p, h_product=h_p)
+            u_bias = params.tensors["type.u"].data[0] if rxn_type else None
+            v_bias = params.tensors["type.v"].data[0] if rxn_type else None
+            loop = [reaction_score(f_p, h_p, {i: g_pool[index.row_of(i)] for i in h.chosen},
+                                   {i: index.row_for(i) for i in h.chosen},
+                                   params.tensors["halt_key"].data, u_bias=u_bias,
+                                   v_bias=v_bias, perm_threshold=threshold)
+                    for h in hypotheses]
+            loop.sort(key=lambda s: (-s.score, len(s.reactant_ids), s.reactant_ids))
+            assert ranked == loop, (trial, threshold)
+        monkeypatch.undo()
 
 
 def test_ranked_scores_bounded_and_sorted(rng):
