@@ -1,19 +1,24 @@
 """Exact top-K cosine retrieval over the candidate pool's key embeddings.
 
 One blocked scan serves every selection. It scans the keys in float32, one
-column block at a time, keeps a running top K plus every entry within a
-safety margin of its K-th value, and rescores that shortlist in float64.
+column block at a time, against a running top K per group: one group per
+query row, or one over all rows. Each block is compared once with its
+group's floor (the running K-th value less a safety margin, first taken
+from the block's leading columns), and only the entries above it update
+the running top K and join the shortlist, which is rescored in float64.
 ``CandidateIndex.topk_rows`` keeps a top K per query row: a single query
 (``query_topk``) or one row per anchor in hard-negative mining.
 ``CandidateIndex.topk_pairs`` keeps one top K over all rows at once, each
 row's cosines shifted by an offset: a beam round, where the offset is a
-hypothesis's running score. Results are therefore exactly the float64
-ranking with ascending-id tie-breaks, while score memory stays
-O(query rows x block) however large the pool is.
+hypothesis's running score, so a row's cosines are compared against the
+floor less its offset. Results are therefore exactly the float64 ranking
+with ascending-id tie-breaks, while score memory stays O(query rows x
+block) however large the pool is.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -36,6 +41,9 @@ _REFINE_MARGIN = 1e-4
 # of at most _RESCORE_BYTES.
 _BLOCK_BYTES = 16 << 20
 _RESCORE_BYTES = 1 << 20
+# Bytes of float32 scores in the leading columns whose top K sets the first
+# floor of a scan: a small slice already puts it near the final K-th value.
+_SEED_BYTES = 1 << 20
 _LOWEST32 = np.finfo(np.float32).min
 
 
@@ -57,12 +65,13 @@ class CandidateIndex:
     includes_halt: bool = False
     build_step: int = 0
     zero_mask: np.ndarray | None = None
-    _row_of: dict[int, int] = field(default_factory=dict, repr=False)
+    # Id of every key row (the halt row's is HALT_ID), and the rows in
+    # ascending id order: the id-to-row lookup is one searchsorted.
+    _all_ids: np.ndarray = field(init=False, repr=False, compare=False)
+    _by_id: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.ids = np.asarray(self.ids, dtype=np.int64)
-        if len(set(self.ids.tolist())) != self.ids.shape[0]:
-            raise ValueError("candidate ids must be unique")
         if np.any(self.ids < 0):
             raise ValueError("candidate ids must be non-negative")
         expected_rows = self.ids.shape[0] + (1 if self.includes_halt else 0)
@@ -70,9 +79,12 @@ class CandidateIndex:
             raise ValueError(f"key rows {self.keys.shape[0]} != expected {expected_rows}")
         if self.zero_mask is None:
             self.zero_mask = np.zeros(self.keys.shape[0], dtype=bool)
-        self._row_of = {int(mol_id): row for row, mol_id in enumerate(self.ids)}
-        if self.includes_halt:
-            self._row_of[HALT_ID] = self.keys.shape[0] - 1
+        self._all_ids = np.concatenate([self.ids, [HALT_ID]]) if self.includes_halt \
+            else self.ids
+        self._by_id = np.argsort(self._all_ids, kind="stable")
+        sorted_ids = self._all_ids[self._by_id]
+        if np.any(sorted_ids[1:] == sorted_ids[:-1]):
+            raise ValueError("candidate ids must be unique")
 
     @property
     def n_candidates(self) -> int:
@@ -83,19 +95,35 @@ class CandidateIndex:
         return self.keys.shape[1]
 
     def all_ids(self) -> np.ndarray:
-        if self.includes_halt:
-            return np.concatenate([self.ids, [HALT_ID]])
-        return self.ids
+        """Id of every key row, ``HALT_ID`` for the halt row."""
+        return self._all_ids
+
+    def find_rows(self, mol_ids) -> tuple[np.ndarray, np.ndarray]:
+        """Key rows of an array of ids (``HALT_ID``: the halt row) and a
+        mask of the ids present; the row of an absent id is meaningless."""
+        mol_ids = np.asarray(mol_ids, dtype=np.int64)
+        if self._by_id.size == 0:
+            return np.zeros(mol_ids.shape, dtype=np.int64), np.zeros(mol_ids.shape, bool)
+        pos = np.searchsorted(self._all_ids, mol_ids, sorter=self._by_id)
+        rows = np.take(self._by_id, pos, mode="clip")
+        return rows, self._all_ids[rows] == mol_ids
+
+    def rows_of(self, mol_ids) -> np.ndarray:
+        """Key rows of an array of ids, all of which must be present."""
+        rows, present = self.find_rows(mol_ids)
+        if not present.all():
+            raise KeyError(int(np.asarray(mol_ids)[~present].flat[0]))
+        return rows
 
     def row_of(self, mol_id: int) -> int:
         """Key row of a candidate id, or of the halt row for ``HALT_ID``."""
-        return self._row_of[int(mol_id)]
+        return int(self.rows_of(int(mol_id)))
 
     def row_for(self, mol_id: int) -> np.ndarray:
-        return self.keys[self._row_of[mol_id]]
+        return self.keys[self.row_of(mol_id)]
 
     def has_id(self, mol_id: int) -> bool:
-        return mol_id in self._row_of
+        return bool(self.find_rows(int(mol_id))[1])
 
     # --- construction ---
 
@@ -201,29 +229,51 @@ class CandidateIndex:
         ex_q, ex_r = _flat_exclusions(exclude_rows, n_queries, n_rows)
 
         # Float32 scan, one column block at a time. ``best`` holds the K
-        # highest values so far (per query, or over all of them), so its
-        # first column is a lower bound on the final K-th value: every entry
-        # that can reach the final top K is within the margin of it when
-        # its block is scanned.
+        # highest values so far of each group (a query row, or all rows).
+        # The K-th highest of any K entries of a group is a lower bound on
+        # its final K-th value, and every entry that can reach the final top
+        # K is within the margin of that bound: the floor. Each block is
+        # compared once with the floor, and only the entries above it update
+        # ``best`` and join the shortlist. Until some group has K values, the
+        # block's leading columns enter ``best`` whole, to set the floor for
+        # the rest of the block.
         width = max(1, _BLOCK_BYTES // (4 * max(n_queries, 1)))
-        best = np.full((n_queries if offsets is None else 1, k), -np.inf,
-                       dtype=np.float32)
-        shift = None if offsets is None else offsets.astype(np.float32)[:, None]
+        lead = max(k, _SEED_BYTES // (4 * max(n_queries, 1)))
+        n_groups = n_queries if offsets is None else 1
+        group = np.arange(n_queries) if offsets is None \
+            else np.zeros(n_queries, dtype=np.int64)
+        best = np.full((n_groups, k), -np.inf, dtype=np.float32)
+        shift = None if offsets is None else offsets.astype(np.float32)
         found = []
         for lo in range(0, n_rows, width):
             block = q32 @ self.keys[lo:lo + width].T
             inside = (ex_r >= lo) & (ex_r < lo + width)
             block[ex_q[inside], ex_r[inside] - lo] = -np.inf
+            seeded = 0
+            if np.isneginf(best[:, 0]).all():
+                leading = block[:, :lead] if shift is None \
+                    else block[:, :lead] + shift[:, None]
+                best = _top_k(best, leading.reshape(n_groups, -1), k)
+                seeded = leading.shape[1]
+            floor = _shortlist_floor(best)[group]
             if shift is not None:
-                block += shift
-            both = np.concatenate([best, block.reshape(best.shape[0], -1)], axis=1)
-            best = np.partition(both, both.shape[1] - k, axis=1)[:, -k:].copy()
+                # Cosines are compared against the floor less their row's
+                # offset, so the offsets are added to the survivors only.
+                floor = (floor - offsets).astype(np.float32)
             # (flatnonzero then divmod is several times faster than a 2-D nonzero)
-            flat = np.flatnonzero(block >= _shortlist_floor(best)[:, None])
+            flat = np.flatnonzero(block >= floor[:, None])
             qi, col = np.divmod(flat, block.shape[1])
-            found.append((qi, col + lo, block.ravel()[flat]))
+            value = block.ravel()[flat]
+            if shift is not None:
+                value += shift[qi]
+            if seeded < block.shape[1]:
+                fresh = col >= seeded  # the leading columns are in ``best``
+                best = _top_k(best, _by_group(group[qi[fresh]], value[fresh], n_groups), k)
+                keep = value >= _shortlist_floor(best)[group[qi]]
+                qi, col, value = qi[keep], col[keep], value[keep]
+            found.append((qi, col + lo, value))
         qi, rows, approx = (np.concatenate(parts) for parts in zip(*found))
-        keep = approx >= np.broadcast_to(_shortlist_floor(best), (n_queries,))[qi]
+        keep = approx >= _shortlist_floor(best)[group[qi]]
         qi, rows = qi[keep], rows[keep]
 
         exact = np.empty(rows.shape[0])
@@ -250,8 +300,8 @@ class CandidateIndex:
 
         Returns fewer than K pairs if the non-excluded pool is smaller.
         """
-        excluded = [self._row_of[i] for i in map(int, exclude) if i in self._row_of]
-        rows, scores = self.topk_rows(np.asarray(query)[None, :], k, [excluded])
+        rows, present = self.find_rows(np.fromiter(exclude, dtype=np.int64))
+        rows, scores = self.topk_rows(np.asarray(query)[None, :], k, [rows[present]])
         found = rows[0] >= 0
         return list(zip(self.all_ids()[rows[0][found]].tolist(),
                         scores[0][found].tolist()))
@@ -261,6 +311,23 @@ def _shortlist_floor(best: np.ndarray) -> np.ndarray:
     """Lowest float32 value kept per row of ``best``: the margin below the
     K-th best so far, but above -inf so that excluded entries never pass."""
     return np.maximum(best[:, 0] - _REFINE_MARGIN, _LOWEST32)
+
+
+def _top_k(best: np.ndarray, more: np.ndarray, k: int) -> np.ndarray:
+    """Each group's K highest of ``best`` ([groups, K]) and ``more``
+    ([groups, m], -inf where a group has fewer values)."""
+    both = np.concatenate([best, more], axis=1)
+    both.partition(both.shape[1] - k, axis=1)  # in place: no second copy
+    return both[:, -k:].copy()
+
+
+def _by_group(group: np.ndarray, values: np.ndarray, n_groups: int) -> np.ndarray:
+    """``values`` laid out one line per group, padded with -inf; ``group``
+    (ascending) holds the group of each value."""
+    counts = np.bincount(group, minlength=n_groups)
+    lines = np.full((n_groups, counts.max(initial=0)), -np.inf, dtype=np.float32)
+    lines[group, np.arange(values.shape[0]) - (np.cumsum(counts) - counts)[group]] = values
+    return lines
 
 
 def _flat_exclusions(exclude_rows, n_queries: int,
@@ -311,10 +378,11 @@ def hard_neighbors(index: CandidateIndex, anchor_ids, k: int,
         return set()
     halt = [index.row_of(HALT_ID)] if index.includes_halt else []
     queries, excluded = [], []
-    for anchor in anchors:
-        if index.has_id(anchor):
-            queries.append(index.row_for(anchor))
-            excluded.append([index.row_of(anchor)] + halt)
+    anchor_rows, present = index.find_rows(anchors)
+    for anchor, row, inside in zip(anchors, anchor_rows.tolist(), present.tolist()):
+        if inside:
+            queries.append(index.keys[row])
+            excluded.append([row] + halt)
         elif embed_query is not None:
             queries.append(embed_query(anchor))
             excluded.append(halt)
@@ -340,22 +408,22 @@ class CorruptIndexCache(ValueError):
 
 
 def load_index(path: str) -> CandidateIndex:
+    """Read an RCLX cache, the ids and keys straight into their arrays."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < _HEADER.size:
-        raise CorruptIndexCache("truncated header")
-    magic, version, n, d, halt_flag = _HEADER.unpack_from(blob, 0)
-    if magic != _MAGIC:
-        raise CorruptIndexCache(f"bad magic {magic!r}")
-    if version != _VERSION:
-        raise CorruptIndexCache(f"unsupported index version {version}")
-    rows = n + (1 if halt_flag else 0)
-    offset = _HEADER.size
-    ids_bytes = 8 * n
-    keys_bytes = 4 * rows * d
-    if len(blob) != offset + ids_bytes + keys_bytes:
-        raise CorruptIndexCache("unexpected file size")
-    ids = np.frombuffer(blob, dtype="<u8", count=n, offset=offset).astype(np.int64)
-    keys = np.frombuffer(blob, dtype="<f4", count=rows * d,
-                         offset=offset + ids_bytes).reshape(rows, d).copy()
+        header = fh.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise CorruptIndexCache("truncated header")
+        magic, version, n, d, halt_flag = _HEADER.unpack(header)
+        if magic != _MAGIC:
+            raise CorruptIndexCache(f"bad magic {magic!r}")
+        if version != _VERSION:
+            raise CorruptIndexCache(f"unsupported index version {version}")
+        rows = n + (1 if halt_flag else 0)
+        if os.fstat(fh.fileno()).st_size != _HEADER.size + 8 * n + 4 * rows * d:
+            raise CorruptIndexCache("unexpected file size")
+        ids = np.empty(n, dtype="<u8")
+        keys = np.empty((rows, d), dtype="<f4")
+        for array in (ids, keys):
+            if fh.readinto(array.reshape(-1).view(np.uint8)) != array.nbytes:
+                raise CorruptIndexCache("unexpected file size")
     return CandidateIndex(keys, ids, bool(halt_flag), 0)

@@ -4,13 +4,14 @@ Beam search selects candidates sequentially by the backward score against
 the key index. The beam is held as arrays (chosen rows, running queries and
 score sums, one line per live hypothesis), and each round is one
 ``CandidateIndex.topk_pairs`` call over all live hypotheses: a blocked
-float32 scan of running sum plus cosine against one top-``beam`` floor,
-with the few pairs near it rescored in float64, so score memory is
-O(live x block) and the round keeps exactly the float64 top ``beam``
-extensions (each hypothesis offering its own top ``beam`` by cosine, then
-ascending id). Every live hypothesis is banked at every round with the
-float64 cosine of its query against the halt key, and banked hypotheses
-are deduplicated as id sets. ``rank`` re-ranks them by the full
+float32 scan of running sum plus cosine against one top-``beam`` floor
+(each hypothesis's cosines are compared once with the floor less its
+running sum), with the few pairs near it rescored in float64, so score
+memory is O(live x block) and the round keeps exactly the float64 top
+``beam`` extensions (each hypothesis offering its own top ``beam`` by
+cosine, then ascending id). Every live hypothesis is banked at every round
+with the float64 cosine of its query against the halt key, and banked
+hypotheses are deduplicated as id sets. ``rank`` re-ranks them by the full
 permutation-maximized overall score, one batched ``scoring.score_sets``
 call per set size.
 """
@@ -77,9 +78,8 @@ def beam_search(product: Molecule | None, index: CandidateIndex, params: ParamSt
         query += np.asarray(u_bias, dtype=np.float64)
 
     halt_key = np.asarray(params.tensors["halt_key"].data, dtype=np.float64)
-    blocked = np.array([index.row_of(HALT_ID)]
-                       + [index.row_of(i) for i in exclude_ids or () if index.has_id(i)],
-                       dtype=np.int64)
+    excluded_rows, present = index.find_rows(list(exclude_ids or ()))
+    blocked = np.append(index.row_of(HALT_ID), excluded_rows[present])
     # The beam, one line per live hypothesis: chosen key rows in selection
     # order, running query and running score sum.
     chosen = np.empty((1, 0), dtype=np.int64)
@@ -139,8 +139,7 @@ def rank(product: Molecule | None, hypotheses: list[Hypothesis], params: ParamSt
     scored = []
     for n, sets in by_size.items():
         ids = np.array(sets, dtype=np.int64).reshape(len(sets), n)
-        rows = np.array([index.row_of(i) for i in ids.ravel().tolist()],
-                        dtype=np.int64).reshape(ids.shape)
+        rows = index.rows_of(ids)
         scores, orders = score_sets(f_product, h_product, g_pool[rows], index.keys[rows],
                                     halt_key, u_bias, v_bias, perm_threshold)
         best_ids = np.take_along_axis(ids, orders, axis=1)

@@ -237,6 +237,85 @@ def test_topk_rows_spans_column_blocks(rng, monkeypatch):
             naive_topk_rows(index, queries, k, exclude)
 
 
+def naive_topk_pairs(lines, offsets, k):
+    """Oracle for ``topk_pairs`` from each query's naive ranking (``lines``,
+    as from ``naive_topk_rows``): the K highest ``offset + cosine`` totals of
+    the queries' top K rows, by (-total, query, id)."""
+    pairs = [(offsets[q] + score, q, mol_id)
+             for q, line in enumerate(lines) for mol_id, score in line[:k]]
+    pairs.sort(key=lambda p: (-p[0], p[1], p[2]))
+    return [(q, mol_id, total) for total, q, mol_id in pairs[:k]]
+
+
+def monotone_index(rng, n, d, width, rising):
+    """Keys whose cosine with the first axis rises (or falls) with the row,
+    so that for queries near that axis every column block of ``width`` rows
+    beats all earlier ones (or loses to them). Around the block boundary
+    nearest ``n // 2``, eight rows become float32-ulp copies of one key
+    (four on each side), flanked by a key a few 1e-5 above them and one a
+    few 1e-5 below, inside the scan's margin. Returns the index, queries
+    near the axis and the planted rows."""
+    angles = np.linspace(1.4, 0.05, n) if rising else np.linspace(0.05, 1.4, n)
+    other = rng.standard_normal((n, d - 1))
+    other /= np.linalg.norm(other, axis=1, keepdims=True)
+    boundary = (n // 2) // width * width
+    ties = np.arange(boundary - 5, boundary + 5)
+    angles[ties] = angles[boundary] + np.array([-3e-5] + [0.0] * 8 + [5e-5])
+    other[ties] = other[boundary]
+    raw = np.hstack([np.cos(angles)[:, None], np.sin(angles)[:, None] * other])
+    index = CandidateIndex.from_raw_keys(raw.astype(np.float32), rng.permutation(n) * 2)
+    queries = np.eye(1, d) + 1e-4 * rng.standard_normal((12, d))
+    # Plant the copies until, for some query, float32 puts a copy after the
+    # boundary below all four before it while float64 puts it above one of
+    # them: a scan whose floor sits on the lowest copy before the boundary
+    # needs the margin to keep it.
+    base = index.keys[boundary].copy()
+    for _ in range(200):
+        index.keys[ties[1]] = base
+        plant_near_ties(index, ties[1:-1], rng)
+        approx = queries.astype(np.float32) @ index.keys[ties].T
+        exact = np.array([[cosine64(q, index.keys[r]) for r in ties] for q in queries])
+        below_all = approx[:, 5:9] < approx[:, 1:5].min(axis=1, keepdims=True)
+        above_one = exact[:, 5:9] > exact[:, 1:5].min(axis=1, keepdims=True)
+        if np.any(below_all & above_one):
+            break
+    else:
+        raise AssertionError("no float32 misorder across the boundary")
+    cosines = np.array([[cosine64(q, key) for key in index.keys] for q in queries])
+    rise = cosines if rising else -cosines
+    untied = np.setdiff1d(np.arange(n), ties)
+    blocks = untied[:untied.shape[0] // width * width].reshape(-1, width)
+    assert np.all(rise[:, blocks[1:, 0]] > rise[:, blocks[:-1, -1]])
+    assert np.all(np.diff(rise[:, untied], axis=1) > 0)
+    return index, queries, ties
+
+
+@pytest.mark.parametrize("rising", [True, False])
+@pytest.mark.parametrize("width", [7, 32])
+def test_topk_rows_and_pairs_adversarial_block_order(rng, monkeypatch, width, rising):
+    n, d, n_queries = 160, 6, 12
+    monkeypatch.setattr(index_module, "_BLOCK_BYTES", 4 * n_queries * width)
+    # The first floor comes from the K highest of max(K, 3) leading columns.
+    monkeypatch.setattr(index_module, "_SEED_BYTES", 4 * n_queries * 3)
+    index, queries, ties = monotone_index(rng, n, d, width, rising)
+    # Queries 1 and 3 may not return any row of the first block; query 3
+    # loses half the pool. The others exclude a few rows.
+    exclude = random_exclusions(rng, n_queries, n, most=4)
+    exclude[1] = list(range(width))
+    exclude[3] = list(range(n // 2))
+    # Offsets within the margin of each other tie totals across queries.
+    offsets = 0.3 + rng.choice([0.0, 2e-5, -1e-5, -4e-5], size=n_queries)
+    # Every K, from below one block's width to past the whole pool: some put
+    # the K-th highest row of a query on the near-ties across the boundary.
+    lines = naive_topk_rows(index, queries, n + 2, exclude)
+    for k in range(1, n + 3):
+        rows, scores = index.topk_rows(queries, k, exclude)
+        assert kernel_lists(index, rows, scores) == [line[:k] for line in lines], k
+        qi, rows, totals = index.topk_pairs(queries, offsets, k, exclude)
+        got = list(zip(qi.tolist(), index.all_ids()[rows].tolist(), totals.tolist()))
+        assert got == naive_topk_pairs(lines, offsets, k), k
+
+
 def test_topk_rows_k_at_or_above_valid_rows(rng):
     index = build_random_index(rng, n=9, d=4, halt=True)
     queries = rng.standard_normal((3, 4))

@@ -178,6 +178,28 @@ def test_beam_wider_than_all_extensions_across_blocks(rng, monkeypatch):
     assert_same_beam(done, reference_beam(index, params, g_pool, f_p, 1000, 3))
 
 
+def test_topk_pairs_and_beam_invariant_to_block_size(rng, monkeypatch):
+    params, index, g_pool, f_p = near_tie_world(rng, n=150, d=4, copies=5)
+    queries = f_p + 0.05 * rng.standard_normal((6, 4))
+    offsets = rng.choice([0.5, 0.5 + 3e-5, 0.5 - 1e-9], size=6)
+    exclude = [rng.choice(151, size=3, replace=False) for _ in range(6)]
+    runs = []
+    # One block; blocks of 40 columns, the first floor set by max(K, 3)
+    # leading columns; blocks of one column.
+    for block_bytes, seed_bytes in ((index_module._BLOCK_BYTES, index_module._SEED_BYTES),
+                                    (4 * 6 * 40, 4 * 6 * 3), (4, 4)):
+        monkeypatch.setattr(index_module, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(index_module, "_SEED_BYTES", seed_bytes)
+        pairs = [index.topk_pairs(queries, offsets, k, exclude) for k in (1, 7, 40, 900)]
+        done = beam_search(None, index, params, g_pool, beam=12, n_max=3, f_product=f_p)
+        runs.append((pairs, [(h.chosen, h.cum_psi, h.query.tobytes()) for h in done]))
+    for pairs, done in runs[1:]:
+        assert done == runs[0][1]
+        for (qi, rows, totals), (qi0, rows0, totals0) in zip(pairs, runs[0][0]):
+            assert np.array_equal(qi, qi0) and np.array_equal(rows, rows0)
+            assert totals.tobytes() == totals0.tobytes()
+
+
 def test_banked_cum_psi_is_float64_step_sum_plus_halt(rng):
     params, index, g_pool, f_p = synthetic_world(rng, n=30)
     halt = params.tensors["halt_key"].data
