@@ -43,7 +43,7 @@ print()
 print("=== A candidate pool is one matrix ===")
 pool = [parse_smiles(s) for s in
         ("CCO", "CCN", "CCC", "c1ccccc1", "c1ccncc1", "CC(=O)O")]
-keys, zero_mask = embed_pool(pool, params)
+keys = embed_pool(pool, params)
 print(f"keys: {keys.shape}, row norms all 1: "
       f"{np.allclose(np.linalg.norm(keys, axis=1), 1.0, atol=1e-6)}")
 sims = keys @ keys.T

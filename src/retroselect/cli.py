@@ -94,7 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     index.add_argument("--checkpoint", required=True)
     index.add_argument("--candidates", required=True)
     index.add_argument("--output", required=True)
-    index.add_argument("--with-halt", action="store_true")
     index.add_argument("--threads", type=int, default=1)
 
     predict = sub.add_parser("predict", help="predict reactant sets",
@@ -244,19 +243,25 @@ def _load_pool(args):
 def _cmd_index(args) -> int:
     from .index import CandidateIndex, save_index
     params, candidates, _forms = _load_pool(args)
-    index = CandidateIndex.build(params, candidates,
-                                 include_halt=args.with_halt)
+    index = CandidateIndex.build(params, candidates)
     save_index(index, args.output)
-    print(f"indexed {index.n_candidates} candidates (d={index.dim}, "
-          f"halt={'yes' if index.includes_halt else 'no'}) -> {args.output}")
+    print(f"indexed {index.n_candidates} candidates (d={index.dim}) -> {args.output}")
     return EXIT_OK
 
 
-def _read_products(path, use_types):
+def _check_type(rxn_type: int, n_types: int, where: str) -> None:
+    from .data import CorpusError
+    if not 1 <= rxn_type <= n_types:
+        raise CorpusError(f"{where}: reaction type {rxn_type} outside the "
+                          f"checkpoint's types [1, {n_types}]")
+
+
+def _read_products(path, use_types, n_types):
     from .chem import parse_smiles
+    from .data import CorpusError
     products = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -264,7 +269,12 @@ def _read_products(path, use_types):
             if "\t" in line:
                 smiles, _, tail = line.partition("\t")
                 if use_types and tail.strip():
-                    rxn_type = int(tail.strip())
+                    try:
+                        rxn_type = int(tail.strip())
+                    except ValueError:
+                        raise CorpusError(f"{path}:{lineno}: bad reaction type "
+                                          f"{tail.strip()!r}") from None
+                    _check_type(rxn_type, n_types, f"{path}:{lineno}")
             else:
                 smiles = line
             products.append((parse_smiles(smiles), rxn_type))
@@ -281,16 +291,19 @@ def _predict_many(predictor, jobs, k, threads):
     return [run(job) for job in jobs]
 
 
-def _cached_index(args, n_candidates):
+def _cached_index(args, n_candidates, dim):
     path = getattr(args, "index_cache", None)
     if not path:
         return None
+    from .data import CorpusError
     from .index import load_index
     index = load_index(path)
     if index.n_candidates != n_candidates:
-        from .data import CorpusError
         raise CorpusError(f"index cache holds {index.n_candidates} candidates, "
                           f"pool file has {n_candidates}")
+    if index.dim != dim:
+        raise CorpusError(f"index cache holds keys of width {index.dim}, "
+                          f"checkpoint has d={dim}")
     return index
 
 
@@ -298,10 +311,10 @@ def _cmd_predict(args) -> int:
     from .chem import canonical_form
     from .search import Predictor
     params, candidates, forms = _load_pool(args)
+    products = _read_products(args.products, args.use_types, params.dims.n_types)
     predictor = Predictor(params, candidates, forms=forms,
-                          index=_cached_index(args, len(candidates)),
+                          index=_cached_index(args, len(candidates), params.dims.d),
                           beam=args.beam, n_max=args.n_max)
-    products = _read_products(args.products, args.use_types)
     results = _predict_many(predictor, products, args.k, args.threads)
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
@@ -326,8 +339,12 @@ def _cmd_evaluate(args) -> int:
     records = corpus.reactions["test"]
     if args.limit:
         records = records[:args.limit]
+    if args.use_types:
+        for r in records:
+            if r.rxn_type is not None:
+                _check_type(r.rxn_type, params.dims.n_types, args.test)
     predictor = Predictor(params, candidates, forms=forms,
-                          index=_cached_index(args, len(candidates)),
+                          index=_cached_index(args, len(candidates), params.dims.d),
                           beam=args.beam, n_max=args.n_max)
     jobs = [(corpus.molecule(r.product_id),
              r.rxn_type if args.use_types else None) for r in records]

@@ -18,6 +18,8 @@ from .chem import ChemError, Molecule, canonical_form, parse_reaction, parse_smi
 from .encoder import ModelDims, ParamStore, init_params
 
 SPLITS = ("train", "val", "test")
+# Loading aborts when more than this share of data lines fails to parse.
+MAX_ERROR_FRACTION = 0.01
 
 
 class CorpusError(ValueError):
@@ -83,16 +85,14 @@ def _iter_records(path: str):
 
 
 def load_corpus(reaction_paths: dict[str, str],
-                candidates_path: str | None = None,
-                candidate_mode: str = "reactant-pool",
-                max_error_fraction: float = 0.01) -> Corpus:
+                candidates_path: str | None = None) -> Corpus:
     """Load reaction splits and the candidate pool.
 
     ``candidates_path`` supplies an explicit pool file; otherwise the pool is
     derived as all distinct reactants across the given splits. Duplicate
     reaction lines and reactions whose product equals one of its reactants
     are dropped (counted in ``stats``); parsing aborts if more than
-    ``max_error_fraction`` of data lines fail.
+    ``MAX_ERROR_FRACTION`` of data lines fail.
     """
     corpus = Corpus()
     n_lines = 0
@@ -130,7 +130,7 @@ def load_corpus(reaction_paths: dict[str, str],
             records.append(ReactionRecord(reactant_ids, product_id, rxn_type))
         corpus.reactions[split] = records
 
-    if n_lines and n_bad / n_lines > max_error_fraction:
+    if n_lines and n_bad / n_lines > MAX_ERROR_FRACTION:
         raise CorpusError(
             f"{n_bad}/{n_lines} reaction lines failed to parse; first errors: "
             + "; ".join(first_errors))
@@ -151,14 +151,12 @@ def load_corpus(reaction_paths: dict[str, str],
         if n_cand_lines == 0:
             raise CorpusError(f"candidate file {candidates_path} is empty")
         corpus.candidate_ids = sorted(set(candidate_ids))
-    elif candidate_mode == "reactant-pool":
+    else:
         pool: set[int] = set()
         for records in corpus.reactions.values():
             for record in records:
                 pool.update(record.reactant_ids)
         corpus.candidate_ids = sorted(pool)
-    else:
-        raise CorpusError(f"unknown candidate mode {candidate_mode!r}")
 
     if not corpus.candidate_ids:
         raise CorpusError("empty candidate pool")

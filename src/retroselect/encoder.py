@@ -42,7 +42,6 @@ class ModelDims:
 class MolEmbedding:
     head: str
     vector: np.ndarray
-    molecule_id: int | None = None
 
 
 class ParamStore:
@@ -258,11 +257,11 @@ def embed_graphs(feats, params: ParamStore, mode: str = "eval",
 
 
 def embed_molecule(mol: Molecule, head: str, params: ParamStore,
-                   mode: str = "eval", molecule_id: int | None = None) -> MolEmbedding:
+                   mode: str = "eval") -> MolEmbedding:
     """Embedding vector of one molecule under one head (type bias is applied
     later, at query assembly)."""
     out = embed_graphs(featurize(mol), params, mode, heads=(head,))[head]
-    return MolEmbedding(head, out.data[0].copy(), molecule_id)
+    return MolEmbedding(head, out.data[0].copy())
 
 
 def embed_matrix(mols: list[Molecule], params: ParamStore, head: str,
@@ -280,18 +279,14 @@ def embed_matrix(mols: list[Molecule], params: ParamStore, head: str,
 
 
 def embed_pool(mols: list[Molecule], params: ParamStore,
-               batch_size: int = 512) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-normalized key (h-head) embeddings for a candidate pool.
-
-    Returns (keys, zero_mask): rows in input order, zero-norm rows are left
-    as zero and flagged in the mask. Eval mode only.
-    """
+               batch_size: int = 512) -> np.ndarray:
+    """Unit-normalized key (h-head) embeddings for a candidate pool, rows in
+    input order; zero-norm rows are left as zero. Eval mode only."""
     keys = embed_matrix(mols, params, "h", batch_size)
     norms = np.linalg.norm(keys, axis=1)
-    zero_mask = norms < ad.ZERO_NORM_EPS
-    scale = np.where(zero_mask, 1.0, norms).astype(np.float32)
+    scale = np.where(norms < ad.ZERO_NORM_EPS, 1.0, norms).astype(np.float32)
     keys /= scale[:, None]
-    return keys, zero_mask
+    return keys
 
 
 def type_bias(params: ParamStore, table: str, rxn_type: int | None) -> np.ndarray | None:

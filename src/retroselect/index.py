@@ -56,15 +56,13 @@ class CandidateIndex:
     """Immutable snapshot of unit-normalized key embeddings.
 
     ``keys`` has one row per candidate (input order) plus, when
-    ``includes_halt``, a final row for the halt key (id -1, never stored on
-    disk). Rows with zero-norm embeddings stay zero and are flagged.
+    ``includes_halt``, a final row for the halt key (id -1). Rows with
+    zero-norm embeddings stay zero, so every cosine with them is 0.
     """
 
     keys: np.ndarray                  # [N (+1), d] float32, unit (or zero) rows
     ids: np.ndarray                   # [N] int64, unique, >= 0
     includes_halt: bool = False
-    build_step: int = 0
-    zero_mask: np.ndarray | None = None
     # Id of every key row (the halt row's is HALT_ID), and the rows in
     # ascending id order: the id-to-row lookup is one searchsorted.
     _all_ids: np.ndarray = field(init=False, repr=False, compare=False)
@@ -77,8 +75,6 @@ class CandidateIndex:
         expected_rows = self.ids.shape[0] + (1 if self.includes_halt else 0)
         if self.keys.shape[0] != expected_rows:
             raise ValueError(f"key rows {self.keys.shape[0]} != expected {expected_rows}")
-        if self.zero_mask is None:
-            self.zero_mask = np.zeros(self.keys.shape[0], dtype=bool)
         self._all_ids = np.concatenate([self.ids, [HALT_ID]]) if self.includes_halt \
             else self.ids
         self._by_id = np.argsort(self._all_ids, kind="stable")
@@ -119,48 +115,34 @@ class CandidateIndex:
         """Key row of a candidate id, or of the halt row for ``HALT_ID``."""
         return int(self.rows_of(int(mol_id)))
 
-    def row_for(self, mol_id: int) -> np.ndarray:
-        return self.keys[self.row_of(mol_id)]
-
-    def has_id(self, mol_id: int) -> bool:
-        return bool(self.find_rows(int(mol_id))[1])
-
     # --- construction ---
 
     @classmethod
-    def build(cls, params: ParamStore, candidates: list, candidate_ids=None,
-              include_halt: bool = False, build_step: int = 0,
-              batch_size: int = 512) -> "CandidateIndex":
+    def build(cls, params: ParamStore, candidates: list,
+              candidate_ids=None) -> "CandidateIndex":
         """Embed and normalize all candidate molecules, input order preserved."""
         if candidate_ids is None:
             candidate_ids = np.arange(len(candidates), dtype=np.int64)
-        keys, zero_mask = embed_pool(candidates, params, batch_size=batch_size)
-        if include_halt:
-            keys, zero_mask = _append_halt(keys, zero_mask, params)
-        return cls(keys, candidate_ids, include_halt, build_step, zero_mask)
+        return cls(embed_pool(candidates, params), candidate_ids)
 
     @classmethod
     def from_raw_keys(cls, raw: np.ndarray, candidate_ids=None,
-                      halt_key: np.ndarray | None = None,
-                      build_step: int = 0) -> "CandidateIndex":
+                      halt_key: np.ndarray | None = None) -> "CandidateIndex":
         """Index over already-computed raw (unnormalized) key vectors."""
         raw = np.asarray(raw, dtype=np.float32)
         if candidate_ids is None:
             candidate_ids = np.arange(raw.shape[0], dtype=np.int64)
-        keys, zero_mask = _normalize_rows(raw)
+        keys = _normalize_rows(raw)
         if halt_key is not None:
-            hk = np.asarray(halt_key, dtype=np.float32).reshape(1, -1)
-            hkeys, hzero = _normalize_rows(hk)
-            keys = np.vstack([keys, hkeys])
-            zero_mask = np.concatenate([zero_mask, hzero])
-        return cls(keys, candidate_ids, halt_key is not None, build_step, zero_mask)
+            keys = _append_halt(keys, halt_key)
+        return cls(keys, candidate_ids, halt_key is not None)
 
     def with_halt(self, params: ParamStore) -> "CandidateIndex":
         """Derived snapshot with the current halt key appended (for search)."""
         if self.includes_halt:
             return self
-        keys, zero_mask = _append_halt(self.keys, self.zero_mask, params)
-        return CandidateIndex(keys, self.ids, True, self.build_step, zero_mask)
+        return CandidateIndex(_append_halt(self.keys, params.tensors["halt_key"].data),
+                              self.ids, True)
 
     # --- queries ---
 
@@ -351,18 +333,15 @@ def _flat_exclusions(exclude_rows, n_queries: int,
     return ex_q, ex_r
 
 
-def _normalize_rows(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _normalize_rows(raw: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(raw, axis=1)
-    zero_mask = norms < 1e-12
-    scale = np.where(zero_mask, 1.0, norms).astype(np.float32)
-    return (raw / scale[:, None]).astype(np.float32), zero_mask
+    scale = np.where(norms < 1e-12, 1.0, norms).astype(np.float32)
+    return (raw / scale[:, None]).astype(np.float32)
 
 
-def _append_halt(keys: np.ndarray, zero_mask: np.ndarray,
-                 params: ParamStore) -> tuple[np.ndarray, np.ndarray]:
-    halt, hzero = _normalize_rows(
-        params.tensors["halt_key"].data.astype(np.float32).reshape(1, -1))
-    return np.vstack([keys, halt]), np.concatenate([zero_mask, hzero])
+def _append_halt(keys: np.ndarray, halt_key: np.ndarray) -> np.ndarray:
+    halt = _normalize_rows(np.asarray(halt_key, dtype=np.float32).reshape(1, -1))
+    return np.vstack([keys, halt])
 
 
 def hard_neighbors(index: CandidateIndex, anchor_ids, k: int,
@@ -426,4 +405,4 @@ def load_index(path: str) -> CandidateIndex:
         for array in (ids, keys):
             if fh.readinto(array.reshape(-1).view(np.uint8)) != array.nbytes:
                 raise CorruptIndexCache("unexpected file size")
-    return CandidateIndex(keys, ids, bool(halt_flag), 0)
+    return CandidateIndex(keys, ids, bool(halt_flag))

@@ -194,27 +194,6 @@ def _stacked_rows(by_id: dict[int, np.ndarray], ids, d: int) -> np.ndarray:
     return np.array([by_id[i] for i in ids], dtype=np.float64).reshape(1, len(ids), d)
 
 
-def best_permutation(f_product: np.ndarray,
-                     g_by_id: dict[int, np.ndarray],
-                     h_by_id: dict[int, np.ndarray],
-                     halt_key: np.ndarray,
-                     u_bias: np.ndarray | None = None,
-                     perm_threshold: int = PERM_THRESHOLD) -> tuple[tuple[int, ...], float]:
-    """Order of the reactant ids maximizing the summed selection scores
-    (``best_order`` over the cosines with their ``h`` rows), and that sum.
-
-    The halt term is always last and uses the query after all subtractions,
-    so it is order-independent. Ties break toward the lexicographically
-    smallest id sequence.
-    """
-    ids = sorted(g_by_id)
-    d = np.asarray(f_product).shape[0]
-    orders, sums = _selection_sums(f_product, u_bias, _stacked_rows(g_by_id, ids, d),
-                                   _stacked_rows(h_by_id, ids, d), halt_key,
-                                   perm_threshold)
-    return tuple(ids[p] for p in orders[0]), float(sums[0])
-
-
 def score_sets(f_product: np.ndarray, h_product: np.ndarray, g: np.ndarray,
                h: np.ndarray, halt_key: np.ndarray,
                u_bias: np.ndarray | None = None,
@@ -239,7 +218,12 @@ def reaction_score(f_product: np.ndarray,
                    v_bias: np.ndarray | None = None,
                    product_id: int | None = None,
                    perm_threshold: int = PERM_THRESHOLD) -> ScoredSet:
-    """Overall score (psi_sum + phi) / (n + 2) for one candidate reactant set."""
+    """Overall score (psi_sum + phi) / (n + 2) for one candidate reactant set.
+
+    ``best_order`` is the id order maximizing the summed selection scores
+    (halt term last, on the query after all subtractions); ties break toward
+    the lexicographically smallest id sequence.
+    """
     ids = tuple(sorted(g_by_id))
     if product_id is not None and product_id in g_by_id:
         raise ProductInReactants(f"product id {product_id} appears in reactant set")

@@ -39,11 +39,6 @@ class Hypothesis:
     chosen: tuple[int, ...]
     query: np.ndarray       # float64: f(P) (+u bias) minus the chosen g rows
     cum_psi: float
-    done: bool = False
-
-    @property
-    def id_set(self) -> frozenset:
-        return frozenset(self.chosen)
 
 
 def beam_search(product: Molecule | None, index: CandidateIndex, params: ParamStore,
@@ -111,7 +106,7 @@ def _banked(chosen_ids: np.ndarray, queries: np.ndarray,
     by_group = np.lexsort((-totals, group))
     best = by_group[np.searchsorted(group[by_group], np.arange(first.shape[0]))]
     best = best[np.argsort(first)]
-    return [Hypothesis(tuple(ids), query, total, True)
+    return [Hypothesis(tuple(ids), query, total)
             for ids, query, total in zip(chosen_ids[best].tolist(), queries[best],
                                          totals[best].tolist())]
 
@@ -155,7 +150,6 @@ class Predictor:
     def __init__(self, params: ParamStore, candidates: list[Molecule],
                  candidate_ids=None, forms: list[str] | None = None,
                  index: CandidateIndex | None = None,
-                 g_pool: np.ndarray | None = None,
                  beam: int = 200, n_max: int = 4, perm_threshold: int = 5):
         if not 0 <= perm_threshold <= MAX_PERM_THRESHOLD:
             raise ValueError(f"perm_threshold must be in 0..{MAX_PERM_THRESHOLD}")
@@ -164,12 +158,9 @@ class Predictor:
             candidate_ids = np.arange(len(candidates), dtype=np.int64)
         self.candidate_ids = np.asarray(candidate_ids, dtype=np.int64)
         if index is None:
-            index = CandidateIndex.build(params, candidates, self.candidate_ids,
-                                         include_halt=True)
+            index = CandidateIndex.build(params, candidates, self.candidate_ids)
         self.index = index.with_halt(params)
-        if g_pool is None:
-            g_pool = embed_matrix(candidates, params, "g")
-        self.g_pool = g_pool
+        self.g_pool = embed_matrix(candidates, params, "g")
         self.forms = forms if forms is not None \
             else [canonical_form(m) for m in candidates]
         self.id_of_form = {form: int(mol_id)

@@ -88,19 +88,24 @@ class EmbedTable:
             self.row_of = {mol_id: row for row, mol_id in enumerate(self.ids)}
 
 
-def build_embed_table(candidate_ids: list[int], corpus: Corpus,
-                      params: ParamStore, mode: str = "train",
-                      bundle_cache: dict | None = None) -> EmbedTable:
+def _bundles(mol_ids, corpus: Corpus, bundle_cache: dict | None) -> list:
+    """Feature bundles of corpus molecules, through ``bundle_cache`` if given."""
     bundles = []
-    for mol_id in candidate_ids:
-        if bundle_cache is not None and mol_id in bundle_cache:
-            bundles.append(bundle_cache[mol_id])
-        else:
+    for mol_id in mol_ids:
+        bundle = None if bundle_cache is None else bundle_cache.get(mol_id)
+        if bundle is None:
             bundle = featurize(corpus.molecule(mol_id))
             if bundle_cache is not None:
                 bundle_cache[mol_id] = bundle
-            bundles.append(bundle)
-    embeddings = embed_graphs(pack(bundles), params, mode)
+        bundles.append(bundle)
+    return bundles
+
+
+def build_embed_table(candidate_ids: list[int], corpus: Corpus,
+                      params: ParamStore, mode: str = "train",
+                      bundle_cache: dict | None = None) -> EmbedTable:
+    embeddings = embed_graphs(pack(_bundles(candidate_ids, corpus, bundle_cache)),
+                              params, mode)
     return EmbedTable(list(candidate_ids), embeddings["f"], embeddings["g"],
                       embeddings["h"])
 
@@ -254,20 +259,12 @@ def _anchor_queries(batch: list[ReactionRecord], index: CandidateIndex,
                     corpus: Corpus, params: ParamStore,
                     bundle_cache: dict | None):
     """Batched eval h-embeddings for anchors outside the pool (products)."""
-    missing = sorted({i for r in batch for i in r.molecule_ids()
-                      if not index.has_id(i)})
+    anchors = np.array(sorted({i for r in batch for i in r.molecule_ids()}), dtype=np.int64)
+    missing = anchors[~index.find_rows(anchors)[1]].tolist()
     if not missing:
         return None
-    bundles = []
-    for mol_id in missing:
-        if bundle_cache is not None and mol_id in bundle_cache:
-            bundles.append(bundle_cache[mol_id])
-        else:
-            bundle = featurize(corpus.molecule(mol_id))
-            if bundle_cache is not None:
-                bundle_cache[mol_id] = bundle
-            bundles.append(bundle)
-    rows = embed_graphs(pack(bundles), params.detached(), "eval", heads=("h",))["h"].data
+    rows = embed_graphs(pack(_bundles(missing, corpus, bundle_cache)), params.detached(),
+                        "eval", heads=("h",))["h"].data
     vectors = {mol_id: rows[i] for i, mol_id in enumerate(missing)}
     return vectors.__getitem__
 
@@ -343,7 +340,7 @@ def train(corpus: Corpus, cfg: TrainConfig, dims: ModelDims | None = None,
     candidate_ids = np.asarray(corpus.candidate_ids, dtype=np.int64)
     bundle_cache: dict = {}
     sampler = _BatchSampler(train_records, cfg.batch_size, cfg.seed)
-    index = CandidateIndex.build(params, candidates, candidate_ids, build_step=0)
+    index = CandidateIndex.build(params, candidates, candidate_ids)
 
     best_score = -1.0
     best_params = None
@@ -353,8 +350,7 @@ def train(corpus: Corpus, cfg: TrainConfig, dims: ModelDims | None = None,
                                   optimizer, bundle_cache=bundle_cache)
         refreshed = step % cfg.refresh_every == 0 and step < cfg.total_iters
         if refreshed:
-            index = CandidateIndex.build(params, candidates, candidate_ids,
-                                         build_step=index.build_step + 1)
+            index = CandidateIndex.build(params, candidates, candidate_ids)
         if step % cfg.eval_every == 0 or step == cfg.total_iters:
             # An index rebuilt at this step holds the current keys; Predictor
             # appends the halt key itself.

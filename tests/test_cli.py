@@ -135,12 +135,12 @@ def test_index_build_and_reload(trained_world, tmp_path, capsys):
     out_path = tmp_path / "pool.rclx"
     code = main(["index", "--checkpoint", ckpt,
                  "--candidates", world.candidates_path,
-                 "--output", str(out_path), "--with-halt"])
+                 "--output", str(out_path)])
     assert code == EXIT_OK
     capsys.readouterr()
     from retroselect.index import load_index
     index = load_index(str(out_path))
-    assert index.includes_halt and index.n_candidates == 30
+    assert not index.includes_halt and index.n_candidates == 30
 
 
 def test_route_trivial_target(trained_world, capsys):
@@ -220,6 +220,66 @@ def test_index_cache_size_mismatch(trained_world, tmp_path, capsys):
                  "--products", str(products), "--index-cache", str(cache)])
     assert code == EXIT_DATA
     capsys.readouterr()
+
+
+def test_index_cache_changes_no_prediction(trained_world, tmp_path):
+    """No cache, a cache from ``index`` and an older cache that holds the
+    halt row all give the same bytes."""
+    from argparse import Namespace
+    from retroselect.cli import _load_pool
+    from retroselect.index import CandidateIndex, save_index
+    world, ckpt, _ = trained_world
+    params, candidates, _forms = _load_pool(
+        Namespace(checkpoint=ckpt, candidates=world.candidates_path))
+    plain, halt_row = tmp_path / "plain.rclx", tmp_path / "halt_row.rclx"
+    assert main(["index", "--checkpoint", ckpt, "--candidates", world.candidates_path,
+                 "--output", str(plain)]) == EXIT_OK
+    save_index(CandidateIndex.build(params, candidates).with_halt(params), str(halt_row))
+    products = tmp_path / "products.txt"
+    with open(world.reaction_paths["train"], encoding="utf-8") as fh:
+        products.write_text("".join(line.strip().split(">>")[1] + "\n" for line in fh),
+                            encoding="utf-8")
+    outputs = []
+    for cache in ([], ["--index-cache", str(plain)], ["--index-cache", str(halt_row)]):
+        out_file = tmp_path / f"out{len(outputs)}.txt"
+        assert main(["predict", "--checkpoint", ckpt, "--candidates", world.candidates_path,
+                     "--products", str(products), "-k", "10", "--beam", "16",
+                     "--output", str(out_file)] + cache) == EXIT_OK
+        outputs.append(out_file.read_bytes())
+    assert outputs[0].count(b"\n") > 10
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+@pytest.mark.parametrize("case", ["type-not-int", "type-outside-checkpoint",
+                                  "evaluate-type-outside-checkpoint", "cache-width"])
+def test_bad_type_or_cache_width_is_data_error(case, trained_world, tmp_path, capsys):
+    world, ckpt, _ = trained_world
+    inputs = tmp_path / "inputs.txt"
+    argv = ["predict", "--products", str(inputs), "--use-types"]
+    if case == "type-not-int":
+        inputs.write_text("CCO\tabc\n", encoding="utf-8")
+    elif case == "type-outside-checkpoint":
+        inputs.write_text("CCO\t99\n", encoding="utf-8")
+    elif case == "evaluate-type-outside-checkpoint":
+        with open(world.reaction_paths["train"], encoding="utf-8") as fh:
+            inputs.write_text(fh.readline().strip() + "\t99\n", encoding="utf-8")
+        argv = ["evaluate", "--test", str(inputs), "--use-types"]
+    else:
+        from retroselect.data import save_checkpoint
+        from retroselect.encoder import ModelDims, init_params
+        narrow, cache = str(tmp_path / "narrow.rclc"), str(tmp_path / "narrow.rclx")
+        save_checkpoint(init_params(0, ModelDims(d=8, n_layers=1, n_types=1)), narrow)
+        assert main(["index", "--checkpoint", narrow, "--candidates", world.candidates_path,
+                     "--output", cache]) == EXIT_OK
+        inputs.write_text("CCO\n", encoding="utf-8")
+        argv += ["--index-cache", cache]
+    capsys.readouterr()
+    code = main(argv + ["--checkpoint", ckpt, "--candidates", world.candidates_path,
+                        "--beam", "4"])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+    assert "Traceback" not in err
 
 
 def test_threads_flag_consistent(trained_world, tmp_path, capsys):

@@ -111,9 +111,8 @@ def test_doubling_captures_size(tiny_params):
 
 def test_embed_pool_matches_loop(tiny_params):
     mols = [parse_smiles(s) for s in CORPUS_SMILES[:9]]
-    keys, zero_mask = embed_pool(mols, tiny_params, batch_size=4)
+    keys = embed_pool(mols, tiny_params, batch_size=4)
     assert keys.shape == (9, tiny_params.dims.d)
-    assert not zero_mask.any()
     for i, mol in enumerate(mols):
         vec = embed_molecule(mol, "h", tiny_params).vector
         vec = vec / np.linalg.norm(vec)
@@ -142,7 +141,7 @@ def test_detached_forward_is_bitwise_and_tape_free(tiny_params):
 
 def test_embed_pool_bitwise_equal_to_taped_forward(tiny_params):
     mols = [parse_smiles(s) for s in CORPUS_SMILES]
-    keys, _ = embed_pool(mols, tiny_params, batch_size=8)
+    keys = embed_pool(mols, tiny_params, batch_size=8)
     for start in range(0, len(mols), 8):
         packed = pack([featurize(m) for m in mols[start:start + 8]])
         rows = embed_graphs(packed, tiny_params, "eval", heads=("h",))["h"].data
@@ -179,9 +178,8 @@ def test_encoder_matches_edge_loop_reference(mode):
 
 
 def test_embed_pool_empty(tiny_params):
-    keys, zero_mask = embed_pool([], tiny_params)
+    keys = embed_pool([], tiny_params)
     assert keys.shape == (0, tiny_params.dims.d)
-    assert zero_mask.shape == (0,)
 
 
 def test_train_mode_single_atom_degenerate(tiny_params):

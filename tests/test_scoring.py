@@ -5,8 +5,8 @@ import pytest
 
 from retroselect.chem import parse_smiles
 from retroselect.scoring import (MAX_PERM_THRESHOLD, ProductInReactants,
-                                 ReactionScorer, best_order, best_permutation,
-                                 cosine64, cosine_table, phi, reaction_score)
+                                 ReactionScorer, best_order, cosine64, cosine_table,
+                                 phi, reaction_score)
 
 
 def unit(vec):
@@ -145,33 +145,23 @@ def test_best_order_rejects_threshold_outside_table_range():
                        threshold)
 
 
-def test_best_permutation_empty_is_halt_only(rng):
-    f_p = rng.standard_normal(5)
-    halt = rng.standard_normal(5)
-    order, total = best_permutation(f_p, {}, {}, halt)
-    assert order == ()
-    assert total == pytest.approx(cosine64(f_p, halt))
-
-
-def test_best_permutation_single(rng):
-    f_p = rng.standard_normal(5)
-    halt = rng.standard_normal(5)
+def test_reaction_score_single(rng):
+    f_p, h_p, halt = (rng.standard_normal(5) for _ in range(3))
     g = {7: rng.standard_normal(5)}
     h = {7: rng.standard_normal(5)}
-    order, total = best_permutation(f_p, g, h, halt)
-    assert order == (7,)
-    expected = cosine64(f_p, h[7]) + cosine64(f_p - g[7], halt)
-    assert total == pytest.approx(expected)
+    scored = reaction_score(f_p, h_p, g, h, halt)
+    assert scored.best_order == (7,)
+    expected = cosine64(f_p, h[7]) + cosine64(f_p - g[7], halt) + cosine64(g[7], h_p)
+    assert scored.score == pytest.approx(expected / 3.0)
 
 
-def test_best_permutation_matches_enumeration_oracle(rng):
+def test_reaction_score_matches_enumeration_oracle(rng):
     for _ in range(10):
-        f_p = rng.standard_normal(6)
-        halt = rng.standard_normal(6)
+        f_p, h_p, halt = (rng.standard_normal(6) for _ in range(3))
         ids = [3, 11, 42]
         g = {i: rng.standard_normal(6) for i in ids}
         h = {i: rng.standard_normal(6) for i in ids}
-        order, total = best_permutation(f_p, g, h, halt)
+        scored = reaction_score(f_p, h_p, g, h, halt)
         best = -np.inf
         for perm in itertools.permutations(ids):
             query = f_p.copy()
@@ -181,20 +171,20 @@ def test_best_permutation_matches_enumeration_oracle(rng):
                 query = query - g[chosen]
             value += cosine64(query, halt)
             best = max(best, value)
-        assert total == pytest.approx(best, abs=1e-12)
-        assert set(order) == set(ids)
+        expected = (best + phi([g[i] for i in ids], h_p)) / (len(ids) + 2)
+        assert scored.score == pytest.approx(expected, abs=1e-12)
+        assert set(scored.best_order) == set(ids)
 
 
 def test_greedy_path_above_threshold(rng):
     ids = list(range(7))
-    f_p = rng.standard_normal(4)
-    halt = rng.standard_normal(4)
+    f_p, h_p, halt = (rng.standard_normal(4) for _ in range(3))
     g = {i: rng.standard_normal(4) for i in ids}
     h = {i: rng.standard_normal(4) for i in ids}
-    order, total = best_permutation(f_p, g, h, halt, perm_threshold=5)
-    assert sorted(order) == ids
-    again, total2 = best_permutation(f_p, g, h, halt, perm_threshold=5)
-    assert order == again and total == total2
+    scored = reaction_score(f_p, h_p, g, h, halt, perm_threshold=5)
+    assert sorted(scored.best_order) == ids
+    again = reaction_score(f_p, h_p, g, h, halt, perm_threshold=5)
+    assert scored == again
 
 
 def test_reaction_score_empty_set(rng):
@@ -203,7 +193,7 @@ def test_reaction_score_empty_set(rng):
     halt = rng.standard_normal(5)
     scored = reaction_score(f_p, h_p, {}, {}, halt)
     assert scored.score == pytest.approx(cosine64(f_p, halt) / 2.0)
-    assert scored.reactant_ids == ()
+    assert scored.reactant_ids == () and scored.best_order == ()
 
 
 def test_reaction_score_bounded(rng):

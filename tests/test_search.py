@@ -32,7 +32,6 @@ def test_beam_explores_all_subsets(rng):
     expected = {()} | {(i,) for i in range(8)} \
         | set(itertools.combinations(range(8), 2))
     assert got == expected
-    assert all(h.done for h in done)
 
 
 def test_beam_never_selects_excluded_or_duplicates(rng):
@@ -136,7 +135,7 @@ def near_tie_world(rng, n, d, copies=6):
 
 
 def assert_same_beam(done, reference):
-    got = {h.id_set: h for h in done}
+    got = {frozenset(h.chosen): h for h in done}
     assert set(got) == set(reference)
     for key, (chosen, cum_psi) in reference.items():
         assert got[key].chosen == chosen
@@ -210,7 +209,7 @@ def test_banked_cum_psi_is_float64_step_sum_plus_halt(rng):
         query = np.asarray(f_p, dtype=np.float64)
         total = 0.0
         for mol_id in hyp.chosen:
-            total += cosine64(query, index.row_for(mol_id))
+            total += cosine64(query, index.keys[index.row_of(mol_id)])
             query = query - g_pool[index.row_of(mol_id)].astype(np.float64)
         total += cosine64(query, halt)
         assert abs(hyp.cum_psi - total) <= 1e-12
@@ -273,7 +272,7 @@ def test_rank_matches_per_set_reaction_score_loop(rng, monkeypatch):
                 for size in range(n_max + 1) for _ in range(12)]
         sets += [ids[[row, row + 10] + extra]
                  for row, extra in ((0, []), (3, [40]), (7, [41, 42]))]
-        hypotheses = [Hypothesis(tuple(map(int, chosen)), np.zeros(d), 0.0, True)
+        hypotheses = [Hypothesis(tuple(map(int, chosen)), np.zeros(d), 0.0)
                       for chosen in sets]
         f_p, h_p = rng.standard_normal(d), rng.standard_normal(d)
         rxn_type = 1 if trial % 2 else None
@@ -286,7 +285,7 @@ def test_rank_matches_per_set_reaction_score_loop(rng, monkeypatch):
             u_bias = params.tensors["type.u"].data[0] if rxn_type else None
             v_bias = params.tensors["type.v"].data[0] if rxn_type else None
             loop = [reaction_score(f_p, h_p, {i: g_pool[index.row_of(i)] for i in h.chosen},
-                                   {i: index.row_for(i) for i in h.chosen},
+                                   {i: index.keys[index.row_of(i)] for i in h.chosen},
                                    params.tensors["halt_key"].data, u_bias=u_bias,
                                    v_bias=v_bias, perm_threshold=threshold)
                     for h in hypotheses]
