@@ -145,6 +145,20 @@ def test_best_order_rejects_threshold_outside_table_range():
                        threshold)
 
 
+def test_best_permutation_empty_is_halt_only(rng):
+    # An empty set has no order to choose: no step terms, the query stays the
+    # product query, and the selection total is the halt term alone.
+    f_p, h_p, halt = (rng.standard_normal(5) for _ in range(3))
+    empty = np.zeros((0, 5))
+    order, steps, final = best_order(f_p, empty, cosine_score(empty), 6)
+    assert order == () and steps == 0.0
+    np.testing.assert_array_equal(final, f_p)
+    scored = reaction_score(f_p, h_p, {}, {}, halt)
+    assert scored.best_order == ()
+    selection = scored.score * 2.0 - phi([], h_p)
+    assert selection == pytest.approx(cosine64(f_p, halt))
+
+
 def test_reaction_score_single(rng):
     f_p, h_p, halt = (rng.standard_normal(5) for _ in range(3))
     g = {7: rng.standard_normal(5)}
