@@ -6,12 +6,15 @@ need: affine maps, ReLU, batch normalization, products with a constant
 row selection), a query-by-key cosine matrix and a row-wise masked
 log-softmax pick, plus SGD with momentum and global-norm clipping.
 
-``affine_batchnorm`` is one ``x @ w + b (+ residual) -> batchnorm`` site.
-In train mode it is that composition of nodes. In eval mode batch norm is
-an affine map of its running statistics, so it is folded into the weights
+``affine_batchnorm`` is one ``x @ w + b (+ residual) -> batchnorm`` site
+and one tape node with its own backward in both modes. In train mode the
+node keeps a single buffer, the normalized pre-activation, and its backward
+is the batch-norm gradient (Ioffe & Szegedy, arXiv:1502.03167) carried on
+to every term, the bias and the residual. In eval mode batch norm is an
+affine map of its running statistics, so it is folded into the weights
 (scaled by s = gamma / sqrt(running_var + eps)), the bias
-((b - running_mean) * s + beta) and the residual (scaled by s), and the site
-is one node with its own backward (after Jacob et al., arXiv:1712.05877).
+((b - running_mean) * s + beta) and the residual (scaled by s) (after
+Jacob et al., arXiv:1712.05877).
 
 Arrays are float32 by default; building the parameters in float64 switches
 the whole tape to float64 for gradient checking. Every op output that can
@@ -272,52 +275,18 @@ class BatchNormState:
         return self.gamma.data.shape[0]
 
 
-def batchnorm(x: Tensor, state: BatchNormState) -> Tensor:
-    """Train-mode normalization of the rows of x per feature column.
-
-    Uses biased batch statistics and folds them into the running estimates
-    (unbiased variance). Eval mode is an affine map of the running
-    statistics, which ``affine_batchnorm`` folds into the preceding weights.
-    """
-    if x.data.ndim != 2 or x.shape[1] != state.width:
-        raise ShapeMismatch(f"batchnorm width {x.shape} vs {state.width}")
-    n = x.shape[0]
-    if n < 2:
-        raise DegenerateBatch(f"train-mode batchnorm needs n >= 2, got {n}")
-    gamma, beta = state.gamma, state.beta
-    mean = x.data.mean(axis=0)
-    var = x.data.var(axis=0)
-    inv_std = 1.0 / np.sqrt(var + state.epsilon)
-    x_hat = (x.data - mean) * inv_std
-    m = state.momentum
-    state.running_mean += m * (mean - state.running_mean)
-    unbiased = var * (n / (n - 1))
-    state.running_var += m * (unbiased - state.running_var)
-    out = Tensor(_checked(x_hat * gamma.data + beta.data, "batchnorm"),
-                 parents=(x, gamma, beta))
-
-    def _bw(g):
-        if gamma.requires_grad:
-            gamma._accumulate((g * x_hat).sum(axis=0))
-        if beta.requires_grad:
-            beta._accumulate(g.sum(axis=0))
-        if x.requires_grad:
-            g_mean = g.mean(axis=0)
-            gx_mean = (g * x_hat).mean(axis=0)
-            x._accumulate(gamma.data * inv_std * (g - g_mean - x_hat * gx_mean))
-    out._backward = _bw if out.requires_grad else None
-    return out
-
-
 def affine_batchnorm(terms, b: Tensor, state: BatchNormState, mode: str,
                      residual: Tensor | None = None) -> Tensor:
     """Batch norm of ``sum(x @ w for x, w in terms) + b (+ residual)``.
 
-    Train mode is that composition of ``linear``, ``add`` and ``batchnorm``.
-    Eval mode folds the running statistics into the affine map: with
-    s = gamma / sqrt(running_var + eps) it computes
-    ``sum(x @ (w * s)) + (b - running_mean) * s + beta (+ residual * s)``
-    as one node with its own backward, so no normalized copy is made.
+    One tape node with its own backward to every x, w, b, gamma, beta and
+    the residual, in both modes. Train mode normalizes each feature column
+    with biased batch statistics, folds them into the running estimates
+    (unbiased variance) and keeps one n x width buffer, the normalized
+    pre-activation, for its backward. Eval mode folds the running statistics
+    into the affine map: with s = gamma / sqrt(running_var + eps) it computes
+    ``sum(x @ (w * s)) + (b - running_mean) * s + beta (+ residual * s)``,
+    so no normalized copy is made.
     """
     x0, w0 = terms[0]
     for x, w in terms:
@@ -328,15 +297,71 @@ def affine_batchnorm(terms, b: Tensor, state: BatchNormState, mode: str,
     if b.shape != (state.width,) or (residual is not None
                                      and residual.shape != (x0.shape[0], state.width)):
         raise ShapeMismatch("affine_batchnorm bias or residual shape")
+    parents = tuple(t for pair in terms for t in pair) + (b, state.gamma, state.beta)
+    if residual is not None:
+        parents += (residual,)
     if mode == "train":
-        pre = linear(x0, w0, b)
-        for x, w in terms[1:]:
-            pre = add(pre, linear(x, w))
-        if residual is not None:
-            pre = add(pre, residual)
-        return batchnorm(pre, state)
-    if mode != "eval":
-        raise ValueError(f"unknown batchnorm mode {mode!r}")
+        return _train_site(terms, b, state, residual, parents)
+    if mode == "eval":
+        return _eval_site(terms, b, state, residual, parents)
+    raise ValueError(f"unknown batchnorm mode {mode!r}")
+
+
+def _train_site(terms, b, state, residual, parents) -> Tensor:
+    x0, w0 = terms[0]
+    n = x0.shape[0]
+    if n < 2:
+        raise DegenerateBatch(f"train-mode batchnorm needs n >= 2, got {n}")
+    gamma, beta = state.gamma, state.beta
+    # One buffer holds the pre-activation, then its centred and finally its
+    # normalized form x_hat. Every sum runs in the order of the same site
+    # built from linear, add and batch-norm nodes (the reference in the
+    # tests), so outputs and gradients are bitwise that composition's.
+    x_hat = x0.data @ w0.data
+    x_hat += b.data
+    for x, w in terms[1:]:
+        x_hat += x.data @ w.data
+    if residual is not None:
+        x_hat += residual.data
+    mean = x_hat.mean(axis=0)
+    x_hat -= mean
+    var = (x_hat * x_hat).sum(axis=0) / n
+    inv_std = 1.0 / np.sqrt(var + state.epsilon)
+    x_hat *= inv_std
+    m = state.momentum
+    state.running_mean += m * (mean - state.running_mean)
+    state.running_var += m * (var * (n / (n - 1)) - state.running_var)
+    out = Tensor(_checked(x_hat * gamma.data + beta.data, "affine_batchnorm"),
+                 parents=parents)
+
+    def _bw(g):
+        # gp is the gradient of the pre-activation; g is never written.
+        prod = g * x_hat
+        gx_sum = prod.sum(axis=0)
+        g_sum = g.sum(axis=0)
+        if gamma.requires_grad:
+            gamma._accumulate(gx_sum)
+        if beta.requires_grad:
+            beta._accumulate(g_sum)
+        gp = g - g_sum / n
+        np.multiply(x_hat, gx_sum / n, out=prod)
+        gp -= prod
+        gp *= gamma.data * inv_std
+        for x, w in terms:
+            if x.requires_grad:
+                x._accumulate(gp @ w.data.T)
+            if w.requires_grad:
+                w._accumulate(x.data.T @ gp)
+        if b.requires_grad:
+            b._accumulate(gp.sum(axis=0))
+        if residual is not None and residual.requires_grad:
+            residual._accumulate(gp)
+    out._backward = _bw if out.requires_grad else None
+    return out
+
+
+def _eval_site(terms, b, state, residual, parents) -> Tensor:
+    x0, w0 = terms[0]
     gamma, beta, mean = state.gamma, state.beta, state.running_mean
     inv_std = 1.0 / np.sqrt(state.running_var + state.epsilon)
     s = gamma.data * inv_std
@@ -346,9 +371,6 @@ def affine_batchnorm(terms, b: Tensor, state: BatchNormState, mode: str,
     y += (b.data - mean) * s + beta.data
     if residual is not None:
         y += residual.data * s
-    parents = tuple(t for pair in terms for t in pair) + (b, gamma, beta)
-    if residual is not None:
-        parents += (residual,)
     out = Tensor(_checked(y, "affine_batchnorm"), parents=parents)
 
     def _bw(g):

@@ -21,6 +21,10 @@ EXIT_DATA = 2
 
 _EVAL_KS = (1, 3, 5, 10, 20, 50)
 
+# Count options of predict, evaluate and route that must be at least 1.
+_COUNTS = (("k", "-k"), ("beam", "--beam"), ("n_max", "--n-max"),
+           ("k_per_step", "--k-per-step"))
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -144,6 +148,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    for name, flag in _COUNTS:
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            print(f"error: {flag} must be at least 1, got {value}", file=sys.stderr)
+            return EXIT_DATA
     from .chem import ChemError
     from .data import CorpusError, CorruptCheckpoint
     _limit_threads(getattr(args, "threads", 1))
@@ -194,7 +203,7 @@ def _train_config(args):
 
 
 def _cmd_train(args) -> int:
-    from .data import MetricsLog, load_corpus, save_checkpoint
+    from .data import CorpusError, MetricsLog, load_corpus, save_checkpoint
     from .encoder import ModelDims
     from .training import train
     try:
@@ -207,6 +216,9 @@ def _cmd_train(args) -> int:
         paths["val"] = args.val
     corpus = load_corpus(paths, candidates_path=args.candidates)
     _report_corpus(corpus)
+    if args.types is not None and corpus.n_types > args.types:
+        raise CorpusError(f"reaction type {corpus.n_types} in the corpus is outside "
+                          f"--types [1, {args.types}]")
     n_types = args.types if args.types is not None else max(corpus.n_types, 1)
     dims = ModelDims(d=args.dim, n_layers=args.layers, n_types=n_types)
     metrics = MetricsLog(args.metrics_out)

@@ -7,6 +7,7 @@ import random
 import networkx as nx
 import numpy as np
 
+from retroselect import autodiff as ad
 from retroselect.chem import Molecule, write_smiles
 from retroselect.chem.canon import _dense, _initial_ranks, _refine
 
@@ -166,3 +167,43 @@ def randomize_batchnorm(params, rng) -> None:
         state.gamma.data[:] = rng.uniform(-1.5, 1.5, state.width)
         state.beta.data[:] = rng.standard_normal(state.width)
 
+
+def batchnorm(x, state):
+    """Train-mode batch norm as its own tape node: the reference the fused
+    ``ad.affine_batchnorm`` train mode is checked against. Biased batch
+    statistics, folded into the running estimates with unbiased variance."""
+    n = x.shape[0]
+    gamma, beta = state.gamma, state.beta
+    mean = x.data.mean(axis=0)
+    var = x.data.var(axis=0)
+    inv_std = 1.0 / np.sqrt(var + state.epsilon)
+    x_hat = (x.data - mean) * inv_std
+    m = state.momentum
+    state.running_mean += m * (mean - state.running_mean)
+    state.running_var += m * (var * (n / (n - 1)) - state.running_var)
+    out = ad.Tensor(x_hat * gamma.data + beta.data, parents=(x, gamma, beta))
+
+    def _bw(g):
+        if gamma.requires_grad:
+            gamma._accumulate((g * x_hat).sum(axis=0))
+        if beta.requires_grad:
+            beta._accumulate(g.sum(axis=0))
+        if x.requires_grad:
+            g_mean = g.mean(axis=0)
+            gx_mean = (g * x_hat).mean(axis=0)
+            x._accumulate(gamma.data * inv_std * (g - g_mean - x_hat * gx_mean))
+    out._backward = _bw if out.requires_grad else None
+    return out
+
+
+def composed_affine_batchnorm(terms, b, state, residual=None):
+    """Train-mode ``affine_batchnorm`` as the composition of ``ad.linear``,
+    ``ad.add`` and the reference ``batchnorm``: one tape node per term, per
+    extra term, per residual and for the normalization."""
+    (x0, w0), rest = terms[0], terms[1:]
+    pre = ad.linear(x0, w0, b)
+    for x, w in rest:
+        pre = ad.add(pre, ad.linear(x, w))
+    if residual is not None:
+        pre = ad.add(pre, residual)
+    return batchnorm(pre, state)

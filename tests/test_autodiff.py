@@ -6,7 +6,7 @@ import pytest
 
 from retroselect import autodiff as ad
 
-from helpers import relative_error
+from helpers import composed_affine_batchnorm, relative_error
 
 
 def fd_check(make_loss, params, h=1e-5, tol=1e-6, samples=6, seed=0):
@@ -83,10 +83,16 @@ def test_relu_values_and_gradient():
 
 # --- batchnorm ---
 
+def _identity_site(x, state, mode="train"):
+    """Batch norm of x alone: one identity term and a zero bias."""
+    width = state.width
+    return ad.affine_batchnorm([(x, ad.constant(np.eye(width, dtype=x.dtype)))],
+                               ad.constant(np.zeros(width, dtype=x.dtype)), state, mode)
+
+
 def test_batchnorm_two_point_train():
     state = ad.BatchNormState.create(1, dtype=np.float64)
-    x = ad.constant(np.array([[1.0], [3.0]]))
-    out = ad.batchnorm(x, state)
+    out = _identity_site(ad.constant(np.array([[1.0], [3.0]])), state)
     assert np.abs(out.data - np.array([[-1.0], [1.0]])).max() < 1e-2
     assert np.abs(state.running_mean[0] - 0.2) < 1e-12          # 0.1 * mean 2
     assert np.abs(state.running_var[0] - (0.9 + 0.1 * 2.0)) < 1e-12  # unbiased var 2
@@ -95,18 +101,19 @@ def test_batchnorm_two_point_train():
 def test_batchnorm_eval_identity():
     state = ad.BatchNormState.create(3, dtype=np.float64)
     x = np.random.default_rng(0).standard_normal((4, 3))
-    out = ad.affine_batchnorm([(ad.constant(x), ad.constant(np.eye(3)))],
-                              ad.constant(np.zeros(3)), state, "eval")
+    out = _identity_site(ad.constant(x), state, "eval")
     assert np.abs(out.data - x).max() < 1e-4  # epsilon-perturbed identity
 
 
 def test_batchnorm_degenerate_batch():
     state = ad.BatchNormState.create(2)
     with pytest.raises(ad.DegenerateBatch):
-        ad.batchnorm(ad.constant(np.zeros((1, 2))), state)
+        _identity_site(ad.constant(np.zeros((1, 2), dtype=np.float32)), state)
+    one_row = ad.constant(np.zeros((1, 2)))
     with pytest.raises(ad.DegenerateBatch):
-        ad.affine_batchnorm([(ad.constant(np.zeros((1, 2))), ad.constant(np.eye(2)))],
-                            ad.constant(np.zeros(2)), state, "train")
+        ad.affine_batchnorm([(one_row, ad.constant(np.eye(2))),
+                             (one_row, ad.constant(np.ones((2, 2))))],
+                            ad.constant(np.zeros(2)), state, "train", residual=one_row)
 
 
 def test_batchnorm_backward_finite_differences(rng):
@@ -117,22 +124,22 @@ def test_batchnorm_backward_finite_differences(rng):
     weights = ad.constant(rng.standard_normal((4, 3)))
 
     def loss():
-        return ad.sum_all(ad.mul(ad.batchnorm(x, state), weights))
+        return ad.sum_all(ad.mul(_identity_site(x, state), weights))
     fd_check(loss, [x, state.gamma, state.beta])
 
 
-def _random_bn_site(rng, n=6, widths=(4, 2), d=3):
-    """Float64 inputs of one affine + batch-norm site: two (x, w) terms, a
+def _random_bn_site(rng, n=6, widths=(4, 2), d=3, dtype=np.float64):
+    """Inputs of one affine + batch-norm site: one (x, w) term per width, a
     bias, a residual and non-trivial running statistics, gamma and beta."""
-    state = ad.BatchNormState.create(d, dtype=np.float64)
-    state.running_mean[:] = rng.standard_normal(d)
+    def normal(*shape):
+        return rng.standard_normal(shape).astype(dtype)
+    state = ad.BatchNormState.create(d, dtype=dtype)
+    state.running_mean[:] = normal(d)
     state.running_var[:] = rng.uniform(0.3, 3.0, d)
     state.gamma.data[:] = rng.uniform(-1.5, 1.5, d)
-    state.beta.data[:] = rng.standard_normal(d)
-    terms = [(ad.parameter(rng.standard_normal((n, k))),
-              ad.parameter(rng.standard_normal((k, d)))) for k in widths]
-    return (terms, ad.parameter(rng.standard_normal(d)), state,
-            ad.parameter(rng.standard_normal((n, d))))
+    state.beta.data[:] = normal(d)
+    terms = [(ad.parameter(normal(n, k)), ad.parameter(normal(k, d))) for k in widths]
+    return terms, ad.parameter(normal(d)), state, ad.parameter(normal(n, d))
 
 
 def test_batchnorm_eval_backward(rng):
@@ -160,17 +167,95 @@ def test_affine_batchnorm_eval_fold_matches_unfolded(rng):
 
 
 def test_affine_batchnorm_train_is_the_composition(rng):
-    terms, b, state, residual = _random_bn_site(rng)
-    before = (state.running_mean.copy(), state.running_var.copy())
+    # Outputs, running statistics and every gradient are bitwise those of
+    # the linear/add/batchnorm composition, in float64 and float32.
+    for dtype in (np.float64, np.float32):
+        terms, b, state, residual = _random_bn_site(rng, n=9, widths=(4, 2, 5), d=7,
+                                                    dtype=dtype)
+        tensors = [x for pair in terms for x in pair] + [b, state.gamma, state.beta,
+                                                         residual]
+        weights = ad.constant(rng.standard_normal((9, 7)).astype(dtype))
+        runs = []
+        for site in (lambda: ad.affine_batchnorm(terms, b, state, "train", residual),
+                     lambda: composed_affine_batchnorm(terms, b, state, residual)):
+            before = (state.running_mean.copy(), state.running_var.copy())
+            for tensor in tensors:
+                tensor.grad = None
+            out = site()
+            ad.backward(ad.sum_all(ad.mul(out, weights)))
+            runs.append([out.data, state.running_mean.copy(), state.running_var.copy()]
+                        + [tensor.grad for tensor in tensors])
+            state.running_mean[:], state.running_var[:] = before
+        fused, composed = runs
+        assert fused[0].dtype == dtype
+        assert all(np.array_equal(a, c) for a, c in zip(fused, composed))
+
+
+@pytest.mark.parametrize("n_terms", [1, 2, 3])
+@pytest.mark.parametrize("with_residual", [False, True], ids=["plain", "residual"])
+def test_affine_batchnorm_train_gradients(n_terms, with_residual, rng):
+    terms, b, state, residual = _random_bn_site(rng, n=7, widths=(4, 2, 5)[:n_terms])
+    residual = residual if with_residual else None
+    weights = ad.constant(rng.standard_normal((7, 3)))
+    params = [t for pair in terms for t in pair] + [b, state.gamma, state.beta]
+    params += [residual] if with_residual else []
+
+    def loss():
+        out = ad.affine_batchnorm(terms, b, state, "train", residual)
+        return ad.sum_all(ad.mul(ad.mul(out, out), weights))
+    fd_check(loss, params, samples=8)
+
+
+def test_affine_batchnorm_train_shared_input(rng):
+    # One tensor feeds two train-mode sites, as the encoder's summed bond
+    # features feed every trunk layer; its gradient is the sum of both.
+    n, d = 6, 4
+    atoms, bonds = (ad.parameter(rng.standard_normal((n, k))) for k in (3, 2))
+    w_atom, w_bond0, w_bond1, w_mid = (ad.parameter(rng.standard_normal(shape))
+                                       for shape in ((3, d), (2, d), (2, d), (d, d)))
+    b0, b1 = (ad.parameter(rng.standard_normal(d)) for _ in range(2))
+    states = [ad.BatchNormState.create(d, dtype=np.float64) for _ in range(2)]
+    for state in states:
+        state.gamma.data[:] = rng.uniform(0.5, 1.5, d)
+        state.beta.data[:] = rng.standard_normal(d)
+    weights = ad.constant(rng.standard_normal((n, d)))
+
+    def forward(site):
+        h = ad.relu(site([(atoms, w_atom), (bonds, w_bond0)], b0, states[0]))
+        out = site([(h, w_mid), (bonds, w_bond1)], b1, states[1], h)
+        return ad.sum_all(ad.mul(ad.mul(out, out), weights))
+
+    def fused(terms, b, state, residual=None):
+        return ad.affine_batchnorm(terms, b, state, "train", residual)
+
+    params = [atoms, bonds, w_atom, w_bond0, w_bond1, w_mid, b0, b1]
+    params += [t for state in states for t in (state.gamma, state.beta)]
+    fd_check(lambda: forward(fused), params, samples=8)
+    grads = [p.grad for p in params]
+    for p in params:
+        p.grad = None
+    ad.backward(forward(composed_affine_batchnorm))
+    assert all(np.array_equal(g, p.grad) for g, p in zip(grads, params))
+
+
+def test_affine_batchnorm_train_leaves_incoming_gradient_unmodified(rng, monkeypatch):
+    # Neither the incoming gradient nor any array handed to a parent is
+    # written by the node's backward.
+    handed = []
+    accumulate = ad.Tensor._accumulate
+
+    def recording(tensor, grad):
+        handed.append((grad, grad.copy()))
+        accumulate(tensor, grad)
+    monkeypatch.setattr(ad.Tensor, "_accumulate", recording)
+    terms, b, state, residual = _random_bn_site(rng, n=5, widths=(3, 4))
     out = ad.affine_batchnorm(terms, b, state, "train", residual)
-    after = (state.running_mean.copy(), state.running_var.copy())
-    state.running_mean[:], state.running_var[:] = before
-    (x0, w0), (x1, w1) = terms
-    pre = ad.add(ad.add(ad.linear(x0, w0, b), ad.linear(x1, w1)), residual)
-    expected = ad.batchnorm(pre, state)
-    assert np.array_equal(out.data, expected.data)
-    assert all(np.array_equal(a, c) for a, c in
-               zip(after, (state.running_mean, state.running_var)))
+    g = rng.standard_normal(out.shape)
+    kept = g.copy()
+    out._backward(g)
+    assert np.array_equal(g, kept)
+    assert len(handed) == 8
+    assert all(np.array_equal(grad, snapshot) for grad, snapshot in handed)
 
 
 def test_affine_batchnorm_gradients_both_modes(rng):

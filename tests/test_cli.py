@@ -282,6 +282,43 @@ def test_bad_type_or_cache_width_is_data_error(case, trained_world, tmp_path, ca
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["predict", "--products", "unread.txt", "-k", "-1"],
+    ["predict", "--products", "unread.txt", "-k", "0"],
+    ["predict", "--products", "unread.txt", "--beam", "0"],
+    ["predict", "--products", "unread.txt", "--n-max", "0"],
+    ["evaluate", "--test", "unread.txt", "--beam", "0"],
+    ["evaluate", "--test", "unread.txt", "--n-max", "-2"],
+    ["route", "--building-blocks", "unread.txt", "--target", "CCO", "--beam", "0"],
+    ["route", "--building-blocks", "unread.txt", "--target", "CCO", "--n-max", "0"],
+    ["route", "--building-blocks", "unread.txt", "--target", "CCO", "--k-per-step", "0"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")
+def test_counts_below_one_are_data_errors(argv, capsys):
+    # Rejected before any file is read.
+    code = main(argv + ["--checkpoint", "unread.rclc", "--candidates", "unread.txt"])
+    assert code == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {argv[-2]} must be at least 1, "
+                                         f"got {argv[-1]}"]
+    assert captured.out == ""
+
+
+def test_train_types_below_corpus_types_is_data_error(tmp_path, capsys):
+    reactions = tmp_path / "typed.txt"
+    reactions.write_text("CCO.CC(=O)O>>CC(=O)OCC\t3\nCN.CC(=O)O>>CC(=O)NC\t1\n",
+                         encoding="utf-8")
+    ckpt = tmp_path / "model.rclc"
+    argv = ["train", "--train", str(reactions), "--checkpoint", str(ckpt),
+            "--total-iters", "1", "--batch-size", "2", "--dim", "8", "--layers", "1"]
+    assert main(argv + ["--types", "2"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: reaction type 3 in the corpus is outside --types [1, 2]"]
+    assert "Traceback" not in err and not ckpt.exists()
+    assert main(argv + ["--types", "3"]) == EXIT_OK
+    capsys.readouterr()
+
+
 def test_threads_flag_consistent(trained_world, tmp_path, capsys):
     world, ckpt, _ = trained_world
     products = tmp_path / "products.txt"

@@ -195,6 +195,27 @@ def test_train_mode_updates_running_stats():
     assert not np.array_equal(before, state.running_mean)
 
 
+def test_train_mode_is_one_tape_node_per_batchnorm_site():
+    params = init_params(3, ModelDims(d=8, n_layers=2, n_types=1))
+    packed = pack([featurize(parse_smiles(s)) for s in ("CCO", "c1ccccc1", "CC(=O)N")])
+    tape, stack = {}, list(embed_graphs(packed, params, "train").values())
+    while stack:
+        node = stack.pop()
+        if id(node) not in tape:
+            tape[id(node)] = node
+            stack.extend(p for p in node._parents if p.requires_grad)
+    param_ids = {id(t) for _, t, _ in params.named_parameters()}
+    gamma_ids = [id(state.gamma) for state in params.bn_states.values()]
+    consumers = [node for node in tape.values()
+                 if any(id(p) in param_ids for p in node._parents)]
+    consumed_gammas = [id(p) for node in consumers for p in node._parents
+                       if id(p) in gamma_ids]
+    # Each site's weights, bias, gamma and beta feed one node; besides the
+    # sites only the trunk's last linear map reads parameters.
+    assert sorted(consumed_gammas) == sorted(gamma_ids)
+    assert len(consumers) == len(gamma_ids) + 1
+
+
 def test_copy_and_state_round_trip(tiny_params):
     clone = tiny_params.copy()
     mol = parse_smiles("CCO")

@@ -12,10 +12,13 @@ from retroselect.index import CandidateIndex
 from retroselect.scoring import best_order
 from retroselect.search import Predictor
 from retroselect import training
+from retroselect.toy import make_memorization_world
 from retroselect.training import (EmbedTable, ReactantNotInCandidates,
                                   TrainConfig, batch_candidates, batch_loss,
                                   build_embed_table, loss_backward,
                                   loss_forward, train, train_step)
+
+from helpers import composed_affine_batchnorm
 
 
 def make_corpus(smiles_reactions):
@@ -384,6 +387,36 @@ def test_repeated_batch_overfits(world):
         metrics = train_step(records, index, params, cfg, corpus, optimizer)
         losses.append(metrics["loss_b"] + metrics["loss_f"])
     assert np.mean(losses[-5:]) < np.mean(losses[:5]) * 0.5
+
+
+def test_train_steps_bitwise_equal_to_unfused_batchnorm(tmp_path, monkeypatch):
+    # The fused train-mode batch-norm node against the linear/add/batchnorm
+    # composition it replaced: same losses, grad norms and parameter bytes.
+    corpus = make_memorization_world(str(tmp_path), seed=3, n_fragments=30,
+                                     n_reactions=12, n_distractors=0).load()
+    cfg = TrainConfig(batch_size=6, hard_k=2, tau=0.1, seed=3)
+
+    def three_steps():
+        params = init_params(3, ModelDims(d=16, n_layers=2, n_types=1))
+        index = CandidateIndex.build(params, corpus.candidates(),
+                                     np.array(corpus.candidate_ids))
+        optimizer = SgdConfig(cfg.learning_rate, cfg.momentum, cfg.weight_decay,
+                              cfg.clip_norm)
+        sampler = training._BatchSampler(corpus.reactions["train"], cfg.batch_size, cfg.seed)
+        metrics = [train_step(sampler.next_batch(), index, params, cfg, corpus, optimizer)
+                   for _ in range(3)]
+        return metrics, {name: array.tobytes()
+                         for name, array in params.state_arrays().items()}
+
+    fused = three_steps()
+    eval_site = ad.affine_batchnorm
+
+    def unfused(terms, b, state, mode, residual=None):
+        if mode == "train":
+            return composed_affine_batchnorm(terms, b, state, residual)
+        return eval_site(terms, b, state, mode, residual)
+    monkeypatch.setattr(ad, "affine_batchnorm", unfused)
+    assert three_steps() == fused
 
 
 def test_typed_training_updates_bias_tables(world):
