@@ -134,20 +134,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"mul {a.shape} vs {b.shape}")
-    out = Tensor(_checked(a.data * b.data, "mul"), parents=(a, b))
-
-    def _bw(g):
-        if a.requires_grad:
-            a._accumulate(g * b.data)
-        if b.requires_grad:
-            b._accumulate(g * a.data)
-    out._backward = _bw if out.requires_grad else None
-    return out
-
-
 def scale(x: Tensor, factor: float) -> Tensor:
     out = Tensor(_checked(x.data * factor, "scale"), parents=(x,))
 

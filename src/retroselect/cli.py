@@ -21,9 +21,10 @@ EXIT_DATA = 2
 
 _EVAL_KS = (1, 3, 5, 10, 20, 50)
 
-# Count options of predict, evaluate and route that must be at least 1.
+# Count options that must be at least 1, checked on every subcommand that
+# has them.
 _COUNTS = (("k", "-k"), ("beam", "--beam"), ("n_max", "--n-max"),
-           ("k_per_step", "--k-per-step"))
+           ("k_per_step", "--k-per-step"), ("limit", "--limit"), ("threads", "--threads"))
 
 
 class _Parser(argparse.ArgumentParser):

@@ -10,10 +10,12 @@ running sum), with the few pairs near it rescored in float64, so score
 memory is O(live x block) and the round keeps exactly the float64 top
 ``beam`` extensions (each hypothesis offering its own top ``beam`` by
 cosine, then ascending id). Every live hypothesis is banked at every round
-with the float64 cosine of its query against the halt key, and banked
-hypotheses are deduplicated as id sets. ``rank`` re-ranks them by the full
+with the float64 cosine of its query against the halt key, and each round's
+banked hypotheses are deduplicated as id sets by one lexsort and kept as
+arrays (``Banked``, one block per round). ``rank`` re-ranks them by the full
 permutation-maximized overall score, one batched ``scoring.score_sets``
-call per set size.
+call per block, orders all sets with one lexsort and builds ``ScoredSet``
+records only for the top ``k``.
 """
 
 from __future__ import annotations
@@ -41,12 +43,31 @@ class Hypothesis:
     cum_psi: float
 
 
+@dataclass(frozen=True)
+class Banked:
+    """Completed hypotheses of one beam search as arrays, one block per
+    round: ``(ids [m, n] in selection order, queries [m, d], totals [m])``,
+    all sets of a block having the same size n. Iterating yields one
+    ``Hypothesis`` per row, block by block."""
+
+    blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+
+    def __len__(self) -> int:
+        return sum(totals.shape[0] for _, _, totals in self.blocks)
+
+    def __iter__(self):
+        for ids, queries, totals in self.blocks:
+            for chosen, query, total in zip(ids.tolist(), queries, totals.tolist()):
+                yield Hypothesis(tuple(chosen), query, total)
+
+
 def beam_search(product: Molecule | None, index: CandidateIndex, params: ParamStore,
                 g_pool: np.ndarray, beam: int = 200, n_max: int = 4,
                 rxn_type: int | None = None,
                 exclude_ids: set[int] | None = None,
-                f_product: np.ndarray | None = None) -> list[Hypothesis]:
-    """Completed hypotheses for one product, deduplicated as id sets.
+                f_product: np.ndarray | None = None) -> Banked:
+    """Completed hypotheses for one product, deduplicated as id sets and
+    kept as one block of arrays per round.
 
     ``g_pool`` holds raw reactant-query embeddings aligned with the index
     candidate rows. The product's own pool id (if any) must be passed in
@@ -80,9 +101,10 @@ def beam_search(product: Molecule | None, index: CandidateIndex, params: ParamSt
     chosen = np.empty((1, 0), dtype=np.int64)
     queries = query[None, :]
     cum = np.zeros(1)
-    banked: list[Hypothesis] = []
+    blocks = []
     for depth in range(n_max + 1):
-        banked += _banked(index.ids[chosen], queries, cum + pair_cosines(queries, halt_key))
+        blocks.append(_banked(index.ids[chosen], queries,
+                              cum + pair_cosines(queries, halt_key)))
         if depth == n_max:
             break  # depth cap: the halt step above was forced
         excluded = np.hstack([np.broadcast_to(blocked, (cum.shape[0], blocked.shape[0])),
@@ -92,34 +114,39 @@ def beam_search(product: Molecule | None, index: CandidateIndex, params: ParamSt
             break
         queries = queries[hyp] - g_pool[rows].astype(np.float64)
         chosen = np.hstack([chosen[hyp], rows[:, None]])
-    return banked
+    return Banked(tuple(blocks))
 
 
 def _banked(chosen_ids: np.ndarray, queries: np.ndarray,
-            totals: np.ndarray) -> list[Hypothesis]:
+            totals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Finished hypotheses of one round, one per distinct id set: the one
     with the highest total (the earliest on ties), in order of each set's
-    first appearance. Sets of different rounds differ in size, so rounds
-    never share a set."""
-    _, first, group = np.unique(np.sort(chosen_ids, axis=1), axis=0,
-                                return_index=True, return_inverse=True)
-    by_group = np.lexsort((-totals, group))
-    best = by_group[np.searchsorted(group[by_group], np.arange(first.shape[0]))]
-    best = best[np.argsort(first)]
-    return [Hypothesis(tuple(ids), query, total)
-            for ids, query, total in zip(chosen_ids[best].tolist(), queries[best],
-                                         totals[best].tolist())]
+    first appearance, as ``(ids, queries, totals)`` rows. Sets of different
+    rounds differ in size, so rounds never share a set."""
+    sets = np.sort(chosen_ids, axis=1)
+    # The first id column is the primary key; within a set, the highest
+    # total first, and the stable sort keeps the earliest row on ties.
+    by_set = np.lexsort((-totals, *sets.T[::-1]))
+    sorted_sets = sets[by_set]
+    starts = np.flatnonzero(np.concatenate(
+        [[True], np.any(sorted_sets[1:] != sorted_sets[:-1], axis=1)]))
+    first = np.minimum.reduceat(by_set, starts)
+    best = by_set[starts][np.argsort(first)]
+    return chosen_ids[best], queries[best], totals[best]
 
 
-def rank(product: Molecule | None, hypotheses: list[Hypothesis], params: ParamStore,
+def rank(product: Molecule | None, banked: Banked, params: ParamStore,
          index: CandidateIndex, g_pool: np.ndarray,
          rxn_type: int | None = None, perm_threshold: int = 5,
          f_product: np.ndarray | None = None,
-         h_product: np.ndarray | None = None) -> list[ScoredSet]:
-    """Rescore completed hypotheses with the overall reaction score and sort
-    descending; ties prefer fewer reactants, then lexicographic ids. Sets of
-    one size are scored in one batched call, each exactly as
-    ``reaction_score`` scores it alone."""
+         h_product: np.ndarray | None = None,
+         k: int | None = None) -> list[ScoredSet]:
+    """Rescore banked hypotheses with the overall reaction score and sort
+    descending; ties prefer fewer reactants, then lexicographic ids. Each
+    block is scored in one batched call, each set exactly as
+    ``reaction_score`` scores it alone; all sets are then ordered by one
+    lexsort, and records are built for the first ``k`` only (all if ``k``
+    is None)."""
     if f_product is None or h_product is None:
         embs = embed_graphs(pack([featurize(product)]), params, "eval",
                             heads=("f", "h"))
@@ -128,20 +155,28 @@ def rank(product: Molecule | None, hypotheses: list[Hypothesis], params: ParamSt
     halt_key = params.tensors["halt_key"].data
     u_bias = type_bias(params, "u", rxn_type)
     v_bias = type_bias(params, "v", rxn_type)
-    by_size: dict[int, list[list[int]]] = {}
-    for hyp in hypotheses:
-        by_size.setdefault(len(hyp.chosen), []).append(sorted(hyp.chosen))
-    scored = []
-    for n, sets in by_size.items():
-        ids = np.array(sets, dtype=np.int64).reshape(len(sets), n)
+    width = max(chosen.shape[1] for chosen, _, _ in banked.blocks)
+    # Ids right-padded with zeros: ranking compares ids only within one size.
+    sets = np.zeros((len(banked), width), dtype=np.int64)
+    best_orders = np.zeros_like(sets)
+    sizes = np.zeros(len(banked), dtype=np.int64)
+    scores = np.zeros(len(banked))
+    end = 0
+    for chosen, _, _ in banked.blocks:
+        start, end = end, end + chosen.shape[0]
+        n = chosen.shape[1]
+        ids = np.sort(chosen, axis=1)
         rows = index.rows_of(ids)
-        scores, orders = score_sets(f_product, h_product, g_pool[rows], index.keys[rows],
-                                    halt_key, u_bias, v_bias, perm_threshold)
-        best_ids = np.take_along_axis(ids, orders, axis=1)
-        scored += [ScoredSet(tuple(s), value, tuple(order)) for s, value, order
-                   in zip(ids.tolist(), scores.tolist(), best_ids.tolist())]
-    scored.sort(key=lambda s: (-s.score, len(s.reactant_ids), s.reactant_ids))
-    return scored
+        scores[start:end], orders = score_sets(f_product, h_product, g_pool[rows],
+                                               index.keys[rows], halt_key, u_bias,
+                                               v_bias, perm_threshold)
+        sets[start:end, :n] = ids
+        best_orders[start:end, :n] = np.take_along_axis(ids, orders, axis=1)
+        sizes[start:end] = n
+    top = np.lexsort((*sets.T[::-1], sizes, -scores))[:k]
+    return [ScoredSet(tuple(ids[:n]), value, tuple(order[:n])) for ids, order, n, value
+            in zip(sets[top].tolist(), best_orders[top].tolist(), sizes[top].tolist(),
+                   scores[top].tolist())]
 
 
 class Predictor:
@@ -181,14 +216,13 @@ class Predictor:
         embs = embed_graphs(pack([featurize(product)]), self.params, "eval",
                             heads=("f", "h"))
         f_product, h_product = embs["f"].data[0], embs["h"].data[0]
-        hypotheses = beam_search(product, self.index, self.params, self.g_pool,
-                                 beam=self.beam, n_max=self.n_max,
-                                 rxn_type=rxn_type, exclude_ids=exclude,
-                                 f_product=f_product)
-        ranked = rank(product, hypotheses, self.params, self.index, self.g_pool,
-                      rxn_type=rxn_type, perm_threshold=self.perm_threshold,
-                      f_product=f_product, h_product=h_product)
-        return ranked[:k]
+        banked = beam_search(product, self.index, self.params, self.g_pool,
+                             beam=self.beam, n_max=self.n_max,
+                             rxn_type=rxn_type, exclude_ids=exclude,
+                             f_product=f_product)
+        return rank(product, banked, self.params, self.index, self.g_pool,
+                    rxn_type=rxn_type, perm_threshold=self.perm_threshold,
+                    f_product=f_product, h_product=h_product, k=k)
 
     def predict_forms(self, product: Molecule, k: int,
                       rxn_type: int | None = None) -> list[tuple[str, ...]]:

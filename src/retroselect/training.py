@@ -51,11 +51,16 @@ class TrainConfig:
     val_n_max: int = 4
 
     def __post_init__(self):
+        # Written as "not in range", so that NaN is rejected too.
         for name in ("batch_size", "clip_norm", "tau"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be non-negative")
+        for name in ("eval_every", "refresh_every", "val_cap", "val_beam", "val_n_max"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be at least 1")
+        for name in ("learning_rate", "momentum", "weight_decay", "total_iters", "hard_k"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be non-negative")
         if not 0 <= self.perm_threshold <= MAX_PERM_THRESHOLD:
             raise ValueError(f"perm_threshold must be in 0..{MAX_PERM_THRESHOLD}")
         if self.halt_in_denominator not in ("always", "final"):

@@ -207,3 +207,35 @@ def composed_affine_batchnorm(terms, b, state, residual=None):
     if residual is not None:
         pre = ad.add(pre, residual)
     return batchnorm(pre, state)
+
+
+def unique_banked(chosen_ids, queries, totals) -> list:
+    """One beam round's banked hypotheses by ``np.unique`` over the sorted id
+    rows: the reference the lexsort deduplication in ``search._banked`` is
+    checked against. One ``Hypothesis`` per distinct id set, the one with
+    the highest total (the earliest on ties), in order of first appearance."""
+    from retroselect.search import Hypothesis
+    _, first, group = np.unique(np.sort(chosen_ids, axis=1), axis=0,
+                                return_index=True, return_inverse=True)
+    by_group = np.lexsort((-totals, group))
+    best = by_group[np.searchsorted(group[by_group], np.arange(first.shape[0]))]
+    best = best[np.argsort(first)]
+    return [Hypothesis(tuple(ids), query, total)
+            for ids, query, total in zip(chosen_ids[best].tolist(), queries[best],
+                                         totals[best].tolist())]
+
+
+def mul(a, b):
+    """Elementwise product as a tape node; the tests use it to weight
+    outputs in their finite-difference losses."""
+    if a.shape != b.shape:
+        raise ad.ShapeMismatch(f"mul {a.shape} vs {b.shape}")
+    out = ad.Tensor(ad._checked(a.data * b.data, "mul"), parents=(a, b))
+
+    def _bw(g):
+        if a.requires_grad:
+            a._accumulate(g * b.data)
+        if b.requires_grad:
+            b._accumulate(g * a.data)
+    out._backward = _bw if out.requires_grad else None
+    return out

@@ -6,7 +6,7 @@ import pytest
 
 from retroselect import autodiff as ad
 
-from helpers import composed_affine_batchnorm, relative_error
+from helpers import composed_affine_batchnorm, mul, relative_error
 
 
 def fd_check(make_loss, params, h=1e-5, tol=1e-6, samples=6, seed=0):
@@ -124,7 +124,7 @@ def test_batchnorm_backward_finite_differences(rng):
     weights = ad.constant(rng.standard_normal((4, 3)))
 
     def loss():
-        return ad.sum_all(ad.mul(_identity_site(x, state), weights))
+        return ad.sum_all(mul(_identity_site(x, state), weights))
     fd_check(loss, [x, state.gamma, state.beta])
 
 
@@ -148,7 +148,7 @@ def test_batchnorm_eval_backward(rng):
     params = [t for pair in terms for t in pair] + [b, state.gamma, state.beta, residual]
 
     def loss():
-        return ad.sum_all(ad.mul(ad.affine_batchnorm(terms, b, state, "eval", residual),
+        return ad.sum_all(mul(ad.affine_batchnorm(terms, b, state, "eval", residual),
                                  weights))
     fd_check(loss, params, samples=8)
 
@@ -182,7 +182,7 @@ def test_affine_batchnorm_train_is_the_composition(rng):
             for tensor in tensors:
                 tensor.grad = None
             out = site()
-            ad.backward(ad.sum_all(ad.mul(out, weights)))
+            ad.backward(ad.sum_all(mul(out, weights)))
             runs.append([out.data, state.running_mean.copy(), state.running_var.copy()]
                         + [tensor.grad for tensor in tensors])
             state.running_mean[:], state.running_var[:] = before
@@ -202,7 +202,7 @@ def test_affine_batchnorm_train_gradients(n_terms, with_residual, rng):
 
     def loss():
         out = ad.affine_batchnorm(terms, b, state, "train", residual)
-        return ad.sum_all(ad.mul(ad.mul(out, out), weights))
+        return ad.sum_all(mul(mul(out, out), weights))
     fd_check(loss, params, samples=8)
 
 
@@ -223,7 +223,7 @@ def test_affine_batchnorm_train_shared_input(rng):
     def forward(site):
         h = ad.relu(site([(atoms, w_atom), (bonds, w_bond0)], b0, states[0]))
         out = site([(h, w_mid), (bonds, w_bond1)], b1, states[1], h)
-        return ad.sum_all(ad.mul(ad.mul(out, out), weights))
+        return ad.sum_all(mul(mul(out, out), weights))
 
     def fused(terms, b, state, residual=None):
         return ad.affine_batchnorm(terms, b, state, "train", residual)
@@ -265,7 +265,7 @@ def test_affine_batchnorm_gradients_both_modes(rng):
     for mode in ("train", "eval"):
         def loss():
             out = ad.affine_batchnorm(terms, b, state, mode, residual)
-            return ad.sum_all(ad.mul(ad.relu(out), weights))
+            return ad.sum_all(mul(ad.relu(out), weights))
         fd_check(loss, params, samples=8)
     with pytest.raises(ValueError):
         ad.affine_batchnorm(terms, b, state, "test")
@@ -339,13 +339,13 @@ def test_gather_and_segment_gradients(rng):
     weights = ad.constant(rng.standard_normal((5, 3)))
 
     def loss():
-        return ad.sum_all(ad.mul(ad.sparse_matmul(_gather([0, 0, 2, 5, 1], 6), x), weights))
+        return ad.sum_all(mul(ad.sparse_matmul(_gather([0, 0, 2, 5, 1], 6), x), weights))
     fd_check(loss, [x])
 
     seg_weights = ad.constant(rng.standard_normal((3, 3)))
 
     def loss2():
-        return ad.sum_all(ad.mul(ad.sparse_matmul(_segments([0, 1, 1, 2, 0, 2], 3), x),
+        return ad.sum_all(mul(ad.sparse_matmul(_segments([0, 1, 1, 2, 0, 2], 3), x),
                                  seg_weights))
     fd_check(loss2, [x])
 
@@ -356,7 +356,7 @@ def test_gather_and_segment_gradients(rng):
     adj_weights = ad.constant(rng.standard_normal((6, 3)))
 
     def loss3():
-        return ad.sum_all(ad.mul(ad.relu(ad.sparse_matmul(adjacency, x)), adj_weights))
+        return ad.sum_all(mul(ad.relu(ad.sparse_matmul(adjacency, x)), adj_weights))
     fd_check(loss3, [x])
 
 
@@ -378,7 +378,7 @@ def test_cosine_gradients(rng):
     queries = ad.parameter(rng.standard_normal((3, 5)))
     keys = ad.parameter(rng.standard_normal((4, 5)))
     weights = ad.constant(rng.standard_normal((3, 4)))
-    fd_check(lambda: ad.sum_all(ad.mul(ad.cosine_matrix(queries, keys), weights)),
+    fd_check(lambda: ad.sum_all(mul(ad.cosine_matrix(queries, keys), weights)),
              [queries, keys])
 
 
@@ -405,7 +405,7 @@ def test_cosine_matrix_gradients_with_zero_norm_rows(rng):
     weights = ad.constant(rng.standard_normal((3, 6)))
 
     def loss():
-        return ad.sum_all(ad.mul(ad.cosine_matrix(queries, keys, zero_key), weights))
+        return ad.sum_all(mul(ad.cosine_matrix(queries, keys, zero_key), weights))
     fd_check(loss, [queries, keys])
     assert np.all(zero_key.grad == 0.0)
 
@@ -422,7 +422,7 @@ def test_cosine_matrix_stacked_keys_gradients(rng):
     weights = ad.constant(rng.standard_normal((2, 4)))
 
     def loss():
-        return ad.sum_all(ad.mul(ad.cosine_matrix(queries, block, extra), weights))
+        return ad.sum_all(mul(ad.cosine_matrix(queries, block, extra), weights))
     fd_check(loss, [queries, block, extra])
     assert extra.grad.shape == (3,)
     with pytest.raises(ad.ShapeMismatch):
@@ -468,7 +468,7 @@ def test_log_softmax_pick_gradients(rng):
     live[2, 6] = False
     targets = [4, 0, 2]
     weights = ad.constant(rng.standard_normal(3))
-    fd_check(lambda: ad.sum_all(ad.mul(ad.log_softmax_pick(scores, targets, live),
+    fd_check(lambda: ad.sum_all(mul(ad.log_softmax_pick(scores, targets, live),
                                        weights)), [scores], samples=21)
     assert np.all(scores.grad[~live] == 0.0)
 
@@ -501,7 +501,7 @@ def test_masked_cosine_pick_gradients(rng):
 
 def test_backward_square():
     x = ad.parameter(np.array([3.0]))
-    loss = ad.sum_all(ad.mul(x, x))
+    loss = ad.sum_all(mul(x, x))
     ad.backward(loss)
     assert x.grad.tolist() == [6.0]
 
@@ -509,13 +509,13 @@ def test_backward_square():
 def test_backward_unreachable_parameter_zero():
     x = ad.parameter(np.array([3.0]))
     unused = ad.parameter(np.array([1.0, 2.0]))
-    ad.backward(ad.sum_all(ad.mul(x, x)))
+    ad.backward(ad.sum_all(mul(x, x)))
     assert unused.grad is None  # collected as zeros by ParamStore.gradients
 
 
 def test_backward_shared_subexpression():
     x = ad.parameter(np.array([2.0]))
-    y = ad.mul(x, x)            # x^2
+    y = mul(x, x)            # x^2
     loss = ad.sum_all(ad.add(y, y))  # 2 x^2 -> d/dx = 4x
     ad.backward(loss)
     assert x.grad.tolist() == [8.0]
@@ -609,7 +609,7 @@ def test_sgd_no_decay_flag():
 def test_non_finite_trips_numerics_error():
     big = ad.constant(np.array([[1e38]], dtype=np.float32))
     with np.errstate(over="ignore"), pytest.raises(ad.NumericsError):
-        ad.mul(ad.scale(big, 1e10), ad.scale(big, 1e10))
+        mul(ad.scale(big, 1e10), ad.scale(big, 1e10))
 
 
 def test_blas_runs_one_thread(monkeypatch):

@@ -43,7 +43,13 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("flags", [["--tau", "-1"], ["--perm-threshold", "99"]])
+@pytest.mark.parametrize("flags", [
+    ["--tau", "-1"], ["--perm-threshold", "99"], ["--eval-every", "0"],
+    ["--refresh-every", "0"], ["--val-cap", "0"], ["--val-beam", "0"],
+    ["--total-iters", "-1"], ["--hard-k", "-1"], ["--momentum", "-1"],
+    ["--momentum", "nan"], ["--tau", "nan"], ["--clip-norm", "nan"],
+    ["--weight-decay", "-1"],
+])
 def test_bad_train_config_is_data_error(flags, tmp_path, capsys):
     code = main(["train", "--train", str(tmp_path / "unread.txt"),
                  "--checkpoint", str(tmp_path / "model.rclc")] + flags)
@@ -292,6 +298,14 @@ def test_bad_type_or_cache_width_is_data_error(case, trained_world, tmp_path, ca
     ["route", "--building-blocks", "unread.txt", "--target", "CCO", "--beam", "0"],
     ["route", "--building-blocks", "unread.txt", "--target", "CCO", "--n-max", "0"],
     ["route", "--building-blocks", "unread.txt", "--target", "CCO", "--k-per-step", "0"],
+    ["evaluate", "--test", "unread.txt", "--limit", "0"],
+    ["evaluate", "--test", "unread.txt", "--limit", "-1"],
+    ["predict", "--products", "unread.txt", "--threads", "0"],
+    ["predict", "--products", "unread.txt", "--threads", "-3"],
+    ["evaluate", "--test", "unread.txt", "--threads", "0"],
+    ["route", "--building-blocks", "unread.txt", "--target", "CCO", "--threads", "0"],
+    ["index", "--output", "unread.rclx", "--threads", "0"],
+    ["train", "--train", "unread.txt", "--threads", "-3"],
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")
 def test_counts_below_one_are_data_errors(argv, capsys):
     # Rejected before any file is read.

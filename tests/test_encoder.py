@@ -9,7 +9,8 @@ from retroselect.chem import (D_ATOM, D_BOND, PackedGraphs, disjoint_union, feat
 from retroselect.encoder import (HEADS, ModelDims, embed_graphs, embed_molecule,
                                  embed_nodes, embed_pool, init_params, type_bias)
 
-from helpers import CORPUS_SMILES, edge_loop_embeddings, random_permutation, randomize_batchnorm
+from helpers import (CORPUS_SMILES, edge_loop_embeddings, mul, random_permutation,
+                     randomize_batchnorm)
 
 
 def rel_max(a, b):
@@ -238,7 +239,7 @@ def test_gradients_reach_every_parameter():
     for extra in ("type.u", "type.v"):
         total = ad.add(total, ad.sum_all(params.tensors[extra]))
     total = ad.add(total, ad.sum_all(
-        ad.mul(params.tensors["halt_key"], params.tensors["halt_key"])))
+        mul(params.tensors["halt_key"], params.tensors["halt_key"])))
     params.zero_grad()
     ad.backward(total)
     grads = params.gradients()

@@ -9,7 +9,9 @@ from retroselect.chem import canonical_form, parse_smiles
 from retroselect.encoder import ModelDims, init_params
 from retroselect.index import CandidateIndex
 from retroselect.scoring import ScoredSet, cosine64, reaction_score
-from retroselect.search import Hypothesis, Predictor, beam_search, rank, route_search
+from retroselect.search import Banked, Predictor, _banked, beam_search, rank, route_search
+
+from helpers import unique_banked
 
 
 def synthetic_world(rng, n=8, d=6):
@@ -32,6 +34,7 @@ def test_beam_explores_all_subsets(rng):
     expected = {()} | {(i,) for i in range(8)} \
         | set(itertools.combinations(range(8), 2))
     assert got == expected
+    assert len(done) == len(list(done)) == len(expected)
 
 
 def test_beam_never_selects_excluded_or_duplicates(rng):
@@ -215,6 +218,30 @@ def test_banked_cum_psi_is_float64_step_sum_plus_halt(rng):
         assert abs(hyp.cum_psi - total) <= 1e-12
 
 
+def records(hypotheses):
+    return [(h.chosen, np.float64(h.cum_psi).tobytes(), h.query.tobytes())
+            for h in hypotheses]
+
+
+def test_banked_dedup_matches_unique_oracle(rng):
+    """The lexsort deduplication keeps, per id set, the row the ``np.unique``
+    version keeps, in the same order: one set in several selection orders,
+    exactly tied totals, depth 0 and a round of one hypothesis."""
+    shapes = [(1, 0), (7, 0), (1, 3), (40, 1), (60, 2), (200, 3), (120, 4)]
+    for m, n in shapes * 5:
+        ids = np.array([rng.choice(9, size=n, replace=False) * 5 + 2 for _ in range(m)],
+                       dtype=np.int64).reshape(m, n)
+        # Half the rows repeat an earlier set in a shuffled selection order.
+        for row in range(1, m, 2):
+            ids[row] = rng.permutation(ids[rng.integers(row)])
+        totals = rng.choice([0.5, -0.25, 1.0, 0.5 + 2 ** -40], size=m)
+        queries = rng.standard_normal((m, 3))
+        got = Banked((_banked(ids, queries, totals),))
+        expected = unique_banked(ids, queries, totals)
+        assert records(got) == records(expected), (m, n)
+        assert len(got) == len(expected)
+
+
 def test_rank_matches_exhaustive_scoring(rng):
     params, index, g_pool, f_p = synthetic_world(rng)
     h_p = rng.standard_normal(6)
@@ -254,8 +281,9 @@ def test_rank_matches_exhaustive_scoring(rng):
 
 def test_rank_matches_per_set_reaction_score_loop(rng, monkeypatch):
     """Batched ``rank`` scores every set bit for bit as ``reaction_score``
-    scores it alone: sizes 0..n_max, exact ties from duplicated rows, the
-    greedy path below n_max, biases, and batches split across calls."""
+    scores it alone and orders them as the per-set key does: sizes
+    0..n_max, exact ties from duplicated rows, the greedy path below n_max,
+    biases, and batches split across calls."""
     n, d, n_max = 300, 16, 4
     for trial in range(20):
         params = init_params(trial, ModelDims(d=d, n_layers=1, n_types=1))
@@ -272,26 +300,44 @@ def test_rank_matches_per_set_reaction_score_loop(rng, monkeypatch):
                 for size in range(n_max + 1) for _ in range(12)]
         sets += [ids[[row, row + 10] + extra]
                  for row, extra in ((0, []), (3, [40]), (7, [41, 42]))]
-        hypotheses = [Hypothesis(tuple(map(int, chosen)), np.zeros(d), 0.0)
-                      for chosen in sets]
+        # Distinct sets of one size with exactly tied scores, ordered by ids.
+        sets += [ids[pair] for row in (1, 4, 8)
+                 for pair in ([row, row + 11], [row + 10, row + 1])]
+        blocks = []
+        for size in range(n_max + 1):
+            of_size = [chosen for chosen in sets if len(chosen) == size]
+            blocks.append((np.array(of_size, dtype=np.int64).reshape(len(of_size), size),
+                           np.zeros((len(of_size), d)), np.zeros(len(of_size))))
+        banked = Banked(tuple(blocks))
         f_p, h_p = rng.standard_normal(d), rng.standard_normal(d)
         rxn_type = 1 if trial % 2 else None
         if trial % 4 == 3:
             # Room for about three size-4 sets per batched call.
             monkeypatch.setattr(scoring, "_BATCH_BYTES", 8 * 3 * (16 * (d + 16) + 48))
         for threshold in (5, 2):
-            ranked = rank(None, hypotheses, params, index, g_pool, rxn_type=rxn_type,
+            ranked = rank(None, banked, params, index, g_pool, rxn_type=rxn_type,
                           perm_threshold=threshold, f_product=f_p, h_product=h_p)
             u_bias = params.tensors["type.u"].data[0] if rxn_type else None
             v_bias = params.tensors["type.v"].data[0] if rxn_type else None
-            loop = [reaction_score(f_p, h_p, {i: g_pool[index.row_of(i)] for i in h.chosen},
-                                   {i: index.keys[index.row_of(i)] for i in h.chosen},
+            loop = [reaction_score(f_p, h_p, {i: g_pool[index.row_of(i)] for i in chosen},
+                                   {i: index.keys[index.row_of(i)] for i in chosen},
                                    params.tensors["halt_key"].data, u_bias=u_bias,
                                    v_bias=v_bias, perm_threshold=threshold)
-                    for h in hypotheses]
+                    for chosen in sets]
             loop.sort(key=lambda s: (-s.score, len(s.reactant_ids), s.reactant_ids))
             assert ranked == loop, (trial, threshold)
         monkeypatch.undo()
+
+
+def test_rank_top_k_is_prefix_of_full_ranking(rng):
+    params, index, g_pool, f_p = synthetic_world(rng)
+    h_p = rng.standard_normal(6)
+    done = beam_search(None, index, params, g_pool, beam=20, n_max=3, f_product=f_p)
+    ranked = rank(None, done, params, index, g_pool, f_product=f_p, h_product=h_p)
+    assert len(ranked) == len(done)
+    for k in (1, 3, len(ranked), len(ranked) + 5):
+        assert rank(None, done, params, index, g_pool, f_product=f_p, h_product=h_p,
+                    k=k) == ranked[:k]
 
 
 def test_ranked_scores_bounded_and_sorted(rng):
