@@ -1,26 +1,32 @@
 """Canonical SMILES via individualization-refinement with automorphism pruning.
 
-Atom invariants are refined to a stable partition. Whenever a tie class
-survives refinement, the search individualizes each member of the lowest-
-ranked tie class in turn (members in index order) and refines again; every
-leaf of that tree is a discrete atom order, written with ``write_smiles``
-and its fragments sorted. The canonical form is the smallest leaf string.
-The branch set is isomorphism-invariant, so isomorphic molecules map to the
-same string, and the form is idempotent under re-parse.
+Atom invariants are refined to a stable partition: each round splits the
+classes by the sorted (bond order, class) pairs of every atom's neighbours,
+and refinement stops once a round splits nothing or every class is a single
+atom. Whenever a tie class survives refinement, the search individualizes
+each member of the lowest-ranked tie class in turn (members in index order)
+and refines again; every leaf of that tree is a discrete atom order, written
+with ``write_smiles`` and its fragments sorted. The canonical form is the
+smallest leaf string. The branch set is isomorphism-invariant, so isomorphic
+molecules map to the same string, and the form is idempotent under
+re-parse. The tree is walked depth-first over an explicit stack of open
+nodes, so its depth needs no interpreter frames.
 
 The tree is pruned with automorphisms, after McKay & Piperno, "Practical
-graph isomorphism, II". When a leaf gives the same string as an earlier
-leaf, mapping the earlier leaf's atom at each rank position to this leaf's
-atom at that position is a candidate automorphism; it is kept only if an
-explicit check confirms that it preserves every atom's written fields and
-every bond with its order. At a node whose path individualized v1..vk, a
-tie member is skipped when an automorphism that fixes v1..vk pointwise (or
-a product of such) maps it to an already explored member; when a new
-automorphism does so for the member a node is still exploring, the rest of
-that member's subtree is abandoned. Refinement commutes with such an
-automorphism, so the skipped subtree is its image of an explored one and
-gives the same leaf strings: the minimum, and so the canonical form, is
-byte-identical to the exhaustive search's.
+graph isomorphism, II". Mapping the first leaf's atom at each rank position
+to a later leaf's atom at that position gives a candidate automorphism; it
+is kept only if an explicit check confirms that it preserves every atom's
+written fields and every bond with its order. If it does, the two relabelled
+graphs are equal, so the later leaf's string is the first leaf's and is not
+written. Any other leaf is written, and when its string equals an earlier
+leaf's, the map between those two leaves is checked the same way. At a node
+whose path individualized v1..vk, a tie member is skipped when an
+automorphism that fixes v1..vk pointwise (or a product of such) maps it to
+an already explored member; when a new automorphism does so for the member
+a node is still exploring, the rest of that member's subtree is abandoned.
+Refinement commutes with such an automorphism, so the skipped subtree is its
+image of an explored one and gives the same leaf strings: the minimum, and
+so the canonical form, is byte-identical to the exhaustive search's.
 """
 
 from __future__ import annotations
@@ -39,8 +45,7 @@ _ELEMENT_RANK = {sym: i for i, sym in enumerate(_ELEMENT_ORDER)}
 def canonical_form(mol: Molecule) -> str:
     """Deterministic SMILES equal for all isomorphic renumberings of mol."""
     if mol._canonical is None:
-        ranks = _refine(mol, _initial_ranks(mol))
-        mol._canonical = _Search(mol).best_string(ranks)
+        mol._canonical = _Search(mol).best_string()
     return mol._canonical
 
 
@@ -58,32 +63,20 @@ def _dense(keys: list) -> list[int]:
     return [order[key] for key in keys]
 
 
-def _refine(mol: Molecule, ranks: list[int]) -> list[int]:
-    adjacency = mol.adjacency
-    n_classes = len(set(ranks))
-    while True:
-        keys = []
-        for idx in range(len(mol.atoms)):
-            neighborhood = sorted((bond.order, ranks[u]) for u, bond in adjacency[idx])
-            keys.append((ranks[idx], tuple(neighborhood)))
-        new_ranks = _dense(keys)
-        new_count = len(set(new_ranks))
-        if new_count == n_classes:
-            return new_ranks
-        ranks = new_ranks
-        n_classes = new_count
-
-
 class _Node:
-    """A search-tree node: its path, its tie class and the members' orbits
-    under the stored automorphisms that fix the path pointwise."""
+    """A search-tree node: its path, its tie class, the next member to try
+    and the members' orbits under the stored automorphisms that fix the
+    path pointwise."""
 
-    __slots__ = ("ranks", "path", "tie_rank", "orbit", "used", "explored")
+    __slots__ = ("ranks", "path", "tie_rank", "members", "next", "orbit", "used",
+                 "explored")
 
     def __init__(self, ranks: list[int], path: list[int], tie_rank: int):
         self.ranks = ranks
         self.path = path
         self.tie_rank = tie_rank
+        self.members = [idx for idx, r in enumerate(ranks) if r == tie_rank]
+        self.next = 0
         self.orbit = list(range(len(ranks)))  # union-find over atoms
         self.used = 0  # stored automorphisms merged into ``orbit`` so far
         self.explored: list[int] = []
@@ -103,16 +96,34 @@ class _Node:
         root = _find(self.orbit, pick)
         return any(_find(self.orbit, done) == root for done in explored)
 
+    def next_pick(self, automorphisms) -> int | None:
+        """The next member, in index order, outside the orbits of those
+        explored so far; None once the members are used up."""
+        while self.next < len(self.members):
+            pick = self.members[self.next]
+            self.next += 1
+            self.merge(automorphisms)
+            if not self.seen(pick, self.explored):
+                self.explored.append(pick)
+                return pick
+        return None
+
 
 class _Search:
     """One canonical-form search over one molecule."""
 
     def __init__(self, mol: Molecule):
         self.mol = mol
+        n = len(mol.atoms)
+        # A neighbour's code is ``bond.order * n + ranks[u]``; ranks are dense
+        # in [0, n), so codes sort exactly like (bond order, rank) pairs.
+        self.neighbors = [[(bond.order * n, u) for u, bond in adjacent]
+                          for adjacent in mol.adjacency]
         # Everything ``write_smiles`` reads of an atom.
         self.atom_keys = [(a.element, a.formal_charge, a.explicit_h, a.total_h,
                            a.aromatic) for a in mol.atoms]
         self.bond_orders = {(b.a, b.b): b.order for b in mol.bonds}
+        self.first_order: list[int] | None = None
         self.first_leaf: dict[str, list[int]] = {}
         # (map, set of atoms it moves) for every verified automorphism.
         self.automorphisms: list[tuple[list[int], frozenset[int]]] = []
@@ -120,53 +131,88 @@ class _Search:
         self.abandon: int | None = None
         self.best: str | None = None
 
-    def best_string(self, ranks: list[int]) -> str:
-        self._explore(ranks, [])
+    def best_string(self) -> str:
+        # Depth-first over an explicit stack of open nodes, so deep trees
+        # need no interpreter frames; ``stack[d]`` is the node at depth d.
+        stack = self.stack
+        self._visit(self._refine(_initial_ranks(self.mol)), [])
+        while stack:
+            node = stack[-1]
+            if self.abandon is not None:
+                if self.abandon < len(stack) - 1:
+                    stack.pop()
+                    continue
+                self.abandon = None
+            pick = node.next_pick(self.automorphisms)
+            if pick is None:
+                stack.pop()
+                continue
+            # ``pick`` takes a rank of its own, just below its former class.
+            split = [2 * r - (1 if idx == pick else 0) for idx, r in enumerate(node.ranks)]
+            self._visit(self._refine(_dense(split)), node.path + [pick])
         assert self.best is not None
         return self.best
 
-    def _explore(self, ranks: list[int], path: list[int]) -> None:
-        n = len(ranks)
+    def _visit(self, ranks: list[int], path: list[int]) -> None:
         counts = Counter(ranks)
-        if len(counts) == n:
+        if len(counts) == len(ranks):
             self._leaf(ranks)
             return
         # Branch on the lowest-ranked tie class; it is determined by invariant
         # values only, so the branch set is invariant.
         tie_rank = min(r for r, c in counts.items() if c > 1)
-        node = _Node(ranks, path, tie_rank)
-        depth = len(self.stack)
-        self.stack.append(node)
-        for pick in [idx for idx in range(n) if ranks[idx] == tie_rank]:
-            node.merge(self.automorphisms)
-            if node.seen(pick, node.explored):
-                continue
-            node.explored.append(pick)
-            # ``pick`` takes a rank of its own, just below its former class.
-            split = [2 * r - (1 if idx == pick else 0) for idx, r in enumerate(ranks)]
-            self._explore(_refine(self.mol, _dense(split)), path + [pick])
-            if self.abandon is not None:
-                if self.abandon < depth:
-                    break
-                self.abandon = None
-        self.stack.pop()
+        self.stack.append(_Node(ranks, path, tie_rank))
+
+    def _refine(self, ranks: list[int]) -> list[int]:
+        """Split classes of dense ranks by their neighbours' classes until
+        the partition is stable or discrete."""
+        n = len(ranks)
+        n_classes = len(set(ranks))
+        neighbors = self.neighbors
+        while n_classes < n:
+            keys = [(ranks[idx], tuple(sorted([code + ranks[u] for code, u in adjacent])))
+                    for idx, adjacent in enumerate(neighbors)]
+            order = {key: rank for rank, key in enumerate(sorted(set(keys)))}
+            if len(order) == n_classes:
+                # No class split, and the input ranks are dense: a round
+                # would return them unchanged.
+                break
+            ranks = [order[key] for key in keys]
+            n_classes = len(order)
+        return ranks
 
     def _leaf(self, ranks: list[int]) -> None:
         order = [0] * len(ranks)
         for idx, r in enumerate(ranks):
             order[r] = idx
+        if self.first_order is None:
+            self.first_order = order
+        elif self._maps_onto(self.first_order, order):
+            # The relabelled graphs are equal, so the string is the first
+            # leaf's, which ``best`` has already seen.
+            return
         text = ".".join(sorted(write_smiles(self.mol, order).split(".")))
-        first = self.first_leaf.setdefault(text, order)
-        if first is not order:
-            gamma = [0] * len(order)
-            for a, b in zip(first, order):
-                gamma[a] = b
-            moved = frozenset(v for v in range(len(gamma)) if gamma[v] != v)
-            if moved and self._is_automorphism(gamma):
-                self.automorphisms.append((gamma, moved))
-                self._find_abandon()
+        earlier = self.first_leaf.setdefault(text, order)
+        if earlier is not order:
+            self._maps_onto(earlier, order)
         if self.best is None or text < self.best:
             self.best = text
+
+    def _maps_onto(self, earlier: list[int], order: list[int]) -> bool:
+        """Whether the map from ``earlier``'s atom at each rank position to
+        ``order``'s is an automorphism; a new one is stored and may abandon
+        a subtree."""
+        gamma = [0] * len(order)
+        for a, b in zip(earlier, order):
+            gamma[a] = b
+        moved = frozenset(v for v in range(len(gamma)) if gamma[v] != v)
+        if not moved:
+            return True
+        if not self._is_automorphism(gamma):
+            return False
+        self.automorphisms.append((gamma, moved))
+        self._find_abandon()
+        return True
 
     def _find_abandon(self) -> None:
         # The shallowest open node whose current member now shares an orbit

@@ -4,11 +4,17 @@ Atom rows concatenate: element one-hot over 16 symbols plus an "other"
 bucket, degree one-hot 0..5, formal charge one-hot -2..+2, hydrogen-count
 one-hot 0..4, an aromatic flag and a ring flag (35 columns total). Bond
 rows concatenate a bond-order one-hot and a ring flag (5 columns). Values
-outside a one-hot range clamp to the nearest bin and bump a warning count.
+outside a one-hot range clamp to the nearest bin and bump a warning count,
+as does each atom in the "other" bucket.
+
+``featurize_packed`` is the one copy of this layout: it reads a list of
+molecules' atom and bond fields in one pass each and writes the one-hots of
+the whole batch with numpy indexing. ``featurize`` is its one-molecule case.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,46 +64,52 @@ class PackedGraphs:
     clamp_warnings: int = 0
 
 
-def featurize(mol: Molecule) -> FeatureBundle:
-    n = len(mol.atoms)
-    atom_rows = np.zeros((n, D_ATOM), dtype=np.float32)
-    warnings = 0
-    for idx, atom in enumerate(mol.atoms):
-        element = _ELEMENT_INDEX.get(atom.element)
-        if element is None:
-            element = _OTHER_INDEX
-            warnings += 1
-        row = atom_rows[idx]
-        row[element] = 1.0
-        offset = len(ELEMENTS) + 1
-        degree, clamped = _clamp(atom.degree, 0, 5)
-        warnings += clamped
-        row[offset + degree] = 1.0
-        offset += 6
-        charge, clamped = _clamp(atom.formal_charge, -2, 2)
-        warnings += clamped
-        row[offset + charge + 2] = 1.0
-        offset += 5
-        hydrogens, clamped = _clamp(atom.total_h, 0, 4)
-        warnings += clamped
-        row[offset + hydrogens] = 1.0
-        offset += 5
-        row[offset] = 1.0 if atom.aromatic else 0.0
-        row[offset + 1] = 1.0 if atom.in_ring else 0.0
+# First columns of the atom blocks, and for element, degree, formal charge
+# and hydrogen count their clip range and the column of value 0.
+_DEGREE = len(ELEMENTS) + 1
+_CHARGE = _DEGREE + 6
+_HYDROGENS = _CHARGE + 5
+_FLAGS = _HYDROGENS + 5
+_LOW = np.array([0, 0, -2, 0])
+_HIGH = np.array([_OTHER_INDEX, 5, 2, 4])
+_BASE = np.array([0, _DEGREE, _CHARGE + 2, _HYDROGENS])
 
-    n_edges = 2 * len(mol.bonds)
-    bond_rows = np.zeros((n_edges, D_BOND), dtype=np.float32)
-    src = np.zeros(n_edges, dtype=np.int64)
-    dst = np.zeros(n_edges, dtype=np.int64)
-    for bidx, bond in enumerate(mol.bonds):
-        feature = np.zeros(D_BOND, dtype=np.float32)
-        feature[_BOND_INDEX[bond.order]] = 1.0
-        feature[4] = 1.0 if bond.in_ring else 0.0
-        bond_rows[2 * bidx] = feature
-        bond_rows[2 * bidx + 1] = feature
-        src[2 * bidx], dst[2 * bidx] = bond.a, bond.b
-        src[2 * bidx + 1], dst[2 * bidx + 1] = bond.b, bond.a
-    return FeatureBundle(atom_rows, bond_rows, src, dst, warnings)
+
+def featurize_packed(mols: list[Molecule]) -> PackedGraphs:
+    """Featurize molecules straight into one disjoint graph batch: equal to
+    ``pack([featurize(m) for m in mols])``, without the per-molecule arrays."""
+    atoms = np.array([(_ELEMENT_INDEX.get(a.element, _OTHER_INDEX), a.degree,
+                       a.formal_charge, a.total_h, a.aromatic, a.in_ring)
+                      for mol in mols for a in mol.atoms], dtype=np.int64).reshape(-1, 6)
+    sizes = [len(mol.atoms) for mol in mols]
+    offsets = itertools.accumulate(sizes, initial=0)
+    bonds = np.array([(b.a + offset, b.b + offset, _BOND_INDEX[b.order], b.in_ring)
+                      for mol, offset in zip(mols, offsets) for b in mol.bonds],
+                     dtype=np.int64).reshape(-1, 4)
+
+    fields = atoms[:, :4]
+    clipped = np.clip(fields, _LOW, _HIGH)
+    warnings = (int(np.count_nonzero(clipped != fields))
+                + int(np.count_nonzero(fields[:, 0] == _OTHER_INDEX)))
+    atom_features = np.zeros((atoms.shape[0], D_ATOM), dtype=np.float32)
+    atom_features[np.arange(atoms.shape[0])[:, None], clipped + _BASE] = 1.0
+    atom_features[:, _FLAGS:] = atoms[:, 4:]
+
+    # Each bond gives two directed edges, a->b then b->a, with equal features.
+    edges = bonds.repeat(2, axis=0)
+    bond_features = np.zeros((edges.shape[0], D_BOND), dtype=np.float32)
+    bond_features[np.arange(edges.shape[0]), edges[:, 2]] = 1.0
+    bond_features[:, 4] = edges[:, 3]
+    ends = bonds[:, :2]
+    return PackedGraphs(
+        atom_features, bond_features, ends.reshape(-1), ends[:, ::-1].reshape(-1),
+        np.repeat(np.arange(len(mols), dtype=np.int64), sizes), len(mols), warnings)
+
+
+def featurize(mol: Molecule) -> FeatureBundle:
+    packed = featurize_packed([mol])
+    return FeatureBundle(packed.atom_features, packed.bond_features,
+                         packed.edge_src, packed.edge_dst, packed.clamp_warnings)
 
 
 def pack(bundles: list[FeatureBundle]) -> PackedGraphs:
@@ -120,11 +132,3 @@ def pack(bundles: list[FeatureBundle]) -> PackedGraphs:
         np.concatenate(src_parts), np.concatenate(dst_parts),
         np.concatenate(mol_parts), len(bundles),
         sum(b.clamp_warnings for b in bundles))
-
-
-def _clamp(value: int, low: int, high: int) -> tuple[int, int]:
-    if value < low:
-        return low, 1
-    if value > high:
-        return high, 1
-    return value, 0

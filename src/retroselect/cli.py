@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -21,10 +22,11 @@ EXIT_DATA = 2
 
 _EVAL_KS = (1, 3, 5, 10, 20, 50)
 
-# Count options that must be at least 1, checked on every subcommand that
-# has them.
-_COUNTS = (("k", "-k"), ("beam", "--beam"), ("n_max", "--n-max"),
-           ("k_per_step", "--k-per-step"), ("limit", "--limit"), ("threads", "--threads"))
+# Count options and their least legal value, checked on every subcommand
+# that has them.
+_COUNTS = (("k", "-k", 1), ("beam", "--beam", 1), ("n_max", "--n-max", 1),
+           ("k_per_step", "--k-per-step", 1), ("limit", "--limit", 1),
+           ("threads", "--threads", 1), ("dim", "--dim", 1), ("layers", "--layers", 0))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -39,9 +41,10 @@ def _limit_threads(n: int) -> None:
         try:
             import threadpoolctl
         except ImportError:
-            print("warning: threadpoolctl is not installed, so BLAS threads "
-                  "were not pinned; set OPENBLAS_NUM_THREADS=1 to pin them",
-                  file=sys.stderr)
+            if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
+                print("warning: threadpoolctl is not installed, so BLAS threads "
+                      "were not pinned; set OPENBLAS_NUM_THREADS=1 to pin them",
+                      file=sys.stderr)
             return
         threadpoolctl.threadpool_limits(1)
 
@@ -149,10 +152,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    for name, flag in _COUNTS:
+    for name, flag, least in _COUNTS:
         value = getattr(args, name, None)
-        if value is not None and value < 1:
-            print(f"error: {flag} must be at least 1, got {value}", file=sys.stderr)
+        if value is not None and value < least:
+            print(f"error: {flag} must be at least {least}, got {value}", file=sys.stderr)
             return EXIT_DATA
     from .chem import ChemError
     from .data import CorpusError, CorruptCheckpoint

@@ -24,7 +24,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import BatchNormState, SparseMatrix, Tensor
-from .chem import D_ATOM, D_BOND, FeatureBundle, Molecule, PackedGraphs, featurize, pack
+from .chem import (D_ATOM, D_BOND, FeatureBundle, Molecule, PackedGraphs, featurize,
+                   featurize_packed, pack)
 
 HEADS = ("f", "g", "h")
 
@@ -272,7 +273,7 @@ def embed_matrix(mols: list[Molecule], params: ParamStore, head: str,
     frozen = params.detached()
     for start in range(0, len(mols), batch_size):
         chunk = mols[start:start + batch_size]
-        packed = pack([featurize(m) for m in chunk])
+        packed = featurize_packed(chunk)
         rows = embed_graphs(packed, frozen, "eval", heads=(head,))[head]
         out[start:start + len(chunk)] = rows.data.astype(np.float32)
     return out

@@ -8,8 +8,8 @@ import networkx as nx
 import numpy as np
 
 from retroselect import autodiff as ad
-from retroselect.chem import Molecule, write_smiles
-from retroselect.chem.canon import _dense, _initial_ranks, _refine
+from retroselect.chem import (AROMATIC, D_ATOM, D_BOND, DOUBLE, ELEMENTS, SINGLE, TRIPLE,
+                              FeatureBundle, Molecule, write_smiles)
 
 # Diverse corpus used across parser/canonical/encoder tests: chains, rings,
 # fused aromatics, charges, bracket atoms, multi-valent S/P, halogens.
@@ -76,6 +76,45 @@ def random_permutation(n: int, rng: random.Random) -> list[int]:
 def relative_error(a, b, floor: float = 1.0) -> float:
     """|a-b| / max(floor, |a|, |b|); floor=1 keeps near-zero values honest."""
     return abs(a - b) / max(floor, abs(a), abs(b))
+
+
+# The library's first refinement, kept here so the oracle below does not
+# move with the code it checks: atom invariants in this element order,
+# then rounds over sorted (bond order, neighbour rank) pairs until the
+# class count stops growing.
+_ELEMENT_ORDER = (
+    "C N O S F Cl Br I P B Si Sn Se Zn Cu Mg H".split())
+_ELEMENT_RANK = {sym: i for i, sym in enumerate(_ELEMENT_ORDER)}
+
+
+def _initial_ranks(mol: Molecule) -> list[int]:
+    keys = []
+    for atom in mol.atoms:
+        element_rank = _ELEMENT_RANK.get(atom.element, len(_ELEMENT_ORDER))
+        keys.append((element_rank, atom.element, atom.formal_charge,
+                     atom.total_h, atom.aromatic, atom.degree, atom.in_ring))
+    return _dense(keys)
+
+
+def _dense(keys: list) -> list[int]:
+    order = {key: rank for rank, key in enumerate(sorted(set(keys)))}
+    return [order[key] for key in keys]
+
+
+def _refine(mol: Molecule, ranks: list[int]) -> list[int]:
+    adjacency = mol.adjacency
+    n_classes = len(set(ranks))
+    while True:
+        keys = []
+        for idx in range(len(mol.atoms)):
+            neighborhood = sorted((bond.order, ranks[u]) for u, bond in adjacency[idx])
+            keys.append((ranks[idx], tuple(neighborhood)))
+        new_ranks = _dense(keys)
+        new_count = len(set(new_ranks))
+        if new_count == n_classes:
+            return new_ranks
+        ranks = new_ranks
+        n_classes = new_count
 
 
 def exhaustive_canonical_form(mol: Molecule) -> str:
@@ -239,3 +278,59 @@ def mul(a, b):
             b._accumulate(g * a.data)
     out._backward = _bw if out.requires_grad else None
     return out
+
+
+def loop_featurize(mol: Molecule):
+    """Reference featurizer: the per-atom and per-bond loop the library ran
+    before it featurized whole chunks into one batch. ``pack`` of its
+    bundles is what ``featurize_packed`` must equal bitwise."""
+    element_index = {sym: i for i, sym in enumerate(ELEMENTS)}
+    other_index = len(ELEMENTS)
+    bond_index = {SINGLE: 0, DOUBLE: 1, TRIPLE: 2, AROMATIC: 3}
+
+    def clamp(value: int, low: int, high: int) -> tuple[int, int]:
+        if value < low:
+            return low, 1
+        if value > high:
+            return high, 1
+        return value, 0
+
+    n = len(mol.atoms)
+    atom_rows = np.zeros((n, D_ATOM), dtype=np.float32)
+    warnings = 0
+    for idx, atom in enumerate(mol.atoms):
+        element = element_index.get(atom.element)
+        if element is None:
+            element = other_index
+            warnings += 1
+        row = atom_rows[idx]
+        row[element] = 1.0
+        offset = len(ELEMENTS) + 1
+        degree, clamped = clamp(atom.degree, 0, 5)
+        warnings += clamped
+        row[offset + degree] = 1.0
+        offset += 6
+        charge, clamped = clamp(atom.formal_charge, -2, 2)
+        warnings += clamped
+        row[offset + charge + 2] = 1.0
+        offset += 5
+        hydrogens, clamped = clamp(atom.total_h, 0, 4)
+        warnings += clamped
+        row[offset + hydrogens] = 1.0
+        offset += 5
+        row[offset] = 1.0 if atom.aromatic else 0.0
+        row[offset + 1] = 1.0 if atom.in_ring else 0.0
+
+    n_edges = 2 * len(mol.bonds)
+    bond_rows = np.zeros((n_edges, D_BOND), dtype=np.float32)
+    src = np.zeros(n_edges, dtype=np.int64)
+    dst = np.zeros(n_edges, dtype=np.int64)
+    for bidx, bond in enumerate(mol.bonds):
+        feature = np.zeros(D_BOND, dtype=np.float32)
+        feature[bond_index[bond.order]] = 1.0
+        feature[4] = 1.0 if bond.in_ring else 0.0
+        bond_rows[2 * bidx] = feature
+        bond_rows[2 * bidx + 1] = feature
+        src[2 * bidx], dst[2 * bidx] = bond.a, bond.b
+        src[2 * bidx + 1], dst[2 * bidx + 1] = bond.b, bond.a
+    return FeatureBundle(atom_rows, bond_rows, src, dst, warnings)

@@ -306,6 +306,8 @@ def test_bad_type_or_cache_width_is_data_error(case, trained_world, tmp_path, ca
     ["route", "--building-blocks", "unread.txt", "--target", "CCO", "--threads", "0"],
     ["index", "--output", "unread.rclx", "--threads", "0"],
     ["train", "--train", "unread.txt", "--threads", "-3"],
+    ["train", "--train", "unread.txt", "--dim", "0"],
+    ["train", "--train", "unread.txt", "--dim", "-3"],
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")
 def test_counts_below_one_are_data_errors(argv, capsys):
     # Rejected before any file is read.
@@ -315,6 +317,21 @@ def test_counts_below_one_are_data_errors(argv, capsys):
     assert captured.err.splitlines() == [f"error: {argv[-2]} must be at least 1, "
                                          f"got {argv[-1]}"]
     assert captured.out == ""
+
+
+def test_negative_layers_is_data_error_and_zero_trains(tmp_path, capsys):
+    reactions = tmp_path / "two.txt"
+    reactions.write_text("CCO.CC(=O)O>>CC(=O)OCC\nCN.CC(=O)O>>CC(=O)NC\n", encoding="utf-8")
+    ckpt = tmp_path / "model.rclc"
+    argv = ["train", "--train", str(reactions), "--checkpoint", str(ckpt),
+            "--total-iters", "1", "--batch-size", "2", "--dim", "8"]
+    assert main(argv + ["--layers", "-1"]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: --layers must be at least 0, got -1"]
+    assert not ckpt.exists()
+    assert main(argv + ["--layers", "0"]) == EXIT_OK
+    assert ckpt.exists()
+    capsys.readouterr()
 
 
 def test_train_types_below_corpus_types_is_data_error(tmp_path, capsys):
@@ -354,12 +371,23 @@ def test_threads_flag_consistent(trained_world, tmp_path, capsys):
 def test_limit_threads_warns_without_threadpoolctl(monkeypatch, capsys):
     from retroselect.cli import _limit_threads
     monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     _limit_threads(1)
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "not pinned" in err and "OPENBLAS_NUM_THREADS=1" in err
     _limit_threads(2)
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("value", ["1", "2"])
+def test_limit_threads_is_quiet_when_openblas_is_pinned(value, monkeypatch, capsys):
+    from retroselect.cli import _limit_threads
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", value)
+    _limit_threads(1)
+    err = capsys.readouterr().err
+    assert ("not pinned" in err) == (value != "1")
 
 
 def test_train_and_evaluate_report_dropped_lines(tmp_path, capsys):

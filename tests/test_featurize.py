@@ -3,10 +3,10 @@ import random
 import numpy as np
 import pytest
 
-from retroselect.chem import (D_ATOM, D_BOND, ELEMENTS, featurize, pack,
+from retroselect.chem import (D_ATOM, D_BOND, ELEMENTS, featurize, featurize_packed, pack,
                               parse_smiles, write_smiles)
 
-from helpers import CORPUS_SMILES, random_permutation
+from helpers import CORPUS_SMILES, loop_featurize, random_permutation
 
 
 def test_feature_widths():
@@ -71,3 +71,48 @@ def test_pack_offsets():
     assert packed.edge_src.max() < packed.atom_features.shape[0]
     # Second molecule has no edges; benzene edges are offset by 4.
     assert packed.edge_src[4:].min() >= 4
+
+
+def _corpus_sample(seed: int, size: int) -> list[str]:
+    """Corpus molecules rewritten in seeded random atom orders."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(size):
+        mol = parse_smiles(rng.choice(CORPUS_SMILES))
+        out.append(write_smiles(mol, random_permutation(len(mol.atoms), rng)))
+    return out
+
+
+_BATCHES = {
+    "corpus-sample": _corpus_sample(7, 40),
+    # Charge -4, an unlisted element, germyl, degree 6, six hydrogens, and
+    # an unlisted element with charge +3 (two clamps on one atom).
+    "clamped": ["[O-4]", "[Zr]", "C[GeH3]", "CC([GeH3])([GeH3])C",
+                "FS(F)(F)(F)(F)F", "[SiH6-2]", "[Al+3]"],
+    "bond-free": ["C", "O", "[NH4+]", "[Zn+2]", "[Zr]"],
+    "aromatic": ["c1ccccc1", "c1ccncc1", "c1ccc2ccccc2c1", "c1cc[nH]c1", "c1ccsc1",
+                 "N#Cc1ccccc1"],
+    "empty": [],
+}
+
+
+def _assert_packed_equal(got, want):
+    for name in ("atom_features", "bond_features", "edge_src", "edge_dst", "mol_ids"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    assert got.n_mols == want.n_mols
+    assert got.clamp_warnings == want.clamp_warnings
+
+
+@pytest.mark.parametrize("name", sorted(_BATCHES))
+def test_featurize_packed_matches_loop_reference(name):
+    mols = [parse_smiles(s) for s in _BATCHES[name]]
+    _assert_packed_equal(featurize_packed(mols), pack([loop_featurize(m) for m in mols]))
+    for mol in mols:
+        got, want = featurize(mol), loop_featurize(mol)
+        for field in ("atom_features", "bond_features", "edge_src", "edge_dst"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+        assert got.clamp_warnings == want.clamp_warnings
+

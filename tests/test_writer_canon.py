@@ -1,4 +1,6 @@
+import hashlib
 import random
+import sys
 import time
 
 import pytest
@@ -228,3 +230,62 @@ def test_large_symmetric_forms_stable_under_rewrites(smiles):
     for _ in range(20):
         order = random_permutation(len(mol.atoms), rng)
         assert canonical_form(parse_smiles(write_smiles(mol, order))) == base
+
+
+# sha256 of the forms of ``_pinned_sample``, recorded before the search
+# skipped writing automorphic leaves and refinement stopped at a discrete
+# partition; both changes keep every form byte-identical.
+PINNED_FORMS_SHA256 = "f7636903583f96ea73ef931957c2cc5eee8fa6aba63439ea410fd8bc435a19df"
+
+
+def _pinned_sample(directory) -> list[str]:
+    """Seeded inputs whose forms are pinned: a symmetric sample and every
+    molecule of a small memorization world."""
+    world = make_memorization_world(str(directory), seed=3, n_fragments=80,
+                                    n_reactions=60, n_distractors=40)
+    return _symmetric_sample(1, 60) + world.load(include_distractors=True).forms
+
+
+def test_forms_pinned_on_seeded_sample(tmp_path):
+    forms = [canonical_form(parse_smiles(smiles, allow_fragments=True))
+             for smiles in _pinned_sample(tmp_path)]
+    digest = hashlib.sha256("\n".join(forms).encode()).hexdigest()
+    assert digest == PINNED_FORMS_SHA256
+
+
+def test_one_leaf_string_per_molecule(tmp_path, monkeypatch):
+    from retroselect.chem import canon
+    sample = _pinned_sample(tmp_path)
+    writes = []
+
+    def counted(mol, start_order=None):
+        writes.append(len(mol.atoms))
+        return write_smiles(mol, start_order)
+
+    monkeypatch.setattr(canon, "write_smiles", counted)
+    for smiles in sample:
+        canonical_form(parse_smiles(smiles, allow_fragments=True))
+    assert len(writes) == len(sample)
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@pytest.mark.parametrize("smiles", [".".join(["C"] * 80), C60, NESTED_TBU_DENDRIMER],
+                         ids=["80-methanes", "c60", "tbu-dendrimer"])
+def test_search_runs_under_a_low_recursion_limit(smiles):
+    # The search keeps its own stack, so the depth of the tree (79 picks for
+    # 80 methanes) does not reach the interpreter's recursion limit.
+    expected = canonical_form(parse_smiles(smiles, allow_fragments=True))
+    mol = parse_smiles(smiles, allow_fragments=True)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 50)
+    try:
+        form = canonical_form(mol)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert form == expected
