@@ -387,6 +387,7 @@ def _eval_site(terms, b, state, residual, parents) -> Tensor:
 
 # --- similarity and classification ops ---
 
+# Norms below this count as zero: cosines are 0, normalization skips the row.
 ZERO_NORM_EPS = 1e-12
 
 

@@ -5,6 +5,10 @@ Subcommands: ``canon`` (canonicalize SMILES lines), ``train``, ``index``
 products), ``evaluate`` (top-k table on a test split), ``route``
 (multi-step search down to building blocks). Exit codes: 0 success,
 1 usage error, 2 data error.
+
+Every molecule and reaction file but ``canon``'s input and ``predict``'s
+products is read by ``data.load_corpus`` (up to 1% of bad lines dropped, more
+is a data error) and reported on a ``corpus:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -49,11 +53,15 @@ def _limit_threads(n: int) -> None:
         threadpoolctl.threadpool_limits(1)
 
 
-def _report_corpus(corpus) -> None:
-    """One stderr line with the load counts, dropped lines included."""
+def _load_corpus(reaction_paths, candidates_path=None):
+    """``data.load_corpus``, then one stderr line with its counts, dropped
+    lines included. With no reactions, the ids are the pool's file order."""
+    from .data import load_corpus
+    corpus = load_corpus(reaction_paths, candidates_path)
     print("corpus: " + " ".join(f"{key}={corpus.stats.get(key, 0)}" for key in
                                 ("lines", "parse_errors", "duplicates_dropped",
                                  "self_product_dropped")), file=sys.stderr)
+    return corpus
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -207,7 +215,7 @@ def _train_config(args):
 
 
 def _cmd_train(args) -> int:
-    from .data import CorpusError, MetricsLog, load_corpus, save_checkpoint
+    from .data import CorpusError, MetricsLog, save_checkpoint
     from .encoder import ModelDims
     from .training import train
     try:
@@ -218,8 +226,7 @@ def _cmd_train(args) -> int:
     paths = {"train": args.train}
     if args.val:
         paths["val"] = args.val
-    corpus = load_corpus(paths, candidates_path=args.candidates)
-    _report_corpus(corpus)
+    corpus = _load_corpus(paths, args.candidates)
     if args.types is not None and corpus.n_types > args.types:
         raise CorpusError(f"reaction type {corpus.n_types} in the corpus is outside "
                           f"--types [1, {args.types}]")
@@ -234,32 +241,16 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_pool(args):
+def _load_model_and_pool(args):
     from .data import load_checkpoint
-    from .chem import parse_smiles, canonical_form
-    params, meta = load_checkpoint(args.checkpoint)
-    candidates = []
-    forms = []
-    seen = set()
-    with open(args.candidates, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            mol = parse_smiles(line)
-            form = canonical_form(mol)
-            if form in seen:
-                continue
-            seen.add(form)
-            candidates.append(mol)
-            forms.append(form)
-    return params, candidates, forms
+    params, _meta = load_checkpoint(args.checkpoint)
+    return params, _load_corpus({}, args.candidates)
 
 
 def _cmd_index(args) -> int:
     from .index import CandidateIndex, save_index
-    params, candidates, _forms = _load_pool(args)
-    index = CandidateIndex.build(params, candidates)
+    params, pool = _load_model_and_pool(args)
+    index = CandidateIndex.build(params, pool.molecules)
     save_index(index, args.output)
     print(f"indexed {index.n_candidates} candidates (d={index.dim}) -> {args.output}")
     return EXIT_OK
@@ -326,10 +317,10 @@ def _cached_index(args, n_candidates, dim):
 def _cmd_predict(args) -> int:
     from .chem import canonical_form
     from .search import Predictor
-    params, candidates, forms = _load_pool(args)
+    params, pool = _load_model_and_pool(args)
     products = _read_products(args.products, args.use_types, params.dims.n_types)
-    predictor = Predictor(params, candidates, forms=forms,
-                          index=_cached_index(args, len(candidates), params.dims.d),
+    predictor = Predictor(params, pool.molecules, forms=pool.forms,
+                          index=_cached_index(args, len(pool.molecules), params.dims.d),
                           beam=args.beam, n_max=args.n_max)
     results = _predict_many(predictor, products, args.k, args.threads)
     out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
@@ -347,11 +338,12 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    from .data import load_corpus, topk_exact_match
+    from .data import topk_exact_match
     from .search import Predictor
-    params, candidates, forms = _load_pool(args)
-    corpus = load_corpus({"test": args.test}, candidates_path=args.candidates)
-    _report_corpus(corpus)
+    params, pool = _load_model_and_pool(args)
+    # Predictions and truths are compared as canonical forms, so the test
+    # corpus needs no ids shared with the pool.
+    corpus = _load_corpus({"test": args.test})
     records = corpus.reactions["test"]
     if args.limit:
         records = records[:args.limit]
@@ -359,8 +351,8 @@ def _cmd_evaluate(args) -> int:
         for r in records:
             if r.rxn_type is not None:
                 _check_type(r.rxn_type, params.dims.n_types, args.test)
-    predictor = Predictor(params, candidates, forms=forms,
-                          index=_cached_index(args, len(candidates), params.dims.d),
+    predictor = Predictor(params, pool.molecules, forms=pool.forms,
+                          index=_cached_index(args, len(pool.molecules), params.dims.d),
                           beam=args.beam, n_max=args.n_max)
     jobs = [(corpus.molecule(r.product_id),
              r.rxn_type if args.use_types else None) for r in records]
@@ -378,16 +370,11 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_route(args) -> int:
-    from .chem import canonical_form, parse_smiles
+    from .chem import parse_smiles
     from .search import Predictor, route_search
-    params, candidates, forms = _load_pool(args)
-    blocks = set()
-    with open(args.building_blocks, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                blocks.add(canonical_form(parse_smiles(line)))
-    predictor = Predictor(params, candidates, forms=forms,
+    params, pool = _load_model_and_pool(args)
+    blocks = set(_load_corpus({}, args.building_blocks).forms)
+    predictor = Predictor(params, pool.molecules, forms=pool.forms,
                           beam=args.beam, n_max=args.n_max)
     target = parse_smiles(args.target)
     route = route_search(target, blocks, predictor,

@@ -2,8 +2,8 @@
 
 Reaction files hold one ``R1.R2>>P`` (or ``R1>reagents>P``) record per line
 with an optional tab-separated integer reaction type; ``#`` lines are
-comments. Candidate files hold one SMILES per line. All molecules are
-interned by canonical form into dense integer ids.
+comments. Candidate pool (and building-block) files hold one SMILES per
+line. All molecules are interned by canonical form into dense integer ids.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .chem import ChemError, Molecule, canonical_form, parse_reaction, parse_smi
 from .encoder import ModelDims, ParamStore, init_params
 
 SPLITS = ("train", "val", "test")
-# Loading aborts when more than this share of data lines fails to parse.
+# A load aborts when more than this share of reaction (or pool) lines fails.
 MAX_ERROR_FRACTION = 0.01
 
 
@@ -75,13 +75,37 @@ class Corpus:
         return [self.molecules[i] for i in self.candidate_ids]
 
 
-def _iter_records(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            yield lineno, line
+@dataclass
+class _ParseTally:
+    """Data lines of one kind read so far, and those that failed to parse."""
+
+    kind: str
+    lines: int = 0
+    bad: int = 0
+    first_errors: list[str] = field(default_factory=list)
+
+    def parsed(self, path: str, parse):
+        """``parse`` of each data line of ``path`` (blank and ``#`` lines are
+        not data); lines that raise ``ChemError`` are counted and skipped."""
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                self.lines += 1
+                try:
+                    item = parse(line)
+                except ChemError as exc:
+                    self.bad += 1
+                    if len(self.first_errors) < 5:
+                        self.first_errors.append(f"{path}:{lineno}: {exc}")
+                    continue
+                yield item
+
+    def check(self) -> None:
+        if self.lines and self.bad / self.lines > MAX_ERROR_FRACTION:
+            raise CorpusError(f"{self.bad}/{self.lines} {self.kind} lines failed to "
+                              f"parse; first errors: " + "; ".join(self.first_errors))
 
 
 def load_corpus(reaction_paths: dict[str, str],
@@ -91,30 +115,22 @@ def load_corpus(reaction_paths: dict[str, str],
     ``candidates_path`` supplies an explicit pool file; otherwise the pool is
     derived as all distinct reactants across the given splits. Duplicate
     reaction lines and reactions whose product equals one of its reactants
-    are dropped (counted in ``stats``); parsing aborts if more than
-    ``MAX_ERROR_FRACTION`` of data lines fail.
+    are dropped (counted in ``stats``). Reaction lines, and pool lines, that
+    fail to parse are dropped and counted, unless more than
+    ``MAX_ERROR_FRACTION`` of that kind fail: then the load aborts. A
+    pool-only load interns the pool in file order, so its ids are 0..N-1.
     """
     corpus = Corpus()
-    n_lines = 0
-    n_bad = 0
+    reaction_lines = _ParseTally("reaction")
     n_dup = 0
     n_self = 0
-    first_errors: list[str] = []
     max_type = 0
     for split, path in reaction_paths.items():
         if split not in SPLITS:
             raise CorpusError(f"unknown split {split!r}")
         records: list[ReactionRecord] = []
         seen_records: set[tuple] = set()  # duplicates are dropped per split
-        for lineno, line in _iter_records(path):
-            n_lines += 1
-            try:
-                reactants, product, rxn_type = parse_reaction(line)
-            except ChemError as exc:
-                n_bad += 1
-                if len(first_errors) < 5:
-                    first_errors.append(f"{path}:{lineno}: {exc}")
-                continue
+        for reactants, product, rxn_type in reaction_lines.parsed(path, parse_reaction):
             product_id = corpus.intern(product)
             reactant_ids = tuple(sorted({corpus.intern(m) for m in reactants}))
             if product_id in reactant_ids:
@@ -129,39 +145,28 @@ def load_corpus(reaction_paths: dict[str, str],
                 max_type = max(max_type, rxn_type)
             records.append(ReactionRecord(reactant_ids, product_id, rxn_type))
         corpus.reactions[split] = records
+    reaction_lines.check()
 
-    if n_lines and n_bad / n_lines > MAX_ERROR_FRACTION:
-        raise CorpusError(
-            f"{n_bad}/{n_lines} reaction lines failed to parse; first errors: "
-            + "; ".join(first_errors))
-
+    pool_lines = _ParseTally("pool")
     if candidates_path is not None:
-        candidate_ids = []
-        n_cand_lines = 0
-        for lineno, line in _iter_records(candidates_path):
-            n_cand_lines += 1
-            try:
-                mol = parse_smiles(line)
-            except ChemError as exc:
-                n_bad += 1
-                if len(first_errors) < 5:
-                    first_errors.append(f"{candidates_path}:{lineno}: {exc}")
-                continue
-            candidate_ids.append(corpus.intern(mol))
-        if n_cand_lines == 0:
+        candidate_ids = [corpus.intern(mol)
+                         for mol in pool_lines.parsed(candidates_path, parse_smiles)]
+        if pool_lines.lines == 0:
             raise CorpusError(f"candidate file {candidates_path} is empty")
+        pool_lines.check()
         corpus.candidate_ids = sorted(set(candidate_ids))
     else:
         pool: set[int] = set()
         for records in corpus.reactions.values():
             for record in records:
                 pool.update(record.reactant_ids)
+        if not pool:
+            raise CorpusError("no reactions to derive the candidate pool from")
         corpus.candidate_ids = sorted(pool)
 
-    if not corpus.candidate_ids:
-        raise CorpusError("empty candidate pool")
     corpus.n_types = max_type
-    corpus.stats = {"lines": n_lines, "parse_errors": n_bad,
+    corpus.stats = {"lines": reaction_lines.lines + pool_lines.lines,
+                    "parse_errors": reaction_lines.bad + pool_lines.bad,
                     "duplicates_dropped": n_dup, "self_product_dropped": n_self}
     return corpus
 

@@ -265,29 +265,36 @@ def embed_molecule(mol: Molecule, head: str, params: ParamStore,
     return MolEmbedding(head, out.data[0].copy())
 
 
-def embed_matrix(mols: list[Molecule], params: ParamStore, head: str,
-                 batch_size: int = 512) -> np.ndarray:
-    """Raw (unnormalized) eval-mode embeddings, one row per molecule,
-    computed on detached parameters."""
-    out = np.zeros((len(mols), params.dims.d), dtype=np.float32)
+def embed_matrix(mols: list[Molecule], params: ParamStore, heads,
+                 batch_size: int = 512) -> tuple[np.ndarray, ...]:
+    """Raw (unnormalized) eval-mode embeddings under each of ``heads``, one
+    float32 array per head with one row per molecule, computed on detached
+    parameters. The trunk runs once per chunk of ``batch_size`` molecules
+    whatever the number of heads, and each head's rows are bitwise those of
+    a pass for that head alone."""
+    out = tuple(np.zeros((len(mols), params.dims.d), dtype=np.float32) for _ in heads)
     frozen = params.detached()
     for start in range(0, len(mols), batch_size):
         chunk = mols[start:start + batch_size]
-        packed = featurize_packed(chunk)
-        rows = embed_graphs(packed, frozen, "eval", heads=(head,))[head]
-        out[start:start + len(chunk)] = rows.data.astype(np.float32)
+        rows = embed_graphs(featurize_packed(chunk), frozen, "eval", heads=heads)
+        for head, array in zip(heads, out):
+            array[start:start + len(chunk)] = rows[head].data
     return out
+
+
+def normalize_rows(rows: np.ndarray) -> np.ndarray:
+    """Scale each row of a float32 matrix to unit norm in place and return
+    it; rows of norm below ``ZERO_NORM_EPS`` (zero rows) are left as they are."""
+    norms = np.linalg.norm(rows, axis=1)
+    rows /= np.where(norms < ad.ZERO_NORM_EPS, 1.0, norms).astype(np.float32)[:, None]
+    return rows
 
 
 def embed_pool(mols: list[Molecule], params: ParamStore,
                batch_size: int = 512) -> np.ndarray:
     """Unit-normalized key (h-head) embeddings for a candidate pool, rows in
     input order; zero-norm rows are left as zero. Eval mode only."""
-    keys = embed_matrix(mols, params, "h", batch_size)
-    norms = np.linalg.norm(keys, axis=1)
-    scale = np.where(norms < ad.ZERO_NORM_EPS, 1.0, norms).astype(np.float32)
-    keys /= scale[:, None]
-    return keys
+    return normalize_rows(embed_matrix(mols, params, ("h",), batch_size)[0])
 
 
 def type_bias(params: ParamStore, table: str, rxn_type: int | None) -> np.ndarray | None:

@@ -24,8 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoder import ParamStore, embed_pool
-from .scoring import ZERO_NORM_EPS, pair_cosines, pair_dots
+from .autodiff import ZERO_NORM_EPS
+from .encoder import ParamStore, embed_pool, normalize_rows
+from .scoring import pair_cosines, pair_dots
 
 HALT_ID = -1
 
@@ -128,21 +129,21 @@ class CandidateIndex:
     @classmethod
     def from_raw_keys(cls, raw: np.ndarray, candidate_ids=None,
                       halt_key: np.ndarray | None = None) -> "CandidateIndex":
-        """Index over already-computed raw (unnormalized) key vectors."""
-        raw = np.asarray(raw, dtype=np.float32)
+        """Index over already-computed raw (unnormalized) key vectors, which
+        are copied, not changed; ``halt_key``, if given, is the last row."""
         if candidate_ids is None:
-            candidate_ids = np.arange(raw.shape[0], dtype=np.int64)
-        keys = _normalize_rows(raw)
-        if halt_key is not None:
-            keys = _append_halt(keys, halt_key)
+            candidate_ids = np.arange(np.shape(raw)[0], dtype=np.int64)
+        rows = [raw] if halt_key is None else [raw, np.reshape(halt_key, (1, -1))]
+        keys = normalize_rows(np.concatenate(rows, dtype=np.float32))
         return cls(keys, candidate_ids, halt_key is not None)
 
     def with_halt(self, params: ParamStore) -> "CandidateIndex":
         """Derived snapshot with the current halt key appended (for search)."""
         if self.includes_halt:
             return self
-        return CandidateIndex(_append_halt(self.keys, params.tensors["halt_key"].data),
-                              self.ids, True)
+        halt = normalize_rows(np.array(params.tensors["halt_key"].data,
+                                       dtype=np.float32, ndmin=2))
+        return CandidateIndex(np.vstack([self.keys, halt]), self.ids, True)
 
     # --- queries ---
 
@@ -331,17 +332,6 @@ def _flat_exclusions(exclude_rows, n_queries: int,
     if ex_r.size and (ex_r.min() < 0 or ex_r.max() >= n_rows):
         raise IndexError("excluded row outside the index")
     return ex_q, ex_r
-
-
-def _normalize_rows(raw: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(raw, axis=1)
-    scale = np.where(norms < 1e-12, 1.0, norms).astype(np.float32)
-    return (raw / scale[:, None]).astype(np.float32)
-
-
-def _append_halt(keys: np.ndarray, halt_key: np.ndarray) -> np.ndarray:
-    halt = _normalize_rows(np.asarray(halt_key, dtype=np.float32).reshape(1, -1))
-    return np.vstack([keys, halt])
 
 
 def hard_neighbors(index: CandidateIndex, anchor_ids, k: int,

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ZERO_NORM_EPS = 1e-12
+from .autodiff import ZERO_NORM_EPS
+
 PERM_THRESHOLD = 5
 # The exhaustive order table holds n! x n positions: 40,320 x 8 at 8.
 MAX_PERM_THRESHOLD = 8

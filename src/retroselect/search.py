@@ -180,7 +180,10 @@ def rank(product: Molecule | None, banked: Banked, params: ParamStore,
 
 
 class Predictor:
-    """Read-only prediction engine over one parameter/index snapshot."""
+    """Read-only prediction engine over one parameter/index snapshot. The
+    key index (halt row appended) and ``g_pool`` come from one trunk pass
+    over ``candidates``; with a given ``index`` (e.g. from an RCLX cache) of
+    their current keys, only ``g_pool`` is embedded."""
 
     def __init__(self, params: ParamStore, candidates: list[Molecule],
                  candidate_ids=None, forms: list[str] | None = None,
@@ -193,9 +196,12 @@ class Predictor:
             candidate_ids = np.arange(len(candidates), dtype=np.int64)
         self.candidate_ids = np.asarray(candidate_ids, dtype=np.int64)
         if index is None:
-            index = CandidateIndex.build(params, candidates, self.candidate_ids)
-        self.index = index.with_halt(params)
-        self.g_pool = embed_matrix(candidates, params, "g")
+            h_rows, self.g_pool = embed_matrix(candidates, params, ("h", "g"))
+            self.index = CandidateIndex.from_raw_keys(
+                h_rows, self.candidate_ids, halt_key=params.tensors["halt_key"].data)
+        else:
+            self.index = index.with_halt(params)
+            (self.g_pool,) = embed_matrix(candidates, params, ("g",))
         self.forms = forms if forms is not None \
             else [canonical_form(m) for m in candidates]
         self.id_of_form = {form: int(mol_id)

@@ -6,8 +6,8 @@ masked log-softmax pick over one cosine matrix (a query row per backward
 selection step and per forward synthesizability check, a key column per
 candidate plus the halt key), and applies one clipped SGD update. The
 candidate index used for hard-negative mining is rebuilt periodically from
-the current parameters; validation reuses it when it was rebuilt at that
-step.
+the current parameters; at a step that also validates, it is the
+validation predictor's index, so the pool is embedded once.
 """
 
 from __future__ import annotations
@@ -353,17 +353,16 @@ def train(corpus: Corpus, cfg: TrainConfig, dims: ModelDims | None = None,
         batch = sampler.next_batch()
         step_metrics = train_step(batch, index, params, cfg, corpus,
                                   optimizer, bundle_cache=bundle_cache)
-        refreshed = step % cfg.refresh_every == 0 and step < cfg.total_iters
-        if refreshed:
-            index = CandidateIndex.build(params, candidates, candidate_ids)
+        refresh = step % cfg.refresh_every == 0 and step < cfg.total_iters
         if step % cfg.eval_every == 0 or step == cfg.total_iters:
-            # An index rebuilt at this step holds the current keys; Predictor
-            # appends the halt key itself.
             predictor = Predictor(params, candidates, candidate_ids,
                                   forms=[corpus.form(i) for i in corpus.candidate_ids],
-                                  index=index if refreshed else None,
                                   beam=cfg.val_beam, n_max=cfg.val_n_max,
                                   perm_threshold=cfg.perm_threshold)
+            if refresh:
+                # Its index holds the current keys, and mining never returns
+                # the halt row.
+                index = predictor.index
             hits = 0
             for record in val_records:
                 predicted = predictor.predict_forms(
@@ -380,5 +379,7 @@ def train(corpus: Corpus, cfg: TrainConfig, dims: ModelDims | None = None,
                 if checkpoint_path:
                     save_checkpoint(best_params, checkpoint_path,
                                     tau=cfg.tau, seed=cfg.seed)
+        elif refresh:
+            index = CandidateIndex.build(params, candidates, candidate_ids)
         metrics.log(step=step, **step_metrics)
     return best_params if best_params is not None else params.copy()

@@ -231,12 +231,11 @@ def test_index_cache_size_mismatch(trained_world, tmp_path, capsys):
 def test_index_cache_changes_no_prediction(trained_world, tmp_path):
     """No cache, a cache from ``index`` and an older cache that holds the
     halt row all give the same bytes."""
-    from argparse import Namespace
-    from retroselect.cli import _load_pool
+    from retroselect.data import load_checkpoint, load_corpus
     from retroselect.index import CandidateIndex, save_index
     world, ckpt, _ = trained_world
-    params, candidates, _forms = _load_pool(
-        Namespace(checkpoint=ckpt, candidates=world.candidates_path))
+    params, _meta = load_checkpoint(ckpt)
+    candidates = load_corpus({}, candidates_path=world.candidates_path).molecules
     plain, halt_row = tmp_path / "plain.rclx", tmp_path / "halt_row.rclx"
     assert main(["index", "--checkpoint", ckpt, "--candidates", world.candidates_path,
                  "--output", str(plain)]) == EXIT_OK
@@ -405,3 +404,94 @@ def test_train_and_evaluate_report_dropped_lines(tmp_path, capsys):
     assert main(["evaluate", "--checkpoint", ckpt, "--candidates", str(pool),
                  "--test", str(reactions), "--beam", "4"]) == EXIT_OK
     assert expected in capsys.readouterr().err.splitlines()
+
+
+def _pool_argv(subcommand, world, ckpt, pool, tmp_path):
+    """One run of ``subcommand`` that reads ``pool`` as its candidate pool."""
+    with open(world.reaction_paths["train"], encoding="utf-8") as fh:
+        product = fh.readline().strip().split(">>")[1]
+    (tmp_path / "products.txt").write_text(product + "\n", encoding="utf-8")
+    with open(world.candidates_path, encoding="utf-8") as fh:
+        target = fh.readline().strip()
+    if subcommand == "train":
+        return ["train", "--train", world.reaction_paths["train"], "--candidates", pool,
+                "--checkpoint", str(tmp_path / "model.rclc"), "--total-iters", "1",
+                "--batch-size", "4", "--dim", "8", "--layers", "1", "--val-beam", "4"]
+    rest = {"index": ["--output", str(tmp_path / "pool.rclx")],
+            "predict": ["--products", str(tmp_path / "products.txt"), "--beam", "4"],
+            "evaluate": ["--test", world.reaction_paths["train"], "--beam", "4",
+                         "--limit", "2"],
+            "route": ["--building-blocks", world.candidates_path, "--target", target,
+                      "--beam", "4"]}[subcommand]
+    return [subcommand, "--checkpoint", ckpt, "--candidates", pool] + rest
+
+
+@pytest.mark.parametrize("bad_lines, total", [(1, 100), (4, 8)])
+@pytest.mark.parametrize("subcommand", ["train", "index", "predict", "evaluate", "route"])
+def test_one_pool_policy_for_every_subcommand(subcommand, bad_lines, total,
+                                              trained_world, tmp_path, capsys):
+    """Up to 1% of bad pool lines are dropped and reported on the ``corpus:``
+    line; more end in one ``error:`` line with exit 2, whatever reads the pool."""
+    world, ckpt, _ = trained_world
+    with open(world.candidates_path, encoding="utf-8") as fh:
+        good = [line.strip() for line in fh if line.strip()]
+    lines = (good * total)[:total - bad_lines] + ["C1CC"] * bad_lines
+    pool = tmp_path / "pool.txt"
+    pool.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    code = main(_pool_argv(subcommand, world, ckpt, str(pool), tmp_path))
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert "Traceback" not in err
+    if bad_lines == 1:
+        assert code == EXIT_OK and errors == []
+        assert any(line.startswith("corpus: ") and " parse_errors=1 " in line
+                   for line in err.splitlines())
+    else:
+        assert code == EXIT_DATA
+        assert len(errors) == 1 and "4/8 pool lines failed to parse" in errors[0]
+
+
+@pytest.mark.parametrize("subcommand, message", [
+    ("route", "error: candidate file {empty} is empty"),
+    ("evaluate", "error: no reactions to derive the candidate pool from"),
+], ids=["route", "evaluate"])
+def test_empty_building_blocks_or_test_file_is_data_error(subcommand, message,
+                                                          trained_world, tmp_path, capsys):
+    world, ckpt, _ = trained_world
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# nothing\n", encoding="utf-8")
+    rest = ["--building-blocks", str(empty), "--target", "CCO"] if subcommand == "route" \
+        else ["--test", str(empty)]
+    code = main([subcommand, "--checkpoint", ckpt, "--candidates", world.candidates_path,
+                 "--beam", "4"] + rest)
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        message.format(empty=empty)]
+
+
+def test_evaluate_reads_each_pool_line_once(trained_world, tmp_path, monkeypatch, capsys):
+    from retroselect import chem, data
+    world, ckpt, _ = trained_world
+    with open(world.candidates_path, encoding="utf-8") as fh:
+        pool_lines = [line.strip() for line in fh if line.strip()][:4]
+    pool = tmp_path / "pool.txt"
+    pool.write_text("\n".join(pool_lines) + "\n", encoding="utf-8")
+    test = tmp_path / "test.txt"
+    test.write_text("CCO.CC(=O)O>>CC(=O)OCC\nCN.CC(=O)O>>CC(=O)NC\n", encoding="utf-8")
+    calls = []
+    canonical_form = chem.canonical_form
+
+    def counted(mol):
+        calls.append(1)
+        return canonical_form(mol)
+
+    for module in (chem, data):
+        monkeypatch.setattr(module, "canonical_form", counted)
+    assert main(["evaluate", "--checkpoint", ckpt, "--candidates", str(pool),
+                 "--test", str(test), "--beam", "4"]) == EXIT_OK
+    capsys.readouterr()
+    # Each of the 4 pool lines once, and each of the 6 molecules of the two
+    # test reactions once.
+    assert len(calls) == 4 + 6

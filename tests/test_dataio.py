@@ -65,6 +65,29 @@ def test_parse_error_threshold(tmp_path):
     assert corpus.stats["parse_errors"] == 1
 
 
+def test_pool_parse_error_threshold(tmp_path):
+    # Pool lines are held to the error fraction on their own count.
+    bad = write(tmp_path / "bad.txt", "CCO\nC1CC\nCN\n((\nCC\nX!\nCCC\nC(\n")
+    with pytest.raises(CorpusError, match="4/8 pool lines"):
+        load_corpus({}, candidates_path=bad)
+    lines = ["C" * (n % 20 + 1) for n in range(199)] + ["C1CC"]
+    ok = write(tmp_path / "ok.txt", "\n".join(lines) + "\n")
+    train = write(tmp_path / "train.txt", "CC.CO>>CCCO\n")
+    corpus = load_corpus({"train": train}, candidates_path=ok)  # 1/200 tolerated
+    assert corpus.stats["lines"] == 201  # the reaction line and every pool line
+    assert corpus.stats["parse_errors"] == 1
+    assert len(corpus.candidate_ids) == 20
+
+
+def test_pool_only_corpus_ids_follow_file_order(tmp_path):
+    pool = write(tmp_path / "pool.txt", "CCN\nCCO\n# comment\nOCC\nC\n")
+    corpus = load_corpus({}, candidates_path=pool)
+    assert corpus.candidate_ids == [0, 1, 2]
+    assert corpus.forms == [canonical_form(parse_smiles(s)) for s in ("CCN", "CCO", "C")]
+    assert corpus.stats == {"lines": 4, "parse_errors": 0, "duplicates_dropped": 0,
+                            "self_product_dropped": 0}
+
+
 def test_empty_candidate_file(tmp_path):
     train = write(tmp_path / "train.txt", "CC.CO>>CCCO\n")
     cand = write(tmp_path / "cands.txt", "# nothing\n")

@@ -71,6 +71,25 @@ def test_predictor_rejects_perm_threshold_outside_order_table(tiny_params):
             Predictor(tiny_params, [], perm_threshold=threshold)
 
 
+@pytest.mark.parametrize("n", [1, 512, 513, 1100])
+def test_predictor_runs_the_trunk_once_per_chunk(n, tiny_params, corpus_molecules,
+                                                 monkeypatch):
+    from retroselect import encoder
+    calls = []
+    embed_nodes = encoder.embed_nodes
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return embed_nodes(*args, **kwargs)
+
+    monkeypatch.setattr(encoder, "embed_nodes", counted)
+    candidates = list(itertools.islice(itertools.cycle(corpus_molecules), n))
+    predictor = Predictor(tiny_params, candidates)
+    assert len(calls) == -(-n // 512)  # ceil(n / 512) chunks, both heads per pass
+    assert predictor.g_pool.shape == (n, tiny_params.dims.d)
+    assert predictor.index.keys.shape == (n + 1, tiny_params.dims.d)
+
+
 def test_beam_cum_psi_includes_halt(rng):
     params, index, g_pool, f_p = synthetic_world(rng, n=3)
     done = beam_search(None, index, params, g_pool, beam=50, n_max=1,

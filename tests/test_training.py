@@ -447,10 +447,33 @@ def test_predictor_reusing_training_index_matches_fresh(world):
     ids = np.array(corpus.candidate_ids)
     fresh = Predictor(params, corpus.candidates(), ids, **kwargs)
     reused = Predictor(params, corpus.candidates(), ids, index=index, **kwargs)
+    # One trunk pass for both heads gives bitwise the h-only index's keys
+    # and the g-only pass's rows.
     assert np.array_equal(fresh.index.keys, reused.index.keys)
+    assert np.array_equal(fresh.g_pool, reused.g_pool)
     for record in records:
         product = corpus.molecule(record.product_id)
         assert fresh.predict(product, 5) == reused.predict(product, 5)
+
+
+def test_refresh_at_an_eval_step_embeds_the_pool_once(monkeypatch):
+    from retroselect import encoder, search
+    calls = []
+    embed_matrix = encoder.embed_matrix
+
+    def counted(mols, params, heads, *args, **kwargs):
+        calls.append(tuple(heads))
+        return embed_matrix(mols, params, heads, *args, **kwargs)
+
+    for module in (encoder, search):
+        monkeypatch.setattr(module, "embed_matrix", counted)
+    corpus, _ = make_corpus(REACTIONS)
+    cfg = TrainConfig(total_iters=4, eval_every=2, refresh_every=2, batch_size=2,
+                      hard_k=1, val_beam=4, seed=3)
+    train(corpus, cfg, ModelDims(d=8, n_layers=1, n_types=2))
+    # The first mining index, then one pass for both heads at step 2 (which
+    # refreshes and validates) and at step 4 (which validates).
+    assert calls == [("h",), ("h", "g"), ("h", "g")]
 
 
 def test_train_zero_iters_returns_init(tmp_path):
