@@ -6,19 +6,25 @@ need: affine maps, ReLU, batch normalization, products with a constant
 row selection), a query-by-key cosine matrix and a row-wise masked
 log-softmax pick, plus SGD with momentum and global-norm clipping.
 
-``affine_batchnorm`` is one ``x @ w + b (+ residual) -> batchnorm`` site
-and one tape node with its own backward in both modes. In train mode the
-node keeps a single buffer, the normalized pre-activation, and its backward
-is the batch-norm gradient (Ioffe & Szegedy, arXiv:1502.03167) carried on
-to every term, the bias and the residual. In eval mode batch norm is an
-affine map of its running statistics, so it is folded into the weights
-(scaled by s = gamma / sqrt(running_var + eps)), the bias
+``affine_batchnorm`` is one ``x @ w + b (+ residual) -> batchnorm (-> relu)``
+site and one tape node with its own backward in both modes. In train mode
+the node keeps a single buffer, the normalized pre-activation, and its
+backward is the batch-norm gradient (Ioffe & Szegedy, arXiv:1502.03167)
+carried on to every term, the bias and the residual. In eval mode batch
+norm is an affine map of its running statistics, so it is folded into the
+weights (scaled by s = gamma / sqrt(running_var + eps)), the bias
 ((b - running_mean) * s + beta) and the residual (scaled by s) (after
-Jacob et al., arXiv:1712.05877).
+Jacob et al., arXiv:1712.05877). With ``relu=True`` the ReLU is applied in
+place to the site's own output, and the backward masks the incoming
+gradient with ``out > 0``, so no pre-activation copy is kept for the mask.
 
 Arrays are float32 by default; building the parameters in float64 switches
 the whole tape to float64 for gradient checking. Every op output that can
 overflow passes a finite check. Gradients are accumulated without copies.
+A tape is walked once: ``backward`` drops each node's backward closure, and
+with it the buffers the closure saved, as soon as it has run (after Chen et
+al., arXiv:1604.06174, on what a step's saved activations cost), so a
+second ``backward`` through the same graph raises ``TapeReleased``.
 """
 
 from __future__ import annotations
@@ -39,6 +45,10 @@ class DegenerateBatch(ValueError):
 
 class NumericsError(FloatingPointError):
     """A public operation produced NaN/Inf."""
+
+
+class TapeReleased(RuntimeError):
+    """``backward`` reached a node whose backward already ran and was freed."""
 
 
 def _checked(data: np.ndarray, op: str) -> np.ndarray:
@@ -94,7 +104,14 @@ def constant(data, dtype=None) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Reverse-mode sweep from a scalar loss; accumulates into .grad."""
+    """Reverse-mode sweep from a scalar loss; accumulates into .grad.
+
+    Each non-leaf node's backward closure is dropped as soon as the sweep
+    has passed it, which frees the buffers it saved while the sweep goes
+    on. Leaves and intermediate nodes keep their ``.grad``. A graph can
+    therefore be differentiated once: a second call raises
+    ``TapeReleased`` before any gradient is added.
+    """
     if loss.data.ndim != 0 and loss.data.size != 1:
         raise ShapeMismatch(f"backward needs a scalar loss, got shape {loss.shape}")
     order: list[Tensor] = []
@@ -107,6 +124,9 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in seen:
             continue
+        if node._parents and node._backward is None:
+            raise TapeReleased("this graph was already differentiated and its saved "
+                               "buffers freed; build it again to differentiate it")
         seen.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
@@ -114,8 +134,10 @@ def backward(loss: Tensor) -> None:
                 stack.append((parent, False))
     loss._accumulate(np.ones_like(loss.data))
     for node in reversed(order):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+        if node._backward is not None:
+            if node.grad is not None:
+                node._backward(node.grad)
+            node._backward = None
 
 
 # --- elementwise / affine ops ---
@@ -194,7 +216,9 @@ class SparseMatrix:
     (mat[seg[j], j] = 1), a row gather (mat[j, idx[j]] = 1), a graph's
     adjacency (one entry per directed edge) or a signed sum of selected
     rows. CSR copies are built per dtype on first use; the transpose only
-    when a backward pass needs it.
+    when a backward pass needs it. A copy is built from the entries sorted
+    by (row, column), duplicates summed in their input order, which is the
+    canonical CSR scipy's COO constructor makes, without its round trip.
     """
 
     __slots__ = ("rows", "cols", "values", "shape", "_csr")
@@ -218,8 +242,15 @@ class SparseMatrix:
         if key not in self._csr:
             rows, cols = (self.cols, self.rows) if transpose else (self.rows, self.cols)
             shape = self.shape[::-1] if transpose else self.shape
-            self._csr[key] = sp.csr_matrix(
-                (self.values.astype(dtype), (rows, cols)), shape=shape)
+            order = np.lexsort((cols, rows))
+            rows, cols = rows[order], cols[order]
+            first = np.ones(rows.shape, dtype=bool)
+            first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+            starts = np.flatnonzero(first)
+            values = np.add.reduceat(self.values[order].astype(dtype), starts)
+            indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+            np.cumsum(np.bincount(rows[starts], minlength=shape[0]), out=indptr[1:])
+            self._csr[key] = sp.csr_matrix((values, cols[starts], indptr), shape=shape)
         return self._csr[key]
 
 
@@ -262,8 +293,9 @@ class BatchNormState:
 
 
 def affine_batchnorm(terms, b: Tensor, state: BatchNormState, mode: str,
-                     residual: Tensor | None = None) -> Tensor:
-    """Batch norm of ``sum(x @ w for x, w in terms) + b (+ residual)``.
+                     residual: Tensor | None = None, relu: bool = False) -> Tensor:
+    """Batch norm of ``sum(x @ w for x, w in terms) + b (+ residual)``,
+    followed by a ReLU when ``relu`` is set.
 
     One tape node with its own backward to every x, w, b, gamma, beta and
     the residual, in both modes. Train mode normalizes each feature column
@@ -272,7 +304,10 @@ def affine_batchnorm(terms, b: Tensor, state: BatchNormState, mode: str,
     pre-activation, for its backward. Eval mode folds the running statistics
     into the affine map: with s = gamma / sqrt(running_var + eps) it computes
     ``sum(x @ (w * s)) + (b - running_mean) * s + beta (+ residual * s)``,
-    so no normalized copy is made.
+    so no normalized copy is made. The ReLU clamps the node's own output in
+    place, and the backward masks the incoming gradient with ``out > 0``,
+    which is the batch-norm output's mask; values and gradients are bitwise
+    those of ``relu`` composed after the site.
     """
     x0, w0 = terms[0]
     for x, w in terms:
@@ -287,13 +322,21 @@ def affine_batchnorm(terms, b: Tensor, state: BatchNormState, mode: str,
     if residual is not None:
         parents += (residual,)
     if mode == "train":
-        return _train_site(terms, b, state, residual, parents)
+        return _train_site(terms, b, state, residual, parents, relu)
     if mode == "eval":
-        return _eval_site(terms, b, state, residual, parents)
+        return _eval_site(terms, b, state, residual, parents, relu)
     raise ValueError(f"unknown batchnorm mode {mode!r}")
 
 
-def _train_site(terms, b, state, residual, parents) -> Tensor:
+def _site_output(y: np.ndarray, parents, relu: bool) -> Tensor:
+    """The checked site output, clamped in place when ``relu`` is set."""
+    _checked(y, "affine_batchnorm")
+    if relu:
+        np.maximum(y, 0, out=y)
+    return Tensor(y, parents=parents)
+
+
+def _train_site(terms, b, state, residual, parents, relu) -> Tensor:
     x0, w0 = terms[0]
     n = x0.shape[0]
     if n < 2:
@@ -317,11 +360,13 @@ def _train_site(terms, b, state, residual, parents) -> Tensor:
     m = state.momentum
     state.running_mean += m * (mean - state.running_mean)
     state.running_var += m * (var * (n / (n - 1)) - state.running_var)
-    out = Tensor(_checked(x_hat * gamma.data + beta.data, "affine_batchnorm"),
-                 parents=parents)
+    out = _site_output(x_hat * gamma.data + beta.data, parents, relu)
+    y = out.data
 
     def _bw(g):
         # gp is the gradient of the pre-activation; g is never written.
+        if relu:
+            g = g * (y > 0)
         prod = g * x_hat
         gx_sum = prod.sum(axis=0)
         g_sum = g.sum(axis=0)
@@ -346,7 +391,7 @@ def _train_site(terms, b, state, residual, parents) -> Tensor:
     return out
 
 
-def _eval_site(terms, b, state, residual, parents) -> Tensor:
+def _eval_site(terms, b, state, residual, parents, relu) -> Tensor:
     x0, w0 = terms[0]
     gamma, beta, mean = state.gamma, state.beta, state.running_mean
     inv_std = 1.0 / np.sqrt(state.running_var + state.epsilon)
@@ -357,10 +402,12 @@ def _eval_site(terms, b, state, residual, parents) -> Tensor:
     y += (b.data - mean) * s + beta.data
     if residual is not None:
         y += residual.data * s
-    out = Tensor(_checked(y, "affine_batchnorm"), parents=parents)
+    out = _site_output(y, parents, relu)
 
     def _bw(g):
         # ds collects d(loss)/ds column-wise; gamma's gradient is ds * inv_std.
+        if relu:
+            g = g * (y > 0)
         g_sum = g.sum(axis=0)
         gs = g * s
         ds = (b.data - mean) * g_sum

@@ -14,6 +14,8 @@ is a data error) and reported on a ``corpus:`` line on stderr.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import glob
 import json
 import os
 import sys
@@ -40,12 +42,34 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _openblas_symbol(name: str, restype, *argtypes):
+    """The ``name`` function (``set_num_threads``, ``get_num_threads``) of the
+    OpenBLAS bundled with numpy, through ctypes with the given signature;
+    None when there is none."""
+    import numpy
+    libs = os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}64_"):
+            function = getattr(lib, symbol, None)
+            if function is not None:
+                function.restype, function.argtypes = restype, argtypes
+                return function
+    return None
+
+
 def _limit_threads(n: int) -> None:
+    """Pin BLAS to one thread for ``n == 1``: through threadpoolctl when it is
+    installed, else through numpy's bundled OpenBLAS. Warns when neither can
+    pin it and ``OPENBLAS_NUM_THREADS=1`` does not already."""
     if n == 1:
         try:
             import threadpoolctl
         except ImportError:
-            if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
+            setter = _openblas_symbol("set_num_threads", None, ctypes.c_int)
+            if setter is not None:
+                setter(1)
+            elif os.environ.get("OPENBLAS_NUM_THREADS") != "1":
                 print("warning: threadpoolctl is not installed, so BLAS threads "
                       "were not pinned; set OPENBLAS_NUM_THREADS=1 to pin them",
                       file=sys.stderr)

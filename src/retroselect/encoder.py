@@ -11,9 +11,9 @@ adjacency product ``A @ h`` with ``A[i, j]`` the number of edges j -> i, and
 the per-edge bond term ``sum_e x_bond[e] @ w_bond`` is reassociated as
 ``B @ w_bond`` with ``B`` the bond features summed per atom once per batch.
 Pooling is one product with the atom-to-molecule matrix. Each
-linear(+residual) -> batch-norm site is one ``ad.affine_batchnorm``, which
-folds eval-mode batch norm into the weights, on trainable and detached
-parameters alike.
+linear(+residual) -> batch-norm (-> ReLU) site is one ``ad.affine_batchnorm``
+node, which folds eval-mode batch norm into the weights, on trainable and
+detached parameters alike, and applies the ReLU to its own output.
 """
 
 from __future__ import annotations
@@ -218,18 +218,17 @@ def embed_nodes(feats, params: ParamStore, mode: str = "eval",
     # is then bonds @ w_bond instead of a per-edge product summed per atom.
     bonds = ad.sparse_matmul(ops.bond_sum, ad.constant(packed.bond_features, params.dtype))
 
-    h = ad.relu(ad.affine_batchnorm([(x_atom, t["trunk.w0_atom"]),
-                                     (bonds, t["trunk.w0_bond"])],
-                                    t["trunk.b0"], bn["trunk.bn0"], mode))
+    h = ad.affine_batchnorm([(x_atom, t["trunk.w0_atom"]), (bonds, t["trunk.w0_bond"])],
+                            t["trunk.b0"], bn["trunk.bn0"], mode, relu=True)
     for layer in range(1, params.dims.n_layers + 1):
         prefix = f"trunk.l{layer}"
         neighbor_sum = ad.sparse_matmul(ops.adjacency, h)
-        stage1 = ad.relu(ad.affine_batchnorm([(neighbor_sum, t[f"{prefix}.w1"]),
-                                              (bonds, t[f"{prefix}.w_bond"])],
-                                             t[f"{prefix}.b1"], bn[f"{prefix}.bn1"], mode))
+        stage1 = ad.affine_batchnorm([(neighbor_sum, t[f"{prefix}.w1"]),
+                                      (bonds, t[f"{prefix}.w_bond"])],
+                                     t[f"{prefix}.b1"], bn[f"{prefix}.bn1"], mode, relu=True)
         del neighbor_sum  # free it before the next product when no tape holds it
-        h = ad.relu(ad.affine_batchnorm([(stage1, t[f"{prefix}.w2"])], t[f"{prefix}.b2"],
-                                        bn[f"{prefix}.bn2"], mode, residual=h))
+        h = ad.affine_batchnorm([(stage1, t[f"{prefix}.w2"])], t[f"{prefix}.b2"],
+                                bn[f"{prefix}.bn2"], mode, residual=h, relu=True)
     return ad.linear(h, t["trunk.w_last"], t["trunk.b_last"])
 
 
@@ -240,8 +239,8 @@ def head_embeddings(node_matrix: Tensor, head: str, params: ParamStore,
         raise ValueError(f"unknown head {head!r}")
     t, bn = params.tensors, params.bn_states
     prefix = f"head.{head}"
-    z = ad.relu(ad.affine_batchnorm([(ad.relu(node_matrix), t[f"{prefix}.w1"])],
-                                    t[f"{prefix}.b1"], bn[f"{prefix}.bn1"], mode))
+    z = ad.affine_batchnorm([(ad.relu(node_matrix), t[f"{prefix}.w1"])],
+                            t[f"{prefix}.b1"], bn[f"{prefix}.bn1"], mode, relu=True)
     z = ad.affine_batchnorm([(z, t[f"{prefix}.w2"])], t[f"{prefix}.b2"],
                             bn[f"{prefix}.bn2"], mode)
     return ad.sparse_matmul(pool, ad.add(node_matrix, z))

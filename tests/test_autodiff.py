@@ -1,8 +1,10 @@
 import importlib
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from retroselect import autodiff as ad
 
@@ -273,6 +275,91 @@ def test_affine_batchnorm_gradients_both_modes(rng):
         ad.affine_batchnorm([(terms[0][0], terms[1][1])], b, state, "eval")
 
 
+@pytest.mark.parametrize("mode", ["train", "eval"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_affine_batchnorm_relu_is_relu_of_the_site(mode, dtype, rng):
+    # The fused ReLU against ad.relu composed after the same site: output,
+    # running statistics and every parent's gradient are bitwise equal.
+    terms, b, state, residual = _random_bn_site(rng, n=9, widths=(4, 2), d=7, dtype=dtype)
+    tensors = [x for pair in terms for x in pair] + [b, state.gamma, state.beta, residual]
+    weights = ad.constant(rng.standard_normal((9, 7)).astype(dtype))
+    runs = []
+    for site in (lambda: ad.affine_batchnorm(terms, b, state, mode, residual, relu=True),
+                 lambda: ad.relu(ad.affine_batchnorm(terms, b, state, mode, residual))):
+        before = (state.running_mean.copy(), state.running_var.copy())
+        for tensor in tensors:
+            tensor.grad = None
+        out = site()
+        ad.backward(ad.sum_all(mul(out, weights)))
+        runs.append([out.data, state.running_mean.copy(), state.running_var.copy()]
+                    + [tensor.grad for tensor in tensors])
+        state.running_mean[:], state.running_var[:] = before
+    fused, composed = runs
+    assert fused[0].dtype == dtype and (fused[0] == 0).any() and (fused[0] > 0).any()
+    assert all(np.array_equal(a, c) for a, c in zip(fused, composed))
+
+
+@pytest.mark.parametrize("mode", ["train", "eval"])
+def test_affine_batchnorm_relu_gradients(mode, rng):
+    terms, b, state, residual = _random_bn_site(rng, n=7, widths=(4, 2))
+    weights = ad.constant(rng.standard_normal((7, 3)))
+    params = [t for pair in terms for t in pair] + [b, state.gamma, state.beta, residual]
+
+    def loss():
+        out = ad.affine_batchnorm(terms, b, state, mode, residual, relu=True)
+        return ad.sum_all(mul(out, weights))
+    fd_check(loss, params, samples=8)
+
+
+# --- backward releases the tape ---
+
+def _saved(node, name):
+    """The array a node's backward closure saved under ``name``."""
+    cells = dict(zip(node._backward.__code__.co_freevars, node._backward.__closure__))
+    return cells[name].cell_contents
+
+
+def test_backward_frees_saved_buffers_as_it_runs(rng):
+    # Two chained train sites: by the time the sweep reaches the first, the
+    # second's normalized buffer is gone. Leaves keep their gradients.
+    terms, b, state, _ = _random_bn_site(rng, n=6, widths=(4,), d=3)
+    w2 = ad.parameter(rng.standard_normal((3, 3)))
+    state2 = ad.BatchNormState.create(3, dtype=np.float64)
+    first = ad.affine_batchnorm(terms, b, state, "train", relu=True)
+    second = ad.affine_batchnorm([(first, w2)], b, state2, "train", relu=True)
+    x_hat = weakref.ref(_saved(second, "x_hat"))
+    alive_at_first = []
+    run_first = first._backward
+
+    def probe(g):
+        alive_at_first.append(x_hat() is not None)
+        run_first(g)
+    first._backward = probe
+    loss = ad.sum_all(second)
+    assert x_hat() is not None
+    ad.backward(loss)
+    assert alive_at_first == [False]
+    assert x_hat() is None
+    assert first._backward is None and second._backward is None
+    for leaf in (terms[0][0], terms[0][1], w2, b, state.gamma, state2.beta):
+        assert leaf.grad is not None and leaf.grad.shape == leaf.shape
+
+
+def test_second_backward_through_a_released_graph_raises(rng):
+    terms, b, state, residual = _random_bn_site(rng)
+    params = [t for pair in terms for t in pair] + [b, state.gamma, state.beta, residual]
+    site = ad.affine_batchnorm(terms, b, state, "train", residual, relu=True)
+    loss = ad.sum_all(site)
+    ad.backward(loss)
+    grads = [p.grad.copy() for p in params]
+    # The same loss again, and a new loss built on the released site: each
+    # would add nothing to the parameters, so each raises before any sum.
+    for again in (loss, ad.sum_all(ad.scale(site, 2.0))):
+        with pytest.raises(ad.TapeReleased):
+            ad.backward(again)
+        assert all(np.array_equal(g, p.grad) for g, p in zip(grads, params))
+
+
 # --- sparse_matmul (segment sums, gathers, adjacency products) ---
 
 def _segments(ids, n_segments):
@@ -321,6 +408,32 @@ def test_segment_sum_matches_loop_oracle(rng):
     assert np.abs(out - expected).max() < 1e-12
     single = ad.sparse_matmul(_segments(ids, 7), ad.constant(x.astype(np.float32)))
     assert single.dtype == np.float32
+
+
+def test_csr_equals_scipy_coo_construction(rng):
+    # Signed unit entries with many duplicates (some cancelling to explicit
+    # zeros), empty rows and columns: the sorted build equals scipy's COO
+    # path array for array, in both dtypes and both orientations.
+    for trial in range(40):
+        n_rows, n_cols = rng.integers(1, 12, size=2)
+        n = rng.integers(0, 60)
+        rows, cols = rng.integers(0, n_rows, n), rng.integers(0, n_cols, n)
+        values = rng.choice([-1.0, 1.0], size=n)
+        mat = ad.SparseMatrix(rows, cols, (n_rows, n_cols), values)
+        x = rng.standard_normal((n_cols, 3))
+        for dtype in (np.float32, np.float64):
+            for transpose in (False, True):
+                got = mat.csr(dtype, transpose)
+                entries = (cols, rows) if transpose else (rows, cols)
+                shape = (n_cols, n_rows) if transpose else (n_rows, n_cols)
+                want = sp.csr_matrix((values.astype(dtype), entries), shape=shape)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                for field in ("indptr", "indices", "data"):
+                    assert np.array_equal(getattr(got, field), getattr(want, field))
+            got = ad.sparse_matmul(mat, ad.constant(x.astype(dtype))).data
+            want = sp.csr_matrix((values.astype(dtype), (rows, cols)),
+                                 shape=(n_rows, n_cols)) @ x.astype(dtype)
+            assert np.array_equal(got, want)
 
 
 def test_scatter_rejects_out_of_range_ids():

@@ -1,5 +1,8 @@
+import ctypes
 import json
+import os
 import re
+import subprocess
 import sys
 
 import pytest
@@ -368,8 +371,10 @@ def test_threads_flag_consistent(trained_world, tmp_path, capsys):
 
 
 def test_limit_threads_warns_without_threadpoolctl(monkeypatch, capsys):
+    from retroselect import cli
     from retroselect.cli import _limit_threads
     monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+    monkeypatch.setattr(cli, "_openblas_symbol", lambda *signature: None)  # no OpenBLAS
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
     _limit_threads(1)
     err = capsys.readouterr().err
@@ -381,12 +386,37 @@ def test_limit_threads_warns_without_threadpoolctl(monkeypatch, capsys):
 
 @pytest.mark.parametrize("value", ["1", "2"])
 def test_limit_threads_is_quiet_when_openblas_is_pinned(value, monkeypatch, capsys):
+    from retroselect import cli
     from retroselect.cli import _limit_threads
     monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
+    monkeypatch.setattr(cli, "_openblas_symbol", lambda *signature: None)  # no OpenBLAS
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", value)
     _limit_threads(1)
     err = capsys.readouterr().err
     assert ("not pinned" in err) == (value != "1")
+
+
+def test_limit_threads_pins_bundled_openblas_without_threadpoolctl(tmp_path):
+    # A fresh process whose BLAS pool is not pinned by the environment:
+    # without threadpoolctl, --threads 1 sets numpy's OpenBLAS to one
+    # thread through ctypes, and says nothing.
+    from retroselect.cli import _openblas_symbol
+    if _openblas_symbol("set_num_threads", None, ctypes.c_int) is None:
+        pytest.skip("numpy is not linked against a bundled OpenBLAS")
+    script = ("import ctypes, sys\n"
+              "sys.modules['threadpoolctl'] = None\n"
+              "from retroselect.cli import _limit_threads, _openblas_symbol\n"
+              "get = _openblas_symbol('get_num_threads', ctypes.c_int)\n"
+              "_limit_threads(1)\n"
+              "print(get())\n")
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    done = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "1\n"
+    assert done.stderr == ""
 
 
 def test_train_and_evaluate_report_dropped_lines(tmp_path, capsys):

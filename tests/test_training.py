@@ -411,10 +411,11 @@ def test_train_steps_bitwise_equal_to_unfused_batchnorm(tmp_path, monkeypatch):
     fused = three_steps()
     eval_site = ad.affine_batchnorm
 
-    def unfused(terms, b, state, mode, residual=None):
+    def unfused(terms, b, state, mode, residual=None, relu=False):
         if mode == "train":
-            return composed_affine_batchnorm(terms, b, state, residual)
-        return eval_site(terms, b, state, mode, residual)
+            out = composed_affine_batchnorm(terms, b, state, residual)
+            return ad.relu(out) if relu else out
+        return eval_site(terms, b, state, mode, residual, relu)
     monkeypatch.setattr(ad, "affine_batchnorm", unfused)
     assert three_steps() == fused
 
