@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import dataclasses
 import glob
 import json
 import os
@@ -28,11 +29,10 @@ EXIT_DATA = 2
 
 _EVAL_KS = (1, 3, 5, 10, 20, 50)
 
-# Count options and their least legal value, checked on every subcommand
-# that has them.
-_COUNTS = (("k", "-k", 1), ("beam", "--beam", 1), ("n_max", "--n-max", 1),
-           ("k_per_step", "--k-per-step", 1), ("limit", "--limit", 1),
-           ("threads", "--threads", 1), ("dim", "--dim", 1), ("layers", "--layers", 0))
+# Each count option's least legal value, checked before any file is read;
+# ``TrainConfig`` checks the train settings' ranges.
+_COUNTS = {"-k": 1, "--beam": 1, "--n-max": 1, "--k-per-step": 1, "--limit": 1,
+           "--threads": 1, "--dim": 1, "--layers": 0, "--types": 1, "--max-expansions": 0}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,17 +89,33 @@ def _load_corpus(reaction_paths, candidates_path=None):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .training import TrainConfig
     parser = _Parser(prog="retroselect",
                      description="Selection-based retrosynthesis engine")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    canon = sub.add_parser("canon", parents=[], help="canonicalize SMILES lines",
+    # Shared flags. A parent's Actions are shared by its subcommands, so a flag
+    # whose default differs between them (--beam) is declared per subcommand.
+    threads = _Parser(add_help=False)
+    threads.add_argument("--threads", type=int, default=1)
+    model = _Parser(add_help=False)
+    model.add_argument("--checkpoint", required=True)
+    model.add_argument("--candidates", required=True)
+    n_max = _Parser(add_help=False)
+    n_max.add_argument("--n-max", type=int, default=4)
+    cached = _Parser(add_help=False)
+    cached.add_argument("--index-cache", help="RCLX cache from the index "
+                                              "subcommand (skips re-embedding keys)")
+    cached.add_argument("--use-types", action="store_true")
+
+    canon = sub.add_parser("canon", help="canonicalize SMILES lines",
                            description="Read SMILES from stdin or --input, "
                                        "write canonical forms line by line.")
     canon.add_argument("--input", help="input file (default stdin)")
 
-    train = sub.add_parser("train", help="train a model",
-                           description="Contrastive training over a reaction corpus.")
+    train = sub.add_parser("train", parents=[threads], help="train a model",
+                           description="Contrastive training over a reaction corpus. "
+                                       "Each TrainConfig field is a flag.")
     train.add_argument("--train", required=True, help="training reactions file")
     train.add_argument("--val", help="validation reactions file")
     train.add_argument("--candidates", help="candidate pool file "
@@ -107,74 +123,46 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--checkpoint", required=True, help="best checkpoint output path")
     train.add_argument("--metrics-out", help="line-delimited JSON metrics path")
     train.add_argument("--config", help="JSON config file; explicit flags override it")
-    train.add_argument("--learning-rate", type=float)
-    train.add_argument("--momentum", type=float)
-    train.add_argument("--weight-decay", type=float)
-    train.add_argument("--batch-size", type=int)
-    train.add_argument("--clip-norm", type=float)
-    train.add_argument("--total-iters", type=int)
-    train.add_argument("--eval-every", type=int)
-    train.add_argument("--refresh-every", type=int)
-    train.add_argument("--tau", type=float)
-    train.add_argument("--hard-k", type=int)
-    train.add_argument("--perm-threshold", type=int)
-    train.add_argument("--halt-in-denominator", choices=["always", "final"])
-    train.add_argument("--val-cap", type=int)
-    train.add_argument("--val-beam", type=int)
-    train.add_argument("--seed", type=int)
+    for setting in dataclasses.fields(TrainConfig):
+        train.add_argument("--" + setting.name.replace("_", "-"), type=type(setting.default),
+                           choices=setting.metadata.get("choices"),
+                           help=f"default {setting.default}")
     train.add_argument("--dim", type=int, default=256, help="embedding size")
     train.add_argument("--layers", type=int, default=5, help="trunk layers")
     train.add_argument("--types", type=int, help="number of reaction types "
                                                  "(default: inferred from data)")
-    train.add_argument("--threads", type=int, default=1)
 
-    index = sub.add_parser("index", help="build and cache a candidate index",
+    index = sub.add_parser("index", parents=[model, threads],
+                           help="build and cache a candidate index",
                            description="Embed the candidate pool and write an "
                                        "RCLX index cache.")
-    index.add_argument("--checkpoint", required=True)
-    index.add_argument("--candidates", required=True)
     index.add_argument("--output", required=True)
-    index.add_argument("--threads", type=int, default=1)
 
-    predict = sub.add_parser("predict", help="predict reactant sets",
+    predict = sub.add_parser("predict", parents=[model, cached, n_max, threads],
+                             help="predict reactant sets",
                              description="Ranked reactant sets per product; "
                                          "one block per product on stdout.")
-    predict.add_argument("--checkpoint", required=True)
-    predict.add_argument("--candidates", required=True)
     predict.add_argument("--products", required=True,
                          help="file of product SMILES, optional tab-separated type")
     predict.add_argument("--output", help="output file (default stdout)")
-    predict.add_argument("--index-cache", help="RCLX cache from the index "
-                                               "subcommand (skips re-embedding keys)")
     predict.add_argument("-k", type=int, default=5)
     predict.add_argument("--beam", type=int, default=200)
-    predict.add_argument("--n-max", type=int, default=4)
-    predict.add_argument("--use-types", action="store_true")
-    predict.add_argument("--threads", type=int, default=1)
 
-    evaluate = sub.add_parser("evaluate", help="top-k exact match table",
+    evaluate = sub.add_parser("evaluate", parents=[model, cached, n_max, threads],
+                              help="top-k exact match table",
                               description="Evaluate predictions on a test split.")
-    evaluate.add_argument("--checkpoint", required=True)
-    evaluate.add_argument("--candidates", required=True)
     evaluate.add_argument("--test", required=True, help="test reactions file")
-    evaluate.add_argument("--index-cache", help="RCLX cache from the index subcommand")
     evaluate.add_argument("--beam", type=int, default=200)
-    evaluate.add_argument("--n-max", type=int, default=4)
-    evaluate.add_argument("--use-types", action="store_true")
     evaluate.add_argument("--limit", type=int, help="evaluate at most this many")
-    evaluate.add_argument("--threads", type=int, default=1)
 
-    route = sub.add_parser("route", help="multi-step route search",
+    route = sub.add_parser("route", parents=[model, n_max, threads],
+                           help="multi-step route search",
                            description="Best-first search to building blocks.")
-    route.add_argument("--checkpoint", required=True)
-    route.add_argument("--candidates", required=True)
     route.add_argument("--building-blocks", required=True)
     route.add_argument("--target", required=True, help="target product SMILES")
     route.add_argument("--max-expansions", type=int, default=100)
     route.add_argument("--k-per-step", type=int, default=5)
     route.add_argument("--beam", type=int, default=50)
-    route.add_argument("--n-max", type=int, default=4)
-    route.add_argument("--threads", type=int, default=1)
     return parser
 
 
@@ -184,11 +172,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    for name, flag, least in _COUNTS:
-        value = getattr(args, name, None)
+    for flag, least in _COUNTS.items():
+        value = getattr(args, flag.lstrip("-").replace("-", "_"), None)
         if value is not None and value < least:
             print(f"error: {flag} must be at least {least}, got {value}", file=sys.stderr)
             return EXIT_DATA
+    from .autodiff import NumericsError
     from .chem import ChemError
     from .data import CorpusError, CorruptCheckpoint
     _limit_threads(getattr(args, "threads", 1))
@@ -202,7 +191,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (ChemError, CorpusError, CorruptCheckpoint, OSError) as exc:
+    except (ChemError, CorpusError, CorruptCheckpoint, NumericsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
@@ -223,18 +212,20 @@ def _cmd_canon(args) -> int:
 
 
 def _train_config(args):
+    """``TrainConfig`` from the ``--config`` JSON, with the given flags over it;
+    a JSON value must have its field's type (an int may stand for a float)."""
     from .training import TrainConfig
     values = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             values.update(json.load(fh))
-    for name in ("learning_rate", "momentum", "weight_decay", "batch_size",
-                 "clip_norm", "total_iters", "eval_every", "refresh_every",
-                 "tau", "hard_k", "perm_threshold", "halt_in_denominator",
-                 "val_cap", "val_beam", "seed"):
-        flag = getattr(args, name, None)
+    for setting in dataclasses.fields(TrainConfig):
+        flag, value = getattr(args, setting.name), values.get(setting.name)
+        kinds = (float, int) if isinstance(setting.default, float) else (type(setting.default),)
         if flag is not None:
-            values[name] = flag
+            values[setting.name] = flag
+        elif setting.name in values and type(value) not in kinds:
+            raise TypeError(f"{setting.name} must be {kinds[0].__name__}, got {value!r}")
     return TrainConfig(**values)
 
 

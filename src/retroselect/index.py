@@ -187,6 +187,7 @@ class CandidateIndex:
         """
         if k < 1:
             raise ValueError("k must be >= 1")
+        k = min(k, np.atleast_2d(queries).shape[0] * self.keys.shape[0])
         offsets = np.asarray(offsets, dtype=np.float64)
         qi, rows, exact = self._shortlist(queries, k, exclude_rows, offsets)
         qi, rows, exact, _ = self._per_query_topk(qi, rows, exact, k)

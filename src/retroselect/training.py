@@ -29,6 +29,10 @@ class ReactantNotInCandidates(ValueError):
     pass
 
 
+HALT_MODES = ("always", "final")
+VAL_N_MAX = 4  # most reactants in a set predicted during validation
+
+
 @dataclass
 class TrainConfig:
     learning_rate: float = 0.01
@@ -45,17 +49,16 @@ class TrainConfig:
     perm_threshold: int = 5
     # Whether the halt key competes in the backward softmax at every
     # selection step ("always") or only at the final halt step ("final").
-    halt_in_denominator: str = "always"
+    halt_in_denominator: str = field(default="always", metadata={"choices": HALT_MODES})
     val_cap: int = 500
     val_beam: int = 32
-    val_n_max: int = 4
 
     def __post_init__(self):
         # Written as "not in range", so that NaN is rejected too.
         for name in ("batch_size", "clip_norm", "tau"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("eval_every", "refresh_every", "val_cap", "val_beam", "val_n_max"):
+        for name in ("eval_every", "refresh_every", "val_cap", "val_beam"):
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be at least 1")
         for name in ("learning_rate", "momentum", "weight_decay", "total_iters", "hard_k"):
@@ -63,7 +66,9 @@ class TrainConfig:
                 raise ValueError(f"{name} must be non-negative")
         if not 0 <= self.perm_threshold <= MAX_PERM_THRESHOLD:
             raise ValueError(f"perm_threshold must be in 0..{MAX_PERM_THRESHOLD}")
-        if self.halt_in_denominator not in ("always", "final"):
+        if not 0 <= self.seed < 2**64:  # the checkpoint stores it as a u64
+            raise ValueError("seed must be in 0..2**64-1")
+        if self.halt_in_denominator not in HALT_MODES:
             raise ValueError("halt_in_denominator must be 'always' or 'final'")
 
 
@@ -360,7 +365,7 @@ def train(corpus: Corpus, cfg: TrainConfig, dims: ModelDims | None = None,
         if step % cfg.eval_every == 0 or step == cfg.total_iters:
             predictor = Predictor(params, candidates, candidate_ids,
                                   forms=[corpus.form(i) for i in corpus.candidate_ids],
-                                  beam=cfg.val_beam, n_max=cfg.val_n_max,
+                                  beam=cfg.val_beam, n_max=VAL_N_MAX,
                                   perm_threshold=cfg.perm_threshold)
             if refresh:
                 # Its index holds the current keys, and mining never returns

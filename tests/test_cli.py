@@ -1,4 +1,7 @@
+import argparse
+import contextlib
 import ctypes
+import io
 import json
 import os
 import re
@@ -6,8 +9,9 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from retroselect.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from retroselect.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
 from retroselect.toy import make_memorization_world
 
 
@@ -38,6 +42,72 @@ def test_help_exits_zero(subcommand, capsys):
     assert main([subcommand, "--help"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "usage" in out.lower()
+
+
+_TRAIN_SETTINGS = dict.fromkeys(
+    ["learning_rate", "momentum", "weight_decay", "batch_size", "clip_norm",
+     "total_iters", "eval_every", "refresh_every", "tau", "hard_k", "perm_threshold",
+     "halt_in_denominator", "val_cap", "val_beam", "seed"])
+
+
+# Each subcommand's minimal argv, what it parses to, and its options.
+_SURFACE = {
+    "canon": (["canon"], {"command": "canon", "input": None}, {"--input"}),
+    "train": (
+        ["train", "--train", "t", "--checkpoint", "c"],
+        {"command": "train", "train": "t", "val": None, "candidates": None,
+         "checkpoint": "c", "metrics_out": None, "config": None, **_TRAIN_SETTINGS,
+         "dim": 256, "layers": 5, "types": None, "threads": 1},
+        {"--train", "--val", "--candidates", "--checkpoint", "--metrics-out", "--config",
+         "--learning-rate", "--momentum", "--weight-decay", "--batch-size", "--clip-norm",
+         "--total-iters", "--eval-every", "--refresh-every", "--tau", "--hard-k",
+         "--perm-threshold", "--halt-in-denominator", "--val-cap", "--val-beam", "--seed",
+         "--dim", "--layers", "--types", "--threads"}),
+    "index": (
+        ["index", "--checkpoint", "c", "--candidates", "p", "--output", "o"],
+        {"command": "index", "checkpoint": "c", "candidates": "p", "output": "o",
+         "threads": 1},
+        {"--checkpoint", "--candidates", "--output", "--threads"}),
+    "predict": (
+        ["predict", "--checkpoint", "c", "--candidates", "p", "--products", "q"],
+        {"command": "predict", "checkpoint": "c", "candidates": "p", "products": "q",
+         "output": None, "index_cache": None, "k": 5, "beam": 200, "n_max": 4,
+         "use_types": False, "threads": 1},
+        {"--checkpoint", "--candidates", "--products", "--output", "--index-cache", "-k",
+         "--beam", "--n-max", "--use-types", "--threads"}),
+    "evaluate": (
+        ["evaluate", "--checkpoint", "c", "--candidates", "p", "--test", "t"],
+        {"command": "evaluate", "checkpoint": "c", "candidates": "p", "test": "t",
+         "index_cache": None, "beam": 200, "n_max": 4, "use_types": False, "limit": None,
+         "threads": 1},
+        {"--checkpoint", "--candidates", "--test", "--index-cache", "--beam", "--n-max",
+         "--use-types", "--limit", "--threads"}),
+    "route": (
+        ["route", "--checkpoint", "c", "--candidates", "p", "--building-blocks", "b",
+         "--target", "CCO"],
+        {"command": "route", "checkpoint": "c", "candidates": "p", "building_blocks": "b",
+         "target": "CCO", "max_expansions": 100, "k_per_step": 5, "beam": 50, "n_max": 4,
+         "threads": 1},
+        {"--checkpoint", "--candidates", "--building-blocks", "--target",
+         "--max-expansions", "--k-per-step", "--beam", "--n-max", "--threads"}),
+}
+
+
+@pytest.mark.parametrize("subcommand", list(_SURFACE))
+def test_every_subcommand_keeps_its_options_and_defaults(subcommand):
+    # Subcommands that share a flag through a parent parser share its argparse
+    # Action, so a default set for one would show up in the others.
+    argv, parsed, options = _SURFACE[subcommand]
+    parser = build_parser()
+    assert vars(parser.parse_args(argv)) == parsed
+    assert set(_subparsers(parser)[subcommand]._option_string_actions) == \
+        options | {"-h", "--help"}
+
+
+def _subparsers(parser):
+    """Each subcommand's parser, by name."""
+    return next(action.choices for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
 
 
 def test_usage_errors_exit_one(capsys):
@@ -166,32 +236,35 @@ def test_route_trivial_target(trained_world, capsys):
 
 def test_config_file_and_flag_override(tmp_path):
     from retroselect.cli import _train_config
-
-    class Args:
-        config = str(tmp_path / "cfg.json")
-        learning_rate = None
-        momentum = None
-        weight_decay = None
-        batch_size = 4
-        clip_norm = None
-        total_iters = None
-        eval_every = None
-        refresh_every = None
-        tau = None
-        hard_k = None
-        perm_threshold = None
-        halt_in_denominator = None
-        val_cap = None
-        val_beam = None
-        seed = None
-
     (tmp_path / "cfg.json").write_text(
-        json.dumps({"batch_size": 32, "tau": 0.25, "total_iters": 7}),
+        json.dumps({"batch_size": 32, "tau": 0.25, "total_iters": 7, "momentum": 0}),
         encoding="utf-8")
-    cfg = _train_config(Args())
+    args = build_parser().parse_args(["train", "--train", "t", "--checkpoint", "c",
+                                      "--config", str(tmp_path / "cfg.json"),
+                                      "--batch-size", "4"])
+    cfg = _train_config(args)
     assert cfg.tau == 0.25 and cfg.total_iters == 7
     assert cfg.batch_size == 4          # explicit flag wins over config file
     assert cfg.learning_rate == 0.01    # untouched default
+    assert cfg.momentum == 0            # a JSON int stands for a float
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"val_n_max": 3}, "unexpected keyword argument 'val_n_max'"),
+    ({"total_iters": 1.5}, "total_iters must be int, got 1.5"),
+    ({"batch_size": True}, "batch_size must be int, got True"),
+    ({"halt_in_denominator": 1}, "halt_in_denominator must be str, got 1"),
+    ({"seed": 2**64}, "seed must be in 0..2**64-1"),
+], ids=["val_n_max", "float-for-int", "bool-for-int", "int-for-str", "seed-2**64"])
+def test_bad_config_file_is_data_error(config, message, tmp_path, capsys):
+    (tmp_path / "cfg.json").write_text(json.dumps(config), encoding="utf-8")
+    code = main(["train", "--train", str(tmp_path / "unread.txt"),
+                 "--checkpoint", str(tmp_path / "model.rclc"),
+                 "--config", str(tmp_path / "cfg.json")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: bad train config: ")
+    assert message in err[0]
 
 
 def test_predict_with_types_and_index_cache(trained_world, tmp_path, capsys):
@@ -310,6 +383,8 @@ def test_bad_type_or_cache_width_is_data_error(case, trained_world, tmp_path, ca
     ["train", "--train", "unread.txt", "--threads", "-3"],
     ["train", "--train", "unread.txt", "--dim", "0"],
     ["train", "--train", "unread.txt", "--dim", "-3"],
+    ["train", "--train", "unread.txt", "--types", "0"],
+    ["train", "--train", "unread.txt", "--types", "-1"],
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")
 def test_counts_below_one_are_data_errors(argv, capsys):
     # Rejected before any file is read.
@@ -334,6 +409,40 @@ def test_negative_layers_is_data_error_and_zero_trains(tmp_path, capsys):
     assert main(argv + ["--layers", "0"]) == EXIT_OK
     assert ckpt.exists()
     capsys.readouterr()
+
+
+def test_negative_max_expansions_is_data_error(capsys):
+    code = main(["route", "--checkpoint", "unread.rclc", "--candidates", "unread.txt",
+                 "--building-blocks", "unread.txt", "--target", "CCO",
+                 "--max-expansions", "-1"])
+    assert code == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: --max-expansions must be at least 0, got -1"]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flags", [
+    ["--seed", "-1"], ["--seed", str(2**64)], ["--seed", "100000000000000000000000"],
+    ["--learning-rate", "inf"], ["--learning-rate", "1e300"], ["--tau", "1e-300"],
+], ids="=".join)
+def test_bad_seed_or_diverged_run_is_data_error(flags, tmp_path, capsys):
+    reactions = tmp_path / "two.txt"
+    reactions.write_text("CCO.CC(=O)O>>CC(=O)OCC\nCN.CC(=O)O>>CC(=O)NC\n", encoding="utf-8")
+    ckpt = tmp_path / "model.rclc"
+    code = main(["train", "--train", str(reactions), "--checkpoint", str(ckpt),
+                 "--total-iters", "3", "--batch-size", "2", "--dim", "8",
+                 "--layers", "1"] + flags)
+    assert code == EXIT_DATA
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not ckpt.exists()
+    if flags[0] == "--seed":  # rejected before the corpus is read
+        assert errors == ["error: bad train config: seed must be in 0..2**64-1"]
+        assert "corpus:" not in captured.err
+    else:
+        assert len(errors) == 1
+        assert errors[0].startswith("error: non-finite values produced by ")
 
 
 def test_train_types_below_corpus_types_is_data_error(tmp_path, capsys):
@@ -525,3 +634,55 @@ def test_evaluate_reads_each_pool_line_once(trained_world, tmp_path, monkeypatch
     # Each of the 4 pool lines once, and each of the 6 molecules of the two
     # test reactions once.
     assert len(calls) == 4 + 6
+
+
+# Every int or float option of every subcommand, read from the parser, so a
+# flag generated from a TrainConfig field is covered as soon as it exists.
+_NUMERIC_FLAGS = [(name, action.option_strings[0], action.type)
+                  for name, sub in _subparsers(build_parser()).items()
+                  for action in sub._actions if action.type in (int, float)]
+
+
+def _range_rejects(flag, value):
+    """Whether ``flag``'s range table, ``cli._COUNTS`` or ``TrainConfig``,
+    rejects ``value``."""
+    from retroselect.cli import _COUNTS
+    from retroselect.training import TrainConfig
+    if flag in _COUNTS:
+        return value < _COUNTS[flag]
+    try:
+        TrainConfig(**{flag[2:].replace("-", "_"): value})
+    except ValueError:
+        return True
+    return False
+
+
+@given(st.sampled_from(_NUMERIC_FLAGS),
+       st.sampled_from(["-1", "0", "1", str(2**64), str(10**11), "nan", "inf", "x"]))
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+def test_numeric_flags_are_checked_before_any_file_is_read(tmp_path_factory, numeric, value):
+    subcommand, flag, kind = numeric
+    missing = tmp_path_factory.getbasetemp() / "missing"  # never created
+    parser = _subparsers(build_parser())[subcommand]
+    argv = [subcommand, flag, value]
+    for action in parser._actions:
+        if action.required:
+            argv += [action.option_strings[0], str(missing / action.dest)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    assert len(errors) == 1, err.getvalue()
+    assert "Traceback" not in err.getvalue() and out.getvalue() == ""
+    try:
+        parsed = kind(value)
+    except ValueError:  # argparse rejects it, naming the flag
+        assert code == EXIT_USAGE
+        assert flag in errors[0]
+        return
+    assert code == EXIT_DATA
+    # -1 is below every numeric flag's least legal value. The required files
+    # are missing, so a range error ahead of a file error shows the range was
+    # checked first.
+    if value == "-1" or _range_rejects(flag, parsed):
+        assert flag in errors[0] or flag.lstrip("-").replace("-", "_") in errors[0], errors

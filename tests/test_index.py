@@ -327,6 +327,20 @@ def test_topk_rows_k_at_or_above_valid_rows(rng):
         assert got == naive_topk_rows(index, queries, k, exclude)
 
 
+def test_topk_pairs_k_above_all_pairs(rng):
+    # No result holds more than queries x rows pairs, so a larger K returns
+    # the same arrays, and allocates nothing of K's size.
+    index = build_random_index(rng, n=9, d=4, halt=True)
+    queries = rng.standard_normal((3, 4))
+    offsets = rng.standard_normal(3)
+    exclude = [[], [0, 4, 9], list(range(10))]
+    for excluded in (None, exclude):
+        every = index.topk_pairs(queries, offsets, 3 * 10, excluded)
+        got = index.topk_pairs(queries, offsets, 10**11, excluded)
+        assert all(np.array_equal(a, b) for a, b in zip(got, every))
+        assert every[0].shape == (30 if excluded is None else 10 + 7,)
+
+
 def test_topk_rows_rejects_bad_exclusions(rng):
     index = build_random_index(rng, n=5, d=3)
     with pytest.raises(ValueError):
