@@ -30,9 +30,10 @@ second ``backward`` through the same graph raises ``TapeReleased``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 
 class ShapeMismatch(ValueError):
@@ -174,7 +175,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     if b is not None:
         if b.shape != (w.shape[1],):
             raise ShapeMismatch(f"bias {b.shape} vs output width {w.shape[1]}")
-        y = y + b.data
+        y += b.data
         parents = (x, w, b)
     out = Tensor(_checked(y, "linear"), parents=parents)
 
@@ -237,7 +238,7 @@ class SparseMatrix:
         self.shape = (int(shape[0]), int(shape[1]))
         self._csr: dict = {}
 
-    def csr(self, dtype, transpose: bool = False):
+    def csr(self, dtype, transpose: bool = False) -> "Csr":
         key = (np.dtype(dtype).name, transpose)
         if key not in self._csr:
             rows, cols = (self.cols, self.rows) if transpose else (self.rows, self.cols)
@@ -250,8 +251,29 @@ class SparseMatrix:
             values = np.add.reduceat(self.values[order].astype(dtype), starts)
             indptr = np.zeros(shape[0] + 1, dtype=np.int64)
             np.cumsum(np.bincount(rows[starts], minlength=shape[0]), out=indptr[1:])
-            self._csr[key] = sp.csr_matrix((values, cols[starts], indptr), shape=shape)
+            self._csr[key] = Csr(indptr, cols[starts], values, shape)
         return self._csr[key]
+
+
+class Csr(NamedTuple):
+    """The CSR arrays of a ``SparseMatrix`` in one dtype. A product with a
+    dense matrix runs scipy's sparsetools kernel, the one a ``csr_matrix``
+    product runs, without building a ``csr_matrix`` and its checks."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.data.dtype
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        out = np.zeros((self.shape[0], x.shape[1]), dtype=np.result_type(self.data, x))
+        _sparsetools.csr_matvecs(self.shape[0], self.shape[1], x.shape[1], self.indptr,
+                                 self.indices, self.data, np.ravel(x), out.ravel())
+        return out
 
 
 def sparse_matmul(mat: SparseMatrix, x: Tensor) -> Tensor:
@@ -397,11 +419,15 @@ def _eval_site(terms, b, state, residual, parents, relu) -> Tensor:
     inv_std = 1.0 / np.sqrt(state.running_var + state.epsilon)
     s = gamma.data * inv_std
     y = x0.data @ (w0.data * s)
+    scratch = None  # one buffer for every further term and the scaled residual
     for x, w in terms[1:]:
-        y += x.data @ (w.data * s)
+        scratch = np.matmul(x.data, w.data * s, out=scratch)
+        y += scratch
     y += (b.data - mean) * s + beta.data
     if residual is not None:
-        y += residual.data * s
+        scratch = np.multiply(residual.data, s, out=scratch)
+        y += scratch
+    del scratch  # freed before the output's finite check
     out = _site_output(y, parents, relu)
 
     def _bw(g):

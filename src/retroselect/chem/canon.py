@@ -3,10 +3,14 @@
 Atom invariants are refined to a stable partition: each round splits the
 classes by the sorted (bond order, class) pairs of every atom's neighbours,
 and refinement stops once a round splits nothing or every class is a single
-atom. Whenever a tie class survives refinement, the search individualizes
-each member of the lowest-ranked tie class in turn (members in index order)
-and refines again; every leaf of that tree is a discrete atom order, written
-with ``write_smiles`` and its fragments sorted. The canonical form is the
+atom. A round recomputes those pairs only next to the atoms whose class
+split in the round before (McKay & Piperno's cell-driven refinement), so an
+unbranched chain refines in linear rather than quadratic work, and every
+round splits exactly as a round over all atoms would. Whenever a tie class
+survives refinement, the search individualizes each member of the
+lowest-ranked tie class in turn (members in index order) and refines again;
+every leaf of that tree is a discrete atom order, written with
+``write_smiles`` and its fragments sorted. The canonical form is the
 smallest leaf string. The branch set is isomorphism-invariant, so isomorphic
 molecules map to the same string, and the form is idempotent under
 re-parse. The tree is walked depth-first over an explicit stack of open
@@ -32,6 +36,8 @@ so the canonical form, is byte-identical to the exhaustive search's.
 from __future__ import annotations
 
 from collections import Counter
+from functools import cached_property
+from itertools import accumulate
 
 from .mol import Molecule
 from .writer import write_smiles
@@ -115,14 +121,12 @@ class _Search:
     def __init__(self, mol: Molecule):
         self.mol = mol
         n = len(mol.atoms)
-        # A neighbour's code is ``bond.order * n + ranks[u]``; ranks are dense
-        # in [0, n), so codes sort exactly like (bond order, rank) pairs.
-        self.neighbors = [[(bond.order * n, u) for u, bond in adjacent]
-                          for adjacent in mol.adjacency]
-        # Everything ``write_smiles`` reads of an atom.
-        self.atom_keys = [(a.element, a.formal_charge, a.explicit_h, a.total_h,
-                           a.aromatic) for a in mol.atoms]
-        self.bond_orders = {(b.a, b.b): b.order for b in mol.bonds}
+        # A neighbour's code is ``bond.order * n + labels[u]``; class labels
+        # are in [0, n), so codes sort exactly like (bond order, label) pairs.
+        self.neighbors: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for bond in mol.bonds:
+            self.neighbors[bond.a].append((bond.order * n, bond.b))
+            self.neighbors[bond.b].append((bond.order * n, bond.a))
         self.first_order: list[int] | None = None
         self.first_leaf: dict[str, list[int]] = {}
         # (map, set of atoms it moves) for every verified automorphism.
@@ -130,6 +134,7 @@ class _Search:
         self.stack: list[_Node] = []
         self.abandon: int | None = None
         self.best: str | None = None
+        self.rekeyed = 0  # atoms whose neighbour codes refinement computed
 
     def best_string(self) -> str:
         # Depth-first over an explicit stack of open nodes, so deep trees
@@ -148,8 +153,10 @@ class _Search:
                 stack.pop()
                 continue
             # ``pick`` takes a rank of its own, just below its former class.
-            split = [2 * r - (1 if idx == pick else 0) for idx, r in enumerate(node.ranks)]
-            self._visit(self._refine(_dense(split)), node.path + [pick])
+            tie = node.tie_rank
+            split = [r + (r > tie or (r == tie and idx != pick))
+                     for idx, r in enumerate(node.ranks)]
+            self._visit(self._refine(split, [pick]), node.path + [pick])
         assert self.best is not None
         return self.best
 
@@ -163,23 +170,89 @@ class _Search:
         tie_rank = min(r for r, c in counts.items() if c > 1)
         self.stack.append(_Node(ranks, path, tie_rank))
 
-    def _refine(self, ranks: list[int]) -> list[int]:
+    def _refine(self, ranks: list[int], moved: list[int] | None = None) -> list[int]:
         """Split classes of dense ranks by their neighbours' classes until
-        the partition is stable or discrete."""
+        the partition is stable or discrete; returns dense ranks.
+
+        ``moved`` lists the atoms that the caller split off a class of a
+        stable partition (None: no round has run yet). A class's label is
+        its first position in the ordered partition, so labels order like
+        ranks and a split relabels no other class. A round keys only the
+        atoms next to a moved atom, plus one other member of each such
+        atom's class: the untouched members of a class key alike, because
+        none of their neighbours moved. Of each class that splits, every
+        part but one (the untouched members, else the largest part) then
+        counts as moved; a neighbour count in the part left out is the
+        class's count less the others' (Hopcroft), so leaving it out loses
+        no split.
+        """
         n = len(ranks)
-        n_classes = len(set(ranks))
         neighbors = self.neighbors
-        while n_classes < n:
-            keys = [(ranks[idx], tuple(sorted([code + ranks[u] for code, u in adjacent])))
-                    for idx, adjacent in enumerate(neighbors)]
-            order = {key: rank for rank, key in enumerate(sorted(set(keys)))}
-            if len(order) == n_classes:
-                # No class split, and the input ranks are dense: a round
-                # would return them unchanged.
-                break
-            ranks = [order[key] for key in keys]
-            n_classes = len(order)
-        return ranks
+        sizes = [0] * n
+        for r in ranks:
+            sizes[r] += 1
+        starts = list(accumulate(sizes, initial=0))
+        labels = [starts[r] for r in ranks]
+        cells: dict[int, set[int]] = {}  # label -> members, classes of two or more
+        for idx, r in enumerate(ranks):
+            if sizes[r] > 1:
+                cells.setdefault(starts[r], set()).add(idx)
+        n_cells = n - sum(len(cell) - 1 for cell in cells.values())
+        touched = dict(cells) if moved is None else self._touched(moved, labels, cells)
+        while touched and n_cells < n:
+            # Every key of a round reads the labels of the round before.
+            splits = []
+            for label, members in touched.items():
+                parts: dict[tuple, set[int]] = {}
+                for idx in members:
+                    key = tuple(sorted([code + labels[u] for code, u in neighbors[idx]]))
+                    if key in parts:
+                        parts[key].add(idx)
+                    else:
+                        parts[key] = {idx}
+                cell = cells[label]
+                rest_key = None
+                if len(members) < len(cell):
+                    other = next(idx for idx in cell if idx not in members)
+                    rest_key = tuple(sorted([code + labels[u] for code, u in neighbors[other]]))
+                    parts.setdefault(rest_key, set())
+                self.rekeyed += len(members) + (rest_key is not None)
+                if len(parts) > 1:
+                    splits.append((label, parts, rest_key))
+            moved = []
+            for label, parts, rest_key in splits:
+                cell = cells.pop(label)
+                if rest_key is None:
+                    kept = max(parts, key=lambda key: len(parts[key]))
+                else:  # the untouched members join their part
+                    kept = rest_key
+                    cell -= touched[label]
+                    cell |= parts[rest_key]
+                    parts[rest_key] = cell
+                for pos, key in enumerate(sorted(parts)):
+                    part = parts[key]
+                    if pos:  # the first part keeps the class's label
+                        for idx in part:
+                            labels[idx] = label
+                    if len(part) > 1:
+                        cells[label] = part
+                    if key != kept:
+                        moved.extend(part)
+                    label += len(part)
+                n_cells += len(parts) - 1
+            touched = self._touched(moved, labels, cells)
+        return labels if n_cells == n else _dense(labels)
+
+    def _touched(self, moved: list[int], labels: list[int],
+                 cells: dict[int, set[int]]) -> dict[int, set[int]]:
+        """The neighbours of moved atoms in classes of two or more, by the
+        label of their class."""
+        touched: dict[int, set[int]] = {}
+        for idx in moved:
+            for _, u in self.neighbors[idx]:
+                if labels[u] in cells:
+                    touched.setdefault(labels[u], set()).add(u)
+        return touched
 
     def _leaf(self, ranks: list[int]) -> None:
         order = [0] * len(ranks)
@@ -223,6 +296,16 @@ class _Search:
             if node.seen(node.explored[-1], node.explored[:-1]):
                 self.abandon = depth
                 return
+
+    @cached_property
+    def atom_keys(self) -> list[tuple]:
+        """Everything ``write_smiles`` reads of each atom."""
+        return [(a.element, a.formal_charge, a.explicit_h, a.total_h, a.aromatic)
+                for a in self.mol.atoms]
+
+    @cached_property
+    def bond_orders(self) -> dict[tuple[int, int], int]:
+        return {(b.a, b.b): b.order for b in self.mol.bonds}
 
     def _is_automorphism(self, gamma: list[int]) -> bool:
         keys = self.atom_keys

@@ -23,95 +23,102 @@ def write_smiles(mol: Molecule, start_order: list[int] | None = None) -> str:
     """
     n = len(mol.atoms)
     if start_order is None:
-        priority = list(range(n))
-    else:
-        if sorted(start_order) != list(range(n)):
-            raise ChemError("start_order is not a permutation of atom indices")
-        priority = [0] * n
-        for rank, idx in enumerate(start_order):
-            priority[idx] = rank
+        start_order = range(n)
+    elif sorted(start_order) != list(range(n)):
+        raise ChemError("start_order is not a permutation of atom indices")
+    priority = [0] * n
+    for rank, idx in enumerate(start_order):
+        priority[idx] = rank
+    # Each atom's neighbours as (priority, atom, bond index), sorted once;
+    # priorities are distinct, so the sort never compares further.
+    neighbors: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for idx, bond in enumerate(mol.bonds):
+        neighbors[bond.a].append((priority[bond.b], bond.b, idx))
+        neighbors[bond.b].append((priority[bond.a], bond.a, idx))
+    for entries in neighbors:
+        entries.sort()
 
-    visited = [False] * n
-    pieces = []
-    for start in sorted(range(n), key=lambda i: priority[i]):
-        if not visited[start]:
-            pieces.append(_emit_component(mol, start, priority, visited))
-    return ".".join(pieces)
+    # An atom's preorder position within its component; -1 until visited.
+    position = [-1] * n
+    bond_seen = [False] * len(mol.bonds)
+    return ".".join([_emit_component(mol, start, neighbors, position, bond_seen)
+                     for start in start_order if position[start] < 0])
 
 
-def _emit_component(mol: Molecule, start: int, priority: list[int],
-                    visited: list[bool]) -> str:
+def _emit_component(mol: Molecule, start: int, neighbors: list[list[tuple[int, int, int]]],
+                    position: list[int], bond_seen: list[bool]) -> str:
     # DFS with visit-on-pop marking: edges to already-visited atoms become
-    # ring closures, everything else becomes a tree edge.
-    children: dict[int, list[tuple[int, Bond]]] = {}
-    ring_bonds: list[Bond] = []
-    seen_bonds: set[int] = set()
-    preorder_pos: dict[int, int] = {}
-    stack: list[tuple[int, Bond | None, int | None]] = [(start, None, None)]
+    # ring closures, everything else becomes a tree edge. Bonds are named
+    # by their index in ``mol.bonds``.
+    children: dict[int, list[tuple[int, int]]] = {}
+    ring_bonds: list[int] = []
+    count = 0
+    stack = [(start, -1, -1)]
     while stack:
         v, via, parent = stack.pop()
-        if visited[v]:
-            if via is not None and id(via) not in seen_bonds:
-                seen_bonds.add(id(via))
+        if position[v] >= 0:
+            if not bond_seen[via]:
+                bond_seen[via] = True
                 ring_bonds.append(via)
             continue
-        visited[v] = True
-        preorder_pos[v] = len(preorder_pos)
+        position[v] = count
+        count += 1
         children[v] = []
-        if via is not None:
-            seen_bonds.add(id(via))
+        if via >= 0:
+            bond_seen[via] = True
             children[parent].append((v, via))
-        neighbors = sorted(mol.adjacency[v], key=lambda item: priority[item[0]])
-        for u, bond in reversed(neighbors):
-            if id(bond) not in seen_bonds:
-                stack.append((u, bond, v))
+        for _, u, idx in reversed(neighbors[v]):
+            if not bond_seen[idx]:
+                stack.append((u, idx, v))
 
     # Ring digits open at the earlier-emitted endpoint and close at the later
     # one; a digit frees up once its ring closes.
-    opens: dict[int, list[tuple[int, Bond]]] = {}
-    closes: dict[int, list[tuple[int, Bond]]] = {}
-    for bond in ring_bonds:
-        first, second = sorted((bond.a, bond.b), key=preorder_pos.__getitem__)
-        opens.setdefault(first, []).append((preorder_pos[second], bond))
-        closes.setdefault(second, []).append((preorder_pos[first], bond))
+    bonds = mol.bonds
+    opens: dict[int, list[tuple[int, int]]] = {}
+    closes: dict[int, list[tuple[int, int]]] = {}
+    for idx in ring_bonds:
+        a, b = bonds[idx].a, bonds[idx].b
+        first, second = (a, b) if position[a] < position[b] else (b, a)
+        opens.setdefault(first, []).append((position[second], idx))
+        closes.setdefault(second, []).append((position[first], idx))
     for events in opens.values():
-        events.sort(key=lambda item: item[0])
+        events.sort()
     for events in closes.values():
-        events.sort(key=lambda item: item[0])
+        events.sort()
 
+    atoms = mol.atoms
     digit_free = list(range(1, 100))
     bond_digit: dict[int, int] = {}
     out: list[str] = []
-    emit_stack: list[tuple[str, object, Bond | None]] = [("atom", start, None)]
+    # Entries are (atom, index of the bond it is reached by) or a parenthesis.
+    emit_stack: list = [(start, -1)]
     while emit_stack:
-        kind, payload, via = emit_stack.pop()
-        if kind == "text":
-            out.append(payload)  # type: ignore[arg-type]
+        item = emit_stack.pop()
+        if type(item) is str:
+            out.append(item)
             continue
-        v: int = payload  # type: ignore[assignment]
-        if via is not None:
-            out.append(_bond_text(mol, via))
-        out.append(_atom_text(mol.atoms[v]))
-        for _, bond in closes.get(v, []):
-            digit = bond_digit.pop(id(bond))
-            digit_free.append(digit)
-            digit_free.sort()
-            out.append(_digit_text(digit))
-        for _, bond in opens.get(v, []):
-            if not digit_free:
-                raise ChemError("more than 99 simultaneously open ring bonds")
-            digit = digit_free.pop(0)
-            bond_digit[id(bond)] = digit
-            out.append(_bond_text(mol, bond) + _digit_text(digit))
-        kids = children.get(v, [])
-        for i in range(len(kids) - 1, -1, -1):
-            u, bond = kids[i]
-            if i == len(kids) - 1:
-                emit_stack.append(("atom", u, bond))
-            else:
-                emit_stack.append(("text", ")", None))
-                emit_stack.append(("atom", u, bond))
-                emit_stack.append(("text", "(", None))
+        v, via = item
+        if via >= 0:
+            out.append(_bond_text(mol, bonds[via]))
+        out.append(_atom_text(atoms[v]))
+        if v in closes:
+            for _, idx in closes[v]:
+                digit = bond_digit.pop(idx)
+                digit_free.append(digit)
+                digit_free.sort()
+                out.append(_digit_text(digit))
+        if v in opens:
+            for _, idx in opens[v]:
+                if not digit_free:
+                    raise ChemError("more than 99 simultaneously open ring bonds")
+                digit = digit_free.pop(0)
+                bond_digit[idx] = digit
+                out.append(_bond_text(mol, bonds[idx]) + _digit_text(digit))
+        kids = children[v]
+        if kids:
+            emit_stack.append(kids[-1])
+            for kid in reversed(kids[:-1]):
+                emit_stack += (")", kid, "(")
     return "".join(out)
 
 

@@ -180,6 +180,7 @@ def main(argv=None) -> int:
     from .autodiff import NumericsError
     from .chem import ChemError
     from .data import CorpusError, CorruptCheckpoint
+    from .index import CorruptIndexCache
     _limit_threads(getattr(args, "threads", 1))
     handler = {
         "canon": _cmd_canon,
@@ -191,7 +192,8 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (ChemError, CorpusError, CorruptCheckpoint, NumericsError, OSError) as exc:
+    except (ChemError, CorpusError, CorruptCheckpoint, CorruptIndexCache, NumericsError,
+            OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
@@ -230,6 +232,7 @@ def _train_config(args):
 
 
 def _cmd_train(args) -> int:
+    import numpy as np
     from .data import CorpusError, MetricsLog, save_checkpoint
     from .encoder import ModelDims
     from .training import train
@@ -248,7 +251,10 @@ def _cmd_train(args) -> int:
     n_types = args.types if args.types is not None else max(corpus.n_types, 1)
     dims = ModelDims(d=args.dim, n_layers=args.layers, n_types=n_types)
     metrics = MetricsLog(args.metrics_out)
-    best = train(corpus, cfg, dims, metrics, checkpoint_path=args.checkpoint)
+    # A diverging run overflows before an op's finite check raises
+    # NumericsError, which is reported as the one error line.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        best = train(corpus, cfg, dims, metrics, checkpoint_path=args.checkpoint)
     save_checkpoint(best, args.checkpoint, tau=cfg.tau, seed=cfg.seed)
     final = metrics.records[-1] if metrics.records else {}
     print(f"trained {cfg.total_iters} iters; best checkpoint at {args.checkpoint}; "

@@ -8,7 +8,10 @@ line. All molecules are interned by canonical form into dense integer ids.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import secrets
 import struct
 from dataclasses import dataclass, field
 
@@ -173,6 +176,23 @@ def load_corpus(reaction_paths: dict[str, str],
 
 # --- checkpoints ---
 
+@contextlib.contextmanager
+def replace_on_success(path: str):
+    """A binary file opened beside ``path`` that is renamed over it once the
+    block has run without error; on an error it is removed, so ``path`` keeps
+    its old bytes. Nothing is synced to disk: a system crash may lose the new
+    file, but a reader never sees a partly written one."""
+    temporary = f"{path}.{secrets.token_hex(4)}.tmp"
+    try:
+        with open(temporary, "xb") as fh:
+            yield fh
+        os.replace(temporary, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(temporary)
+        raise
+
+
 _CKPT_MAGIC = b"RCLC"
 _CKPT_VERSION = 1
 _CKPT_HEADER = struct.Struct("<4sIIIIIIdQQ")
@@ -180,10 +200,12 @@ _CKPT_HEADER = struct.Struct("<4sIIIIIIdQQ")
 
 def save_checkpoint(params: ParamStore, path: str, tau: float = 0.1,
                     seed: int = 0) -> None:
-    """Binary checkpoint: header, then a named little-endian tensor table."""
+    """Binary checkpoint: header, then a named little-endian tensor table.
+    The file at ``path`` is replaced only once the whole checkpoint is
+    written."""
     dims = params.dims
     arrays = params.state_arrays()
-    with open(path, "wb") as fh:
+    with replace_on_success(path) as fh:
         fh.write(_CKPT_HEADER.pack(_CKPT_MAGIC, _CKPT_VERSION, dims.d,
                                    dims.n_layers, dims.d_atom, dims.d_bond,
                                    dims.n_types, float(tau), params.step, seed))

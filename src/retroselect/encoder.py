@@ -264,20 +264,48 @@ def embed_molecule(mol: Molecule, head: str, params: ParamStore,
     return MolEmbedding(head, out.data[0].copy())
 
 
+# Pool embedding runs in chunks of consecutive molecules whose atom rows
+# make a [rows, d] float32 block of at most this many bytes (512 rows at
+# d=256). A chunk's arrays then stay in cache from one layer to the next,
+# and the few blocks it holds at once stay below glibc's heap trim threshold
+# once the process has freed one pool-sized array (the threshold rises to
+# twice the largest mapped block freed), so later chunks reuse freed heap
+# pages instead of faulting in new ones.
+CHUNK_BYTES = 512 << 10
+
+
+def _chunks(mols: list[Molecule], max_rows: int, max_mols: int | None):
+    """(start, stop) of consecutive runs of molecules: each run holds at most
+    ``max_rows`` atoms, unless one molecule alone has more, and at most
+    ``max_mols`` molecules when that is given."""
+    start, rows = 0, 0
+    for stop, mol in enumerate(mols):
+        if stop > start and (rows + len(mol.atoms) > max_rows or stop - start == max_mols):
+            yield start, stop
+            start, rows = stop, 0
+        rows += len(mol.atoms)
+    if start < len(mols):
+        yield start, len(mols)
+
+
 def embed_matrix(mols: list[Molecule], params: ParamStore, heads,
-                 batch_size: int = 512) -> tuple[np.ndarray, ...]:
+                 batch_size: int | None = None) -> tuple[np.ndarray, ...]:
     """Raw (unnormalized) eval-mode embeddings under each of ``heads``, one
     float32 array per head with one row per molecule, computed on detached
-    parameters. The trunk runs once per chunk of ``batch_size`` molecules
-    whatever the number of heads, and each head's rows are bitwise those of
-    a pass for that head alone."""
+    parameters. The trunk runs once per chunk whatever the number of heads;
+    a chunk holds at most ``CHUNK_BYTES`` of atom rows (a larger molecule
+    gets a chunk alone), and at most ``batch_size`` molecules when that is
+    given. Every step of an eval-mode forward is row by row, so a row does
+    not depend on the cut except through the BLAS kernel a block's size
+    selects (numpy hands a one-row product to a matrix-vector kernel); each
+    head's rows are bitwise those of a pass for that head alone."""
     out = tuple(np.zeros((len(mols), params.dims.d), dtype=np.float32) for _ in heads)
     frozen = params.detached()
-    for start in range(0, len(mols), batch_size):
-        chunk = mols[start:start + batch_size]
-        rows = embed_graphs(featurize_packed(chunk), frozen, "eval", heads=heads)
+    max_rows = max(1, CHUNK_BYTES // (4 * params.dims.d))
+    for start, stop in _chunks(mols, max_rows, batch_size):
+        rows = embed_graphs(featurize_packed(mols[start:stop]), frozen, "eval", heads=heads)
         for head, array in zip(heads, out):
-            array[start:start + len(chunk)] = rows[head].data
+            array[start:stop] = rows[head].data
     return out
 
 
@@ -290,7 +318,7 @@ def normalize_rows(rows: np.ndarray) -> np.ndarray:
 
 
 def embed_pool(mols: list[Molecule], params: ParamStore,
-               batch_size: int = 512) -> np.ndarray:
+               batch_size: int | None = None) -> np.ndarray:
     """Unit-normalized key (h-head) embeddings for a candidate pool, rows in
     input order; zero-norm rows are left as zero. Eval mode only."""
     return normalize_rows(embed_matrix(mols, params, ("h",), batch_size)[0])

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import ZERO_NORM_EPS
+from .data import replace_on_success
 from .encoder import ParamStore, embed_pool, normalize_rows
 from .scoring import pair_cosines, pair_dots
 
@@ -365,8 +366,9 @@ def hard_neighbors(index: CandidateIndex, anchor_ids, k: int,
 # --- on-disk cache ---
 
 def save_index(index: CandidateIndex, path: str) -> None:
-    """RCLX cache: header, ids as u64 LE, then row-major float32 LE keys."""
-    with open(path, "wb") as fh:
+    """RCLX cache: header, ids as u64 LE, then row-major float32 LE keys. The
+    file at ``path`` is replaced only once the whole cache is written."""
+    with replace_on_success(path) as fh:
         fh.write(_HEADER.pack(_MAGIC, _VERSION, index.n_candidates,
                               index.dim, 1 if index.includes_halt else 0))
         fh.write(index.ids.astype("<u8").tobytes())

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -304,6 +305,30 @@ def test_index_cache_size_mismatch(trained_world, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("case", ["truncated-cache", "pool-not-utf8"])
+def test_bad_cache_or_pool_bytes_are_data_errors(case, trained_world, tmp_path, capsys):
+    world, ckpt, _ = trained_world
+    products = tmp_path / "p.txt"
+    products.write_text("CCO\n", encoding="utf-8")
+    pool, cache = world.candidates_path, tmp_path / "pool.rclx"
+    if case == "truncated-cache":
+        assert main(["index", "--checkpoint", ckpt, "--candidates", pool,
+                     "--output", str(cache)]) == EXIT_OK
+        cache.write_bytes(cache.read_bytes()[:-7])
+    else:
+        with open(world.candidates_path, "rb") as fh:
+            pool = tmp_path / "latin1.txt"
+            pool.write_bytes(fh.read() + "CC(=O)OC\xe9\n".encode("latin-1"))
+    capsys.readouterr()
+    code = main(["predict", "--checkpoint", ckpt, "--candidates", str(pool),
+                 "--products", str(products), "--beam", "4"]
+                + (["--index-cache", str(cache)] if case == "truncated-cache" else []))
+    assert code == EXIT_DATA
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "Traceback" not in captured.err and captured.out == ""
+
+
 def test_index_cache_changes_no_prediction(trained_world, tmp_path):
     """No cache, a cache from ``index`` and an older cache that holds the
     halt row all give the same bytes."""
@@ -429,10 +454,13 @@ def test_bad_seed_or_diverged_run_is_data_error(flags, tmp_path, capsys):
     reactions = tmp_path / "two.txt"
     reactions.write_text("CCO.CC(=O)O>>CC(=O)OCC\nCN.CC(=O)O>>CC(=O)NC\n", encoding="utf-8")
     ckpt = tmp_path / "model.rclc"
-    code = main(["train", "--train", str(reactions), "--checkpoint", str(ckpt),
-                 "--total-iters", "3", "--batch-size", "2", "--dim", "8",
-                 "--layers", "1"] + flags)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["train", "--train", str(reactions), "--checkpoint", str(ckpt),
+                     "--total-iters", "3", "--batch-size", "2", "--dim", "8",
+                     "--layers", "1"] + flags)
     assert code == EXIT_DATA
+    assert [str(w.message) for w in caught] == []
     captured = capsys.readouterr()
     errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
     assert "Traceback" not in captured.err and captured.out == ""
@@ -440,8 +468,10 @@ def test_bad_seed_or_diverged_run_is_data_error(flags, tmp_path, capsys):
     if flags[0] == "--seed":  # rejected before the corpus is read
         assert errors == ["error: bad train config: seed must be in 0..2**64-1"]
         assert "corpus:" not in captured.err
-    else:
-        assert len(errors) == 1
+    else:  # the corpus line, then the error line and no numpy warning
+        lines = captured.err.splitlines()
+        assert len(lines) == 2 and lines[0].startswith("corpus: ")
+        assert lines[1] == errors[0]
         assert errors[0].startswith("error: non-finite values produced by ")
 
 

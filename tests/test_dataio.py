@@ -132,6 +132,26 @@ def test_checkpoint_shapes_match_init(tmp_path):
         assert loaded.state_arrays()[name].shape == arr.shape
 
 
+def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
+    import struct
+    path = tmp_path / "model.rclc"
+    save_checkpoint(init_params(1, ModelDims(d=4, n_layers=1, n_types=1)), str(path))
+    before = path.read_bytes()
+    pack, calls = struct.pack, []
+
+    def failing_pack(*args):
+        calls.append(args)
+        if len(calls) == 6:  # a few tensors in
+            raise OSError("disk full")
+        return pack(*args)
+
+    monkeypatch.setattr(struct, "pack", failing_pack)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(init_params(2, ModelDims(d=4, n_layers=1, n_types=1)), str(path))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.rclc"]
+
+
 def test_checkpoint_corruption(tmp_path):
     params = init_params(1, ModelDims(d=4, n_layers=1, n_types=1))
     path = tmp_path / "model.rclc"

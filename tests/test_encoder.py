@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from retroselect import autodiff as ad
+from retroselect import encoder
 from retroselect.chem import (D_ATOM, D_BOND, PackedGraphs, disjoint_union, featurize, pack,
                               parse_smiles, write_smiles)
 from retroselect.encoder import (HEADS, ModelDims, embed_graphs, embed_molecule,
@@ -149,6 +150,42 @@ def test_embed_pool_bitwise_equal_to_taped_forward(tiny_params):
         rows = rows.astype(np.float32)
         rows /= np.linalg.norm(rows, axis=1).astype(np.float32)[:, None]
         assert np.array_equal(keys[start:start + 8], rows)
+
+
+@pytest.mark.parametrize("d", [8, 32, 256])
+def test_embed_matrix_rows_do_not_depend_on_the_cut(d, monkeypatch):
+    """Row-bounded chunks (here 40 atom rows), one chunk and one molecule per
+    chunk give bitwise equal h and g rows at d=32 and d=256. A one-row block
+    takes numpy's matrix-vector path, whose sums round differently, so the
+    molecule-per-chunk cut leaves out single atoms; at d=8 OpenBLAS's
+    small-matrix kernels may round differently at any block size."""
+    params = init_params(2, ModelDims(d=d, n_layers=3, n_types=1))
+    randomize_batchnorm(params, np.random.default_rng(d))
+    mols = [parse_smiles(s) for s in CORPUS_SMILES * 2]
+    several = [m for m in mols if len(m.atoms) > 1]
+    monkeypatch.setattr(encoder, "CHUNK_BYTES", 4 * d * 40)
+    assert len(list(encoder._chunks(mols, 40, None))) > 5
+    cut = encoder.embed_matrix(mols, params, ("h", "g"))
+    cut_several = encoder.embed_matrix(several, params, ("h", "g"))
+    monkeypatch.setattr(encoder, "CHUNK_BYTES", 1 << 40)
+    whole = encoder.embed_matrix(mols, params, ("h", "g"))
+    whole_several = encoder.embed_matrix(several, params, ("h", "g"))
+    single = encoder.embed_matrix(several, params, ("h", "g"), batch_size=1)
+    for got, want in [(cut, whole), (cut_several, whole_several), (single, whole_several)]:
+        for a, b in zip(got, want):
+            if d == 8:
+                assert rel_max(a, b) < 1e-5
+            else:
+                assert np.array_equal(a, b)
+
+
+def test_chunks_bound_rows_and_molecules():
+    mols = [parse_smiles(s) for s in ["CCO", "C", "CCCCCC", "CC", "O", "CCCC"]]
+    # Atom rows 3, 1, 6, 2, 1, 4; a molecule above the bound gets a chunk alone.
+    assert list(encoder._chunks(mols, 7, None)) == [(0, 2), (2, 3), (3, 6)]
+    assert list(encoder._chunks(mols, 4, None)) == [(0, 2), (2, 3), (3, 5), (5, 6)]
+    assert list(encoder._chunks(mols, 100, 4)) == [(0, 4), (4, 6)]
+    assert list(encoder._chunks([], 4, None)) == []
 
 
 def _directed_batch(rng) -> PackedGraphs:

@@ -402,6 +402,22 @@ def test_index_cache_round_trip(tmp_path, rng):
     assert (tmp_path / "again.rclx").read_bytes() == blob
 
 
+def test_failed_cache_write_keeps_previous_file(tmp_path, rng, monkeypatch):
+    path = tmp_path / "cache.rclx"
+    save_index(build_random_index(rng, n=4, d=3), str(path))
+    before = path.read_bytes()
+
+    def failing(*args, **kwargs):  # the keys, after the header and the ids
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "ascontiguousarray", failing)
+    with pytest.raises(OSError, match="disk full"):
+        save_index(build_random_index(rng, n=5, d=3), str(path))
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["cache.rclx"]
+
+
 def test_index_cache_corruption(tmp_path, rng):
     index = build_random_index(rng, n=4, d=3)
     path = tmp_path / "cache.rclx"

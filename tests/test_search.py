@@ -83,9 +83,14 @@ def test_predictor_runs_the_trunk_once_per_chunk(n, tiny_params, corpus_molecule
         return embed_nodes(*args, **kwargs)
 
     monkeypatch.setattr(encoder, "embed_nodes", counted)
+    # Chunks of at most 512 atom rows: several for the larger pools.
+    monkeypatch.setattr(encoder, "CHUNK_BYTES", 4 * tiny_params.dims.d * 512)
     candidates = list(itertools.islice(itertools.cycle(corpus_molecules), n))
     predictor = Predictor(tiny_params, candidates)
-    assert len(calls) == -(-n // 512)  # ceil(n / 512) chunks, both heads per pass
+    atoms = sum(len(m.atoms) for m in candidates)
+    chunks = list(encoder._chunks(candidates, 512, None))
+    assert len(chunks) >= -(-atoms // 512)
+    assert len(calls) == len(chunks)  # both heads per pass
     assert predictor.g_pool.shape == (n, tiny_params.dims.d)
     assert predictor.index.keys.shape == (n + 1, tiny_params.dims.d)
 

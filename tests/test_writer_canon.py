@@ -9,8 +9,8 @@ from retroselect.chem import (canonical_form, disjoint_union, parse_smiles,
                               write_smiles)
 from retroselect.toy import make_memorization_world, make_route_world
 
-from helpers import (CORPUS_SMILES, exhaustive_canonical_form, isomorphic,
-                     random_permutation)
+from helpers import (CORPUS_SMILES, _dense, _initial_ranks, _refine,
+                     exhaustive_canonical_form, isomorphic, random_permutation)
 
 TETRA_TERT_BUTYLMETHANE = "CC(C)(C)C(C(C)(C)C)(C(C)(C)C)C(C)(C)C"
 # Central carbon carrying three tri-tert-butylmethyl arms and one tBu: 53 atoms.
@@ -198,6 +198,47 @@ def test_orbits_use_only_automorphisms_fixing_the_path():
                 (swap_12_and_path, frozenset({1, 2, 3, 4}))])
     assert node.seen(1, [0])
     assert not node.seen(2, [0, 1])
+
+
+# Every chain up to 64 atoms, then every 16th up to 400: the oracle's own
+# refinement is quadratic, so all 400 would take it most of a minute.
+_CHAIN_LENGTHS = list(range(1, 65)) + list(range(80, 401, 16))
+
+
+def test_chains_match_exhaustive():
+    for k in _CHAIN_LENGTHS:
+        mol = parse_smiles("C" * k)
+        assert canonical_form(mol) == exhaustive_canonical_form(mol), k
+
+
+def test_chain_refinement_work_is_linear():
+    # Each round keys the atoms next to a moved one: about 5.5 per atom in
+    # all for a chain, where keying every atom every round is quadratic.
+    from retroselect.chem.canon import _Search
+    for k in (100, 400):
+        search = _Search(parse_smiles("C" * k))
+        search.best_string()
+        assert search.rekeyed <= 8 * k, (k, search.rekeyed)
+
+
+def test_refinement_ranks_equal_full_rounds():
+    """Each refinement, from the initial ranks and from every member of the
+    first tie class individualized, gives the ranks of the full-round
+    reference, which keys every atom in every round."""
+    from retroselect.chem.canon import _Search
+    sample = (CORPUS_SMILES + _symmetric_sample(3, 40)
+              + ["C" * k for k in (2, 3, 9, 30)] + [".".join(["CC(=O)O"] * 5)])
+    for smiles in sample:
+        mol = parse_smiles(smiles, allow_fragments=True)
+        search = _Search(mol)
+        ranks = search._refine(_initial_ranks(mol))
+        assert ranks == _refine(mol, _initial_ranks(mol)), smiles
+        ties = [r for r in set(ranks) if ranks.count(r) > 1]
+        if not ties:
+            continue
+        for pick in [idx for idx, r in enumerate(ranks) if r == min(ties)]:
+            split = _dense([2 * r - (idx == pick) for idx, r in enumerate(ranks)])
+            assert search._refine(split, [pick]) == _refine(mol, split), (smiles, pick)
 
 
 def _best_canon_seconds(smiles: str, repeats: int = 3) -> float:
