@@ -7,16 +7,17 @@ row selection), a query-by-key cosine matrix and a row-wise masked
 log-softmax pick, plus SGD with momentum and global-norm clipping.
 
 ``affine_batchnorm`` is one ``x @ w + b (+ residual) -> batchnorm (-> relu)``
-site and one tape node with its own backward in both modes. In train mode
-the node keeps a single buffer, the normalized pre-activation, and its
-backward is the batch-norm gradient (Ioffe & Szegedy, arXiv:1502.03167)
-carried on to every term, the bias and the residual. In eval mode batch
+site. In train mode it is one tape node with its own backward: the node
+keeps a single buffer, the normalized pre-activation, and its backward is
+the batch-norm gradient (Ioffe & Szegedy, arXiv:1502.03167) carried on to
+every term, the bias and the residual. Eval mode is forward only: batch
 norm is an affine map of its running statistics, so it is folded into the
 weights (scaled by s = gamma / sqrt(running_var + eps)), the bias
 ((b - running_mean) * s + beta) and the residual (scaled by s) (after
-Jacob et al., arXiv:1712.05877). With ``relu=True`` the ReLU is applied in
-place to the site's own output, and the backward masks the incoming
-gradient with ``out > 0``, so no pre-activation copy is kept for the mask.
+Jacob et al., arXiv:1712.05877), and the output is a constant with no
+parents. With ``relu=True`` the ReLU is applied in place to the site's own
+output, and the train backward masks the incoming gradient with
+``out > 0``, so no pre-activation copy is kept for the mask.
 
 Arrays are float32 by default; building the parameters in float64 switches
 the whole tape to float64 for gradient checking. Every op output that can
@@ -319,17 +320,18 @@ def affine_batchnorm(terms, b: Tensor, state: BatchNormState, mode: str,
     """Batch norm of ``sum(x @ w for x, w in terms) + b (+ residual)``,
     followed by a ReLU when ``relu`` is set.
 
-    One tape node with its own backward to every x, w, b, gamma, beta and
-    the residual, in both modes. Train mode normalizes each feature column
-    with biased batch statistics, folds them into the running estimates
-    (unbiased variance) and keeps one n x width buffer, the normalized
-    pre-activation, for its backward. Eval mode folds the running statistics
-    into the affine map: with s = gamma / sqrt(running_var + eps) it computes
+    Train mode is one tape node with its own backward to every x, w, b,
+    gamma, beta and the residual: it normalizes each feature column with
+    biased batch statistics, folds them into the running estimates (unbiased
+    variance) and keeps one n x width buffer, the normalized pre-activation,
+    for its backward. Eval mode is forward only and returns a constant: it
+    folds the running statistics into the affine map, with
+    s = gamma / sqrt(running_var + eps) computing
     ``sum(x @ (w * s)) + (b - running_mean) * s + beta (+ residual * s)``,
     so no normalized copy is made. The ReLU clamps the node's own output in
-    place, and the backward masks the incoming gradient with ``out > 0``,
-    which is the batch-norm output's mask; values and gradients are bitwise
-    those of ``relu`` composed after the site.
+    place, and the train backward masks the incoming gradient with
+    ``out > 0``, which is the batch-norm output's mask; values and gradients
+    are bitwise those of ``relu`` composed after the site.
     """
     x0, w0 = terms[0]
     for x, w in terms:
@@ -340,13 +342,10 @@ def affine_batchnorm(terms, b: Tensor, state: BatchNormState, mode: str,
     if b.shape != (state.width,) or (residual is not None
                                      and residual.shape != (x0.shape[0], state.width)):
         raise ShapeMismatch("affine_batchnorm bias or residual shape")
-    parents = tuple(t for pair in terms for t in pair) + (b, state.gamma, state.beta)
-    if residual is not None:
-        parents += (residual,)
     if mode == "train":
-        return _train_site(terms, b, state, residual, parents, relu)
+        return _train_site(terms, b, state, residual, relu)
     if mode == "eval":
-        return _eval_site(terms, b, state, residual, parents, relu)
+        return _eval_site(terms, b, state, residual, relu)
     raise ValueError(f"unknown batchnorm mode {mode!r}")
 
 
@@ -358,11 +357,14 @@ def _site_output(y: np.ndarray, parents, relu: bool) -> Tensor:
     return Tensor(y, parents=parents)
 
 
-def _train_site(terms, b, state, residual, parents, relu) -> Tensor:
+def _train_site(terms, b, state, residual, relu) -> Tensor:
     x0, w0 = terms[0]
     n = x0.shape[0]
     if n < 2:
         raise DegenerateBatch(f"train-mode batchnorm needs n >= 2, got {n}")
+    parents = tuple(t for pair in terms for t in pair) + (b, state.gamma, state.beta)
+    if residual is not None:
+        parents += (residual,)
     gamma, beta = state.gamma, state.beta
     # One buffer holds the pre-activation, then its centred and finally its
     # normalized form x_hat. Every sum runs in the order of the same site
@@ -413,49 +415,20 @@ def _train_site(terms, b, state, residual, parents, relu) -> Tensor:
     return out
 
 
-def _eval_site(terms, b, state, residual, parents, relu) -> Tensor:
+def _eval_site(terms, b, state, residual, relu) -> Tensor:
     x0, w0 = terms[0]
-    gamma, beta, mean = state.gamma, state.beta, state.running_mean
-    inv_std = 1.0 / np.sqrt(state.running_var + state.epsilon)
-    s = gamma.data * inv_std
+    s = state.gamma.data * (1.0 / np.sqrt(state.running_var + state.epsilon))
     y = x0.data @ (w0.data * s)
     scratch = None  # one buffer for every further term and the scaled residual
     for x, w in terms[1:]:
         scratch = np.matmul(x.data, w.data * s, out=scratch)
         y += scratch
-    y += (b.data - mean) * s + beta.data
+    y += (b.data - state.running_mean) * s + state.beta.data
     if residual is not None:
         scratch = np.multiply(residual.data, s, out=scratch)
         y += scratch
     del scratch  # freed before the output's finite check
-    out = _site_output(y, parents, relu)
-
-    def _bw(g):
-        # ds collects d(loss)/ds column-wise; gamma's gradient is ds * inv_std.
-        if relu:
-            g = g * (y > 0)
-        g_sum = g.sum(axis=0)
-        gs = g * s
-        ds = (b.data - mean) * g_sum
-        for x, w in terms:
-            xtg = x.data.T @ g
-            ds += (w.data * xtg).sum(axis=0)
-            if x.requires_grad:
-                x._accumulate(gs @ w.data.T)
-            if w.requires_grad:
-                w._accumulate(xtg * s)
-        if residual is not None:
-            ds += (g * residual.data).sum(axis=0)
-            if residual.requires_grad:
-                residual._accumulate(gs)
-        if b.requires_grad:
-            b._accumulate(g_sum * s)
-        if gamma.requires_grad:
-            gamma._accumulate(ds * inv_std)
-        if beta.requires_grad:
-            beta._accumulate(g_sum)
-    out._backward = _bw if out.requires_grad else None
-    return out
+    return _site_output(y, (), relu)
 
 
 # --- similarity and classification ops ---
@@ -575,14 +548,15 @@ def global_norm(grads: dict) -> float:
     return float(np.sqrt(total))
 
 
-def clip_global_norm(grads: dict, clip_norm: float) -> dict:
-    """Scale all gradients so their global L2 norm is at most clip_norm."""
+def clip_global_norm(grads: dict, clip_norm: float) -> float:
+    """Scale the gradients of ``grads`` (replacing its entries) so their
+    global L2 norm is at most clip_norm; returns the norm before clipping."""
     norm = global_norm(grads)
     if norm > clip_norm:
         factor = clip_norm / norm
         for name in grads:
             grads[name] = grads[name] * np.asarray(factor, dtype=grads[name].dtype)
-    return grads
+    return norm
 
 
 def sgd_step(params, grads: dict, cfg: SgdConfig) -> None:

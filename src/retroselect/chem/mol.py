@@ -73,9 +73,6 @@ class Bond:
         self.order = order
         self.in_ring = False  # set by Molecule.finalize()
 
-    def other(self, idx: int) -> int:
-        return self.b if idx == self.a else self.a
-
     def __repr__(self):
         return f"Bond({self.a}, {self.b}, {BOND_SYMBOL[self.order]!r})"
 
@@ -83,28 +80,16 @@ class Bond:
 class Molecule:
     """Undirected molecular graph with derived ring/hydrogen annotations."""
 
-    __slots__ = ("atoms", "bonds", "source_text", "_adjacency", "_canonical")
+    __slots__ = ("atoms", "bonds", "source_text", "_canonical")
 
     def __init__(self, atoms: list[Atom], bonds: list[Bond], source_text: str = ""):
         self.atoms = atoms
         self.bonds = bonds
         self.source_text = source_text
-        self._adjacency: list[list[tuple[int, Bond]]] | None = None
         self._canonical: str | None = None
 
     def __len__(self):
         return len(self.atoms)
-
-    @property
-    def adjacency(self) -> list[list[tuple[int, Bond]]]:
-        """Per-atom list of (neighbor index, bond), in bond insertion order."""
-        if self._adjacency is None:
-            adj: list[list[tuple[int, Bond]]] = [[] for _ in self.atoms]
-            for bond in self.bonds:
-                adj[bond.a].append((bond.b, bond))
-                adj[bond.b].append((bond.a, bond))
-            self._adjacency = adj
-        return self._adjacency
 
     def finalize(self) -> "Molecule":
         """Fill in degree, ring membership and implicit hydrogens.
@@ -174,26 +159,6 @@ class Molecule:
         for idx, atom in enumerate(self.atoms):
             if atom.implicit_h < 0:
                 raise ChemError(f"negative implicit H on atom {idx}")
-
-    def components(self) -> list[list[int]]:
-        """Connected components as lists of atom indices, ascending."""
-        seen = [False] * len(self.atoms)
-        out = []
-        for start in range(len(self.atoms)):
-            if seen[start]:
-                continue
-            stack = [start]
-            seen[start] = True
-            comp = []
-            while stack:
-                v = stack.pop()
-                comp.append(v)
-                for u, _ in self.adjacency[v]:
-                    if not seen[u]:
-                        seen[u] = True
-                        stack.append(u)
-            out.append(sorted(comp))
-        return out
 
 
 def disjoint_union(*mols: Molecule) -> Molecule:

@@ -17,6 +17,7 @@ import argparse
 import ctypes
 import dataclasses
 import glob
+import io
 import json
 import os
 import sys
@@ -337,6 +338,7 @@ def _cached_index(args, n_candidates, dim):
 
 def _cmd_predict(args) -> int:
     from .chem import canonical_form
+    from .data import replace_on_success
     from .search import Predictor
     params, pool = _load_model_and_pool(args)
     products = _read_products(args.products, args.use_types, params.dims.n_types)
@@ -344,17 +346,21 @@ def _cmd_predict(args) -> int:
                           index=_cached_index(args, len(pool.molecules), params.dims.d),
                           beam=args.beam, n_max=args.n_max)
     results = _predict_many(predictor, products, args.k, args.threads)
-    out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
-    try:
+
+    def write(out) -> None:
         for (mol, _t), ranked in zip(products, results):
             out.write(canonical_form(mol) + "\n")
             for rank_pos, scored in enumerate(ranked, start=1):
                 reactants = ".".join(sorted(predictor.form_of_id[i]
                                             for i in scored.reactant_ids))
                 out.write(f"{rank_pos}\t{scored.score:.6f}\t{reactants}\n")
-    finally:
-        if args.output:
-            out.close()
+    if args.output:
+        # The file is replaced only once every line is written.
+        with replace_on_success(args.output) as fh, \
+                io.TextIOWrapper(fh, encoding="utf-8") as out:
+            write(out)
+    else:
+        write(sys.stdout)
     return EXIT_OK
 
 

@@ -12,8 +12,9 @@ the per-edge bond term ``sum_e x_bond[e] @ w_bond`` is reassociated as
 ``B @ w_bond`` with ``B`` the bond features summed per atom once per batch.
 Pooling is one product with the atom-to-molecule matrix. Each
 linear(+residual) -> batch-norm (-> ReLU) site is one ``ad.affine_batchnorm``
-node, which folds eval-mode batch norm into the weights, on trainable and
-detached parameters alike, and applies the ReLU to its own output.
+node, which applies the ReLU to its own output. An eval-mode forward is
+never differentiated: it runs on the store's detached view, folds batch norm
+into the weights and records no tape.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ class ParamStore:
         self.tensors: dict[str, Tensor] = {}
         self.bn_states: dict[str, BatchNormState] = {}
         self._no_decay: set[str] = set()
+        self._detached: ParamStore | None = None
 
     # --- construction helpers ---
 
@@ -124,14 +126,18 @@ class ParamStore:
         """The same weights as constants, for forwards that are never
         differentiated: no op records a reverse-mode tape, so intermediates
         are freed as soon as the next op has consumed them. Arrays are shared,
-        batch-norm running statistics included, so outputs are bitwise those
-        of the trainable store."""
-        view = ParamStore(self.dims, self.dtype)
-        view.tensors = {name: ad.constant(t.data) for name, t in self.tensors.items()}
-        view.bn_states = {name: replace(state, gamma=ad.constant(state.gamma.data),
-                                        beta=ad.constant(state.beta.data))
-                          for name, state in self.bn_states.items()}
-        return view
+        batch-norm running statistics included, and every update writes them
+        in place, so the view is built once per store and its outputs are
+        bitwise those of the trainable store."""
+        if self._detached is None:
+            view = ParamStore(self.dims, self.dtype)
+            view.tensors = {name: ad.constant(t.data) for name, t in self.tensors.items()}
+            view.bn_states = {name: replace(state, gamma=ad.constant(state.gamma.data),
+                                            beta=ad.constant(state.beta.data))
+                              for name, state in self.bn_states.items()}
+            view._detached = view
+            self._detached = view
+        return self._detached
 
     def copy(self) -> "ParamStore":
         clone = ParamStore(self.dims, self.dtype)
@@ -248,8 +254,11 @@ def head_embeddings(node_matrix: Tensor, head: str, params: ParamStore,
 
 def embed_graphs(feats, params: ParamStore, mode: str = "eval",
                  heads=HEADS) -> dict[str, Tensor]:
-    """Molecule embeddings for each requested head, rows in input order."""
+    """Molecule embeddings for each requested head, rows in input order.
+    Eval mode runs on the store's detached view and records no tape."""
     packed = _as_packed(feats)
+    if mode == "eval":
+        params = params.detached()
     ops = _GraphOps(packed)
     nodes = embed_nodes(packed, params, mode, ops)
     return {head: head_embeddings(nodes, head, params, mode, ops.pool)
@@ -274,13 +283,12 @@ def embed_molecule(mol: Molecule, head: str, params: ParamStore,
 CHUNK_BYTES = 512 << 10
 
 
-def _chunks(mols: list[Molecule], max_rows: int, max_mols: int | None):
+def _chunks(mols: list[Molecule], max_rows: int):
     """(start, stop) of consecutive runs of molecules: each run holds at most
-    ``max_rows`` atoms, unless one molecule alone has more, and at most
-    ``max_mols`` molecules when that is given."""
+    ``max_rows`` atoms, unless one molecule alone has more."""
     start, rows = 0, 0
     for stop, mol in enumerate(mols):
-        if stop > start and (rows + len(mol.atoms) > max_rows or stop - start == max_mols):
+        if stop > start and rows + len(mol.atoms) > max_rows:
             yield start, stop
             start, rows = stop, 0
         rows += len(mol.atoms)
@@ -288,22 +296,19 @@ def _chunks(mols: list[Molecule], max_rows: int, max_mols: int | None):
         yield start, len(mols)
 
 
-def embed_matrix(mols: list[Molecule], params: ParamStore, heads,
-                 batch_size: int | None = None) -> tuple[np.ndarray, ...]:
+def embed_matrix(mols: list[Molecule], params: ParamStore, heads) -> tuple[np.ndarray, ...]:
     """Raw (unnormalized) eval-mode embeddings under each of ``heads``, one
-    float32 array per head with one row per molecule, computed on detached
-    parameters. The trunk runs once per chunk whatever the number of heads;
-    a chunk holds at most ``CHUNK_BYTES`` of atom rows (a larger molecule
-    gets a chunk alone), and at most ``batch_size`` molecules when that is
-    given. Every step of an eval-mode forward is row by row, so a row does
-    not depend on the cut except through the BLAS kernel a block's size
-    selects (numpy hands a one-row product to a matrix-vector kernel); each
-    head's rows are bitwise those of a pass for that head alone."""
+    float32 array per head with one row per molecule. The trunk runs once per
+    chunk whatever the number of heads; a chunk holds at most
+    ``CHUNK_BYTES`` of atom rows (a larger molecule gets a chunk alone).
+    Every step of an eval-mode forward is row by row, so a row does not
+    depend on the cut except through the BLAS kernel a block's size selects
+    (numpy hands a one-row product to a matrix-vector kernel); each head's
+    rows are bitwise those of a pass for that head alone."""
     out = tuple(np.zeros((len(mols), params.dims.d), dtype=np.float32) for _ in heads)
-    frozen = params.detached()
     max_rows = max(1, CHUNK_BYTES // (4 * params.dims.d))
-    for start, stop in _chunks(mols, max_rows, batch_size):
-        rows = embed_graphs(featurize_packed(mols[start:stop]), frozen, "eval", heads=heads)
+    for start, stop in _chunks(mols, max_rows):
+        rows = embed_graphs(featurize_packed(mols[start:stop]), params, "eval", heads=heads)
         for head, array in zip(heads, out):
             array[start:stop] = rows[head].data
     return out
@@ -317,20 +322,26 @@ def normalize_rows(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-def embed_pool(mols: list[Molecule], params: ParamStore,
-               batch_size: int | None = None) -> np.ndarray:
+def embed_pool(mols: list[Molecule], params: ParamStore) -> np.ndarray:
     """Unit-normalized key (h-head) embeddings for a candidate pool, rows in
     input order; zero-norm rows are left as zero. Eval mode only."""
-    return normalize_rows(embed_matrix(mols, params, ("h",), batch_size)[0])
+    return normalize_rows(embed_matrix(mols, params, ("h",))[0])
+
+
+def type_row(params: ParamStore, rxn_type: int | None) -> int | None:
+    """Row of a 1-based reaction type in the u (backward) and v (forward)
+    bias tables, or None for an untyped reaction."""
+    if rxn_type is None:
+        return None
+    n_types = params.dims.n_types
+    if not 1 <= rxn_type <= n_types:
+        raise ValueError(f"reaction type {rxn_type} outside [1, {n_types}]")
+    return rxn_type - 1
 
 
 def type_bias(params: ParamStore, table: str, rxn_type: int | None) -> np.ndarray | None:
     """Row of the u (backward) or v (forward) bias table for a 1-based type."""
-    if rxn_type is None:
-        return None
     if table not in ("u", "v"):
         raise ValueError(f"bias table must be 'u' or 'v', got {table!r}")
-    n_types = params.dims.n_types
-    if not 1 <= rxn_type <= n_types:
-        raise ValueError(f"reaction type {rxn_type} outside [1, {n_types}]")
-    return params.tensors[f"type.{table}"].data[rxn_type - 1]
+    row = type_row(params, rxn_type)
+    return None if row is None else params.tensors[f"type.{table}"].data[row]

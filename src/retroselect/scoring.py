@@ -172,22 +172,15 @@ def _selection_sums(f_product: np.ndarray, u_bias: np.ndarray | None,
 
 def _forward_scores(g: np.ndarray, product_h: np.ndarray,
                     v_bias: np.ndarray | None) -> np.ndarray:
-    """``phi`` of m sets whose reactant query rows ``g`` are [m, n, d]."""
+    """Forward synthesizability scores of m sets whose reactant query rows
+    ``g`` are [m, n, d]: the cosine of the summed rows (plus the type bias)
+    with the product key."""
     total = np.zeros((g.shape[0], g.shape[2]))
     for i in range(g.shape[1]):
         total += g[:, i]
     if v_bias is not None:
         total += np.asarray(v_bias, dtype=np.float64)
     return pair_cosines(total, np.asarray(product_h, dtype=np.float64))
-
-
-def phi(reactant_g_embeddings, product_h: np.ndarray,
-        v_bias: np.ndarray | None = None) -> float:
-    """Forward synthesizability score: cosine of summed reactant queries
-    (plus optional type bias) with the product key."""
-    d = np.asarray(product_h).shape[0]
-    g = np.array(list(reactant_g_embeddings), dtype=np.float64).reshape(1, -1, d)
-    return float(_forward_scores(g, product_h, v_bias)[0])
 
 
 def _stacked_rows(by_id: dict[int, np.ndarray], ids, d: int) -> np.ndarray:
@@ -233,45 +226,3 @@ def reaction_score(f_product: np.ndarray,
                                 _stacked_rows(h_by_id, ids, d), halt_key,
                                 u_bias, v_bias, perm_threshold)
     return ScoredSet(ids, float(scores[0]), tuple(ids[p] for p in orders[0]))
-
-
-class ReactionScorer:
-    """Molecule-level scoring with an embedding cache keyed by canonical form."""
-
-    def __init__(self, params):
-        from .chem import canonical_form
-        from .encoder import embed_molecule, type_bias
-        self.params = params
-        self._canonical = canonical_form
-        self._embed = embed_molecule
-        self._type_bias = type_bias
-        self._cache: dict[tuple[str, str], np.ndarray] = {}
-
-    def embedding(self, mol, head: str) -> np.ndarray:
-        key = (head, self._canonical(mol))
-        if key not in self._cache:
-            self._cache[key] = self._embed(mol, head, self.params).vector
-        return self._cache[key]
-
-    def reaction_score(self, product, reactants: list,
-                       rxn_type: int | None = None,
-                       perm_threshold: int = PERM_THRESHOLD) -> ScoredSet:
-        product_form = self._canonical(product)
-        forms = []
-        for mol in reactants:
-            form = self._canonical(mol)
-            if form == product_form:
-                raise ProductInReactants(f"product {product_form} is its own reactant")
-            forms.append(form)
-        # Dense local ids in canonical order make tie-breaks deterministic.
-        ordered = sorted(set(forms))
-        by_form = {form: i for i, form in enumerate(ordered)}
-        mols_by_id = {by_form[self._canonical(m)]: m for m in reactants}
-        g_by_id = {i: self.embedding(m, "g") for i, m in mols_by_id.items()}
-        h_by_id = {i: self.embedding(m, "h") for i, m in mols_by_id.items()}
-        return reaction_score(
-            self.embedding(product, "f"), self.embedding(product, "h"),
-            g_by_id, h_by_id, self.params.tensors["halt_key"].data,
-            u_bias=self._type_bias(self.params, "u", rxn_type),
-            v_bias=self._type_bias(self.params, "v", rxn_type),
-            perm_threshold=perm_threshold)

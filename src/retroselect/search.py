@@ -9,13 +9,12 @@ float32 scan of running sum plus cosine against one top-``beam`` floor
 running sum), with the few pairs near it rescored in float64, so score
 memory is O(live x block) and the round keeps exactly the float64 top
 ``beam`` extensions (each hypothesis offering its own top ``beam`` by
-cosine, then ascending id). Every live hypothesis is banked at every round
-with the float64 cosine of its query against the halt key, and each round's
-banked hypotheses are deduplicated as id sets by one lexsort and kept as
-arrays (``Banked``, one block per round). ``rank`` re-ranks them by the full
-permutation-maximized overall score, one batched ``scoring.score_sets``
-call per block, orders all sets with one lexsort and builds ``ScoredSet``
-records only for the top ``k``.
+cosine, then ascending id). Each round banks the id sets of its live
+hypotheses, and only those: one lexsort over the sorted id rows makes a
+block of distinct sets (``Banked``). ``rank`` scores every banked set
+from its ids alone by the full permutation-maximized overall score, one
+batched ``scoring.score_sets`` call per block, orders all sets with one
+lexsort and builds ``ScoredSet`` records only for the top ``k``.
 """
 
 from __future__ import annotations
@@ -31,34 +30,19 @@ from .index import HALT_ID, CandidateIndex, EmptyIndex
 # ``cosine64`` and ``reaction_score`` are looked up here by the benchmark's
 # tracer (perfbench/layers.py), so they stay importable from this module.
 from .scoring import (MAX_PERM_THRESHOLD, ScoredSet, cosine64,  # noqa: F401
-                      pair_cosines, reaction_score, score_sets)
-
-
-@dataclass
-class Hypothesis:
-    """Partial reactant selection: chosen ids, running query, score sum."""
-
-    chosen: tuple[int, ...]
-    query: np.ndarray       # float64: f(P) (+u bias) minus the chosen g rows
-    cum_psi: float
+                      reaction_score, score_sets)
 
 
 @dataclass(frozen=True)
 class Banked:
-    """Completed hypotheses of one beam search as arrays, one block per
-    round: ``(ids [m, n] in selection order, queries [m, d], totals [m])``,
-    all sets of a block having the same size n. Iterating yields one
-    ``Hypothesis`` per row, block by block."""
+    """Reactant sets reached by one beam search, one block per round: an
+    [m, n] array of m distinct id sets of size n, each row in ascending id
+    order and the rows in ascending order."""
 
-    blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    blocks: tuple[np.ndarray, ...]
 
     def __len__(self) -> int:
-        return sum(totals.shape[0] for _, _, totals in self.blocks)
-
-    def __iter__(self):
-        for ids, queries, totals in self.blocks:
-            for chosen, query, total in zip(ids.tolist(), queries, totals.tolist()):
-                yield Hypothesis(tuple(chosen), query, total)
+        return sum(ids.shape[0] for ids in self.blocks)
 
 
 def beam_search(product: Molecule | None, index: CandidateIndex, params: ParamStore,
@@ -66,15 +50,14 @@ def beam_search(product: Molecule | None, index: CandidateIndex, params: ParamSt
                 rxn_type: int | None = None,
                 exclude_ids: set[int] | None = None,
                 f_product: np.ndarray | None = None) -> Banked:
-    """Completed hypotheses for one product, deduplicated as id sets and
-    kept as one block of arrays per round.
+    """Id sets of the hypotheses live at each round for one product, from
+    the empty set up to size ``n_max``, one block of distinct sets per round.
 
     ``g_pool`` holds raw reactant-query embeddings aligned with the index
     candidate rows. The product's own pool id (if any) must be passed in
-    ``exclude_ids``; chosen ids are excluded from later rounds. Hypotheses
-    still live at depth ``n_max`` are finalized with a forced halt term.
-    ``f_product`` is the product-query embedding if the caller already has
-    it; otherwise it is embedded from ``product``.
+    ``exclude_ids``; chosen ids are excluded from later rounds, and so is the
+    index's halt row. ``f_product`` is the product-query embedding if the
+    caller already has it; otherwise it is embedded from ``product``.
     """
     if not index.includes_halt:
         raise ValueError("beam search needs an index built with the halt key")
@@ -93,7 +76,6 @@ def beam_search(product: Molecule | None, index: CandidateIndex, params: ParamSt
     if u_bias is not None:
         query += np.asarray(u_bias, dtype=np.float64)
 
-    halt_key = np.asarray(params.tensors["halt_key"].data, dtype=np.float64)
     excluded_rows, present = index.find_rows(list(exclude_ids or ()))
     blocked = np.append(index.row_of(HALT_ID), excluded_rows[present])
     # The beam, one line per live hypothesis: chosen key rows in selection
@@ -101,12 +83,8 @@ def beam_search(product: Molecule | None, index: CandidateIndex, params: ParamSt
     chosen = np.empty((1, 0), dtype=np.int64)
     queries = query[None, :]
     cum = np.zeros(1)
-    blocks = []
-    for depth in range(n_max + 1):
-        blocks.append(_banked(index.ids[chosen], queries,
-                              cum + pair_cosines(queries, halt_key)))
-        if depth == n_max:
-            break  # depth cap: the halt step above was forced
+    blocks = [index.ids[chosen]]  # the empty set
+    for _ in range(n_max):
         excluded = np.hstack([np.broadcast_to(blocked, (cum.shape[0], blocked.shape[0])),
                               chosen])
         hyp, rows, cum = index.topk_pairs(queries, cum, beam, excluded)
@@ -114,25 +92,13 @@ def beam_search(product: Molecule | None, index: CandidateIndex, params: ParamSt
             break
         queries = queries[hyp] - g_pool[rows].astype(np.float64)
         chosen = np.hstack([chosen[hyp], rows[:, None]])
+        # The round's distinct id sets: one lexsort of the sorted rows, then
+        # each row compared with the one before (a few times faster than
+        # ``np.unique(axis=0)``, which sorts the rows as structured records).
+        sets = np.sort(index.ids[chosen], axis=1)
+        sets = sets[np.lexsort(sets.T[::-1])]
+        blocks.append(sets[np.append(True, np.any(sets[1:] != sets[:-1], axis=1))])
     return Banked(tuple(blocks))
-
-
-def _banked(chosen_ids: np.ndarray, queries: np.ndarray,
-            totals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Finished hypotheses of one round, one per distinct id set: the one
-    with the highest total (the earliest on ties), in order of each set's
-    first appearance, as ``(ids, queries, totals)`` rows. Sets of different
-    rounds differ in size, so rounds never share a set."""
-    sets = np.sort(chosen_ids, axis=1)
-    # The first id column is the primary key; within a set, the highest
-    # total first, and the stable sort keeps the earliest row on ties.
-    by_set = np.lexsort((-totals, *sets.T[::-1]))
-    sorted_sets = sets[by_set]
-    starts = np.flatnonzero(np.concatenate(
-        [[True], np.any(sorted_sets[1:] != sorted_sets[:-1], axis=1)]))
-    first = np.minimum.reduceat(by_set, starts)
-    best = by_set[starts][np.argsort(first)]
-    return chosen_ids[best], queries[best], totals[best]
 
 
 def rank(product: Molecule | None, banked: Banked, params: ParamStore,
@@ -141,7 +107,7 @@ def rank(product: Molecule | None, banked: Banked, params: ParamStore,
          f_product: np.ndarray | None = None,
          h_product: np.ndarray | None = None,
          k: int | None = None) -> list[ScoredSet]:
-    """Rescore banked hypotheses with the overall reaction score and sort
+    """Score banked sets with the overall reaction score and sort
     descending; ties prefer fewer reactants, then lexicographic ids. Each
     block is scored in one batched call, each set exactly as
     ``reaction_score`` scores it alone; all sets are then ordered by one
@@ -155,17 +121,16 @@ def rank(product: Molecule | None, banked: Banked, params: ParamStore,
     halt_key = params.tensors["halt_key"].data
     u_bias = type_bias(params, "u", rxn_type)
     v_bias = type_bias(params, "v", rxn_type)
-    width = max(chosen.shape[1] for chosen, _, _ in banked.blocks)
+    width = max(ids.shape[1] for ids in banked.blocks)
     # Ids right-padded with zeros: ranking compares ids only within one size.
     sets = np.zeros((len(banked), width), dtype=np.int64)
     best_orders = np.zeros_like(sets)
     sizes = np.zeros(len(banked), dtype=np.int64)
     scores = np.zeros(len(banked))
     end = 0
-    for chosen, _, _ in banked.blocks:
-        start, end = end, end + chosen.shape[0]
-        n = chosen.shape[1]
-        ids = np.sort(chosen, axis=1)
+    for ids in banked.blocks:
+        start, end = end, end + ids.shape[0]
+        n = ids.shape[1]
         rows = index.rows_of(ids)
         scores[start:end], orders = score_sets(f_product, h_product, g_pool[rows],
                                                index.keys[rows], halt_key, u_bias,

@@ -20,7 +20,7 @@ from . import autodiff as ad
 from .autodiff import SgdConfig, Tensor
 from .chem import featurize, pack
 from .data import Corpus, MetricsLog, ReactionRecord
-from .encoder import ModelDims, ParamStore, embed_graphs, init_params
+from .encoder import ModelDims, ParamStore, embed_graphs, init_params, type_row
 from .index import HALT_ID, CandidateIndex, hard_neighbors
 from .scoring import MAX_PERM_THRESHOLD, best_order, cosine_table
 
@@ -120,15 +120,6 @@ def build_embed_table(candidate_ids: list[int], corpus: Corpus,
                       embeddings["h"])
 
 
-def _type_row(params: ParamStore, rxn_type: int | None) -> int | None:
-    """Row of a reaction type in the type.u / type.v tables, or None."""
-    if rxn_type is None:
-        return None
-    if not 1 <= rxn_type <= params.dims.n_types:
-        raise ValueError(f"reaction type {rxn_type} outside model range")
-    return rxn_type - 1
-
-
 def _selection_order(record: ReactionRecord, table: EmbedTable, keys: np.ndarray,
                      start: np.ndarray, tau: float, perm_threshold: int,
                      halt_mode: str) -> tuple[int, ...]:
@@ -193,7 +184,7 @@ def batch_loss(batch: list[ReactionRecord], table: EmbedTable,
         keys = np.vstack([table.h.data, params.tensors["halt_key"].data]).astype(np.float64)
         for owner, record in enumerate(batch):
             product_row = row_of[record.product_id]
-            u_row = _type_row(params, record.rxn_type)
+            u_row = type_row(params, record.rxn_type)
             start = table.f.data[product_row].astype(np.float64)
             if u_row is not None:
                 start += u_table.data[u_row]
@@ -219,7 +210,7 @@ def batch_loss(batch: list[ReactionRecord], table: EmbedTable,
             for reactant in record.reactant_ids:
                 add_term("g", row_of[reactant], query)
                 dead.append((query, row_of[reactant]))
-            v_row = _type_row(params, record.rxn_type)
+            v_row = type_row(params, record.rxn_type)
             if v_row is not None:
                 add_term("v", v_row, query)
             dead.append((query, halt_col))
@@ -273,8 +264,8 @@ def _anchor_queries(batch: list[ReactionRecord], index: CandidateIndex,
     missing = anchors[~index.find_rows(anchors)[1]].tolist()
     if not missing:
         return None
-    rows = embed_graphs(pack(_bundles(missing, corpus, bundle_cache)), params.detached(),
-                        "eval", heads=("h",))["h"].data
+    rows = embed_graphs(pack(_bundles(missing, corpus, bundle_cache)), params, "eval",
+                        heads=("h",))["h"].data
     vectors = {mol_id: rows[i] for i, mol_id in enumerate(missing)}
     return vectors.__getitem__
 
@@ -302,8 +293,7 @@ def train_step(batch: list[ReactionRecord], index: CandidateIndex,
     # reuse its memory (fewer minor page faults per step than keeping it).
     del loss, mean_loss, table
     grads = params.gradients()
-    grad_norm = ad.global_norm(grads)
-    ad.clip_global_norm(grads, cfg.clip_norm)
+    grad_norm = ad.clip_global_norm(grads, cfg.clip_norm)
     ad.sgd_step(params, grads, optimizer)
     params.step += 1
     return {

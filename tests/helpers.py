@@ -102,12 +102,15 @@ def _dense(keys: list) -> list[int]:
 
 
 def _refine(mol: Molecule, ranks: list[int]) -> list[int]:
-    adjacency = mol.adjacency
+    neighbors: list[list[tuple[int, int]]] = [[] for _ in mol.atoms]
+    for bond in mol.bonds:
+        neighbors[bond.a].append((bond.order, bond.b))
+        neighbors[bond.b].append((bond.order, bond.a))
     n_classes = len(set(ranks))
     while True:
         keys = []
         for idx in range(len(mol.atoms)):
-            neighborhood = sorted((bond.order, ranks[u]) for u, bond in adjacency[idx])
+            neighborhood = sorted((order, ranks[u]) for order, u in neighbors[idx])
             keys.append((ranks[idx], tuple(neighborhood)))
         new_ranks = _dense(keys)
         new_count = len(set(new_ranks))
@@ -246,22 +249,6 @@ def composed_affine_batchnorm(terms, b, state, residual=None):
     if residual is not None:
         pre = ad.add(pre, residual)
     return batchnorm(pre, state)
-
-
-def unique_banked(chosen_ids, queries, totals) -> list:
-    """One beam round's banked hypotheses by ``np.unique`` over the sorted id
-    rows: the reference the lexsort deduplication in ``search._banked`` is
-    checked against. One ``Hypothesis`` per distinct id set, the one with
-    the highest total (the earliest on ties), in order of first appearance."""
-    from retroselect.search import Hypothesis
-    _, first, group = np.unique(np.sort(chosen_ids, axis=1), axis=0,
-                                return_index=True, return_inverse=True)
-    by_group = np.lexsort((-totals, group))
-    best = by_group[np.searchsorted(group[by_group], np.arange(first.shape[0]))]
-    best = best[np.argsort(first)]
-    return [Hypothesis(tuple(ids), query, total)
-            for ids, query, total in zip(chosen_ids[best].tolist(), queries[best],
-                                         totals[best].tolist())]
 
 
 def mul(a, b):

@@ -144,15 +144,17 @@ def _random_bn_site(rng, n=6, widths=(4, 2), d=3, dtype=np.float64):
     return terms, ad.parameter(normal(d)), state, ad.parameter(normal(n, d))
 
 
-def test_batchnorm_eval_backward(rng):
+def test_eval_site_records_no_tape(rng):
+    # Eval mode is forward only: on trainable inputs the site's output is a
+    # constant with no parents and no backward, so nothing reaches them.
     terms, b, state, residual = _random_bn_site(rng)
-    weights = ad.constant(rng.standard_normal((6, 3)))
     params = [t for pair in terms for t in pair] + [b, state.gamma, state.beta, residual]
-
-    def loss():
-        return ad.sum_all(mul(ad.affine_batchnorm(terms, b, state, "eval", residual),
-                                 weights))
-    fd_check(loss, params, samples=8)
+    for relu in (False, True):
+        out = ad.affine_batchnorm(terms, b, state, "eval", residual, relu=relu)
+        assert not out.requires_grad
+        assert out._parents == () and out._backward is None
+        ad.backward(ad.sum_all(out))
+        assert all(p.grad is None for p in params)
 
 
 def test_affine_batchnorm_eval_fold_matches_unfolded(rng):
@@ -261,14 +263,19 @@ def test_affine_batchnorm_train_leaves_incoming_gradient_unmodified(rng, monkeyp
 
 
 def test_affine_batchnorm_gradients_both_modes(rng):
+    # Train mode against finite differences; eval mode has no gradient.
     terms, b, state, residual = _random_bn_site(rng)
     weights = ad.constant(rng.standard_normal((6, 3)))
     params = [t for pair in terms for t in pair] + [b, state.gamma, state.beta, residual]
-    for mode in ("train", "eval"):
-        def loss():
-            out = ad.affine_batchnorm(terms, b, state, mode, residual)
-            return ad.sum_all(mul(ad.relu(out), weights))
-        fd_check(loss, params, samples=8)
+
+    def loss(mode):
+        out = ad.affine_batchnorm(terms, b, state, mode, residual)
+        return ad.sum_all(mul(ad.relu(out), weights))
+    fd_check(lambda: loss("train"), params, samples=8)
+    for p in params:
+        p.grad = None
+    ad.backward(loss("eval"))
+    assert all(p.grad is None for p in params)
     with pytest.raises(ValueError):
         ad.affine_batchnorm(terms, b, state, "test")
     with pytest.raises(ad.ShapeMismatch):
@@ -279,7 +286,8 @@ def test_affine_batchnorm_gradients_both_modes(rng):
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_affine_batchnorm_relu_is_relu_of_the_site(mode, dtype, rng):
     # The fused ReLU against ad.relu composed after the same site: output,
-    # running statistics and every parent's gradient are bitwise equal.
+    # running statistics and every parent's gradient (none in eval mode)
+    # are bitwise equal.
     terms, b, state, residual = _random_bn_site(rng, n=9, widths=(4, 2), d=7, dtype=dtype)
     tensors = [x for pair in terms for x in pair] + [b, state.gamma, state.beta, residual]
     weights = ad.constant(rng.standard_normal((9, 7)).astype(dtype))
@@ -299,14 +307,13 @@ def test_affine_batchnorm_relu_is_relu_of_the_site(mode, dtype, rng):
     assert all(np.array_equal(a, c) for a, c in zip(fused, composed))
 
 
-@pytest.mark.parametrize("mode", ["train", "eval"])
-def test_affine_batchnorm_relu_gradients(mode, rng):
+def test_affine_batchnorm_relu_gradients(rng):
     terms, b, state, residual = _random_bn_site(rng, n=7, widths=(4, 2))
     weights = ad.constant(rng.standard_normal((7, 3)))
     params = [t for pair in terms for t in pair] + [b, state.gamma, state.beta, residual]
 
     def loss():
-        out = ad.affine_batchnorm(terms, b, state, mode, residual, relu=True)
+        out = ad.affine_batchnorm(terms, b, state, "train", residual, relu=True)
         return ad.sum_all(mul(out, weights))
     fd_check(loss, params, samples=8)
 
@@ -660,7 +667,7 @@ def test_clip_noop_below_threshold():
 
 def test_clip_scales_above_threshold():
     grads = {"a": np.array([6.0, 8.0])}  # norm 10
-    ad.clip_global_norm(grads, 5.0)
+    assert ad.clip_global_norm(grads, 5.0) == 10.0
     assert np.allclose(grads["a"], [3.0, 4.0])
 
 
@@ -670,7 +677,7 @@ def test_clip_property_random(rng):
                  for i in range(3)}
         before = ad.global_norm(grads)
         clip = float(rng.uniform(0.1, 3.0))
-        ad.clip_global_norm(grads, clip)
+        assert ad.clip_global_norm(grads, clip) == before  # the norm before clipping
         after = ad.global_norm(grads)
         assert after <= min(before, clip) + 1e-9
 

@@ -195,6 +195,40 @@ def test_predict_output_format(trained_world, tmp_path, capsys):
     assert ranks[0] == 1
 
 
+def test_failed_predict_write_keeps_previous_output(trained_world, tmp_path, monkeypatch,
+                                                    capsys):
+    from retroselect import chem
+    world, ckpt, _ = trained_world
+    products = tmp_path / "products.txt"
+    with open(world.reaction_paths["train"], encoding="utf-8") as fh:
+        first_products = [line.strip().split(">>")[1] for line in fh][:3]
+    products.write_text("\n".join(first_products) + "\n", encoding="utf-8")
+    out_path = tmp_path / "ranked.txt"
+    out_path.write_bytes(b"previous run\n")
+    argv = ["predict", "--checkpoint", ckpt, "--candidates", world.candidates_path,
+            "--products", str(products), "-k", "3", "--beam", "16",
+            "--output", str(out_path)]
+    canonical_form, calls = chem.canonical_form, []
+
+    def failing(mol):  # the second product's header, after the first's lines
+        calls.append(mol)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        return canonical_form(mol)
+
+    monkeypatch.setattr(chem, "canonical_form", failing)
+    assert main(argv) == EXIT_DATA
+    assert len(calls) == 2
+    assert capsys.readouterr().err.strip().splitlines()[-1] == "error: disk full"
+    assert out_path.read_bytes() == b"previous run\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["products.txt", "ranked.txt"]
+    monkeypatch.undo()
+    assert main(argv) == EXIT_OK
+    lines = out_path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == canonical_form(chem.parse_smiles(first_products[0]))
+    assert sum("\t" not in line for line in lines) == 3
+
+
 def test_evaluate_reports_topk_table(trained_world, capsys):
     world, ckpt, _ = trained_world
     code = main(["evaluate", "--checkpoint", ckpt,

@@ -111,9 +111,11 @@ def test_doubling_captures_size(tiny_params):
     assert rel_max(both, 2.0 * single) < 1e-5
 
 
-def test_embed_pool_matches_loop(tiny_params):
+def test_embed_pool_matches_loop(tiny_params, monkeypatch):
     mols = [parse_smiles(s) for s in CORPUS_SMILES[:9]]
-    keys = embed_pool(mols, tiny_params, batch_size=4)
+    monkeypatch.setattr(encoder, "CHUNK_BYTES", 4 * tiny_params.dims.d * 12)
+    assert len(list(encoder._chunks(mols, 12))) > 2
+    keys = embed_pool(mols, tiny_params)
     assert keys.shape == (9, tiny_params.dims.d)
     for i, mol in enumerate(mols):
         vec = embed_molecule(mol, "h", tiny_params).vector
@@ -123,16 +125,29 @@ def test_embed_pool_matches_loop(tiny_params):
     assert np.abs(norms - 1.0).max() < 1e-6
 
 
+def trainable_forward(packed, params, heads=HEADS):
+    """The eval forward run step by step on the trainable tensors: its
+    batch-norm sites give constants, but the trunk's last linear map and
+    the heads' sums and pooling record tape nodes."""
+    ops = encoder._GraphOps(packed)
+    nodes = embed_nodes(packed, params, "eval", ops)
+    return {head: encoder.head_embeddings(nodes, head, params, "eval", ops.pool)
+            for head in heads}
+
+
 def test_detached_forward_is_bitwise_and_tape_free(tiny_params):
     packed = pack([featurize(parse_smiles(s)) for s in CORPUS_SMILES])
     frozen = tiny_params.detached()
-    taped = embed_graphs(packed, tiny_params, "eval")
-    free = embed_graphs(packed, frozen, "eval")
+    assert tiny_params.detached() is frozen and frozen.detached() is frozen
+    taped = trainable_forward(packed, tiny_params)
+    free = embed_graphs(packed, tiny_params, "eval")
+    on_view = embed_graphs(packed, frozen, "eval")
     for head in HEADS:
         assert taped[head].requires_grad
         assert not free[head].requires_grad and free[head]._parents == ()
         assert np.array_equal(taped[head].data, free[head].data)
-    # Views share the arrays, so an in-place update is seen by a fresh view.
+        assert np.array_equal(on_view[head].data, free[head].data)
+    # Views share the arrays, so an in-place update is seen by the view.
     for name, tensor in tiny_params.tensors.items():
         assert frozen.tensors[name].data is tensor.data
     for name, state in tiny_params.bn_states.items():
@@ -141,15 +156,36 @@ def test_detached_forward_is_bitwise_and_tape_free(tiny_params):
         assert view.gamma.data is state.gamma.data and not view.gamma.requires_grad
 
 
-def test_embed_pool_bitwise_equal_to_taped_forward(tiny_params):
+def test_detached_view_follows_in_place_updates():
+    params = init_params(6, ModelDims(d=8, n_layers=2, n_types=1))
+    packed = pack([featurize(parse_smiles(s)) for s in CORPUS_SMILES[:6]])
+    before = embed_graphs(packed, params, "eval", heads=("h",))["h"].data
+    # A train-mode forward moves the running statistics, an SGD step the
+    # weights; both write the shared arrays in place.
+    out = embed_graphs(packed, params, "train", heads=("h",))["h"]
+    params.zero_grad()
+    ad.backward(ad.sum_all(mul(out, out)))
+    ad.sgd_step(params, params.gradients(), ad.SgdConfig(learning_rate=0.1))
+    after = embed_graphs(packed, params, "eval", heads=("h",))["h"].data
+    assert not np.array_equal(before, after)
+    assert np.array_equal(after, trainable_forward(packed, params, ("h",))["h"].data)
+    assert np.array_equal(after, embed_graphs(packed, params.copy(), "eval",
+                                              heads=("h",))["h"].data)
+
+
+def test_embed_pool_bitwise_equal_to_taped_forward(tiny_params, monkeypatch):
     mols = [parse_smiles(s) for s in CORPUS_SMILES]
-    keys = embed_pool(mols, tiny_params, batch_size=8)
-    for start in range(0, len(mols), 8):
-        packed = pack([featurize(m) for m in mols[start:start + 8]])
-        rows = embed_graphs(packed, tiny_params, "eval", heads=("h",))["h"].data
+    max_rows = 16
+    monkeypatch.setattr(encoder, "CHUNK_BYTES", 4 * tiny_params.dims.d * max_rows)
+    keys = embed_pool(mols, tiny_params)
+    chunks = list(encoder._chunks(mols, max_rows))
+    assert len(chunks) > 3
+    for start, stop in chunks:
+        packed = pack([featurize(m) for m in mols[start:stop]])
+        rows = trainable_forward(packed, tiny_params, ("h",))["h"].data
         rows = rows.astype(np.float32)
         rows /= np.linalg.norm(rows, axis=1).astype(np.float32)[:, None]
-        assert np.array_equal(keys[start:start + 8], rows)
+        assert np.array_equal(keys[start:stop], rows)
 
 
 @pytest.mark.parametrize("d", [8, 32, 256])
@@ -164,13 +200,14 @@ def test_embed_matrix_rows_do_not_depend_on_the_cut(d, monkeypatch):
     mols = [parse_smiles(s) for s in CORPUS_SMILES * 2]
     several = [m for m in mols if len(m.atoms) > 1]
     monkeypatch.setattr(encoder, "CHUNK_BYTES", 4 * d * 40)
-    assert len(list(encoder._chunks(mols, 40, None))) > 5
+    assert len(list(encoder._chunks(mols, 40))) > 5
     cut = encoder.embed_matrix(mols, params, ("h", "g"))
     cut_several = encoder.embed_matrix(several, params, ("h", "g"))
     monkeypatch.setattr(encoder, "CHUNK_BYTES", 1 << 40)
     whole = encoder.embed_matrix(mols, params, ("h", "g"))
     whole_several = encoder.embed_matrix(several, params, ("h", "g"))
-    single = encoder.embed_matrix(several, params, ("h", "g"), batch_size=1)
+    monkeypatch.setattr(encoder, "CHUNK_BYTES", 1)  # one molecule per chunk
+    single = encoder.embed_matrix(several, params, ("h", "g"))
     for got, want in [(cut, whole), (cut_several, whole_several), (single, whole_several)]:
         for a, b in zip(got, want):
             if d == 8:
@@ -182,10 +219,10 @@ def test_embed_matrix_rows_do_not_depend_on_the_cut(d, monkeypatch):
 def test_chunks_bound_rows_and_molecules():
     mols = [parse_smiles(s) for s in ["CCO", "C", "CCCCCC", "CC", "O", "CCCC"]]
     # Atom rows 3, 1, 6, 2, 1, 4; a molecule above the bound gets a chunk alone.
-    assert list(encoder._chunks(mols, 7, None)) == [(0, 2), (2, 3), (3, 6)]
-    assert list(encoder._chunks(mols, 4, None)) == [(0, 2), (2, 3), (3, 5), (5, 6)]
-    assert list(encoder._chunks(mols, 100, 4)) == [(0, 4), (4, 6)]
-    assert list(encoder._chunks([], 4, None)) == []
+    assert list(encoder._chunks(mols, 7)) == [(0, 2), (2, 3), (3, 6)]
+    assert list(encoder._chunks(mols, 4)) == [(0, 2), (2, 3), (3, 5), (5, 6)]
+    assert list(encoder._chunks(mols, 1)) == [(i, i + 1) for i in range(6)]
+    assert list(encoder._chunks([], 4)) == []
 
 
 def _directed_batch(rng) -> PackedGraphs:

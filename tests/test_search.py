@@ -9,9 +9,12 @@ from retroselect.chem import canonical_form, parse_smiles
 from retroselect.encoder import ModelDims, init_params
 from retroselect.index import CandidateIndex
 from retroselect.scoring import ScoredSet, cosine64, reaction_score
-from retroselect.search import Banked, Predictor, _banked, beam_search, rank, route_search
+from retroselect.search import Banked, Predictor, beam_search, rank, route_search
 
-from helpers import unique_banked
+
+def id_sets(banked):
+    """Every banked id set as a tuple, block by block."""
+    return [tuple(ids) for block in banked.blocks for ids in block.tolist()]
 
 
 def synthetic_world(rng, n=8, d=6):
@@ -30,20 +33,19 @@ def test_beam_explores_all_subsets(rng):
     params, index, g_pool, f_p = synthetic_world(rng)
     done = beam_search(None, index, params, g_pool, beam=200, n_max=2,
                        f_product=f_p)
-    got = {tuple(sorted(h.chosen)) for h in done}
     expected = {()} | {(i,) for i in range(8)} \
         | set(itertools.combinations(range(8), 2))
-    assert got == expected
-    assert len(done) == len(list(done)) == len(expected)
+    assert set(id_sets(done)) == expected
+    assert len(done) == len(id_sets(done)) == len(expected)
 
 
 def test_beam_never_selects_excluded_or_duplicates(rng):
     params, index, g_pool, f_p = synthetic_world(rng)
     done = beam_search(None, index, params, g_pool, beam=50, n_max=3,
                        exclude_ids={2, 5}, f_product=f_p)
-    for hyp in done:
-        assert 2 not in hyp.chosen and 5 not in hyp.chosen
-        assert len(set(hyp.chosen)) == len(hyp.chosen)
+    for ids in id_sets(done):
+        assert 2 not in ids and 5 not in ids
+        assert len(set(ids)) == len(ids)
 
 
 def test_beam_monotone_in_width(rng):
@@ -52,9 +54,7 @@ def test_beam_monotone_in_width(rng):
                         f_product=f_p)
     large = beam_search(None, index, params, g_pool, beam=6, n_max=2,
                         f_product=f_p)
-    small_sets = {tuple(sorted(h.chosen)) for h in small}
-    large_sets = {tuple(sorted(h.chosen)) for h in large}
-    assert small_sets <= large_sets
+    assert set(id_sets(small)) <= set(id_sets(large))
 
 
 def test_beam_requires_halt_index(rng, tiny_params):
@@ -88,37 +88,23 @@ def test_predictor_runs_the_trunk_once_per_chunk(n, tiny_params, corpus_molecule
     candidates = list(itertools.islice(itertools.cycle(corpus_molecules), n))
     predictor = Predictor(tiny_params, candidates)
     atoms = sum(len(m.atoms) for m in candidates)
-    chunks = list(encoder._chunks(candidates, 512, None))
+    chunks = list(encoder._chunks(candidates, 512))
     assert len(chunks) >= -(-atoms // 512)
     assert len(calls) == len(chunks)  # both heads per pass
     assert predictor.g_pool.shape == (n, tiny_params.dims.d)
     assert predictor.index.keys.shape == (n + 1, tiny_params.dims.d)
 
 
-def test_beam_cum_psi_includes_halt(rng):
-    params, index, g_pool, f_p = synthetic_world(rng, n=3)
-    done = beam_search(None, index, params, g_pool, beam=50, n_max=1,
-                       f_product=f_p)
-    halt = params.tensors["halt_key"].data
-    empty = next(h for h in done if h.chosen == ())
-    assert empty.cum_psi == pytest.approx(cosine64(np.asarray(f_p, float), halt))
-
-
-def reference_beam(index, params, g_pool, f_p, beam, n_max, exclude_ids=()):
+def reference_beam(index, g_pool, f_p, beam, n_max, exclude_ids=()):
     """Float64 reference beam: each hypothesis scans the whole pool with
     ``cosine64``, keeps its top ``beam`` by (-score, id), and the round keeps
     the top ``beam`` extensions by (-total, hypothesis index, id). Returns
-    {id set: (chosen order, cum_psi)} with the halt term from ``cosine64``."""
-    halt = params.tensors["halt_key"].data
+    the sorted id sets of the hypotheses live at some round."""
     ids = index.ids.tolist()
-    banked = {}
+    banked = set()
     live = [((), np.asarray(f_p, dtype=np.float64), 0.0)]
     for depth in range(n_max + 1):
-        for chosen, query, cum in live:
-            total = cum + cosine64(query, halt)
-            key = frozenset(chosen)
-            if key not in banked or total > banked[key][1]:
-                banked[key] = (chosen, total)
+        banked.update(tuple(sorted(chosen)) for chosen, _, _ in live)
         if depth == n_max:
             break
         extensions = []
@@ -162,11 +148,11 @@ def near_tie_world(rng, n, d, copies=6):
 
 
 def assert_same_beam(done, reference):
-    got = {frozenset(h.chosen): h for h in done}
-    assert set(got) == set(reference)
-    for key, (chosen, cum_psi) in reference.items():
-        assert got[key].chosen == chosen
-        assert abs(got[key].cum_psi - cum_psi) <= 1e-12
+    # Each block holds distinct sets of one size, ids and rows ascending.
+    for size, block in enumerate(done.blocks):
+        assert block.shape[1] == size
+        assert np.array_equal(block, np.unique(np.sort(block, axis=1), axis=0))
+    assert sorted(id_sets(done)) == sorted(reference)
 
 
 def test_beam_matches_float64_reference_on_near_ties(rng):
@@ -177,8 +163,7 @@ def test_beam_matches_float64_reference_on_near_ties(rng):
         for beam in (1, 4, 9, 60):
             done = beam_search(None, index, params, g_pool, beam=beam, n_max=3,
                                exclude_ids=exclude, f_product=f_p)
-            assert_same_beam(done, reference_beam(index, params, g_pool, f_p,
-                                                  beam, 3, exclude))
+            assert_same_beam(done, reference_beam(index, g_pool, f_p, beam, 3, exclude))
 
 
 def test_beam_matches_float64_reference_across_blocks(rng, monkeypatch):
@@ -189,7 +174,7 @@ def test_beam_matches_float64_reference_across_blocks(rng, monkeypatch):
     assert index.keys.shape[0] > 3 * 40
     done = beam_search(None, index, params, g_pool, beam=beam, n_max=3,
                        f_product=f_p)
-    assert_same_beam(done, reference_beam(index, params, g_pool, f_p, beam, 3))
+    assert_same_beam(done, reference_beam(index, g_pool, f_p, beam, 3))
 
 
 def test_beam_wider_than_all_extensions_across_blocks(rng, monkeypatch):
@@ -200,8 +185,8 @@ def test_beam_wider_than_all_extensions_across_blocks(rng, monkeypatch):
     params, index, g_pool, f_p = near_tie_world(rng, n=30, d=4, copies=5)
     done = beam_search(None, index, params, g_pool, beam=1000, n_max=3,
                        f_product=f_p)
-    assert sum(len(h.chosen) == 2 for h in done) == 30 * 29 // 2
-    assert_same_beam(done, reference_beam(index, params, g_pool, f_p, 1000, 3))
+    assert done.blocks[2].shape[0] == 30 * 29 // 2
+    assert_same_beam(done, reference_beam(index, g_pool, f_p, 1000, 3))
 
 
 def test_topk_pairs_and_beam_invariant_to_block_size(rng, monkeypatch):
@@ -218,52 +203,12 @@ def test_topk_pairs_and_beam_invariant_to_block_size(rng, monkeypatch):
         monkeypatch.setattr(index_module, "_SEED_BYTES", seed_bytes)
         pairs = [index.topk_pairs(queries, offsets, k, exclude) for k in (1, 7, 40, 900)]
         done = beam_search(None, index, params, g_pool, beam=12, n_max=3, f_product=f_p)
-        runs.append((pairs, [(h.chosen, h.cum_psi, h.query.tobytes()) for h in done]))
+        runs.append((pairs, [block.tolist() for block in done.blocks]))
     for pairs, done in runs[1:]:
         assert done == runs[0][1]
         for (qi, rows, totals), (qi0, rows0, totals0) in zip(pairs, runs[0][0]):
             assert np.array_equal(qi, qi0) and np.array_equal(rows, rows0)
             assert totals.tobytes() == totals0.tobytes()
-
-
-def test_banked_cum_psi_is_float64_step_sum_plus_halt(rng):
-    params, index, g_pool, f_p = synthetic_world(rng, n=30)
-    halt = params.tensors["halt_key"].data
-    done = beam_search(None, index, params, g_pool, beam=12, n_max=3,
-                       f_product=f_p)
-    assert any(len(h.chosen) == 3 for h in done)
-    for hyp in done:
-        query = np.asarray(f_p, dtype=np.float64)
-        total = 0.0
-        for mol_id in hyp.chosen:
-            total += cosine64(query, index.keys[index.row_of(mol_id)])
-            query = query - g_pool[index.row_of(mol_id)].astype(np.float64)
-        total += cosine64(query, halt)
-        assert abs(hyp.cum_psi - total) <= 1e-12
-
-
-def records(hypotheses):
-    return [(h.chosen, np.float64(h.cum_psi).tobytes(), h.query.tobytes())
-            for h in hypotheses]
-
-
-def test_banked_dedup_matches_unique_oracle(rng):
-    """The lexsort deduplication keeps, per id set, the row the ``np.unique``
-    version keeps, in the same order: one set in several selection orders,
-    exactly tied totals, depth 0 and a round of one hypothesis."""
-    shapes = [(1, 0), (7, 0), (1, 3), (40, 1), (60, 2), (200, 3), (120, 4)]
-    for m, n in shapes * 5:
-        ids = np.array([rng.choice(9, size=n, replace=False) * 5 + 2 for _ in range(m)],
-                       dtype=np.int64).reshape(m, n)
-        # Half the rows repeat an earlier set in a shuffled selection order.
-        for row in range(1, m, 2):
-            ids[row] = rng.permutation(ids[rng.integers(row)])
-        totals = rng.choice([0.5, -0.25, 1.0, 0.5 + 2 ** -40], size=m)
-        queries = rng.standard_normal((m, 3))
-        got = Banked((_banked(ids, queries, totals),))
-        expected = unique_banked(ids, queries, totals)
-        assert records(got) == records(expected), (m, n)
-        assert len(got) == len(expected)
 
 
 def test_rank_matches_exhaustive_scoring(rng):
@@ -330,8 +275,8 @@ def test_rank_matches_per_set_reaction_score_loop(rng, monkeypatch):
         blocks = []
         for size in range(n_max + 1):
             of_size = [chosen for chosen in sets if len(chosen) == size]
-            blocks.append((np.array(of_size, dtype=np.int64).reshape(len(of_size), size),
-                           np.zeros((len(of_size), d)), np.zeros(len(of_size))))
+            of_size = np.array(of_size, dtype=np.int64).reshape(len(of_size), size)
+            blocks.append(np.unique(np.sort(of_size, axis=1), axis=0))
         banked = Banked(tuple(blocks))
         f_p, h_p = rng.standard_normal(d), rng.standard_normal(d)
         rxn_type = 1 if trial % 2 else None
@@ -347,7 +292,7 @@ def test_rank_matches_per_set_reaction_score_loop(rng, monkeypatch):
                                    {i: index.keys[index.row_of(i)] for i in chosen},
                                    params.tensors["halt_key"].data, u_bias=u_bias,
                                    v_bias=v_bias, perm_threshold=threshold)
-                    for chosen in sets]
+                    for chosen in id_sets(banked)]
             loop.sort(key=lambda s: (-s.score, len(s.reactant_ids), s.reactant_ids))
             assert ranked == loop, (trial, threshold)
         monkeypatch.undo()
