@@ -42,10 +42,10 @@ print(f"  -> {len(reactants)} reactants, product "
 
 print()
 print("=== Features the encoder consumes ===")
-bundle = featurize(parse_smiles("c1ccncc1"))
-print(f"pyridine: atom feature matrix {bundle.atom_features.shape}, "
-      f"bond features {bundle.bond_features.shape}")
+graph = featurize(parse_smiles("c1ccncc1"))
+print(f"pyridine, a graph batch of {graph.n_mols}: atom feature matrix "
+      f"{graph.atom_features.shape}, bond features {graph.bond_features.shape}")
 print(f"directed edges come in reverse pairs: "
-      f"src={bundle.edge_src[:4].tolist()} dst={bundle.edge_dst[:4].tolist()}")
+      f"src={graph.edge_src[:4].tolist()} dst={graph.edge_dst[:4].tolist()}")
 print("each atom row: element one-hot | degree | charge | H count | "
       "aromatic | ring")

@@ -5,6 +5,11 @@ queries for a product, g queries for a reactant, h is the key space both
 are matched against. Sum pooling makes embeddings additive over fragments,
 which is exactly what lets a product query "subtract off" already-selected
 reactants during search.
+
+Every molecule reaches the encoder as a featurized graph batch; one molecule
+is a batch of one. ``embed_molecule`` embeds such a batch in eval mode and
+returns the molecule's vector under one head; ``embed_pool`` embeds a whole
+pool in chunks and returns its unit-norm key rows.
 """
 
 import numpy as np
@@ -21,22 +26,22 @@ ethanol = parse_smiles("CCO")
 
 print()
 print("=== Permutation invariance ===")
-base = embed_molecule(benzene, "h", params).vector
+base = embed_molecule(benzene, "h", params)
 rewritten = parse_smiles(write_smiles(benzene, [3, 0, 5, 1, 4, 2]))
-other = embed_molecule(rewritten, "h", params).vector
+other = embed_molecule(rewritten, "h", params)
 print(f"max |difference| across atom orderings: {np.abs(base - other).max():.2e}")
 
 print()
 print("=== Additivity over fragments (sum pooling) ===")
 pair = disjoint_union(ethanol, benzene)
-together = embed_molecule(pair, "g", params).vector
-apart = (embed_molecule(ethanol, "g", params).vector
-         + embed_molecule(benzene, "g", params).vector)
+together = embed_molecule(pair, "g", params)
+apart = (embed_molecule(ethanol, "g", params)
+         + embed_molecule(benzene, "g", params))
 print(f"embed(A.B) vs embed(A)+embed(B): {np.abs(together - apart).max():.2e}")
 
-doubled = disjoint_union(ethanol, ethanol)
-print(f"embed(A.A) vs 2*embed(A):        "
-      f"{np.abs(embed_molecule(doubled, 'g', params).vector - 2 * embed_molecule(ethanol, 'g', params).vector).max():.2e}")
+doubled = embed_molecule(disjoint_union(ethanol, ethanol), "g", params)
+single = embed_molecule(ethanol, "g", params)
+print(f"embed(A.A) vs 2*embed(A):        {np.abs(doubled - 2 * single).max():.2e}")
 print("(norm grows with size: that is intentional, size is signal)")
 
 print()

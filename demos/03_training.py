@@ -13,10 +13,10 @@ from retroselect.encoder import ModelDims
 from retroselect.toy import make_memorization_world
 from retroselect.training import TrainConfig, train
 
-directory = tempfile.mkdtemp(prefix="retroselect_demo_")
-world = make_memorization_world(directory, seed=11, n_fragments=60,
-                                n_reactions=30, n_distractors=0)
-corpus = world.load()
+with tempfile.TemporaryDirectory(prefix="retroselect_demo_") as directory:
+    world = make_memorization_world(directory, seed=11, n_fragments=60,
+                                    n_reactions=30, n_distractors=0)
+    corpus = world.load()
 print(f"world: {len(corpus.reactions['train'])} reactions over "
       f"{len(corpus.candidate_ids)} candidate fragments "
       f"({len(corpus.molecules)} molecules total)")

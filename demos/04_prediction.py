@@ -17,10 +17,10 @@ from retroselect.search import Predictor
 from retroselect.toy import make_memorization_world
 from retroselect.training import TrainConfig, train
 
-directory = tempfile.mkdtemp(prefix="retroselect_demo_")
-world = make_memorization_world(directory, seed=11, n_fragments=60,
-                                n_reactions=30, n_distractors=0)
-corpus = world.load()
+with tempfile.TemporaryDirectory(prefix="retroselect_demo_") as directory:
+    world = make_memorization_world(directory, seed=11, n_fragments=60,
+                                    n_reactions=30, n_distractors=0)
+    corpus = world.load()
 cfg = TrainConfig(batch_size=8, total_iters=400, eval_every=200,
                   refresh_every=100, tau=0.1, hard_k=4, learning_rate=0.01,
                   seed=0, val_cap=30, val_beam=16)

@@ -17,10 +17,12 @@ from retroselect.search import Predictor, route_search
 from retroselect.toy import make_route_world
 from retroselect.training import TrainConfig, train
 
-directory = tempfile.mkdtemp(prefix="retroselect_demo_")
-world = make_route_world(directory, seed=5, n_blocks=25, n_intermediates=12,
-                         n_targets=15)
-corpus = world.load()
+with tempfile.TemporaryDirectory(prefix="retroselect_demo_") as directory:
+    world = make_route_world(directory, seed=5, n_blocks=25, n_intermediates=12,
+                             n_targets=15)
+    corpus = world.load()
+    with open(world.reaction_paths["test"], encoding="utf-8") as lines:
+        targets = [line.split(">>")[1].strip() for line in lines][:4]
 print(f"world: {len(world.building_block_forms)} building blocks, "
       f"{len(corpus.candidate_ids)} candidates, "
       f"{len(corpus.reactions['train'])} single-step reactions")
@@ -37,8 +39,6 @@ predictor = Predictor(best, corpus.candidates(),
                       beam=32, n_max=3)
 
 print()
-targets = [line.split(">>")[1].strip()
-           for line in open(world.reaction_paths["test"], encoding="utf-8")][:4]
 for smiles in targets:
     route = route_search(parse_smiles(smiles), world.building_block_forms,
                          predictor, max_expansions=100, k_per_step=5)

@@ -291,6 +291,10 @@ def sparse_matmul(mat: SparseMatrix, x: Tensor) -> Tensor:
 
 # --- batch normalization ---
 
+BN_MOMENTUM = 0.1  # weight of a batch's statistics in the running estimates
+BN_EPSILON = 1e-5  # added to the variance before its square root
+
+
 @dataclass
 class BatchNormState:
     """Trainable affine plus running statistics for one BN layer."""
@@ -299,16 +303,12 @@ class BatchNormState:
     beta: Tensor
     running_mean: np.ndarray
     running_var: np.ndarray
-    momentum: float = 0.1
-    epsilon: float = 1e-5
 
     @classmethod
-    def create(cls, width: int, dtype=np.float32,
-               momentum: float = 0.1, epsilon: float = 1e-5) -> "BatchNormState":
+    def create(cls, width: int, dtype=np.float32) -> "BatchNormState":
         return cls(parameter(np.ones(width, dtype=dtype)),
                    parameter(np.zeros(width, dtype=dtype)),
-                   np.zeros(width, dtype=dtype), np.ones(width, dtype=dtype),
-                   momentum, epsilon)
+                   np.zeros(width, dtype=dtype), np.ones(width, dtype=dtype))
 
     @property
     def width(self) -> int:
@@ -379,11 +379,10 @@ def _train_site(terms, b, state, residual, relu) -> Tensor:
     mean = x_hat.mean(axis=0)
     x_hat -= mean
     var = (x_hat * x_hat).sum(axis=0) / n
-    inv_std = 1.0 / np.sqrt(var + state.epsilon)
+    inv_std = 1.0 / np.sqrt(var + BN_EPSILON)
     x_hat *= inv_std
-    m = state.momentum
-    state.running_mean += m * (mean - state.running_mean)
-    state.running_var += m * (var * (n / (n - 1)) - state.running_var)
+    state.running_mean += BN_MOMENTUM * (mean - state.running_mean)
+    state.running_var += BN_MOMENTUM * (var * (n / (n - 1)) - state.running_var)
     out = _site_output(x_hat * gamma.data + beta.data, parents, relu)
     y = out.data
 
@@ -417,7 +416,7 @@ def _train_site(terms, b, state, residual, relu) -> Tensor:
 
 def _eval_site(terms, b, state, residual, relu) -> Tensor:
     x0, w0 = terms[0]
-    s = state.gamma.data * (1.0 / np.sqrt(state.running_var + state.epsilon))
+    s = state.gamma.data * (1.0 / np.sqrt(state.running_var + BN_EPSILON))
     y = x0.data @ (w0.data * s)
     scratch = None  # one buffer for every further term and the scaled residual
     for x, w in terms[1:]:

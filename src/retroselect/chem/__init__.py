@@ -5,8 +5,7 @@ from .errors import (ChemError, EmptyInput, InvalidCharge, MalformedReaction,
                      MultiFragmentProduct, SmilesError, SmilesSyntaxError,
                      UnbalancedParenthesis, UnclosedRingBond, UnknownElement,
                      ValenceOverflow)
-from .featurize import (D_ATOM, D_BOND, ELEMENTS, FeatureBundle, PackedGraphs, featurize,
-                        featurize_packed, pack)
+from .featurize import D_ATOM, D_BOND, ELEMENTS, PackedGraphs, featurize, featurize_packed, pack
 from .mol import AROMATIC, DOUBLE, SINGLE, TRIPLE, Atom, Bond, Molecule, disjoint_union
 from .parser import parse_reaction, parse_smiles
 from .writer import write_smiles
@@ -16,7 +15,7 @@ __all__ = [
     "SINGLE", "DOUBLE", "TRIPLE", "AROMATIC",
     "parse_smiles", "parse_reaction", "write_smiles",
     "canonical_form",
-    "featurize", "featurize_packed", "pack", "FeatureBundle", "PackedGraphs",
+    "featurize", "featurize_packed", "pack", "PackedGraphs",
     "D_ATOM", "D_BOND", "ELEMENTS",
     "ChemError", "SmilesError", "EmptyInput", "SmilesSyntaxError",
     "UnbalancedParenthesis", "UnclosedRingBond", "UnknownElement",

@@ -7,9 +7,12 @@ rows concatenate a bond-order one-hot and a ring flag (5 columns). Values
 outside a one-hot range clamp to the nearest bin and bump a warning count,
 as does each atom in the "other" bucket.
 
-``featurize_packed`` is the one copy of this layout: it reads a list of
-molecules' atom and bond fields in one pass each and writes the one-hots of
-the whole batch with numpy indexing. ``featurize`` is its one-molecule case.
+``PackedGraphs`` is the one featurized type, from featurization to the
+encoder: a disjoint graph batch of any number of molecules, one molecule
+being a batch of one. ``featurize_packed`` is the one copy of this layout:
+it reads a list of molecules' atom and bond fields in one pass each and
+writes the one-hots of the whole batch with numpy indexing. ``featurize`` is
+its one-molecule case, and ``pack`` concatenates batches.
 """
 
 from __future__ import annotations
@@ -33,32 +36,15 @@ _BOND_INDEX = {SINGLE: 0, DOUBLE: 1, TRIPLE: 2, AROMATIC: 3}
 
 
 @dataclass
-class FeatureBundle:
-    """Featurized molecule: node matrix plus paired directed edges.
-
-    Each undirected bond contributes two consecutive directed edges
-    (a->b then b->a) with identical bond features.
-    """
+class PackedGraphs:
+    """Featurized molecules as one disjoint graph batch: a node matrix plus
+    paired directed edges. Each undirected bond contributes two consecutive
+    directed edges (a->b then b->a) with identical bond features."""
 
     atom_features: np.ndarray      # [n_atoms, D_ATOM] float32
     bond_features: np.ndarray      # [2 * n_bonds, D_BOND] float32
-    edge_src: np.ndarray           # [2 * n_bonds] int64
-    edge_dst: np.ndarray           # [2 * n_bonds] int64
-    clamp_warnings: int = 0
-
-    @property
-    def n_atoms(self) -> int:
-        return self.atom_features.shape[0]
-
-
-@dataclass
-class PackedGraphs:
-    """Several FeatureBundles packed into one disjoint graph batch."""
-
-    atom_features: np.ndarray
-    bond_features: np.ndarray
-    edge_src: np.ndarray
-    edge_dst: np.ndarray
+    edge_src: np.ndarray           # [2 * n_bonds] int64 atom row
+    edge_dst: np.ndarray           # [2 * n_bonds] int64 atom row
     mol_ids: np.ndarray            # [n_atoms] segment id of each atom row
     n_mols: int
     clamp_warnings: int = 0
@@ -106,29 +92,22 @@ def featurize_packed(mols: list[Molecule]) -> PackedGraphs:
         np.repeat(np.arange(len(mols), dtype=np.int64), sizes), len(mols), warnings)
 
 
-def featurize(mol: Molecule) -> FeatureBundle:
-    packed = featurize_packed([mol])
-    return FeatureBundle(packed.atom_features, packed.bond_features,
-                         packed.edge_src, packed.edge_dst, packed.clamp_warnings)
+def featurize(mol: Molecule) -> PackedGraphs:
+    """One molecule as a graph batch of one."""
+    return featurize_packed([mol])
 
 
-def pack(bundles: list[FeatureBundle]) -> PackedGraphs:
-    """Concatenate bundles into one batch with offset edge indices."""
-    if not bundles:
-        return PackedGraphs(
-            np.zeros((0, D_ATOM), np.float32), np.zeros((0, D_BOND), np.float32),
-            np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, np.int64), 0)
-    atom_features = np.concatenate([b.atom_features for b in bundles])
-    bond_features = np.concatenate([b.bond_features for b in bundles])
-    src_parts, dst_parts, mol_parts = [], [], []
-    offset = 0
-    for mol_id, bundle in enumerate(bundles):
-        src_parts.append(bundle.edge_src + offset)
-        dst_parts.append(bundle.edge_dst + offset)
-        mol_parts.append(np.full(bundle.n_atoms, mol_id, dtype=np.int64))
-        offset += bundle.n_atoms
+def pack(batches: list[PackedGraphs]) -> PackedGraphs:
+    """Concatenate graph batches into one, offsetting edge indices by the
+    atoms and molecule ids by the molecules before each."""
+    if not batches:
+        return featurize_packed([])
+    atom_starts = list(itertools.accumulate((len(b.mol_ids) for b in batches), initial=0))
+    mol_starts = list(itertools.accumulate((b.n_mols for b in batches), initial=0))
     return PackedGraphs(
-        atom_features, bond_features,
-        np.concatenate(src_parts), np.concatenate(dst_parts),
-        np.concatenate(mol_parts), len(bundles),
-        sum(b.clamp_warnings for b in bundles))
+        np.concatenate([b.atom_features for b in batches]),
+        np.concatenate([b.bond_features for b in batches]),
+        np.concatenate([b.edge_src + start for b, start in zip(batches, atom_starts)]),
+        np.concatenate([b.edge_dst + start for b, start in zip(batches, atom_starts)]),
+        np.concatenate([b.mol_ids + start for b, start in zip(batches, mol_starts)]),
+        mol_starts[-1], sum(b.clamp_warnings for b in batches))

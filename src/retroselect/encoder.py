@@ -13,8 +13,12 @@ the per-edge bond term ``sum_e x_bond[e] @ w_bond`` is reassociated as
 Pooling is one product with the atom-to-molecule matrix. Each
 linear(+residual) -> batch-norm (-> ReLU) site is one ``ad.affine_batchnorm``
 node, which applies the ReLU to its own output. An eval-mode forward is
-never differentiated: it runs on the store's detached view, folds batch norm
-into the weights and records no tape.
+never differentiated: ``embed_nodes`` and ``head_embeddings`` each run it on
+the store's detached view, so it folds batch norm into the weights and
+records no tape whichever of them is called.
+
+Every forward takes one ``PackedGraphs`` batch; a molecule is a batch of
+one (``featurize``).
 """
 
 from __future__ import annotations
@@ -25,7 +29,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import BatchNormState, SparseMatrix, Tensor
-from .chem import (D_ATOM, D_BOND, FeatureBundle, Molecule, PackedGraphs, featurize,
+# ``pack`` is looked up here by the benchmark's tracer (perfbench/layers.py),
+# so it stays importable from this module.
+from .chem import (D_ATOM, D_BOND, Molecule, PackedGraphs, featurize,  # noqa: F401
                    featurize_packed, pack)
 
 HEADS = ("f", "g", "h")
@@ -38,12 +44,6 @@ class ModelDims:
     d: int = 256
     n_layers: int = 5
     n_types: int = 10
-
-
-@dataclass
-class MolEmbedding:
-    head: str
-    vector: np.ndarray
 
 
 class ParamStore:
@@ -201,28 +201,22 @@ class _GraphOps:
         self.pool = SparseMatrix(packed.mol_ids, np.arange(n), (packed.n_mols, n))
 
 
-def _as_packed(feats) -> PackedGraphs:
-    if isinstance(feats, PackedGraphs):
-        return feats
-    if isinstance(feats, FeatureBundle):
-        return pack([feats])
-    raise TypeError(f"expected FeatureBundle or PackedGraphs, got {type(feats)}")
-
-
-def embed_nodes(feats, params: ParamStore, mode: str = "eval",
+def embed_nodes(feats: PackedGraphs, params: ParamStore, mode: str = "eval",
                 ops: _GraphOps | None = None) -> Tensor:
-    """Per-atom embedding matrix [n_atoms, d] for a (packed) graph batch."""
-    packed = _as_packed(feats)
-    if packed.atom_features.shape[1] != params.dims.d_atom:
+    """Per-atom embedding matrix [n_atoms, d] for a graph batch. Eval mode
+    runs on the store's detached view and records no tape."""
+    if feats.atom_features.shape[1] != params.dims.d_atom:
         raise ad.ShapeMismatch("atom feature width does not match parameters")
-    if packed.bond_features.shape[1] != params.dims.d_bond:
+    if feats.bond_features.shape[1] != params.dims.d_bond:
         raise ad.ShapeMismatch("bond feature width does not match parameters")
-    ops = ops or _GraphOps(packed)
+    if mode == "eval":
+        params = params.detached()
+    ops = ops or _GraphOps(feats)
     t, bn = params.tensors, params.bn_states
-    x_atom = ad.constant(packed.atom_features, params.dtype)
+    x_atom = ad.constant(feats.atom_features, params.dtype)
     # Bond features summed per destination atom once: each layer's bond term
     # is then bonds @ w_bond instead of a per-edge product summed per atom.
-    bonds = ad.sparse_matmul(ops.bond_sum, ad.constant(packed.bond_features, params.dtype))
+    bonds = ad.sparse_matmul(ops.bond_sum, ad.constant(feats.bond_features, params.dtype))
 
     h = ad.affine_batchnorm([(x_atom, t["trunk.w0_atom"]), (bonds, t["trunk.w0_bond"])],
                             t["trunk.b0"], bn["trunk.bn0"], mode, relu=True)
@@ -240,9 +234,12 @@ def embed_nodes(feats, params: ParamStore, mode: str = "eval",
 
 def head_embeddings(node_matrix: Tensor, head: str, params: ParamStore,
                     mode: str, pool: SparseMatrix) -> Tensor:
-    """Sum-pooled residual head on top of trunk node embeddings: [m, d]."""
+    """Sum-pooled residual head on top of trunk node embeddings: [m, d].
+    Eval mode runs on the store's detached view and records no tape."""
     if head not in HEADS:
         raise ValueError(f"unknown head {head!r}")
+    if mode == "eval":
+        params = params.detached()
     t, bn = params.tensors, params.bn_states
     prefix = f"head.{head}"
     z = ad.affine_batchnorm([(ad.relu(node_matrix), t[f"{prefix}.w1"])],
@@ -252,25 +249,19 @@ def head_embeddings(node_matrix: Tensor, head: str, params: ParamStore,
     return ad.sparse_matmul(pool, ad.add(node_matrix, z))
 
 
-def embed_graphs(feats, params: ParamStore, mode: str = "eval",
+def embed_graphs(feats: PackedGraphs, params: ParamStore, mode: str = "eval",
                  heads=HEADS) -> dict[str, Tensor]:
-    """Molecule embeddings for each requested head, rows in input order.
-    Eval mode runs on the store's detached view and records no tape."""
-    packed = _as_packed(feats)
-    if mode == "eval":
-        params = params.detached()
-    ops = _GraphOps(packed)
-    nodes = embed_nodes(packed, params, mode, ops)
+    """Molecule embeddings for each requested head, rows in input order."""
+    ops = _GraphOps(feats)
+    nodes = embed_nodes(feats, params, mode, ops)
     return {head: head_embeddings(nodes, head, params, mode, ops.pool)
             for head in heads}
 
 
-def embed_molecule(mol: Molecule, head: str, params: ParamStore,
-                   mode: str = "eval") -> MolEmbedding:
-    """Embedding vector of one molecule under one head (type bias is applied
-    later, at query assembly)."""
-    out = embed_graphs(featurize(mol), params, mode, heads=(head,))[head]
-    return MolEmbedding(head, out.data[0].copy())
+def embed_molecule(mol: Molecule, head: str, params: ParamStore) -> np.ndarray:
+    """Eval-mode embedding vector [d] of one molecule under one head (type
+    bias is applied later, at query assembly)."""
+    return embed_graphs(featurize(mol), params, heads=(head,))[head].data[0]
 
 
 # Pool embedding runs in chunks of consecutive molecules whose atom rows

@@ -100,18 +100,9 @@ def best_order(start: np.ndarray, g: np.ndarray, score, perm_threshold: int):
     maximum keeps the lexicographically smallest order); greedy beyond (ties
     to the smaller position). Returns the positions [m, n], their summed
     scores [m] and the queries after all n members [m, d].
-
-    A single set may be passed unbatched: ``start`` [d], ``g`` [n, d] and
-    ``score`` mapping [q, d] to [q, n]; the result is then a positions
-    tuple, a float and a [d] query.
     """
     if not 0 <= perm_threshold <= MAX_PERM_THRESHOLD:
         raise ValueError(f"perm_threshold must be in 0..{MAX_PERM_THRESHOLD}")
-    if np.ndim(start) == 1:
-        orders, totals, finals = best_order(start[None], g[None],
-                                            lambda q: score(q[0])[None],
-                                            perm_threshold)
-        return tuple(orders[0].tolist()), float(totals[0]), finals[0]
     m, n = g.shape[:2]
     sets = np.arange(m)
     if n > perm_threshold:

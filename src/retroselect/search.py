@@ -15,6 +15,8 @@ block of distinct sets (``Banked``). ``rank`` scores every banked set
 from its ids alone by the full permutation-maximized overall score, one
 batched ``scoring.score_sets`` call per block, orders all sets with one
 lexsort and builds ``ScoredSet`` records only for the top ``k``.
+``Predictor.predict`` embeds its product once, a graph batch of one, and
+hands the f and h rows to both.
 """
 
 from __future__ import annotations
@@ -24,11 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chem import Molecule, canonical_form, featurize, pack
+# ``pack``, ``cosine64`` and ``reaction_score`` are looked up here by the
+# benchmark's tracer (perfbench/layers.py), so they stay importable from
+# this module.
+from .chem import Molecule, canonical_form, featurize, pack  # noqa: F401
 from .encoder import ParamStore, embed_graphs, embed_matrix, type_bias
 from .index import HALT_ID, CandidateIndex, EmptyIndex
-# ``cosine64`` and ``reaction_score`` are looked up here by the benchmark's
-# tracer (perfbench/layers.py), so they stay importable from this module.
 from .scoring import (MAX_PERM_THRESHOLD, ScoredSet, cosine64,  # noqa: F401
                       reaction_score, score_sets)
 
@@ -69,8 +72,7 @@ def beam_search(product: Molecule | None, index: CandidateIndex, params: ParamSt
         raise ValueError("g_pool rows must match index candidates")
 
     if f_product is None:
-        f_embs = embed_graphs(pack([featurize(product)]), params, "eval", heads=("f",))
-        f_product = f_embs["f"].data[0]
+        f_product = embed_graphs(featurize(product), params, heads=("f",))["f"].data[0]
     query = np.asarray(f_product, dtype=np.float64).copy()
     u_bias = type_bias(params, "u", rxn_type)
     if u_bias is not None:
@@ -114,8 +116,7 @@ def rank(product: Molecule | None, banked: Banked, params: ParamStore,
     lexsort, and records are built for the first ``k`` only (all if ``k``
     is None)."""
     if f_product is None or h_product is None:
-        embs = embed_graphs(pack([featurize(product)]), params, "eval",
-                            heads=("f", "h"))
+        embs = embed_graphs(featurize(product), params, heads=("f", "h"))
         f_product = embs["f"].data[0] if f_product is None else f_product
         h_product = embs["h"].data[0] if h_product is None else h_product
     halt_key = params.tensors["halt_key"].data
@@ -184,8 +185,7 @@ class Predictor:
         own_id = self.id_of_form.get(canonical_form(product))
         if own_id is not None:
             exclude.add(own_id)
-        embs = embed_graphs(pack([featurize(product)]), self.params, "eval",
-                            heads=("f", "h"))
+        embs = embed_graphs(featurize(product), self.params, heads=("f", "h"))
         f_product, h_product = embs["f"].data[0], embs["h"].data[0]
         banked = beam_search(product, self.index, self.params, self.g_pool,
                              beam=self.beam, n_max=self.n_max,
@@ -194,12 +194,6 @@ class Predictor:
         return rank(product, banked, self.params, self.index, self.g_pool,
                     rxn_type=rxn_type, perm_threshold=self.perm_threshold,
                     f_product=f_product, h_product=h_product, k=k)
-
-    def predict_forms(self, product: Molecule, k: int,
-                      rxn_type: int | None = None) -> list[tuple[str, ...]]:
-        """Top-k reactant sets as sorted canonical SMILES tuples."""
-        return [tuple(sorted(self.form_of_id[i] for i in s.reactant_ids))
-                for s in self.predict(product, k, rxn_type)]
 
 
 # --- multi-step route search ---

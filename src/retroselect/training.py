@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import SgdConfig, Tensor
-from .chem import featurize, pack
+from .chem import PackedGraphs, featurize, pack
 from .data import Corpus, MetricsLog, ReactionRecord
 from .encoder import ModelDims, ParamStore, embed_graphs, init_params, type_row
 from .index import HALT_ID, CandidateIndex, hard_neighbors
@@ -98,24 +98,22 @@ class EmbedTable:
             self.row_of = {mol_id: row for row, mol_id in enumerate(self.ids)}
 
 
-def _bundles(mol_ids, corpus: Corpus, bundle_cache: dict | None) -> list:
-    """Feature bundles of corpus molecules, through ``bundle_cache`` if given."""
-    bundles = []
+def _featurized(mol_ids, corpus: Corpus, bundle_cache: dict | None) -> PackedGraphs:
+    """Corpus molecules as one graph batch, each molecule featurized once
+    per ``bundle_cache`` (one-molecule batches by id) if given."""
+    if bundle_cache is None:
+        bundle_cache = {}
     for mol_id in mol_ids:
-        bundle = None if bundle_cache is None else bundle_cache.get(mol_id)
-        if bundle is None:
-            bundle = featurize(corpus.molecule(mol_id))
-            if bundle_cache is not None:
-                bundle_cache[mol_id] = bundle
-        bundles.append(bundle)
-    return bundles
+        if mol_id not in bundle_cache:
+            bundle_cache[mol_id] = featurize(corpus.molecule(mol_id))
+    return pack([bundle_cache[mol_id] for mol_id in mol_ids])
 
 
-def build_embed_table(candidate_ids: list[int], corpus: Corpus,
-                      params: ParamStore, mode: str = "train",
+def build_embed_table(candidate_ids: list[int], corpus: Corpus, params: ParamStore,
                       bundle_cache: dict | None = None) -> EmbedTable:
-    embeddings = embed_graphs(pack(_bundles(candidate_ids, corpus, bundle_cache)),
-                              params, mode)
+    """Train-mode (taped) embeddings of the batch candidate set."""
+    embeddings = embed_graphs(_featurized(candidate_ids, corpus, bundle_cache),
+                              params, "train")
     return EmbedTable(list(candidate_ids), embeddings["f"], embeddings["g"],
                       embeddings["h"])
 
@@ -134,13 +132,13 @@ def _selection_order(record: ReactionRecord, table: EmbedTable, keys: np.ndarray
 
     def step_scores(queries: np.ndarray) -> np.ndarray:
         scores = np.where(live, cosine_table(queries, keys) / tau, -np.inf)
-        high = scores.max(axis=1, keepdims=True)
-        log_z = high + np.log(np.exp(scores - high).sum(axis=1, keepdims=True))
-        return scores[:, members] - log_z
+        high = scores.max(axis=-1, keepdims=True)
+        log_z = high + np.log(np.exp(scores - high).sum(axis=-1, keepdims=True))
+        return scores[..., members] - log_z
 
-    positions, _, _ = best_order(start, table.g.data[members].astype(np.float64),
-                                 step_scores, perm_threshold)
-    return tuple(record.reactant_ids[p] for p in positions)
+    orders, _, _ = best_order(start[None], table.g.data[None, members].astype(np.float64),
+                              step_scores, perm_threshold)
+    return tuple(record.reactant_ids[p] for p in orders[0].tolist())
 
 
 def batch_loss(batch: list[ReactionRecord], table: EmbedTable,
@@ -264,7 +262,7 @@ def _anchor_queries(batch: list[ReactionRecord], index: CandidateIndex,
     missing = anchors[~index.find_rows(anchors)[1]].tolist()
     if not missing:
         return None
-    rows = embed_graphs(pack(_bundles(missing, corpus, bundle_cache)), params, "eval",
+    rows = embed_graphs(_featurized(missing, corpus, bundle_cache), params,
                         heads=("h",))["h"].data
     vectors = {mol_id: rows[i] for i, mol_id in enumerate(missing)}
     return vectors.__getitem__
@@ -272,18 +270,17 @@ def _anchor_queries(batch: list[ReactionRecord], index: CandidateIndex,
 
 def train_step(batch: list[ReactionRecord], index: CandidateIndex,
                params: ParamStore, cfg: TrainConfig, corpus: Corpus,
-               optimizer: SgdConfig, embed_query=None,
-               bundle_cache: dict | None = None) -> dict:
+               optimizer: SgdConfig, bundle_cache: dict | None = None) -> dict:
     """One forward/backward/clip/update cycle; returns step metrics.
 
     Mines the batch candidate set, embeds it on the tape, and takes the
     whole batch's loss from one ``batch_loss`` call; ``loss_b``/``loss_f``
     are per-record means of its detached values.
     """
-    if embed_query is None and cfg.hard_k > 0:
-        embed_query = _anchor_queries(batch, index, corpus, params, bundle_cache)
+    embed_query = (_anchor_queries(batch, index, corpus, params, bundle_cache)
+                   if cfg.hard_k > 0 else None)
     candidate_ids = batch_candidates(batch, index, cfg.hard_k, embed_query)
-    table = build_embed_table(candidate_ids, corpus, params, "train", bundle_cache)
+    table = build_embed_table(candidate_ids, corpus, params, bundle_cache)
     loss, loss_b, loss_f = batch_loss(batch, table, params, cfg.tau,
                                       cfg.perm_threshold, cfg.halt_in_denominator)
     mean_loss = ad.scale(loss, 1.0 / len(batch))
@@ -363,11 +360,11 @@ def train(corpus: Corpus, cfg: TrainConfig, dims: ModelDims | None = None,
                 index = predictor.index
             hits = 0
             for record in val_records:
-                predicted = predictor.predict_forms(
-                    corpus.molecule(record.product_id), k=1,
-                    rxn_type=record.rxn_type)
-                truth = frozenset(corpus.form(i) for i in record.reactant_ids)
-                if predicted and frozenset(predicted[0]) == truth:
+                predicted = predictor.predict(corpus.molecule(record.product_id), k=1,
+                                              rxn_type=record.rxn_type)
+                # The corpus interns one id per canonical form, so equal ids
+                # are equal sets of forms.
+                if predicted and predicted[0].reactant_ids == record.reactant_ids:
                     hits += 1
             val_top1 = hits / max(1, len(val_records))
             step_metrics["val_top1"] = val_top1

@@ -9,7 +9,7 @@ import numpy as np
 
 from retroselect import autodiff as ad
 from retroselect.chem import (AROMATIC, D_ATOM, D_BOND, DOUBLE, ELEMENTS, SINGLE, TRIPLE,
-                              FeatureBundle, Molecule, write_smiles)
+                              Molecule, PackedGraphs, write_smiles)
 
 # Diverse corpus used across parser/canonical/encoder tests: chains, rings,
 # fused aromatics, charges, bracket atoms, multi-valent S/P, halogens.
@@ -164,7 +164,7 @@ def edge_loop_embeddings(packed, params, mode: str, heads=("f", "g", "h")) -> di
         state = params.bn_states[name]
         mean, var = (x.mean(axis=0), x.var(axis=0)) if mode == "train" \
             else (state.running_mean, state.running_var)
-        return (x - mean) / np.sqrt(var + state.epsilon) * state.gamma.data + state.beta.data
+        return (x - mean) / np.sqrt(var + ad.BN_EPSILON) * state.gamma.data + state.beta.data
 
     def relu(x):
         return np.maximum(x, 0.0)
@@ -218,9 +218,9 @@ def batchnorm(x, state):
     gamma, beta = state.gamma, state.beta
     mean = x.data.mean(axis=0)
     var = x.data.var(axis=0)
-    inv_std = 1.0 / np.sqrt(var + state.epsilon)
+    inv_std = 1.0 / np.sqrt(var + ad.BN_EPSILON)
     x_hat = (x.data - mean) * inv_std
-    m = state.momentum
+    m = ad.BN_MOMENTUM
     state.running_mean += m * (mean - state.running_mean)
     state.running_var += m * (var * (n / (n - 1)) - state.running_var)
     out = ad.Tensor(x_hat * gamma.data + beta.data, parents=(x, gamma, beta))
@@ -269,8 +269,9 @@ def mul(a, b):
 
 def loop_featurize(mol: Molecule):
     """Reference featurizer: the per-atom and per-bond loop the library ran
-    before it featurized whole chunks into one batch. ``pack`` of its
-    bundles is what ``featurize_packed`` must equal bitwise."""
+    before it featurized whole chunks into one batch, as a graph batch of
+    one. ``pack`` of its batches is what ``featurize_packed`` must equal
+    bitwise."""
     element_index = {sym: i for i, sym in enumerate(ELEMENTS)}
     other_index = len(ELEMENTS)
     bond_index = {SINGLE: 0, DOUBLE: 1, TRIPLE: 2, AROMATIC: 3}
@@ -320,4 +321,5 @@ def loop_featurize(mol: Molecule):
         bond_rows[2 * bidx + 1] = feature
         src[2 * bidx], dst[2 * bidx] = bond.a, bond.b
         src[2 * bidx + 1], dst[2 * bidx + 1] = bond.b, bond.a
-    return FeatureBundle(atom_rows, bond_rows, src, dst, warnings)
+    return PackedGraphs(atom_rows, bond_rows, src, dst, np.zeros(n, dtype=np.int64), 1,
+                        warnings)

@@ -63,7 +63,8 @@ def _topk_table(corpus, params, ks, beam=200):
     predictions, truths = [], []
     for record in corpus.reactions["train"]:
         product = corpus.molecule(record.product_id)
-        predictions.append(predictor.predict_forms(product, k=max(ks)))
+        predictions.append([tuple(sorted(predictor.form_of_id[i] for i in s.reactant_ids))
+                            for s in predictor.predict(product, k=max(ks))])
         truths.append(tuple(sorted(corpus.form(i) for i in record.reactant_ids)))
     return topk_exact_match(predictions, truths, ks)
 
@@ -103,7 +104,7 @@ def test_criterion_02_end_to_end_gradient_check():
     tau = 0.1
 
     def total_loss():
-        table = build_embed_table(candidate_ids, corpus, params, "train")
+        table = build_embed_table(candidate_ids, corpus, params)
         value = None
         for record in records:
             term = ad.add(loss_backward(record, table, params, tau),
@@ -254,21 +255,21 @@ def test_criterion_07_encoder_invariants(toy_world):
     worst_double = 0.0
     for mol_id in range(len(corpus.molecules)):
         mol = corpus.molecule(mol_id)
-        base = embed_molecule(mol, "h", params).vector
+        base = embed_molecule(mol, "h", params)
         scale = max(1e-12, float(np.abs(base).max()))
         order = random_permutation(len(mol.atoms), rng)
         permuted = parse_smiles(write_smiles(mol, order), allow_fragments=True)
-        other = embed_molecule(permuted, "h", params).vector
+        other = embed_molecule(permuted, "h", params)
         worst_perm = max(worst_perm, float(np.abs(base - other).max()) / scale)
-        doubled = embed_molecule(disjoint_union(mol, mol), "h", params).vector
+        doubled = embed_molecule(disjoint_union(mol, mol), "h", params)
         dscale = max(1e-12, float(np.abs(doubled).max()))
         worst_double = max(worst_double,
                            float(np.abs(doubled - 2 * base).max()) / dscale)
     pool = corpus.candidates()
     for a, b in zip(pool[0:40:2], pool[1:40:2]):
-        ea = embed_molecule(a, "f", params).vector
-        eb = embed_molecule(b, "f", params).vector
-        eu = embed_molecule(disjoint_union(a, b), "f", params).vector
+        ea = embed_molecule(a, "f", params)
+        eb = embed_molecule(b, "f", params)
+        eu = embed_molecule(disjoint_union(a, b), "f", params)
         uscale = max(1e-12, float(np.abs(eu).max()))
         worst_add = max(worst_add, float(np.abs(eu - (ea + eb)).max()) / uscale)
     ok = worst_perm < 1e-5 and worst_add < 1e-5 and worst_double < 1e-5

@@ -165,7 +165,7 @@ def test_affine_batchnorm_eval_fold_matches_unfolded(rng):
             pre = sum(x.data @ w.data for x, w in terms) + b.data
             if res is not None:
                 pre = pre + res.data
-            unfolded = ((pre - state.running_mean) / np.sqrt(state.running_var + state.epsilon)
+            unfolded = ((pre - state.running_mean) / np.sqrt(state.running_var + ad.BN_EPSILON)
                         * state.gamma.data + state.beta.data)
             assert np.abs(out - unfolded).max() <= 1e-12 * np.abs(unfolded).max()
 

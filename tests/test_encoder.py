@@ -63,8 +63,8 @@ def test_single_atom_rows_do_not_mix():
 
 def test_embedding_deterministic(tiny_params):
     mol = parse_smiles("CC(=O)Oc1ccccc1")
-    a = embed_molecule(mol, "h", tiny_params).vector
-    b = embed_molecule(mol, "h", tiny_params).vector
+    a = embed_molecule(mol, "h", tiny_params)
+    b = embed_molecule(mol, "h", tiny_params)
     assert np.array_equal(a, b)
 
 
@@ -73,10 +73,10 @@ def test_permutation_invariance(tiny_params, head):
     rng = random.Random(9)
     for smiles in CORPUS_SMILES[:10]:
         mol = parse_smiles(smiles)
-        base = embed_molecule(mol, head, tiny_params).vector
+        base = embed_molecule(mol, head, tiny_params)
         order = random_permutation(len(mol.atoms), rng)
         rewritten = parse_smiles(write_smiles(mol, order))
-        other = embed_molecule(rewritten, head, tiny_params).vector
+        other = embed_molecule(rewritten, head, tiny_params)
         assert rel_max(base, other) < 1e-5, smiles
 
 
@@ -97,17 +97,17 @@ def test_component_additivity(tiny_params):
     b = parse_smiles("c1ccncc1")
     union = disjoint_union(a, b)
     for head in HEADS:
-        ea = embed_molecule(a, head, tiny_params).vector
-        eb = embed_molecule(b, head, tiny_params).vector
-        eu = embed_molecule(union, head, tiny_params).vector
+        ea = embed_molecule(a, head, tiny_params)
+        eb = embed_molecule(b, head, tiny_params)
+        eu = embed_molecule(union, head, tiny_params)
         assert rel_max(eu, ea + eb) < 1e-5
 
 
 def test_doubling_captures_size(tiny_params):
     mol = parse_smiles("CC(N)=O")
     doubled = disjoint_union(mol, mol)
-    single = embed_molecule(mol, "f", tiny_params).vector
-    both = embed_molecule(doubled, "f", tiny_params).vector
+    single = embed_molecule(mol, "f", tiny_params)
+    both = embed_molecule(doubled, "f", tiny_params)
     assert rel_max(both, 2.0 * single) < 1e-5
 
 
@@ -118,21 +118,33 @@ def test_embed_pool_matches_loop(tiny_params, monkeypatch):
     keys = embed_pool(mols, tiny_params)
     assert keys.shape == (9, tiny_params.dims.d)
     for i, mol in enumerate(mols):
-        vec = embed_molecule(mol, "h", tiny_params).vector
+        vec = embed_molecule(mol, "h", tiny_params)
         vec = vec / np.linalg.norm(vec)
         assert np.abs(keys[i] - vec).max() < 1e-6
     norms = np.linalg.norm(keys, axis=1)
     assert np.abs(norms - 1.0).max() < 1e-6
 
 
-def trainable_forward(packed, params, heads=HEADS):
-    """The eval forward run step by step on the trainable tensors: its
-    batch-norm sites give constants, but the trunk's last linear map and
-    the heads' sums and pooling record tape nodes."""
+def stepwise_forward(packed, params, heads=HEADS):
+    """The eval forward run step by step: ``embed_nodes``, then
+    ``head_embeddings`` for each head, each called on ``params``."""
     ops = encoder._GraphOps(packed)
     nodes = embed_nodes(packed, params, "eval", ops)
-    return {head: encoder.head_embeddings(nodes, head, params, "eval", ops.pool)
-            for head in heads}
+    return {"nodes": nodes} | {
+        head: encoder.head_embeddings(nodes, head, params, "eval", ops.pool)
+        for head in heads}
+
+
+def trainable_forward(packed, params, heads=HEADS):
+    """The eval forward run step by step on the trainable tensors, with the
+    store standing in for its own detached view: its batch-norm sites give
+    constants, but the trunk's last linear map and the heads' sums and
+    pooling record tape nodes."""
+    view, params._detached = params._detached, params
+    try:
+        return stepwise_forward(packed, params, heads)
+    finally:
+        params._detached = view
 
 
 def test_detached_forward_is_bitwise_and_tape_free(tiny_params):
@@ -140,10 +152,16 @@ def test_detached_forward_is_bitwise_and_tape_free(tiny_params):
     frozen = tiny_params.detached()
     assert tiny_params.detached() is frozen and frozen.detached() is frozen
     taped = trainable_forward(packed, tiny_params)
+    stepwise = stepwise_forward(packed, tiny_params)
     free = embed_graphs(packed, tiny_params, "eval")
     on_view = embed_graphs(packed, frozen, "eval")
+    # Called directly on the trainable store, embed_nodes and
+    # head_embeddings record no tape either.
+    for name, out in stepwise.items():
+        assert taped[name].requires_grad
+        assert not out.requires_grad and out._parents == ()
+        assert np.array_equal(taped[name].data, out.data)
     for head in HEADS:
-        assert taped[head].requires_grad
         assert not free[head].requires_grad and free[head]._parents == ()
         assert np.array_equal(taped[head].data, free[head].data)
         assert np.array_equal(on_view[head].data, free[head].data)
@@ -294,8 +312,8 @@ def test_train_mode_is_one_tape_node_per_batchnorm_site():
 def test_copy_and_state_round_trip(tiny_params):
     clone = tiny_params.copy()
     mol = parse_smiles("CCO")
-    assert np.array_equal(embed_molecule(mol, "g", tiny_params).vector,
-                          embed_molecule(mol, "g", clone).vector)
+    assert np.array_equal(embed_molecule(mol, "g", tiny_params),
+                          embed_molecule(mol, "g", clone))
     clone.tensors["halt_key"].data += 1.0
     assert not np.array_equal(tiny_params.tensors["halt_key"].data,
                               clone.tensors["halt_key"].data)

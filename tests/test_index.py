@@ -52,7 +52,7 @@ def test_rows_match_per_molecule_embeddings(tiny_params):
     mols = [parse_smiles(s) for s in ("CCO", "CNC", "C1CCCCC1")]
     index = CandidateIndex.build(tiny_params, mols)
     for row_index, mol in enumerate(mols):
-        vec = embed_molecule(mol, "h", tiny_params).vector
+        vec = embed_molecule(mol, "h", tiny_params)
         vec = vec / np.linalg.norm(vec)
         assert np.abs(index.keys[row_index] - vec).max() < 1e-6
 

@@ -13,21 +13,23 @@ def unit(vec):
 
 
 def cosine_score(keys):
+    """Step scores against member keys: [n, d] shared by every set of the
+    batch, or [m, n, d] one block per set."""
     return lambda queries: cosine_table(queries, keys)
 
 
 def test_psi_stub_identities(rng):
     key = rng.standard_normal(8)
     for sign in (1.0, -1.0):
-        _, total, _ = best_order(key, np.zeros((1, 8)),
+        _, total, _ = best_order(key[None], np.zeros((1, 1, 8)),
                                  cosine_score(sign * key[None, :]), 5)
-        assert total == pytest.approx(sign)
+        assert total[0] == pytest.approx(sign)
 
 
 def test_psi_zero_convention():
     zero, ones = np.zeros((1, 4)), np.ones((1, 4))
-    assert best_order(np.zeros(4), ones, cosine_score(ones), 5)[1] == 0.0
-    assert best_order(np.ones(4), ones, cosine_score(zero), 5)[1] == 0.0
+    assert best_order(zero, ones[None], cosine_score(ones), 5)[1][0] == 0.0
+    assert best_order(ones, ones[None], cosine_score(zero), 5)[1][0] == 0.0
 
 
 def phi(rows, h_p, v_bias=None):
@@ -56,8 +58,8 @@ def test_incremental_query_matches_recompute(rng):
     gs = rng.standard_normal((4, 8))
     direct = f_p - np.sum(gs, axis=0)
     for threshold in (5, 3):  # exhaustive, then greedy
-        _, _, final = best_order(f_p, gs, cosine_score(gs), threshold)
-        assert np.abs(final - direct).max() < 1e-12
+        _, _, final = best_order(f_p[None], gs[None], cosine_score(gs), threshold)
+        assert np.abs(final[0] - direct).max() < 1e-12
 
 
 def oracle_best_order(start, g, h):
@@ -79,29 +81,31 @@ def test_best_order_matches_itertools_oracle(rng):
         for _ in range(5):
             start = rng.standard_normal(6)
             g, h = rng.standard_normal((n, 6)), rng.standard_normal((n, 6))
-            positions, total, final = best_order(start, g, cosine_score(h), 5)
+            orders, totals, finals = best_order(start[None], g[None], cosine_score(h), 5)
             want, want_total = oracle_best_order(start, g, h)
-            assert positions == want
-            assert abs(total - want_total) <= 1e-12
-            assert np.abs(final - (start - g.sum(axis=0))).max() < 1e-12
-            cases.append((start, g, h, positions, total, final))
-        # The batched call gives each set its unbatched result bit for bit,
-        # exhaustive and greedy.
+            assert tuple(orders[0].tolist()) == want
+            assert abs(totals[0] - want_total) <= 1e-12
+            assert np.abs(finals[0] - (start - g.sum(axis=0))).max() < 1e-12
+            cases.append((start, g, h))
+        # A batch of five gives each set its result in a batch of one bit
+        # for bit, exhaustive and greedy.
         start, g, h = (np.stack([case[i] for case in cases]) for i in range(3))
         for threshold in (5, max(n - 1, 0)):
             orders, totals, finals = best_order(start, g, cosine_score(h), threshold)
-            for row, case in enumerate(cases):
-                alone = best_order(case[0], case[1], cosine_score(case[2]), threshold)
-                assert tuple(orders[row].tolist()) == alone[0]
-                assert totals[row] == alone[1]
-                assert np.array_equal(finals[row], alone[2])
+            for row, (one_start, one_g, one_h) in enumerate(cases):
+                alone = best_order(one_start[None], one_g[None], cosine_score(one_h),
+                                   threshold)
+                assert np.array_equal(orders[row], alone[0][0])
+                assert totals[row] == alone[1][0]
+                assert np.array_equal(finals[row], alone[2][0])
 
 
 def test_best_order_exact_ties_take_smallest_order(rng):
     start = rng.standard_normal(6)
     same = np.tile(rng.standard_normal(6), (4, 1))
     for threshold in (5, 3):  # exhaustive, then greedy
-        assert best_order(start, same, cosine_score(same), threshold)[0] == (0, 1, 2, 3)
+        orders = best_order(start[None], same[None], cosine_score(same), threshold)[0]
+        assert orders.tolist() == [[0, 1, 2, 3]]
     # Rows 0/1 and 2/3 are duplicates: the best order must take each pair
     # in ascending position, whatever the winning interleaving.
     for _ in range(10):
@@ -109,10 +113,11 @@ def test_best_order_exact_ties_take_smallest_order(rng):
         g = np.array([a, a, b, b])
         keys = rng.standard_normal((2, 6))
         h = keys[[0, 0, 1, 1]]
-        positions, total, _ = best_order(start, g, cosine_score(h), 5)
+        orders, totals, _ = best_order(start[None], g[None], cosine_score(h), 5)
+        positions = orders[0].tolist()
         assert positions.index(0) < positions.index(1)
         assert positions.index(2) < positions.index(3)
-        assert abs(total - oracle_best_order(start, g, h)[1]) <= 1e-12
+        assert abs(totals[0] - oracle_best_order(start, g, h)[1]) <= 1e-12
     ids = {4: a, 9: a}
     scored = reaction_score(start, start, ids, {4: keys[0], 9: keys[0]},
                             rng.standard_normal(6))
@@ -125,11 +130,11 @@ def test_best_order_greedy_matches_loop_oracle(rng):
     calls = []
 
     def score(queries):
-        calls.append(queries.shape[0])
+        calls.append(queries.shape[:2])
         return cosine_table(queries, h)
 
-    positions, total, final = best_order(start, g, score, 5)
-    assert calls == [1] * 7
+    orders, totals, finals = best_order(start[None], g[None], score, 5)
+    assert calls == [(1, 1)] * 7
     query, remaining, want, want_total = start.copy(), list(range(7)), [], 0.0
     while remaining:
         pick = max(remaining, key=lambda p: (cosine64(query, h[p]), -p))
@@ -137,15 +142,15 @@ def test_best_order_greedy_matches_loop_oracle(rng):
         query = query - g[pick]
         remaining.remove(pick)
         want.append(pick)
-    assert positions == tuple(want)
-    assert abs(total - want_total) <= 1e-12
-    assert np.abs(final - query).max() < 1e-12
+    assert orders[0].tolist() == want
+    assert abs(totals[0] - want_total) <= 1e-12
+    assert np.abs(finals[0] - query).max() < 1e-12
 
 
 def test_best_order_rejects_threshold_outside_table_range():
     for threshold in (-1, MAX_PERM_THRESHOLD + 1):
         with pytest.raises(ValueError):
-            best_order(np.ones(3), np.ones((2, 3)), cosine_score(np.ones((2, 3))),
+            best_order(np.ones((1, 3)), np.ones((1, 2, 3)), cosine_score(np.ones((2, 3))),
                        threshold)
 
 
@@ -154,9 +159,9 @@ def test_best_permutation_empty_is_halt_only(rng):
     # product query, and the selection total is the halt term alone.
     f_p, h_p, halt = (rng.standard_normal(5) for _ in range(3))
     empty = np.zeros((0, 5))
-    order, steps, final = best_order(f_p, empty, cosine_score(empty), 6)
-    assert order == () and steps == 0.0
-    np.testing.assert_array_equal(final, f_p)
+    order, steps, final = best_order(f_p[None], empty[None], cosine_score(empty), 6)
+    assert order.shape == (1, 0) and steps[0] == 0.0
+    np.testing.assert_array_equal(final[0], f_p)
     scored = reaction_score(f_p, h_p, {}, {}, halt)
     assert scored.best_order == ()
     assert scored.score * 2.0 == pytest.approx(cosine64(f_p, halt))

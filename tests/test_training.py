@@ -67,7 +67,7 @@ def test_batch_candidates_bounds(world):
 
     def embed_query(mol_id):
         from retroselect.encoder import embed_molecule
-        return embed_molecule(corpus.molecule(mol_id), "h", params).vector
+        return embed_molecule(corpus.molecule(mol_id), "h", params)
 
     base = batch_candidates(records, index, 0)
     mined = batch_candidates(records, index, 2, embed_query)
@@ -193,7 +193,7 @@ def test_losses_match_straight_line_oracle():
     params = init_params(3, ModelDims(d=8, n_layers=2, n_types=2),
                          dtype=np.float64)
     candidate_ids = sorted({i for r in records for i in r.molecule_ids()})
-    table = build_embed_table(candidate_ids, corpus, params, "train")
+    table = build_embed_table(candidate_ids, corpus, params)
     for record in records:  # n = 2 records: brute force over both orders
         got_b = loss_backward(record, table, params, tau=0.5).item()
         got_f = loss_forward(record, table, params, tau=0.5).item()
@@ -269,7 +269,8 @@ def test_batch_loss_order_matches_itertools_oracle(halt_mode, monkeypatch):
 
     def spy(*args):
         result = best_order(*args)
-        followed.append(result[0])
+        (positions,) = result[0]  # each record's order is a batch of one set
+        followed.append(positions.tolist())
         return result
 
     monkeypatch.setattr(training, "best_order", spy)
@@ -305,7 +306,7 @@ def test_loss_forward_single_class_is_zero(world):
     corpus, records, params, index = world
     record = records[0]
     table_ids = sorted(record.molecule_ids())
-    table = build_embed_table(table_ids, corpus, params, "train")
+    table = build_embed_table(table_ids, corpus, params)
     loss = loss_forward(record, table, params, tau=0.1)
     assert loss.item() == pytest.approx(0.0, abs=1e-7)
 
@@ -314,8 +315,7 @@ def test_loss_backward_two_class_case(world):
     corpus, records, params, index = world
     record = next(r for r in records if len(r.reactant_ids) == 2)
     single = ReactionRecord(record.reactant_ids[:1], record.product_id, None)
-    table = build_embed_table(sorted(single.molecule_ids()), corpus, params,
-                              "train")
+    table = build_embed_table(sorted(single.molecule_ids()), corpus, params)
     loss = loss_backward(single, table, params, tau=0.1)
     assert np.isfinite(loss.item()) and loss.item() >= 0
 
@@ -323,7 +323,7 @@ def test_loss_backward_two_class_case(world):
 def test_loss_backward_missing_reactant(world):
     corpus, records, params, index = world
     record = records[0]
-    table = build_embed_table([record.product_id], corpus, params, "train")
+    table = build_embed_table([record.product_id], corpus, params)
     with pytest.raises(ReactantNotInCandidates):
         loss_backward(record, table, params, tau=0.1)
 
@@ -334,7 +334,7 @@ def test_zero_type_bias_losses_match_untyped():
     candidate_ids = sorted({i for r in records for i in r.molecule_ids()})
     typed = next(r for r in records if r.rxn_type is not None)
     untyped = ReactionRecord(typed.reactant_ids, typed.product_id, None)
-    table = build_embed_table(candidate_ids, corpus, params, "train")
+    table = build_embed_table(candidate_ids, corpus, params)
     assert loss_backward(typed, table, params, 0.1).item() == \
         loss_backward(untyped, table, params, 0.1).item()
     assert loss_forward(typed, table, params, 0.1).item() == \
@@ -346,7 +346,7 @@ def test_halt_denominator_variants_differ():
     params = init_params(2, ModelDims(d=8, n_layers=1, n_types=2))
     record = next(r for r in records if len(r.reactant_ids) == 2)
     candidate_ids = sorted({i for r in records for i in r.molecule_ids()})
-    table = build_embed_table(candidate_ids, corpus, params, "train")
+    table = build_embed_table(candidate_ids, corpus, params)
     always = loss_backward(record, table, params, 0.1, halt_mode="always").item()
     final = loss_backward(record, table, params, 0.1, halt_mode="final").item()
     assert always != final
