@@ -19,13 +19,23 @@ parents. With ``relu=True`` the ReLU is applied in place to the site's own
 output, and the train backward masks the incoming gradient with
 ``out > 0``, so no pre-activation copy is kept for the mask.
 
+A term of a site may be a ``RebuiltInput`` instead of a tensor: an input
+that is a cheap function of a source tensor (``SparseProductInput``, the
+adjacency sum ``mat @ x``; ``ReluInput``, ``relu(x)``). The site builds it in
+scratch for its product and frees it, its backward builds it again for the
+weight gradient, and the input gradient goes straight to the source, so no
+tape node keeps it. ``sparse_matmul_sum`` is ``mat @ (a + b)`` as one node
+that frees the sum after its product.
+
 Arrays are float32 by default; building the parameters in float64 switches
 the whole tape to float64 for gradient checking. Every op output that can
 overflow passes a finite check. Gradients are accumulated without copies.
-A tape is walked once: ``backward`` drops each node's backward closure, and
-with it the buffers the closure saved, as soon as it has run (after Chen et
-al., arXiv:1604.06174, on what a step's saved activations cost), so a
-second ``backward`` through the same graph raises ``TapeReleased``.
+A tape is walked once (after Chen et al., arXiv:1604.06174, on what a
+step's saved activations cost): as soon as ``backward`` has run a node's
+closure, it drops the closure with the buffers it saved, the node's
+``.grad`` and its parent links, so each swept subgraph is freed while the
+sweep goes on. Only leaves keep their gradients, and a second ``backward``
+through the same graph raises ``TapeReleased``.
 """
 
 from __future__ import annotations
@@ -50,7 +60,7 @@ class NumericsError(FloatingPointError):
 
 
 class TapeReleased(RuntimeError):
-    """``backward`` reached a node whose backward already ran and was freed."""
+    """``backward`` reached a node whose backward already ran and was released."""
 
 
 def _checked(data: np.ndarray, op: str) -> np.ndarray:
@@ -62,7 +72,7 @@ def _checked(data: np.ndarray, op: str) -> np.ndarray:
 class Tensor:
     """A node of the reverse-mode tape wrapping a numpy array."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_released")
 
     def __init__(self, data, requires_grad: bool = False,
                  parents: tuple = (), backward=None):
@@ -71,6 +81,7 @@ class Tensor:
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
         self._parents = parents if self.requires_grad else ()
         self._backward = backward if self.requires_grad else None
+        self._released = False
 
     @property
     def shape(self):
@@ -106,13 +117,16 @@ def constant(data, dtype=None) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Reverse-mode sweep from a scalar loss; accumulates into .grad.
+    """Reverse-mode sweep from a scalar loss; accumulates into the leaves' .grad.
 
-    Each non-leaf node's backward closure is dropped as soon as the sweep
-    has passed it, which frees the buffers it saved while the sweep goes
-    on. Leaves and intermediate nodes keep their ``.grad``. A graph can
-    therefore be differentiated once: a second call raises
-    ``TapeReleased`` before any gradient is added.
+    The sweep releases each non-leaf node as soon as it has run the node's
+    backward closure: it drops the closure (and with it the buffers the
+    closure saved), the node's ``.grad`` and its parent links, and its own
+    reference to the node, so a swept subgraph is freed during the sweep.
+    Leaves keep their gradients; intermediate nodes are left with
+    ``.grad is None`` and no parents. A graph can therefore be
+    differentiated once: a second call, or a call on a new loss built on a
+    released node, raises ``TapeReleased`` before any gradient is added.
     """
     if loss.data.ndim != 0 and loss.data.size != 1:
         raise ShapeMismatch(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -126,7 +140,7 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in seen:
             continue
-        if node._parents and node._backward is None:
+        if node._released:
             raise TapeReleased("this graph was already differentiated and its saved "
                                "buffers freed; build it again to differentiate it")
         seen.add(id(node))
@@ -135,11 +149,14 @@ def backward(loss: Tensor) -> None:
             if parent.requires_grad and id(parent) not in seen:
                 stack.append((parent, False))
     loss._accumulate(np.ones_like(loss.data))
-    for node in reversed(order):
-        if node._backward is not None:
-            if node.grad is not None:
-                node._backward(node.grad)
-            node._backward = None
+    while order:
+        node = order.pop()
+        if not node._parents:
+            continue  # a leaf keeps its gradient
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+        node.grad, node._parents, node._backward = None, (), None
+        node._released = True
 
 
 # --- elementwise / affine ops ---
@@ -289,6 +306,88 @@ def sparse_matmul(mat: SparseMatrix, x: Tensor) -> Tensor:
     return out
 
 
+def sparse_matmul_sum(mat: SparseMatrix, a: Tensor, b: Tensor) -> Tensor:
+    """mat @ (a + b) as one node: the sum is freed after the product, and the
+    backward hands the one array mat.T @ g to both parents, as ``add`` does."""
+    if a.shape != b.shape or a.data.ndim != 2 or a.shape[0] != mat.shape[1]:
+        raise ShapeMismatch(f"sparse_matmul_sum {mat.shape} @ ({a.shape} + {b.shape})")
+    total = _checked(a.data + b.data, "sparse_matmul_sum")
+    dtype = total.dtype
+    out = Tensor(_checked(mat.csr(dtype) @ total, "sparse_matmul_sum"), parents=(a, b))
+    del total
+
+    def _bw(g):
+        grad = mat.csr(dtype, transpose=True) @ g
+        if a.requires_grad:
+            a._accumulate(grad)
+        if b.requires_grad:
+            b._accumulate(grad)
+    out._backward = _bw if out.requires_grad else None
+    return out
+
+
+class RebuiltInput:
+    """A term input of ``affine_batchnorm`` that is a cheap function of
+    ``source`` and is rebuilt rather than stored: the site builds it in
+    scratch for its product, the site's backward builds it again for the
+    weight gradient, and ``send`` turns the input's gradient into the
+    source's."""
+
+    __slots__ = ("source",)
+
+    def __init__(self, source: Tensor):
+        self.source = source
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.source.shape
+
+    def build(self) -> np.ndarray:
+        raise NotImplementedError
+
+    def send(self, grad: np.ndarray) -> None:
+        raise NotImplementedError
+
+
+class SparseProductInput(RebuiltInput):
+    """``mat @ source``, the input ``sparse_matmul(mat, source)`` would store."""
+
+    __slots__ = ("mat",)
+
+    def __init__(self, mat: SparseMatrix, source: Tensor):
+        if source.data.ndim != 2 or source.shape[0] != mat.shape[1]:
+            raise ShapeMismatch(f"sparse_matmul {mat.shape} @ {source.shape}")
+        super().__init__(source)
+        self.mat = mat
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return (self.mat.shape[0], self.source.shape[1])
+
+    def build(self) -> np.ndarray:
+        return self.mat.csr(self.source.dtype) @ self.source.data
+
+    def send(self, grad: np.ndarray) -> None:
+        self.source._accumulate(self.mat.csr(self.source.dtype, transpose=True) @ grad)
+
+
+class ReluInput(RebuiltInput):
+    """``relu(source)``, the input ``relu(source)`` would store."""
+
+    __slots__ = ()
+
+    def build(self) -> np.ndarray:
+        return np.maximum(self.source.data, 0)
+
+    def send(self, grad: np.ndarray) -> None:
+        self.source._accumulate(grad * (self.source.data > 0))
+
+
+def _input(x) -> np.ndarray:
+    """A term input's array: a tensor's data, or a rebuilt input built anew."""
+    return x.build() if isinstance(x, RebuiltInput) else x.data
+
+
 # --- batch normalization ---
 
 BN_MOMENTUM = 0.1  # weight of a batch's statistics in the running estimates
@@ -331,11 +430,13 @@ def affine_batchnorm(terms, b: Tensor, state: BatchNormState, mode: str,
     so no normalized copy is made. The ReLU clamps the node's own output in
     place, and the train backward masks the incoming gradient with
     ``out > 0``, which is the batch-norm output's mask; values and gradients
-    are bitwise those of ``relu`` composed after the site.
+    are bitwise those of ``relu`` composed after the site. An ``x`` may be a
+    ``RebuiltInput``: the site then keeps none of it, in either mode, and
+    its values and gradients are bitwise those of the node it replaces.
     """
     x0, w0 = terms[0]
     for x, w in terms:
-        if x.data.ndim != 2 or w.data.ndim != 2 or x.shape != (x0.shape[0], w.shape[0]) \
+        if len(x.shape) != 2 or w.data.ndim != 2 or x.shape != (x0.shape[0], w.shape[0]) \
                 or w.shape[1] != state.width:
             raise ShapeMismatch(f"affine_batchnorm {x.shape} @ {w.shape} "
                                 f"into width {state.width}")
@@ -362,7 +463,9 @@ def _train_site(terms, b, state, residual, relu) -> Tensor:
     n = x0.shape[0]
     if n < 2:
         raise DegenerateBatch(f"train-mode batchnorm needs n >= 2, got {n}")
-    parents = tuple(t for pair in terms for t in pair) + (b, state.gamma, state.beta)
+    parents = tuple(t for x, w in terms
+                    for t in (x.source if isinstance(x, RebuiltInput) else x, w))
+    parents += (b, state.gamma, state.beta)
     if residual is not None:
         parents += (residual,)
     gamma, beta = state.gamma, state.beta
@@ -370,10 +473,10 @@ def _train_site(terms, b, state, residual, relu) -> Tensor:
     # normalized form x_hat. Every sum runs in the order of the same site
     # built from linear, add and batch-norm nodes (the reference in the
     # tests), so outputs and gradients are bitwise that composition's.
-    x_hat = x0.data @ w0.data
+    x_hat = _input(x0) @ w0.data
     x_hat += b.data
     for x, w in terms[1:]:
-        x_hat += x.data @ w.data
+        x_hat += _input(x) @ w.data
     if residual is not None:
         x_hat += residual.data
     mean = x_hat.mean(axis=0)
@@ -402,6 +505,12 @@ def _train_site(terms, b, state, residual, relu) -> Tensor:
         gp -= prod
         gp *= gamma.data * inv_std
         for x, w in terms:
+            if isinstance(x, RebuiltInput):
+                if w.requires_grad:
+                    w._accumulate(x.build().T @ gp)
+                if x.source.requires_grad:
+                    x.send(gp @ w.data.T)
+                continue
             if x.requires_grad:
                 x._accumulate(gp @ w.data.T)
             if w.requires_grad:
@@ -417,10 +526,10 @@ def _train_site(terms, b, state, residual, relu) -> Tensor:
 def _eval_site(terms, b, state, residual, relu) -> Tensor:
     x0, w0 = terms[0]
     s = state.gamma.data * (1.0 / np.sqrt(state.running_var + BN_EPSILON))
-    y = x0.data @ (w0.data * s)
+    y = _input(x0) @ (w0.data * s)
     scratch = None  # one buffer for every further term and the scaled residual
     for x, w in terms[1:]:
-        scratch = np.matmul(x.data, w.data * s, out=scratch)
+        scratch = np.matmul(_input(x), w.data * s, out=scratch)
         y += scratch
     y += (b.data - state.running_mean) * s + state.beta.data
     if residual is not None:

@@ -10,9 +10,9 @@ as does each atom in the "other" bucket.
 ``PackedGraphs`` is the one featurized type, from featurization to the
 encoder: a disjoint graph batch of any number of molecules, one molecule
 being a batch of one. ``featurize_packed`` is the one copy of this layout:
-it reads a list of molecules' atom and bond fields in one pass each and
-writes the one-hots of the whole batch with numpy indexing. ``featurize`` is
-its one-molecule case, and ``pack`` concatenates batches.
+it reads a list of molecules' atom and bond fields in one ``np.fromiter``
+pass each and writes the one-hots of the whole batch with numpy indexing.
+``featurize`` is its one-molecule case, and ``pack`` concatenates batches.
 """
 
 from __future__ import annotations
@@ -59,19 +59,24 @@ _FLAGS = _HYDROGENS + 5
 _LOW = np.array([0, 0, -2, 0])
 _HIGH = np.array([_OTHER_INDEX, 5, 2, 4])
 _BASE = np.array([0, _DEGREE, _CHARGE + 2, _HYDROGENS])
+_chain = itertools.chain.from_iterable
 
 
 def featurize_packed(mols: list[Molecule]) -> PackedGraphs:
     """Featurize molecules straight into one disjoint graph batch: equal to
     ``pack([featurize(m) for m in mols])``, without the per-molecule arrays."""
-    atoms = np.array([(_ELEMENT_INDEX.get(a.element, _OTHER_INDEX), a.degree,
-                       a.formal_charge, a.total_h, a.aromatic, a.in_ring)
-                      for mol in mols for a in mol.atoms], dtype=np.int64).reshape(-1, 6)
+    # Each table is read as one flat stream of fields by np.fromiter, which
+    # fills a preallocated array instead of inspecting a list of row tuples.
     sizes = [len(mol.atoms) for mol in mols]
+    n_atoms, n_bonds = sum(sizes), sum(len(mol.bonds) for mol in mols)
+    atoms = np.fromiter(_chain((_ELEMENT_INDEX.get(a.element, _OTHER_INDEX), a.degree,
+                                a.formal_charge, a.total_h, a.aromatic, a.in_ring)
+                               for mol in mols for a in mol.atoms),
+                        dtype=np.int64, count=6 * n_atoms).reshape(n_atoms, 6)
     offsets = itertools.accumulate(sizes, initial=0)
-    bonds = np.array([(b.a + offset, b.b + offset, _BOND_INDEX[b.order], b.in_ring)
-                      for mol, offset in zip(mols, offsets) for b in mol.bonds],
-                     dtype=np.int64).reshape(-1, 4)
+    bonds = np.fromiter(_chain((b.a + offset, b.b + offset, _BOND_INDEX[b.order], b.in_ring)
+                               for mol, offset in zip(mols, offsets) for b in mol.bonds),
+                        dtype=np.int64, count=4 * n_bonds).reshape(n_bonds, 4)
 
     fields = atoms[:, :4]
     clipped = np.clip(fields, _LOW, _HIGH)

@@ -180,7 +180,8 @@ def _non_bridge_flags(mol: Molecule) -> list[bool]:
     """flags[i] is True iff bond i lies on a cycle (i.e. is not a bridge).
 
     Iterative Tarjan bridge search; safe on long chains that would overflow
-    Python's recursion limit.
+    Python's recursion limit. Each stack frame advances an iterator over its
+    atom's adjacency list, so a step builds no tuple.
     """
     n = len(mol.atoms)
     m = len(mol.bonds)
@@ -199,30 +200,35 @@ def _non_bridge_flags(mol: Molecule) -> list[bool]:
     for root in range(n):
         if visited[root]:
             continue
-        # Stack entries: (vertex, incoming bond index, iterator position).
-        stack = [(root, -1, 0)]
+        # Parallel stacks: vertex, incoming bond index, adjacency iterator.
+        vertices, in_bonds, edges = [root], [-1], [iter(adjacency[root])]
         visited[root] = True
         disc[root] = low[root] = timer
         timer += 1
-        while stack:
-            v, in_bond, pos = stack[-1]
-            if pos < len(adjacency[v]):
-                stack[-1] = (v, in_bond, pos + 1)
-                u, bidx = adjacency[v][pos]
-                if bidx == in_bond:
+        while vertices:
+            v = vertices[-1]
+            for u, bidx in edges[-1]:
+                if bidx == in_bonds[-1]:
                     continue
                 if visited[u]:
-                    low[v] = min(low[v], disc[u])
-                else:
-                    visited[u] = True
-                    disc[u] = low[u] = timer
-                    timer += 1
-                    stack.append((u, bidx, 0))
+                    if disc[u] < low[v]:
+                        low[v] = disc[u]
+                    continue
+                visited[u] = True
+                disc[u] = low[u] = timer
+                timer += 1
+                vertices.append(u)
+                in_bonds.append(bidx)
+                edges.append(iter(adjacency[u]))
+                break
             else:
-                stack.pop()
-                if stack:
-                    parent = stack[-1][0]
-                    low[parent] = min(low[parent], low[v])
+                vertices.pop()
+                in_bond = in_bonds.pop()
+                edges.pop()
+                if vertices:
+                    parent = vertices[-1]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
                     if low[v] > disc[parent]:
                         is_bridge[in_bond] = True
     return [not b for b in is_bridge]

@@ -10,9 +10,15 @@ arXiv:1609.02907): a layer's neighbour sum over edges into atom i is one
 adjacency product ``A @ h`` with ``A[i, j]`` the number of edges j -> i, and
 the per-edge bond term ``sum_e x_bond[e] @ w_bond`` is reassociated as
 ``B @ w_bond`` with ``B`` the bond features summed per atom once per batch.
-Pooling is one product with the atom-to-molecule matrix. Each
+Pooling is one product with the atom-to-molecule matrix, taken of each
+head's residual sum in one ``ad.sparse_matmul_sum`` node. Each
 linear(+residual) -> batch-norm (-> ReLU) site is one ``ad.affine_batchnorm``
-node, which applies the ReLU to its own output. An eval-mode forward is
+node, which applies the ReLU to its own output. Two site inputs are rebuilt
+rather than stored, in both modes: a layer's neighbour sum ``A @ h``
+(``ad.SparseProductInput``) and a head's ``relu(nodes)``
+(``ad.ReluInput``); each takes under a millisecond to rebuild at the
+paper's size, so a train step keeps no copy of either, and no residual sum
+(after Chen et al., arXiv:1604.06174). An eval-mode forward is
 never differentiated: ``embed_nodes`` and ``head_embeddings`` each run it on
 the store's detached view, so it folds batch norm into the weights and
 records no tape whichever of them is called.
@@ -222,11 +228,10 @@ def embed_nodes(feats: PackedGraphs, params: ParamStore, mode: str = "eval",
                             t["trunk.b0"], bn["trunk.bn0"], mode, relu=True)
     for layer in range(1, params.dims.n_layers + 1):
         prefix = f"trunk.l{layer}"
-        neighbor_sum = ad.sparse_matmul(ops.adjacency, h)
-        stage1 = ad.affine_batchnorm([(neighbor_sum, t[f"{prefix}.w1"]),
+        stage1 = ad.affine_batchnorm([(ad.SparseProductInput(ops.adjacency, h),
+                                       t[f"{prefix}.w1"]),
                                       (bonds, t[f"{prefix}.w_bond"])],
                                      t[f"{prefix}.b1"], bn[f"{prefix}.bn1"], mode, relu=True)
-        del neighbor_sum  # free it before the next product when no tape holds it
         h = ad.affine_batchnorm([(stage1, t[f"{prefix}.w2"])], t[f"{prefix}.b2"],
                                 bn[f"{prefix}.bn2"], mode, residual=h, relu=True)
     return ad.linear(h, t["trunk.w_last"], t["trunk.b_last"])
@@ -242,11 +247,11 @@ def head_embeddings(node_matrix: Tensor, head: str, params: ParamStore,
         params = params.detached()
     t, bn = params.tensors, params.bn_states
     prefix = f"head.{head}"
-    z = ad.affine_batchnorm([(ad.relu(node_matrix), t[f"{prefix}.w1"])],
+    z = ad.affine_batchnorm([(ad.ReluInput(node_matrix), t[f"{prefix}.w1"])],
                             t[f"{prefix}.b1"], bn[f"{prefix}.bn1"], mode, relu=True)
     z = ad.affine_batchnorm([(z, t[f"{prefix}.w2"])], t[f"{prefix}.b2"],
                             bn[f"{prefix}.bn2"], mode)
-    return ad.sparse_matmul(pool, ad.add(node_matrix, z))
+    return ad.sparse_matmul_sum(pool, node_matrix, z)
 
 
 def embed_graphs(feats: PackedGraphs, params: ParamStore, mode: str = "eval",

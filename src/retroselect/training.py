@@ -286,9 +286,6 @@ def train_step(batch: list[ReactionRecord], index: CandidateIndex,
     mean_loss = ad.scale(loss, 1.0 / len(batch))
     params.zero_grad()
     ad.backward(mean_loss)
-    # Drop the tape before the update, so the optimizer's new arrays can
-    # reuse its memory (fewer minor page faults per step than keeping it).
-    del loss, mean_loss, table
     grads = params.gradients()
     grad_norm = ad.clip_global_norm(grads, cfg.clip_norm)
     ad.sgd_step(params, grads, optimizer)

@@ -238,10 +238,22 @@ def batchnorm(x, state):
     return out
 
 
+def stored_input(x):
+    """A site term input as a tape node: a rebuilt input becomes the node
+    it replaces (``ad.sparse_matmul`` or ``ad.relu`` of its source)."""
+    if isinstance(x, ad.SparseProductInput):
+        return ad.sparse_matmul(x.mat, x.source)
+    if isinstance(x, ad.ReluInput):
+        return ad.relu(x.source)
+    return x
+
+
 def composed_affine_batchnorm(terms, b, state, residual=None):
     """Train-mode ``affine_batchnorm`` as the composition of ``ad.linear``,
     ``ad.add`` and the reference ``batchnorm``: one tape node per term, per
-    extra term, per residual and for the normalization."""
+    extra term, per residual and for the normalization, and one per
+    rebuilt input, which becomes the node it replaces."""
+    terms = [(stored_input(x), w) for x, w in terms]
     (x0, w0), rest = terms[0], terms[1:]
     pre = ad.linear(x0, w0, b)
     for x, w in rest:

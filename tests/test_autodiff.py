@@ -367,6 +367,123 @@ def test_second_backward_through_a_released_graph_raises(rng):
         assert all(np.array_equal(g, p.grad) for g, p in zip(grads, params))
 
 
+def test_backward_frees_swept_nodes_before_the_sweep_ends(rng):
+    # An early forward node's output is freed as soon as the sweep has passed
+    # it and its consumer, not when the graph is dropped: a probe on the
+    # first op of the forward, which the sweep reaches last, finds it gone.
+    terms, b, state, _ = _random_bn_site(rng, n=6, widths=(4,), d=3)
+    x, w = terms[0]
+    start = ad.scale(x, 1.0)
+    first = ad.affine_batchnorm([(start, w)], b, state, "train", relu=True)
+    w2 = ad.parameter(rng.standard_normal((3, 3)))
+    second = ad.affine_batchnorm([(first, w2)], b, ad.BatchNormState.create(3, np.float64),
+                                 "train", relu=True)
+    output = weakref.ref(first.data)
+    alive_at_start = []
+    run_start = start._backward
+
+    def probe(g):
+        alive_at_start.append(output() is not None)
+        run_start(g)
+    start._backward = probe
+    loss = ad.sum_all(second)
+    del first
+    ad.backward(loss)
+    assert alive_at_start == [False]
+
+
+def test_backward_releases_intermediates_and_keeps_leaf_gradients(rng):
+    terms, b, state, residual = _random_bn_site(rng)
+    leaves = [t for pair in terms for t in pair] + [b, state.gamma, state.beta, residual]
+    site = ad.affine_batchnorm(terms, b, state, "train", residual, relu=True)
+    scaled = ad.scale(site, 2.0)
+    loss = ad.sum_all(scaled)
+    ad.backward(loss)
+    for node in (site, scaled, loss):
+        assert node.grad is None and node._parents == () and node._backward is None
+        assert node.data is not None
+    for leaf in leaves:
+        assert leaf.grad is not None and leaf.grad.shape == leaf.shape
+
+
+def _adjacency(rng, n):
+    """A random directed adjacency with repeated edges, as a SparseMatrix."""
+    rows, cols = rng.integers(0, n, size=(2, 3 * n))
+    return ad.SparseMatrix(rows, cols, (n, n))
+
+
+def _rebuilt_cases(rng, dtype):
+    """(fused forward, forward from the nodes it replaces, leaves, running
+    statistics) for each rebuilt site input and for ``sparse_matmul_sum``."""
+    n, d = 7, 5
+    terms, b, state, _ = _random_bn_site(rng, n=n, widths=(d, 2), d=4, dtype=dtype)
+    (h, w1), (bonds, w2) = terms
+    adjacency = _adjacency(rng, n)
+    pool = ad.SparseMatrix(rng.integers(0, 3, size=n), np.arange(n), (3, n))
+    other = ad.parameter(rng.standard_normal((n, d)).astype(dtype))
+    w_res = ad.parameter(rng.standard_normal((d, 4)).astype(dtype))
+    stats = [state.running_mean, state.running_var]
+
+    def site(x):
+        # h also feeds the residual, so it has two consumers, as in the trunk.
+        return ad.affine_batchnorm([(x, w1), (bonds, w2)], b, state, "train",
+                                   ad.linear(h, w_res), relu=True)
+    site_leaves = [h, w1, bonds, w2, w_res, b, state.gamma, state.beta]
+    return {
+        "sparse_product": (lambda: site(ad.SparseProductInput(adjacency, h)),
+                           lambda: site(ad.sparse_matmul(adjacency, h)), site_leaves, stats),
+        "relu": (lambda: site(ad.ReluInput(h)), lambda: site(ad.relu(h)), site_leaves, stats),
+        "sparse_matmul_sum": (lambda: ad.sparse_matmul_sum(pool, h, other),
+                              lambda: ad.sparse_matmul(pool, ad.add(h, other)), [h, other], []),
+    }
+
+
+REBUILT = ["sparse_product", "relu", "sparse_matmul_sum"]
+
+
+@pytest.mark.parametrize("case", REBUILT)
+def test_rebuilt_inputs_are_bitwise_the_nodes_they_replace(case, rng):
+    # float32 outputs, running statistics and every leaf gradient equal
+    # those of the stored nodes the rebuilt input or fused op replaces.
+    fused, stored, leaves, stats = _rebuilt_cases(rng, np.float32)[case]
+    weights = ad.constant(rng.standard_normal(fused().shape).astype(np.float32))
+    before = [s.copy() for s in stats]
+    runs = []
+    for forward in (fused, stored):
+        for s, saved in zip(stats, before):
+            s[:] = saved
+        for leaf in leaves:
+            leaf.grad = None
+        out = forward()
+        ad.backward(ad.sum_all(mul(out, weights)))
+        runs.append([out.data] + [s.copy() for s in stats] + [leaf.grad for leaf in leaves])
+    assert runs[0][0].dtype == np.float32 and (runs[0][0] != 0).any()
+    assert all(np.array_equal(a, c) for a, c in zip(*runs))
+
+
+@pytest.mark.parametrize("case", REBUILT)
+def test_rebuilt_inputs_gradients(case, rng):
+    fused, _, leaves, _ = _rebuilt_cases(rng, np.float64)[case]
+    weights = ad.constant(rng.standard_normal(fused().shape))
+    fd_check(lambda: ad.sum_all(mul(fused(), weights)), leaves, samples=8)
+
+
+def test_rebuilt_inputs_in_eval_mode_match_stored(rng):
+    terms, b, state, _ = _random_bn_site(rng, n=7, widths=(5,), d=4)
+    h, w = terms[0]
+    adjacency = _adjacency(rng, 7)
+    for rebuilt, stored in ((ad.SparseProductInput(adjacency, h),
+                             ad.sparse_matmul(adjacency, h)),
+                            (ad.ReluInput(h), ad.relu(h))):
+        got = ad.affine_batchnorm([(rebuilt, w)], b, state, "eval", relu=True)
+        want = ad.affine_batchnorm([(stored, w)], b, state, "eval", relu=True)
+        assert not got.requires_grad and np.array_equal(got.data, want.data)
+    with pytest.raises(ad.ShapeMismatch):
+        ad.SparseProductInput(ad.SparseMatrix([0], [0], (7, 6)), h)
+    with pytest.raises(ad.ShapeMismatch):
+        ad.sparse_matmul_sum(adjacency, h, ad.constant(np.zeros((7, 4))))
+
+
 # --- sparse_matmul (segment sums, gathers, adjacency products) ---
 
 def _segments(ids, n_segments):

@@ -125,6 +125,40 @@ def test_in_ring_is_bridge_complement():
     assert not mol.atoms[0].in_ring and mol.atoms[1].in_ring
 
 
+def _ends_connected_without(mol, skipped: int) -> bool:
+    """Whether bond ``skipped``'s ends are still joined once it is removed."""
+    neighbors = [[] for _ in mol.atoms]
+    for bidx, bond in enumerate(mol.bonds):
+        if bidx != skipped:
+            neighbors[bond.a].append(bond.b)
+            neighbors[bond.b].append(bond.a)
+    start, goal = mol.bonds[skipped].a, mol.bonds[skipped].b
+    reached, frontier = {start}, [start]
+    while frontier:
+        for u in neighbors[frontier.pop()]:
+            if u not in reached:
+                reached.add(u)
+                frontier.append(u)
+    return goal in reached
+
+
+@pytest.mark.parametrize("smiles", [
+    "CC1CC1C",                      # ring with two tails
+    "C1CCCCC1",                     # ring
+    "c1ccc2ccccc2c1",               # fused rings
+    "C1CC2CCC1CC2",                 # bridged bicycle
+    "C12C3C4C1C5C2C3C45",           # cage, every bond on a cycle
+    "c1ccc(cc1)-c1ccccc1CC1CC1",    # rings joined by bridges
+    "CCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCCC",   # long chain, all bridges
+    "C1CC1.CCO.c1ccncc1.[Na+].[Cl-]",             # several fragments
+    "C1CC2(C1)CCC1(C2)CC1",         # spiro rings
+])
+def test_in_ring_matches_bond_removal_oracle(smiles):
+    mol = parse_smiles(smiles, allow_fragments=True)
+    assert [b.in_ring for b in mol.bonds] == [
+        _ends_connected_without(mol, bidx) for bidx in range(len(mol.bonds))]
+
+
 # --- reaction lines ---
 
 def test_reaction_basic():

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from retroselect import autodiff as ad
 from retroselect.autodiff import SgdConfig
 from retroselect.chem import featurize, pack, parse_smiles
 from retroselect.data import Corpus, ReactionRecord
-from retroselect.encoder import ModelDims, init_params
+from retroselect.encoder import HEADS, ModelDims, init_params
 from retroselect.index import CandidateIndex
 from retroselect.scoring import best_order
 from retroselect.search import Predictor
@@ -418,6 +419,50 @@ def test_train_steps_bitwise_equal_to_unfused_batchnorm(tmp_path, monkeypatch):
         return eval_site(terms, b, state, mode, residual, relu)
     monkeypatch.setattr(ad, "affine_batchnorm", unfused)
     assert three_steps() == fused
+
+
+def test_train_step_keeps_only_what_its_backward_reads(tmp_path, monkeypatch):
+    # Traced with tracemalloc from the start of one small train step: at the
+    # end of the forward, the float32 [atoms, d] arrays alive are exactly two
+    # per batch-norm site (its normalized buffer and its output) plus the
+    # trunk's output, so none is a neighbour sum, a ReLU copy or a residual
+    # sum; and the backward, which releases nodes as it sweeps, peaks at
+    # most a few such arrays above the forward's end.
+    corpus = make_memorization_world(str(tmp_path), seed=3, n_fragments=30,
+                                     n_reactions=12, n_distractors=0).load()
+    dims = ModelDims(d=32, n_layers=2, n_types=1)
+    params = init_params(3, dims)
+    cfg = TrainConfig(batch_size=6, hard_k=2, tau=0.1, seed=3)
+    index = CandidateIndex.build(params, corpus.candidates(), np.array(corpus.candidate_ids))
+    optimizer = SgdConfig(cfg.learning_rate, cfg.momentum, cfg.weight_decay, cfg.clip_norm)
+    batch = training._BatchSampler(corpus.reactions["train"], cfg.batch_size,
+                                   cfg.seed).next_batch()
+    seen = {}
+    build, backward = training.build_embed_table, ad.backward
+
+    def counting_build(candidate_ids, *args):
+        seen["node_bytes"] = 4 * dims.d * sum(len(corpus.molecule(i).atoms)
+                                              for i in candidate_ids)
+        return build(candidate_ids, *args)
+
+    def traced_backward(loss):
+        traces = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]).traces
+        seen["node_sized"] = sum(trace.size == seen["node_bytes"] for trace in traces)
+        seen["forward_end"] = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        backward(loss)
+        seen["backward_peak"] = tracemalloc.get_traced_memory()[1]
+    monkeypatch.setattr(training, "build_embed_table", counting_build)
+    monkeypatch.setattr(ad, "backward", traced_backward)
+    tracemalloc.start()
+    try:
+        train_step(batch, index, params, cfg, corpus, optimizer)
+    finally:
+        tracemalloc.stop()
+    sites = 1 + 2 * dims.n_layers + 2 * len(HEADS)
+    assert seen["node_sized"] == 2 * sites + 1
+    assert seen["backward_peak"] - seen["forward_end"] <= 7 * seen["node_bytes"]
 
 
 def test_typed_training_updates_bias_tables(world):
