@@ -8,7 +8,9 @@ products), ``evaluate`` (top-k table on a test split), ``route``
 
 Every molecule and reaction file but ``canon``'s input and ``predict``'s
 products is read by ``data.load_corpus`` (up to 1% of bad lines dropped, more
-is a data error) and reported on a ``corpus:`` line on stderr.
+is a data error) and reported on a ``corpus:`` line on stderr. The commands
+that load a model and pool then report their thread split on a ``threads:``
+line: retrieval-scan workers, BLAS threads and products in flight.
 """
 
 from __future__ import annotations
@@ -263,15 +265,25 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_model_and_pool(args):
+def _load_model_and_pool(args, products: int):
+    """The checkpoint's parameters and the candidate pool, then one stderr
+    line with the thread split: the workers each retrieval scan spreads its
+    column blocks over, the BLAS threads (``unknown`` without a bundled
+    OpenBLAS to ask), and the ``products`` predicted at once."""
+    from . import index
     from .data import load_checkpoint
     params, _meta = load_checkpoint(args.checkpoint)
-    return params, _load_corpus({}, args.candidates)
+    pool = _load_corpus({}, args.candidates)
+    get_threads = _openblas_symbol("get_num_threads", ctypes.c_int)
+    blas = get_threads() if get_threads is not None else "unknown"
+    print(f"threads: scan={index.SCAN_WORKERS} blas={blas} products={products}",
+          file=sys.stderr)
+    return params, pool
 
 
 def _cmd_index(args) -> int:
     from .index import CandidateIndex, save_index
-    params, pool = _load_model_and_pool(args)
+    params, pool = _load_model_and_pool(args, products=0)
     index = CandidateIndex.build(params, pool.molecules)
     save_index(index, args.output)
     print(f"indexed {index.n_candidates} candidates (d={index.dim}) -> {args.output}")
@@ -340,7 +352,7 @@ def _cmd_predict(args) -> int:
     from .chem import canonical_form
     from .data import replace_on_success
     from .search import Predictor
-    params, pool = _load_model_and_pool(args)
+    params, pool = _load_model_and_pool(args, args.threads)
     products = _read_products(args.products, args.use_types, params.dims.n_types)
     predictor = Predictor(params, pool.molecules, forms=pool.forms,
                           index=_cached_index(args, len(pool.molecules), params.dims.d),
@@ -367,7 +379,7 @@ def _cmd_predict(args) -> int:
 def _cmd_evaluate(args) -> int:
     from .data import topk_exact_match
     from .search import Predictor
-    params, pool = _load_model_and_pool(args)
+    params, pool = _load_model_and_pool(args, args.threads)
     # Predictions and truths are compared as canonical forms, so the test
     # corpus needs no ids shared with the pool.
     corpus = _load_corpus({"test": args.test})
@@ -399,7 +411,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_route(args) -> int:
     from .chem import parse_smiles
     from .search import Predictor, route_search
-    params, pool = _load_model_and_pool(args)
+    params, pool = _load_model_and_pool(args, products=1)
     blocks = set(_load_corpus({}, args.building_blocks).forms)
     predictor = Predictor(params, pool.molecules, forms=pool.forms,
                           beam=args.beam, n_max=args.n_max)

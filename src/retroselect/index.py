@@ -3,9 +3,13 @@
 One blocked scan serves every selection. It scans the keys in float32, one
 column block at a time, against a running top K per group: one group per
 query row, or one over all rows. Each block is compared once with its
-group's floor (the running K-th value less a safety margin, first taken
-from the block's leading columns), and only the entries above it update
-the running top K and join the shortlist, which is rescored in float64.
+group's floor (the running K-th value less a margin derived from the key
+width, first taken from the pool's leading columns), and only the entries
+above it update the running top K and join the shortlist, which is
+rescored in float64. The blocks after the leading columns are dealt out
+to the CPUs this process may run on (``SCAN_WORKERS``), each keeping its
+own running top K, so one scan uses every usable core while the score
+memory in flight stays ``_BLOCK_BYTES`` in total.
 ``CandidateIndex.topk_rows`` keeps a top K per query row: a single query
 (``query_topk``) or one row per anchor in hard-negative mining.
 ``CandidateIndex.topk_pairs`` keeps one top K over all rows at once, each
@@ -20,6 +24,8 @@ from __future__ import annotations
 
 import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,18 +41,26 @@ _MAGIC = b"RCLX"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIQIB")
 
-# Float32 scan error is far below this; used to widen the shortlist.
+# The least margin by which the scan widens its shortlist; wide keys get a
+# larger one (``_scan_margin``).
 _REFINE_MARGIN = 1e-4
-# Bytes that one column block of float32 scores may take across all query
-# rows; the block width follows from it, so score memory does not grow
-# with the pool. The float64 rescoring gathers shortlisted keys in chunks
-# of at most _RESCORE_BYTES.
+# Bytes that the column blocks of float32 scores in flight may take across
+# all query rows and scan workers; the block width follows from it, so score
+# memory does not grow with the pool. The float64 rescoring gathers
+# shortlisted keys in chunks of at most _RESCORE_BYTES.
 _BLOCK_BYTES = 16 << 20
 _RESCORE_BYTES = 1 << 20
 # Bytes of float32 scores in the leading columns whose top K sets the first
 # floor of a scan: a small slice already puts it near the final K-th value.
 _SEED_BYTES = 1 << 20
 _LOWEST32 = np.finfo(np.float32).min
+# Threads one scan spreads its column blocks over: the CPUs this process may
+# run on (``taskset`` limits them). The calling thread is one of them; the
+# others come from one pool shared by every scan, created at first use.
+SCAN_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+    else os.cpu_count() or 1
+_POOL: ThreadPoolExecutor | None = None
+_POOL_LOCK = threading.Lock()
 
 
 class EmptyIndex(ValueError):
@@ -202,7 +216,12 @@ class CandidateIndex:
         K, as ``(query, row, cosine)`` arrays.
 
         The top K is each query's own by cosine or, with ``offsets``, one
-        over all queries by ``offsets[query] + cosine``.
+        over all queries by ``offsets[query] + cosine``. The leading
+        columns set the first floor on the calling thread; the columns
+        after them are cut into spans dealt round-robin to ``SCAN_WORKERS``
+        shares, which run at once, so every share scans the same spans from
+        the same start whatever the timing. The result does not depend on
+        the worker count or the block width.
         """
         n_rows = self.keys.shape[0]
         if n_rows == 0:
@@ -222,43 +241,73 @@ class CandidateIndex:
         # ``best`` and join the shortlist. Until some group has K values, the
         # block's leading columns enter ``best`` whole, to set the floor for
         # the rest of the block.
-        width = max(1, _BLOCK_BYTES // (4 * max(n_queries, 1)))
-        lead = max(k, _SEED_BYTES // (4 * max(n_queries, 1)))
         n_groups = n_queries if offsets is None else 1
         group = np.arange(n_queries) if offsets is None \
             else np.zeros(n_queries, dtype=np.int64)
-        best = np.full((n_groups, k), -np.inf, dtype=np.float32)
         shift = None if offsets is None else offsets.astype(np.float32)
-        found = []
-        for lo in range(0, n_rows, width):
-            block = q32 @ self.keys[lo:lo + width].T
-            inside = (ex_r >= lo) & (ex_r < lo + width)
-            block[ex_q[inside], ex_r[inside] - lo] = -np.inf
-            seeded = 0
-            if np.isneginf(best[:, 0]).all():
-                leading = block[:, :lead] if shift is None \
-                    else block[:, :lead] + shift[:, None]
-                best = _top_k(best, leading.reshape(n_groups, -1), k)
-                seeded = leading.shape[1]
-            floor = _shortlist_floor(best)[group]
-            if shift is not None:
-                # Cosines are compared against the floor less their row's
-                # offset, so the offsets are added to the survivors only.
-                floor = (floor - offsets).astype(np.float32)
-            # (flatnonzero then divmod is several times faster than a 2-D nonzero)
-            flat = np.flatnonzero(block >= floor[:, None])
-            qi, col = np.divmod(flat, block.shape[1])
-            value = block.ravel()[flat]
-            if shift is not None:
-                value += shift[qi]
-            if seeded < block.shape[1]:
-                fresh = col >= seeded  # the leading columns are in ``best``
-                best = _top_k(best, _by_group(group[qi[fresh]], value[fresh], n_groups), k)
-                keep = value >= _shortlist_floor(best)[group[qi]]
-                qi, col, value = qi[keep], col[keep], value[keep]
-            found.append((qi, col + lo, value))
+        margin = _scan_margin(self.dim, offsets)
+        row_bytes = 4 * max(n_queries, 1)
+        lead = min(max(k, _SEED_BYTES // row_bytes), max(1, _BLOCK_BYTES // row_bytes), n_rows)
+
+        def scan(spans, best):
+            """The block loop over ``spans`` from the running top K
+            ``best``: the top K after them and the entries they shortlist.
+            One score buffer and one mask serve every span."""
+            size = n_queries * max(hi - lo for lo, hi in spans)
+            scores, above = np.empty(size, dtype=np.float32), np.empty(size, dtype=bool)
+            found = []
+            for lo, hi in spans:
+                block = scores[:n_queries * (hi - lo)].reshape(n_queries, hi - lo)
+                np.matmul(q32, self.keys[lo:hi].T, out=block)
+                inside = (ex_r >= lo) & (ex_r < hi)
+                block[ex_q[inside], ex_r[inside] - lo] = -np.inf
+                seeded = 0
+                if np.isneginf(best[:, 0]).all():
+                    leading = block[:, :lead] if shift is None \
+                        else block[:, :lead] + shift[:, None]
+                    best = _top_k(best, leading.reshape(n_groups, -1), k)
+                    seeded = leading.shape[1]
+                floor = _shortlist_floor(best, margin)[group]
+                if shift is not None:
+                    # Cosines are compared against the floor less their row's
+                    # offset, so the offsets are added to the survivors only.
+                    floor = (floor - offsets).astype(np.float32)
+                # (flatnonzero then divmod is several times faster than a
+                # 2-D nonzero)
+                mask = above[:block.size].reshape(block.shape)
+                flat = np.flatnonzero(np.greater_equal(block, floor[:, None], out=mask))
+                qi, col = np.divmod(flat, block.shape[1])
+                value = block.ravel()[flat]
+                if shift is not None:
+                    value += shift[qi]
+                if seeded < block.shape[1]:
+                    fresh = col >= seeded  # the leading columns are in ``best``
+                    best = _top_k(best, _by_group(group[qi[fresh]], value[fresh], n_groups), k)
+                    keep = value >= _shortlist_floor(best, margin)[group[qi]]
+                    qi, col, value = qi[keep], col[keep], value[keep]
+                found.append((qi, col + lo, value))
+            return best, found
+
+        best, found = scan([(0, lead)], np.full((n_groups, k), -np.inf, dtype=np.float32))
+        # The workers' blocks together take _BLOCK_BYTES. Each share starts
+        # from a copy of the seeded ``best``; the calling thread scans the
+        # first, the pool the others.
+        width = max(1, _BLOCK_BYTES // (row_bytes * SCAN_WORKERS))
+        spans = [(lo, min(lo + width, n_rows)) for lo in range(lead, n_rows, width)]
+        shares = [spans[w::SCAN_WORKERS] for w in range(min(SCAN_WORKERS, len(spans)))]
+        futures = [_scan_pool().submit(scan, share, best.copy()) for share in shares[1:]]
+        try:
+            results = [scan(shares[0], best.copy())] if shares else []
+        finally:
+            wait(futures)
+        results += [future.result() for future in futures]
+        # Any share's K-th value is a lower bound on the final one, so each
+        # group keeps the highest.
+        for share_best, share_found in results:
+            best = np.where(share_best[:, :1] > best[:, :1], share_best, best)
+            found += share_found
         qi, rows, approx = (np.concatenate(parts) for parts in zip(*found))
-        keep = approx >= _shortlist_floor(best)[group[qi]]
+        keep = approx >= _shortlist_floor(best, margin)[group[qi]]
         qi, rows = qi[keep], rows[keep]
 
         exact = np.empty(rows.shape[0])
@@ -292,10 +341,57 @@ class CandidateIndex:
                         scores[0][found].tolist()))
 
 
-def _shortlist_floor(best: np.ndarray) -> np.ndarray:
-    """Lowest float32 value kept per row of ``best``: the margin below the
-    K-th best so far, but above -inf so that excluded entries never pass."""
-    return np.maximum(best[:, 0] - _REFINE_MARGIN, _LOWEST32)
+def _scan_pool() -> ThreadPoolExecutor:
+    """The threads that scan the shares after the first, created at first
+    use: ``SCAN_WORKERS - 1`` of them, shared by every scan. A scan waits
+    only for its own shares, which wait for nothing, so callers on several
+    threads at once queue their shares without deadlock."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(max(1, SCAN_WORKERS - 1), thread_name_prefix="scan")
+        return _POOL
+
+
+def _scan_margin(dim: int, offsets: np.ndarray | None) -> float:
+    """The margin for ``_shortlist_floor`` at key width ``dim``: twice the
+    bound there on one float32 total's error, and at least
+    ``_REFINE_MARGIN``."""
+    u = 2.0 ** -24
+    n = 2 * dim + 4
+    cosine = n * u / (1 - n * u) if n * u < 1 else np.inf
+    offset = 0.0 if offsets is None or offsets.size == 0 else float(np.abs(offsets).max())
+    return max(_REFINE_MARGIN, 2 * (cosine + 4 * u * (1 + offset)))
+
+
+def _shortlist_floor(best: np.ndarray, margin: float) -> np.ndarray:
+    """Lowest float32 value kept per row of ``best``: ``margin`` below the
+    K-th best so far, but above -inf so that excluded entries never pass.
+
+    The margin is a proven bound. Let E bound the difference between any
+    entry's float32 value and its float64 total. The K entries behind the
+    K-th best so far, b, have totals of at least b - E, so the final K-th
+    total is at least b - E, and an entry that reaches the final top K has
+    a float32 value of at least b - 2E. With u = 2^-24 and gamma_n =
+    n u / (1 - n u) (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., section 3.1), for a unit query and a unit key of
+    width d:
+
+    - the float32 dot product errs by at most gamma_d, in any summation
+      order;
+    - rounding the unit query to float32 adds at most u;
+    - the stored key's norm is within (d/2 + 2) u of 1 to first order,
+      from its float32 normalization.
+
+    Their sum, (3d/2 + 3) u plus terms of order (d u)^2, is at most
+    gamma_{2d+4}. With offsets o, rounding o to float32, adding it to the
+    cosine and rounding the floor less o to float32 add under
+    4 u (1 + max |o|) to that, so E = gamma_{2d+4} + 4 u (1 + max |o|), and
+    ``_scan_margin`` returns the larger of 2E and ``_REFINE_MARGIN``. At
+    d = 256 2E is 6.2e-5, below 1e-4; it passes 1e-4 from d of about 415
+    and is 9.8e-4 at d = 4,096.
+    """
+    return np.maximum(best[:, 0] - margin, _LOWEST32)
 
 
 def _top_k(best: np.ndarray, more: np.ndarray, k: int) -> np.ndarray:

@@ -543,6 +543,55 @@ def test_threads_flag_consistent(trained_world, tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+def test_product_threads_share_the_scan_pool(trained_world, tmp_path, monkeypatch):
+    # One-column blocks after a one-column seed, over three scan workers, so
+    # every scan hands shares to the scan pool, from one product thread or
+    # from two at once. Each run must finish and write the unpatched bytes.
+    from retroselect import index as index_module
+    world, ckpt, _ = trained_world
+    with open(world.reaction_paths["train"], encoding="utf-8") as fh:
+        prods = [line.strip().split(">>")[1] for line in fh][:4]
+    products = tmp_path / "products.txt"
+    products.write_text("\n".join(prods) + "\n", encoding="utf-8")
+
+    def predict(threads):
+        out_file = tmp_path / f"out{threads}.txt"
+        assert main(["predict", "--checkpoint", ckpt, "--candidates", world.candidates_path,
+                     "--products", str(products), "-k", "2", "--beam", "8",
+                     "--threads", threads, "--output", str(out_file)]) == EXIT_OK
+        return out_file.read_bytes()
+
+    reference = predict("1")
+    monkeypatch.setattr(index_module, "SCAN_WORKERS", 3)
+    monkeypatch.setattr(index_module, "_BLOCK_BYTES", 4)
+    monkeypatch.setattr(index_module, "_SEED_BYTES", 4)
+    shares = []  # one call per share handed to the pool
+    scan_pool = index_module._scan_pool
+    monkeypatch.setattr(index_module, "_scan_pool", lambda: shares.append(1) or scan_pool())
+    for threads in ("1", "2"):
+        shares.clear()
+        assert predict(threads) == reference
+        assert shares
+
+
+@pytest.mark.parametrize("subcommand, products", [("index", "0"), ("predict", "1"),
+                                                  ("evaluate", "1"), ("route", "1")])
+def test_thread_split_reported_once(subcommand, products, trained_world, tmp_path,
+                                    monkeypatch, capsys):
+    from retroselect import index as index_module
+    world, ckpt, _ = trained_world
+    monkeypatch.setattr(index_module, "SCAN_WORKERS", 5)
+    capsys.readouterr()
+    assert main(_pool_argv(subcommand, world, ckpt, world.candidates_path,
+                           tmp_path)) == EXIT_OK
+    err = capsys.readouterr().err.splitlines()
+    lines = [i for i, line in enumerate(err) if line.startswith("threads: ")]
+    assert len(lines) == 1
+    assert err[lines[0] - 1].startswith("corpus: ")
+    assert re.fullmatch(rf"threads: scan=5 blas=(\d+|unknown) products={products}",
+                        err[lines[0]])
+
+
 def test_limit_threads_warns_without_threadpoolctl(monkeypatch, capsys):
     from retroselect import cli
     from retroselect.cli import _limit_threads

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -293,7 +296,6 @@ def monotone_index(rng, n, d, width, rising):
 @pytest.mark.parametrize("width", [7, 32])
 def test_topk_rows_and_pairs_adversarial_block_order(rng, monkeypatch, width, rising):
     n, d, n_queries = 160, 6, 12
-    monkeypatch.setattr(index_module, "_BLOCK_BYTES", 4 * n_queries * width)
     # The first floor comes from the K highest of max(K, 3) leading columns.
     monkeypatch.setattr(index_module, "_SEED_BYTES", 4 * n_queries * 3)
     index, queries, ties = monotone_index(rng, n, d, width, rising)
@@ -307,7 +309,81 @@ def test_topk_rows_and_pairs_adversarial_block_order(rng, monkeypatch, width, ri
     # Every K, from below one block's width to past the whole pool: some put
     # the K-th highest row of a query on the near-ties across the boundary.
     lines = naive_topk_rows(index, queries, n + 2, exclude)
-    for k in range(1, n + 3):
+    # Blocks of ``width`` columns, dealt round-robin to one, two and three
+    # scan workers: within each worker's share, later blocks beat (or lose
+    # to) earlier ones.
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(index_module, "SCAN_WORKERS", workers)
+        monkeypatch.setattr(index_module, "_BLOCK_BYTES", 4 * n_queries * width * workers)
+        for k in range(1, n + 3):
+            rows, scores = index.topk_rows(queries, k, exclude)
+            assert kernel_lists(index, rows, scores) == [line[:k] for line in lines], k
+            qi, rows, totals = index.topk_pairs(queries, offsets, k, exclude)
+            got = list(zip(qi.tolist(), index.all_ids()[rows].tolist(), totals.tolist()))
+            assert got == naive_topk_pairs(lines, offsets, k), (workers, k)
+
+
+def test_concurrent_scans_share_the_pool(rng, monkeypatch):
+    # Six callers at once, each scan dealt over four workers in one-column
+    # blocks, with the interpreter switching threads as often as it can:
+    # every caller gets the single-threaded result.
+    index = build_random_index(rng, n=200, d=5, halt=True)
+    plant_near_ties(index, rng.choice(200, size=20, replace=False), rng)
+    queries = rng.standard_normal((6, 5))
+    offsets = rng.choice([0.2, 0.2 + 2e-5], size=6)
+    exclude = random_exclusions(rng, 6, 201, most=8)
+    monkeypatch.setattr(index_module, "_SEED_BYTES", 4)
+    monkeypatch.setattr(index_module, "_BLOCK_BYTES", 4 * 6 * 4)
+
+    def both():
+        rows = index.topk_rows(queries, 9, exclude)
+        pairs = index.topk_pairs(queries, offsets, 25, exclude)
+        return [array.tobytes() for array in rows + pairs]
+
+    monkeypatch.setattr(index_module, "SCAN_WORKERS", 1)
+    expected = both()
+    monkeypatch.setattr(index_module, "SCAN_WORKERS", 4)
+    results = []
+    callers = [threading.Thread(target=lambda: results.extend(both() for _ in range(5)))
+               for _ in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert results == [expected] * 30
+
+
+def test_scan_margin_bounds_float32_error_at_large_width(rng, monkeypatch):
+    d, u = 4096, 2.0 ** -24
+    # Blocks of 16 columns after a 3-column seed, so floors rise across them.
+    monkeypatch.setattr(index_module, "_BLOCK_BYTES", 4 * 5 * 16)
+    monkeypatch.setattr(index_module, "_SEED_BYTES", 4 * 5 * 3)
+    margin = index_module._scan_margin(d, None)
+    # The float32 dot alone may err by d u (Higham, section 3.1), and the
+    # query's rounding and the key's norm add about (d/2 + 3) u more: twice
+    # their sum is past the fixed 1e-4, which the margin still is at d = 256.
+    assert 2 * (1.5 * d + 3) * u > 2 * d * u > index_module._REFINE_MARGIN
+    assert margin >= 2 * (1.5 * d + 3) * u
+    assert index_module._scan_margin(256, np.array([-3.0, 4.0])) == \
+        index_module._REFINE_MARGIN
+    assert index_module._scan_margin(d, np.array([1e3])) > margin
+    index = build_random_index(rng, n=120, d=d)
+    tied = rng.choice(120, size=30, replace=False)
+    base = plant_near_ties(index, tied, rng)
+    queries = base + 1e-3 * rng.standard_normal((5, d))
+    q32 = (queries / np.linalg.norm(queries, axis=1, keepdims=True)).astype(np.float32)
+    exact = np.array([[cosine64(q, key) for key in index.keys] for q in queries])
+    assert np.abs(q32 @ index.keys.T - exact).max() <= margin / 2
+    exclude = random_exclusions(rng, 5, 120, most=6)
+    offsets = 1.0 + rng.choice([0.0, 3e-4, -2e-4], size=5)
+    lines = naive_topk_rows(index, queries, 121, exclude)
+    for k in (1, 4, 29, 31, 60, 121):
         rows, scores = index.topk_rows(queries, k, exclude)
         assert kernel_lists(index, rows, scores) == [line[:k] for line in lines], k
         qi, rows, totals = index.topk_pairs(queries, offsets, k, exclude)

@@ -1,4 +1,5 @@
 import itertools
+import threading
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from retroselect.encoder import ModelDims, init_params
 from retroselect.index import CandidateIndex
 from retroselect.scoring import ScoredSet, cosine64, reaction_score
 from retroselect.search import Banked, Predictor, beam_search, rank, route_search
+from retroselect.toy import make_memorization_world
 
 
 def id_sets(banked):
@@ -195,20 +197,46 @@ def test_topk_pairs_and_beam_invariant_to_block_size(rng, monkeypatch):
     offsets = rng.choice([0.5, 0.5 + 3e-5, 0.5 - 1e-9], size=6)
     exclude = [rng.choice(151, size=3, replace=False) for _ in range(6)]
     runs = []
-    # One block; blocks of 40 columns, the first floor set by max(K, 3)
-    # leading columns; blocks of one column.
-    for block_bytes, seed_bytes in ((index_module._BLOCK_BYTES, index_module._SEED_BYTES),
-                                    (4 * 6 * 40, 4 * 6 * 3), (4, 4)):
-        monkeypatch.setattr(index_module, "_BLOCK_BYTES", block_bytes)
-        monkeypatch.setattr(index_module, "_SEED_BYTES", seed_bytes)
-        pairs = [index.topk_pairs(queries, offsets, k, exclude) for k in (1, 7, 40, 900)]
-        done = beam_search(None, index, params, g_pool, beam=12, n_max=3, f_product=f_p)
-        runs.append((pairs, [block.tolist() for block in done.blocks]))
+    # One block; blocks of 40 columns in all, the first floor set by max(K,
+    # 3) leading columns; blocks of one column. Each on one, two and three
+    # scan workers.
+    for workers in (1, 2, 3):
+        for block_bytes, seed_bytes in ((index_module._BLOCK_BYTES, index_module._SEED_BYTES),
+                                        (4 * 6 * 40, 4 * 6 * 3), (4, 4)):
+            monkeypatch.setattr(index_module, "SCAN_WORKERS", workers)
+            monkeypatch.setattr(index_module, "_BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(index_module, "_SEED_BYTES", seed_bytes)
+            pairs = [index.topk_pairs(queries, offsets, k, exclude) for k in (1, 7, 40, 900)]
+            done = beam_search(None, index, params, g_pool, beam=12, n_max=3, f_product=f_p)
+            runs.append((pairs, [block.tolist() for block in done.blocks]))
     for pairs, done in runs[1:]:
         assert done == runs[0][1]
         for (qi, rows, totals), (qi0, rows0, totals0) in zip(pairs, runs[0][0]):
             assert np.array_equal(qi, qi0) and np.array_equal(rows, rows0)
             assert totals.tobytes() == totals0.tobytes()
+
+
+def test_scan_within_its_seed_starts_no_thread(tmp_path, monkeypatch):
+    # The toy pool is narrower than the leading columns that set a scan's
+    # first floor, so every scan of a prediction ends there: no share is
+    # handed out and the scan pool is never created.
+    corpus = make_memorization_world(str(tmp_path), seed=3, n_fragments=30,
+                                     n_reactions=12, n_distractors=0).load()
+    params = init_params(3, ModelDims(d=16, n_layers=2, n_types=1))
+    predictor = Predictor(params, corpus.candidates(), np.array(corpus.candidate_ids),
+                          beam=16, n_max=3)
+    product = corpus.molecule(corpus.reactions["train"][0].product_id)
+    monkeypatch.setattr(index_module, "SCAN_WORKERS", 3)
+    monkeypatch.setattr(index_module, "_POOL", None)
+    threads = threading.active_count()
+    ranked = predictor.predict(product, 5)
+    assert index_module._POOL is None and threading.active_count() == threads
+    # With one-column blocks after a one-column seed the same scans fan out,
+    # and return the same sets.
+    monkeypatch.setattr(index_module, "_BLOCK_BYTES", 4)
+    monkeypatch.setattr(index_module, "_SEED_BYTES", 4)
+    assert predictor.predict(product, 5) == ranked
+    assert index_module._POOL is not None
 
 
 def test_rank_matches_exhaustive_scoring(rng):
