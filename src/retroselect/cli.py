@@ -10,7 +10,8 @@ Every molecule and reaction file but ``canon``'s input and ``predict``'s
 products is read by ``data.load_corpus`` (up to 1% of bad lines dropped, more
 is a data error) and reported on a ``corpus:`` line on stderr. The commands
 that load a model and pool then report their thread split on a ``threads:``
-line: retrieval-scan workers, BLAS threads and products in flight.
+line: the workers that pool embedding and retrieval scans spread over, BLAS
+threads and products in flight.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import io
 import json
 import os
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 
@@ -61,23 +63,23 @@ def _openblas_symbol(name: str, restype, *argtypes):
     return None
 
 
-def _limit_threads(n: int) -> None:
-    """Pin BLAS to one thread for ``n == 1``: through threadpoolctl when it is
-    installed, else through numpy's bundled OpenBLAS. Warns when neither can
-    pin it and ``OPENBLAS_NUM_THREADS=1`` does not already."""
-    if n == 1:
-        try:
-            import threadpoolctl
-        except ImportError:
-            setter = _openblas_symbol("set_num_threads", None, ctypes.c_int)
-            if setter is not None:
-                setter(1)
-            elif os.environ.get("OPENBLAS_NUM_THREADS") != "1":
-                print("warning: threadpoolctl is not installed, so BLAS threads "
-                      "were not pinned; set OPENBLAS_NUM_THREADS=1 to pin them",
-                      file=sys.stderr)
-            return
-        threadpoolctl.threadpool_limits(1)
+def _limit_threads() -> None:
+    """Pin BLAS to one thread, since the library spreads its own work over
+    the CPUs: through threadpoolctl when it is installed, else through
+    numpy's bundled OpenBLAS. Warns when neither can pin it and
+    ``OPENBLAS_NUM_THREADS=1`` does not already."""
+    try:
+        import threadpoolctl
+    except ImportError:
+        setter = _openblas_symbol("set_num_threads", None, ctypes.c_int)
+        if setter is not None:
+            setter(1)
+        elif os.environ.get("OPENBLAS_NUM_THREADS") != "1":
+            print("warning: threadpoolctl is not installed, so BLAS threads "
+                  "were not pinned; set OPENBLAS_NUM_THREADS=1 to pin them",
+                  file=sys.stderr)
+        return
+    threadpoolctl.threadpool_limits(1)
 
 
 def _load_corpus(reaction_paths, candidates_path=None):
@@ -184,7 +186,7 @@ def main(argv=None) -> int:
     from .chem import ChemError
     from .data import CorpusError, CorruptCheckpoint
     from .index import CorruptIndexCache
-    _limit_threads(getattr(args, "threads", 1))
+    _limit_threads()
     handler = {
         "canon": _cmd_canon,
         "train": _cmd_train,
@@ -267,16 +269,16 @@ def _cmd_train(args) -> int:
 
 def _load_model_and_pool(args, products: int):
     """The checkpoint's parameters and the candidate pool, then one stderr
-    line with the thread split: the workers each retrieval scan spreads its
-    column blocks over, the BLAS threads (``unknown`` without a bundled
-    OpenBLAS to ask), and the ``products`` predicted at once."""
-    from . import index
+    line with the thread split: the workers that pool embedding and each
+    retrieval scan spread over, the BLAS threads (``unknown`` without a
+    bundled OpenBLAS to ask), and the ``products`` predicted at once."""
+    from . import workers
     from .data import load_checkpoint
     params, _meta = load_checkpoint(args.checkpoint)
     pool = _load_corpus({}, args.candidates)
     get_threads = _openblas_symbol("get_num_threads", ctypes.c_int)
     blas = get_threads() if get_threads is not None else "unknown"
-    print(f"threads: scan={index.SCAN_WORKERS} blas={blas} products={products}",
+    print(f"threads: workers={workers.COUNT} blas={blas} products={products}",
           file=sys.stderr)
     return params, pool
 
@@ -284,9 +286,12 @@ def _load_model_and_pool(args, products: int):
 def _cmd_index(args) -> int:
     from .index import CandidateIndex, save_index
     params, pool = _load_model_and_pool(args, products=0)
+    start = time.perf_counter()
     index = CandidateIndex.build(params, pool.molecules)
+    seconds = time.perf_counter() - start
     save_index(index, args.output)
-    print(f"indexed {index.n_candidates} candidates (d={index.dim}) -> {args.output}")
+    print(f"indexed {index.n_candidates} candidates (d={index.dim}) in {seconds:.2f} s "
+          f"({index.n_candidates / max(seconds, 1e-9):.0f} mol/s) -> {args.output}")
     return EXIT_OK
 
 

@@ -21,7 +21,8 @@ paper's size, so a train step keeps no copy of either, and no residual sum
 (after Chen et al., arXiv:1604.06174). An eval-mode forward is
 never differentiated: ``embed_nodes`` and ``head_embeddings`` each run it on
 the store's detached view, so it folds batch norm into the weights and
-records no tape whichever of them is called.
+records no tape whichever of them is called. ``embed_matrix`` embeds a
+pool in chunks, dealt over the usable CPUs by ``workers.fan_out``.
 
 Every forward takes one ``PackedGraphs`` batch; a molecule is a batch of
 one (``featurize``).
@@ -34,6 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import autodiff as ad
+from . import workers
 from .autodiff import BatchNormState, SparseMatrix, Tensor
 # ``pack`` is looked up here by the benchmark's tracer (perfbench/layers.py),
 # so it stays importable from this module.
@@ -271,12 +273,16 @@ def embed_molecule(mol: Molecule, head: str, params: ParamStore) -> np.ndarray:
 
 # Pool embedding runs in chunks of consecutive molecules whose atom rows
 # make a [rows, d] float32 block of at most this many bytes (512 rows at
-# d=256). A chunk's arrays then stay in cache from one layer to the next,
-# and the few blocks it holds at once stay below glibc's heap trim threshold
-# once the process has freed one pool-sized array (the threshold rises to
-# twice the largest mapped block freed), so later chunks reuse freed heap
-# pages instead of faulting in new ones.
+# d=256), whichever thread embeds them. A chunk's arrays then stay in cache
+# from one layer to the next. Each thread allocates from its own malloc
+# arena, but glibc's mmap and trim thresholds are process-wide: once the
+# process has freed one pool-sized array, the trim threshold rises to twice
+# the largest mapped block freed, so the few blocks a chunk holds at once
+# stay below it and later chunks reuse freed heap pages in every arena
+# instead of faulting in new ones.
 CHUNK_BYTES = 512 << 10
+# Rows per block of ``normalize_rows``: about this many bytes of float32.
+_NORM_BYTES = 1 << 20
 
 
 def _chunks(mols: list[Molecule], max_rows: int):
@@ -297,24 +303,38 @@ def embed_matrix(mols: list[Molecule], params: ParamStore, heads) -> tuple[np.nd
     float32 array per head with one row per molecule. The trunk runs once per
     chunk whatever the number of heads; a chunk holds at most
     ``CHUNK_BYTES`` of atom rows (a larger molecule gets a chunk alone).
-    Every step of an eval-mode forward is row by row, so a row does not
-    depend on the cut except through the BLAS kernel a block's size selects
-    (numpy hands a one-row product to a matrix-vector kernel); each head's
-    rows are bitwise those of a pass for that head alone."""
+    ``workers.fan_out`` deals the chunks over the usable CPUs, and each
+    share writes its chunks' rows into the output arrays; chunks are
+    disjoint, so no lock is needed. Every step of an eval-mode forward is
+    row by row, so a row does not depend on the cut or on the thread that
+    runs it, except through the BLAS kernel a block's size selects (numpy
+    hands a one-row product to a matrix-vector kernel); each head's rows are
+    bitwise those of a pass for that head alone."""
     out = tuple(np.zeros((len(mols), params.dims.d), dtype=np.float32) for _ in heads)
+    view = params.detached()  # built once, before any share reads it
     max_rows = max(1, CHUNK_BYTES // (4 * params.dims.d))
-    for start, stop in _chunks(mols, max_rows):
-        rows = embed_graphs(featurize_packed(mols[start:stop]), params, "eval", heads=heads)
-        for head, array in zip(heads, out):
-            array[start:stop] = rows[head].data
+
+    def embed(chunks):
+        for start, stop in chunks:
+            rows = embed_graphs(featurize_packed(mols[start:stop]), view, "eval", heads=heads)
+            for head, array in zip(heads, out):
+                array[start:stop] = rows[head].data
+
+    workers.fan_out(embed, _chunks(mols, max_rows))
     return out
 
 
 def normalize_rows(rows: np.ndarray) -> np.ndarray:
     """Scale each row of a float32 matrix to unit norm in place and return
-    it; rows of norm below ``ZERO_NORM_EPS`` (zero rows) are left as they are."""
-    norms = np.linalg.norm(rows, axis=1)
-    rows /= np.where(norms < ad.ZERO_NORM_EPS, 1.0, norms).astype(np.float32)[:, None]
+    it; rows of norm below ``ZERO_NORM_EPS`` (zero rows) are left as they are.
+    Rows go in blocks of about ``_NORM_BYTES``, so the temporaries stay that
+    small however many rows there are; a row's norm does not depend on the
+    block it is in."""
+    step = max(1, _NORM_BYTES // (4 * max(1, rows.shape[1])))
+    for lo in range(0, rows.shape[0], step):
+        block = rows[lo:lo + step]
+        norms = np.linalg.norm(block, axis=1)
+        block /= np.where(norms < ad.ZERO_NORM_EPS, 1.0, norms).astype(np.float32)[:, None]
     return rows
 
 

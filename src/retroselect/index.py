@@ -7,9 +7,11 @@ group's floor (the running K-th value less a margin derived from the key
 width, first taken from the pool's leading columns), and only the entries
 above it update the running top K and join the shortlist, which is
 rescored in float64. The blocks after the leading columns are dealt out
-to the CPUs this process may run on (``SCAN_WORKERS``), each keeping its
-own running top K, so one scan uses every usable core while the score
-memory in flight stays ``_BLOCK_BYTES`` in total.
+by ``workers.fan_out`` to the CPUs this process may run on, each share
+keeping its own running top K, so one scan uses every usable core while the
+score memory in flight stays ``_BLOCK_BYTES`` in total.
+``CandidateIndex.build`` embeds the pool with ``encoder.embed_pool``, whose
+chunks fan out over the same threads.
 ``CandidateIndex.topk_rows`` keeps a top K per query row: a single query
 (``query_topk``) or one row per anchor in hard-negative mining.
 ``CandidateIndex.topk_pairs`` keeps one top K over all rows at once, each
@@ -24,12 +26,11 @@ from __future__ import annotations
 
 import os
 import struct
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import workers
 from .autodiff import ZERO_NORM_EPS
 from .data import replace_on_success
 from .encoder import ParamStore, embed_pool, normalize_rows
@@ -54,13 +55,6 @@ _RESCORE_BYTES = 1 << 20
 # floor of a scan: a small slice already puts it near the final K-th value.
 _SEED_BYTES = 1 << 20
 _LOWEST32 = np.finfo(np.float32).min
-# Threads one scan spreads its column blocks over: the CPUs this process may
-# run on (``taskset`` limits them). The calling thread is one of them; the
-# others come from one pool shared by every scan, created at first use.
-SCAN_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
-    else os.cpu_count() or 1
-_POOL: ThreadPoolExecutor | None = None
-_POOL_LOCK = threading.Lock()
 
 
 class EmptyIndex(ValueError):
@@ -218,10 +212,11 @@ class CandidateIndex:
         The top K is each query's own by cosine or, with ``offsets``, one
         over all queries by ``offsets[query] + cosine``. The leading
         columns set the first floor on the calling thread; the columns
-        after them are cut into spans dealt round-robin to ``SCAN_WORKERS``
-        shares, which run at once, so every share scans the same spans from
-        the same start whatever the timing. The result does not depend on
-        the worker count or the block width.
+        after them are cut into spans dealt round-robin to
+        ``workers.COUNT`` shares by ``workers.fan_out``, which run at once,
+        so every share scans the same spans from the same start whatever the
+        timing. The result does not depend on the worker count or the block
+        width.
         """
         n_rows = self.keys.shape[0]
         if n_rows == 0:
@@ -289,18 +284,11 @@ class CandidateIndex:
             return best, found
 
         best, found = scan([(0, lead)], np.full((n_groups, k), -np.inf, dtype=np.float32))
-        # The workers' blocks together take _BLOCK_BYTES. Each share starts
-        # from a copy of the seeded ``best``; the calling thread scans the
-        # first, the pool the others.
-        width = max(1, _BLOCK_BYTES // (row_bytes * SCAN_WORKERS))
+        # The shares' blocks together take _BLOCK_BYTES. Each share starts
+        # from a copy of the seeded ``best``.
+        width = max(1, _BLOCK_BYTES // (row_bytes * workers.COUNT))
         spans = [(lo, min(lo + width, n_rows)) for lo in range(lead, n_rows, width)]
-        shares = [spans[w::SCAN_WORKERS] for w in range(min(SCAN_WORKERS, len(spans)))]
-        futures = [_scan_pool().submit(scan, share, best.copy()) for share in shares[1:]]
-        try:
-            results = [scan(shares[0], best.copy())] if shares else []
-        finally:
-            wait(futures)
-        results += [future.result() for future in futures]
+        results = workers.fan_out(lambda share: scan(share, best.copy()), spans)
         # Any share's K-th value is a lower bound on the final one, so each
         # group keeps the highest.
         for share_best, share_found in results:
@@ -339,18 +327,6 @@ class CandidateIndex:
         found = rows[0] >= 0
         return list(zip(self.all_ids()[rows[0][found]].tolist(),
                         scores[0][found].tolist()))
-
-
-def _scan_pool() -> ThreadPoolExecutor:
-    """The threads that scan the shares after the first, created at first
-    use: ``SCAN_WORKERS - 1`` of them, shared by every scan. A scan waits
-    only for its own shares, which wait for nothing, so callers on several
-    threads at once queue their shares without deadlock."""
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            _POOL = ThreadPoolExecutor(max(1, SCAN_WORKERS - 1), thread_name_prefix="scan")
-        return _POOL
 
 
 def _scan_margin(dim: int, offsets: np.ndarray | None) -> float:

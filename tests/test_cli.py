@@ -251,7 +251,9 @@ def test_index_build_and_reload(trained_world, tmp_path, capsys):
                  "--candidates", world.candidates_path,
                  "--output", str(out_path)])
     assert code == EXIT_OK
-    capsys.readouterr()
+    out = capsys.readouterr().out
+    assert re.fullmatch(rf"indexed 30 candidates \(d=16\) in \d+\.\d\d s "
+                        rf"\(\d+ mol/s\) -> {re.escape(str(out_path))}\n", out)
     from retroselect.index import load_index
     index = load_index(str(out_path))
     assert not index.includes_halt and index.n_candidates == 30
@@ -544,10 +546,11 @@ def test_threads_flag_consistent(trained_world, tmp_path, capsys):
 
 
 def test_product_threads_share_the_scan_pool(trained_world, tmp_path, monkeypatch):
-    # One-column blocks after a one-column seed, over three scan workers, so
-    # every scan hands shares to the scan pool, from one product thread or
+    # One-column blocks after a one-column seed, over three workers, so
+    # every scan hands shares to the worker pool, from one product thread or
     # from two at once. Each run must finish and write the unpatched bytes.
     from retroselect import index as index_module
+    from retroselect import workers
     world, ckpt, _ = trained_world
     with open(world.reaction_paths["train"], encoding="utf-8") as fh:
         prods = [line.strip().split(">>")[1] for line in fh][:4]
@@ -562,12 +565,12 @@ def test_product_threads_share_the_scan_pool(trained_world, tmp_path, monkeypatc
         return out_file.read_bytes()
 
     reference = predict("1")
-    monkeypatch.setattr(index_module, "SCAN_WORKERS", 3)
+    monkeypatch.setattr(workers, "COUNT", 3)
     monkeypatch.setattr(index_module, "_BLOCK_BYTES", 4)
     monkeypatch.setattr(index_module, "_SEED_BYTES", 4)
     shares = []  # one call per share handed to the pool
-    scan_pool = index_module._scan_pool
-    monkeypatch.setattr(index_module, "_scan_pool", lambda: shares.append(1) or scan_pool())
+    pool = workers._pool
+    monkeypatch.setattr(workers, "_pool", lambda: shares.append(1) or pool())
     for threads in ("1", "2"):
         shares.clear()
         assert predict(threads) == reference
@@ -578,9 +581,9 @@ def test_product_threads_share_the_scan_pool(trained_world, tmp_path, monkeypatc
                                                   ("evaluate", "1"), ("route", "1")])
 def test_thread_split_reported_once(subcommand, products, trained_world, tmp_path,
                                     monkeypatch, capsys):
-    from retroselect import index as index_module
+    from retroselect import workers
     world, ckpt, _ = trained_world
-    monkeypatch.setattr(index_module, "SCAN_WORKERS", 5)
+    monkeypatch.setattr(workers, "COUNT", 5)
     capsys.readouterr()
     assert main(_pool_argv(subcommand, world, ckpt, world.candidates_path,
                            tmp_path)) == EXIT_OK
@@ -588,7 +591,7 @@ def test_thread_split_reported_once(subcommand, products, trained_world, tmp_pat
     lines = [i for i, line in enumerate(err) if line.startswith("threads: ")]
     assert len(lines) == 1
     assert err[lines[0] - 1].startswith("corpus: ")
-    assert re.fullmatch(rf"threads: scan=5 blas=(\d+|unknown) products={products}",
+    assert re.fullmatch(rf"threads: workers=5 blas=(\d+|unknown) products={products}",
                         err[lines[0]])
 
 
@@ -598,12 +601,10 @@ def test_limit_threads_warns_without_threadpoolctl(monkeypatch, capsys):
     monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
     monkeypatch.setattr(cli, "_openblas_symbol", lambda *signature: None)  # no OpenBLAS
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    _limit_threads(1)
+    _limit_threads()
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "not pinned" in err and "OPENBLAS_NUM_THREADS=1" in err
-    _limit_threads(2)
-    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("value", ["1", "2"])
@@ -613,15 +614,15 @@ def test_limit_threads_is_quiet_when_openblas_is_pinned(value, monkeypatch, caps
     monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # import fails
     monkeypatch.setattr(cli, "_openblas_symbol", lambda *signature: None)  # no OpenBLAS
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", value)
-    _limit_threads(1)
+    _limit_threads()
     err = capsys.readouterr().err
     assert ("not pinned" in err) == (value != "1")
 
 
 def test_limit_threads_pins_bundled_openblas_without_threadpoolctl(tmp_path):
     # A fresh process whose BLAS pool is not pinned by the environment:
-    # without threadpoolctl, --threads 1 sets numpy's OpenBLAS to one
-    # thread through ctypes, and says nothing.
+    # without threadpoolctl, numpy's OpenBLAS is set to one thread through
+    # ctypes, and nothing is said.
     from retroselect.cli import _openblas_symbol
     if _openblas_symbol("set_num_threads", None, ctypes.c_int) is None:
         pytest.skip("numpy is not linked against a bundled OpenBLAS")
@@ -629,7 +630,7 @@ def test_limit_threads_pins_bundled_openblas_without_threadpoolctl(tmp_path):
               "sys.modules['threadpoolctl'] = None\n"
               "from retroselect.cli import _limit_threads, _openblas_symbol\n"
               "get = _openblas_symbol('get_num_threads', ctypes.c_int)\n"
-              "_limit_threads(1)\n"
+              "_limit_threads()\n"
               "print(get())\n")
     env = {key: value for key, value in os.environ.items()
            if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
@@ -639,6 +640,38 @@ def test_limit_threads_pins_bundled_openblas_without_threadpoolctl(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stdout == "1\n"
     assert done.stderr == ""
+
+
+def test_predict_pins_blas_at_every_thread_count(trained_world, tmp_path):
+    # Fresh processes whose BLAS pool is not pinned by the environment:
+    # --threads 2 pins BLAS to one thread too, since the library spreads its
+    # own work over the CPUs, and writes the bytes of --threads 1.
+    world, ckpt, _ = trained_world
+    with open(world.reaction_paths["train"], encoding="utf-8") as fh:
+        prods = [line.strip().split(">>")[1] for line in fh][:4]
+    products = tmp_path / "products.txt"
+    products.write_text("\n".join(prods) + "\n", encoding="utf-8")
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    outputs = []
+    for threads in ("1", "2"):
+        done = subprocess.run([sys.executable, "-m", "retroselect", "predict",
+                               "--checkpoint", ckpt, "--candidates", world.candidates_path,
+                               "--products", str(products), "-k", "2", "--beam", "8",
+                               "--threads", threads],
+                              env=env, cwd=tmp_path, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        split = [line for line in done.stderr.splitlines() if line.startswith("threads: ")]
+        assert len(split) == 1
+        blas = re.fullmatch(rf"threads: workers=\d+ blas=(\d+|unknown) products={threads}",
+                            split[0]).group(1)
+        if blas == "unknown":
+            pytest.skip("numpy is not linked against a bundled OpenBLAS")
+        assert blas == "1"
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_train_and_evaluate_report_dropped_lines(tmp_path, capsys):

@@ -1,10 +1,13 @@
 import random
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from retroselect import autodiff as ad
-from retroselect import encoder
+from retroselect import encoder, workers
 from retroselect.chem import (D_ATOM, D_BOND, PackedGraphs, disjoint_union, featurize, pack,
                               parse_smiles, write_smiles)
 from retroselect.encoder import (HEADS, ModelDims, embed_graphs, embed_molecule,
@@ -232,6 +235,98 @@ def test_embed_matrix_rows_do_not_depend_on_the_cut(d, monkeypatch):
                 assert rel_max(a, b) < 1e-5
             else:
                 assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("d", [8, 256])
+def test_embed_matrix_rows_do_not_depend_on_the_worker_count(d, monkeypatch):
+    """Chunks dealt over one, two and three workers give bitwise the h and g
+    rows of one worker, for cuts of 40 atom rows, 7 atom rows, one chunk and
+    one molecule per chunk."""
+    params = init_params(5, ModelDims(d=d, n_layers=3, n_types=1))
+    randomize_batchnorm(params, np.random.default_rng(d))
+    mols = [parse_smiles(s) for s in CORPUS_SMILES * 2]
+    for chunk_bytes in (4 * d * 40, 4 * d * 7, 1 << 40, 1):
+        monkeypatch.setattr(encoder, "CHUNK_BYTES", chunk_bytes)
+        runs = []
+        for count in (1, 2, 3):
+            monkeypatch.setattr(workers, "COUNT", count)
+            runs.append([a.tobytes() for a in encoder.embed_matrix(mols, params, ("h", "g"))])
+        assert runs[1] == runs[0] and runs[2] == runs[0], chunk_bytes
+
+
+def test_one_chunk_pool_starts_no_thread(tiny_params, monkeypatch):
+    mols = [parse_smiles(s) for s in CORPUS_SMILES]
+    assert len(list(encoder._chunks(mols, encoder.CHUNK_BYTES // (4 * tiny_params.dims.d)))) == 1
+    monkeypatch.setattr(workers, "COUNT", 3)
+    monkeypatch.setattr(workers, "_POOL", None)
+    threads = threading.active_count()
+    encoder.embed_matrix(mols, tiny_params, ("h", "g"))
+    assert workers._POOL is None and threading.active_count() == threads
+
+
+def test_nan_weight_raises_after_every_share_finished(monkeypatch):
+    """Each share fails at its first chunk; the shares on pool threads fail
+    later than the caller's, and the error is raised once all have ended."""
+    params = init_params(1, ModelDims(d=8, n_layers=1, n_types=1))
+    params.tensors["trunk.w0_atom"].data[0, 0] = np.nan
+    mols = [parse_smiles(s) for s in CORPUS_SMILES]
+    monkeypatch.setattr(workers, "COUNT", 3)
+    monkeypatch.setattr(encoder, "CHUNK_BYTES", 1)  # one molecule per chunk
+    caller, lock = threading.current_thread(), threading.Lock()
+    running, pooled = [0], []
+    embed_graphs = encoder.embed_graphs
+
+    def slowed(*args, **kwargs):
+        with lock:
+            running[0] += 1
+        try:
+            if threading.current_thread() is not caller:
+                pooled.append(1)
+                time.sleep(0.2)
+            return embed_graphs(*args, **kwargs)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    monkeypatch.setattr(encoder, "embed_graphs", slowed)
+    with pytest.raises(ad.NumericsError):
+        encoder.embed_matrix(mols, params, ("h",))
+    assert running[0] == 0 and len(pooled) == 2
+
+
+def reference_normalize(rows):
+    """Whole-array normalization: the reference for the blocked one."""
+    norms = np.linalg.norm(rows, axis=1)
+    return rows / np.where(norms < ad.ZERO_NORM_EPS, 1.0, norms).astype(np.float32)[:, None]
+
+
+@pytest.mark.parametrize("block_rows", [None, 777, 1000, 1])
+def test_normalize_rows_blocked_is_bitwise_whole(block_rows, monkeypatch):
+    rng = np.random.default_rng(7)
+    d = 256
+    rows = (rng.standard_normal((3000, d)) * rng.uniform(1e-3, 1e3, (3000, 1))
+            ).astype(np.float32)
+    rows[[0, 776, 777, 1999, 2999]] = 0.0  # zero rows stay zero, at block edges too
+    if block_rows is not None:
+        monkeypatch.setattr(encoder, "_NORM_BYTES", 4 * d * block_rows)
+    want = reference_normalize(rows)
+    got = encoder.normalize_rows(rows)
+    assert got is rows
+    assert got.tobytes() == want.tobytes()
+    assert not got[[0, 776, 777, 1999, 2999]].any()
+
+
+def test_normalize_rows_memory_stays_blocked():
+    # 20k x 256 float32 rows take 20 MB; the whole-array norms took as much
+    # again in temporaries, the blocks about 1 MiB.
+    rows = np.random.default_rng(8).standard_normal((20_000, 256)).astype(np.float32)
+    tracemalloc.start()
+    try:
+        encoder.normalize_rows(rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
 
 
 def test_chunks_bound_rows_and_molecules():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from retroselect import index as index_module
+from retroselect import workers
 from retroselect.chem import parse_smiles
 from retroselect.encoder import embed_molecule
 from retroselect.index import (HALT_ID, CandidateIndex, CorruptIndexCache,
@@ -312,15 +313,15 @@ def test_topk_rows_and_pairs_adversarial_block_order(rng, monkeypatch, width, ri
     # Blocks of ``width`` columns, dealt round-robin to one, two and three
     # scan workers: within each worker's share, later blocks beat (or lose
     # to) earlier ones.
-    for workers in (1, 2, 3):
-        monkeypatch.setattr(index_module, "SCAN_WORKERS", workers)
-        monkeypatch.setattr(index_module, "_BLOCK_BYTES", 4 * n_queries * width * workers)
+    for count in (1, 2, 3):
+        monkeypatch.setattr(workers, "COUNT", count)
+        monkeypatch.setattr(index_module, "_BLOCK_BYTES", 4 * n_queries * width * count)
         for k in range(1, n + 3):
             rows, scores = index.topk_rows(queries, k, exclude)
             assert kernel_lists(index, rows, scores) == [line[:k] for line in lines], k
             qi, rows, totals = index.topk_pairs(queries, offsets, k, exclude)
             got = list(zip(qi.tolist(), index.all_ids()[rows].tolist(), totals.tolist()))
-            assert got == naive_topk_pairs(lines, offsets, k), (workers, k)
+            assert got == naive_topk_pairs(lines, offsets, k), (count, k)
 
 
 def test_concurrent_scans_share_the_pool(rng, monkeypatch):
@@ -340,9 +341,9 @@ def test_concurrent_scans_share_the_pool(rng, monkeypatch):
         pairs = index.topk_pairs(queries, offsets, 25, exclude)
         return [array.tobytes() for array in rows + pairs]
 
-    monkeypatch.setattr(index_module, "SCAN_WORKERS", 1)
+    monkeypatch.setattr(workers, "COUNT", 1)
     expected = both()
-    monkeypatch.setattr(index_module, "SCAN_WORKERS", 4)
+    monkeypatch.setattr(workers, "COUNT", 4)
     results = []
     callers = [threading.Thread(target=lambda: results.extend(both() for _ in range(5)))
                for _ in range(6)]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from retroselect import index as index_module
-from retroselect import scoring
+from retroselect import scoring, workers
 from retroselect.chem import canonical_form, parse_smiles
 from retroselect.encoder import ModelDims, init_params
 from retroselect.index import CandidateIndex
@@ -200,10 +200,10 @@ def test_topk_pairs_and_beam_invariant_to_block_size(rng, monkeypatch):
     # One block; blocks of 40 columns in all, the first floor set by max(K,
     # 3) leading columns; blocks of one column. Each on one, two and three
     # scan workers.
-    for workers in (1, 2, 3):
+    for count in (1, 2, 3):
         for block_bytes, seed_bytes in ((index_module._BLOCK_BYTES, index_module._SEED_BYTES),
                                         (4 * 6 * 40, 4 * 6 * 3), (4, 4)):
-            monkeypatch.setattr(index_module, "SCAN_WORKERS", workers)
+            monkeypatch.setattr(workers, "COUNT", count)
             monkeypatch.setattr(index_module, "_BLOCK_BYTES", block_bytes)
             monkeypatch.setattr(index_module, "_SEED_BYTES", seed_bytes)
             pairs = [index.topk_pairs(queries, offsets, k, exclude) for k in (1, 7, 40, 900)]
@@ -226,17 +226,17 @@ def test_scan_within_its_seed_starts_no_thread(tmp_path, monkeypatch):
     predictor = Predictor(params, corpus.candidates(), np.array(corpus.candidate_ids),
                           beam=16, n_max=3)
     product = corpus.molecule(corpus.reactions["train"][0].product_id)
-    monkeypatch.setattr(index_module, "SCAN_WORKERS", 3)
-    monkeypatch.setattr(index_module, "_POOL", None)
+    monkeypatch.setattr(workers, "COUNT", 3)
+    monkeypatch.setattr(workers, "_POOL", None)
     threads = threading.active_count()
     ranked = predictor.predict(product, 5)
-    assert index_module._POOL is None and threading.active_count() == threads
+    assert workers._POOL is None and threading.active_count() == threads
     # With one-column blocks after a one-column seed the same scans fan out,
     # and return the same sets.
     monkeypatch.setattr(index_module, "_BLOCK_BYTES", 4)
     monkeypatch.setattr(index_module, "_SEED_BYTES", 4)
     assert predictor.predict(product, 5) == ranked
-    assert index_module._POOL is not None
+    assert workers._POOL is not None
 
 
 def test_rank_matches_exhaustive_scoring(rng):
