@@ -118,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
                                        "write canonical forms line by line.")
     canon.add_argument("--input", help="input file (default stdin)")
 
-    train = sub.add_parser("train", parents=[threads], help="train a model",
+    train = sub.add_parser("train", help="train a model",
                            description="Contrastive training over a reaction corpus. "
                                        "Each TrainConfig field is a flag.")
     train.add_argument("--train", required=True, help="training reactions file")
@@ -137,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--types", type=int, help="number of reaction types "
                                                  "(default: inferred from data)")
 
-    index = sub.add_parser("index", parents=[model, threads],
+    index = sub.add_parser("index", parents=[model],
                            help="build and cache a candidate index",
                            description="Embed the candidate pool and write an "
                                        "RCLX index cache.")
@@ -160,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--beam", type=int, default=200)
     evaluate.add_argument("--limit", type=int, help="evaluate at most this many")
 
-    route = sub.add_parser("route", parents=[model, n_max, threads],
+    route = sub.add_parser("route", parents=[model, n_max],
                            help="multi-step route search",
                            description="Best-first search to building blocks.")
     route.add_argument("--building-blocks", required=True)
@@ -341,6 +341,7 @@ def _cached_index(args, n_candidates, dim):
     path = getattr(args, "index_cache", None)
     if not path:
         return None
+    import numpy as np
     from .data import CorpusError
     from .index import load_index
     index = load_index(path)
@@ -350,6 +351,9 @@ def _cached_index(args, n_candidates, dim):
     if index.dim != dim:
         raise CorpusError(f"index cache holds keys of width {index.dim}, "
                           f"checkpoint has d={dim}")
+    # Pool ids are line numbers; other ids would name the wrong molecules.
+    if not np.array_equal(index.ids, np.arange(n_candidates)):
+        raise CorpusError("index cache ids are not the pool's lines 0..N-1")
     return index
 
 

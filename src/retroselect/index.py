@@ -1,5 +1,9 @@
 """Exact top-K cosine retrieval over the candidate pool's key embeddings.
 
+An index is the pool's keys and ids and nothing else, as in FAISS (Johnson,
+Douze & Jegou, arXiv:1702.08734): the halt key is not a candidate, and
+scoring and training read it from the parameters.
+
 One blocked scan serves every selection. It scans the keys in float32, one
 column block at a time, against a running top K per group: one group per
 query row, or one over all rows. Each block is compared once with its
@@ -36,8 +40,6 @@ from .data import replace_on_success
 from .encoder import ParamStore, embed_pool, normalize_rows
 from .scoring import pair_cosines, pair_dots
 
-HALT_ID = -1
-
 _MAGIC = b"RCLX"
 _VERSION = 1
 _HEADER = struct.Struct("<4sIQIB")
@@ -48,7 +50,8 @@ _REFINE_MARGIN = 1e-4
 # Bytes that the column blocks of float32 scores in flight may take across
 # all query rows and scan workers; the block width follows from it, so score
 # memory does not grow with the pool. The float64 rescoring gathers
-# shortlisted keys in chunks of at most _RESCORE_BYTES.
+# shortlisted keys, and ``load_index`` checks that keys are finite, in
+# chunks of at most _RESCORE_BYTES.
 _BLOCK_BYTES = 16 << 20
 _RESCORE_BYTES = 1 << 20
 # Bytes of float32 scores in the leading columns whose top K sets the first
@@ -63,32 +66,24 @@ class EmptyIndex(ValueError):
 
 @dataclass
 class CandidateIndex:
-    """Immutable snapshot of unit-normalized key embeddings.
-
-    ``keys`` has one row per candidate (input order) plus, when
-    ``includes_halt``, a final row for the halt key (id -1). Rows with
-    zero-norm embeddings stay zero, so every cosine with them is 0.
+    """Immutable snapshot of unit-normalized key embeddings, one row per
+    candidate (input order), and the candidates' ids. Rows with zero-norm
+    embeddings stay zero, so every cosine with them is 0.
     """
 
-    keys: np.ndarray                  # [N (+1), d] float32, unit (or zero) rows
+    keys: np.ndarray                  # [N, d] float32, unit (or zero) rows
     ids: np.ndarray                   # [N] int64, unique, >= 0
-    includes_halt: bool = False
-    # Id of every key row (the halt row's is HALT_ID), and the rows in
-    # ascending id order: the id-to-row lookup is one searchsorted.
-    _all_ids: np.ndarray = field(init=False, repr=False, compare=False)
+    # The rows in ascending id order: the id-to-row lookup is one searchsorted.
     _by_id: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.ids = np.asarray(self.ids, dtype=np.int64)
         if np.any(self.ids < 0):
             raise ValueError("candidate ids must be non-negative")
-        expected_rows = self.ids.shape[0] + (1 if self.includes_halt else 0)
-        if self.keys.shape[0] != expected_rows:
-            raise ValueError(f"key rows {self.keys.shape[0]} != expected {expected_rows}")
-        self._all_ids = np.concatenate([self.ids, [HALT_ID]]) if self.includes_halt \
-            else self.ids
-        self._by_id = np.argsort(self._all_ids, kind="stable")
-        sorted_ids = self._all_ids[self._by_id]
+        if self.keys.shape[0] != self.ids.shape[0]:
+            raise ValueError(f"key rows {self.keys.shape[0]} != ids {self.ids.shape[0]}")
+        self._by_id = np.argsort(self.ids, kind="stable")
+        sorted_ids = self.ids[self._by_id]
         if np.any(sorted_ids[1:] == sorted_ids[:-1]):
             raise ValueError("candidate ids must be unique")
 
@@ -100,19 +95,15 @@ class CandidateIndex:
     def dim(self) -> int:
         return self.keys.shape[1]
 
-    def all_ids(self) -> np.ndarray:
-        """Id of every key row, ``HALT_ID`` for the halt row."""
-        return self._all_ids
-
     def find_rows(self, mol_ids) -> tuple[np.ndarray, np.ndarray]:
-        """Key rows of an array of ids (``HALT_ID``: the halt row) and a
-        mask of the ids present; the row of an absent id is meaningless."""
+        """Key rows of an array of ids and a mask of the ids present; the
+        row of an absent id is meaningless."""
         mol_ids = np.asarray(mol_ids, dtype=np.int64)
         if self._by_id.size == 0:
             return np.zeros(mol_ids.shape, dtype=np.int64), np.zeros(mol_ids.shape, bool)
-        pos = np.searchsorted(self._all_ids, mol_ids, sorter=self._by_id)
+        pos = np.searchsorted(self.ids, mol_ids, sorter=self._by_id)
         rows = np.take(self._by_id, pos, mode="clip")
-        return rows, self._all_ids[rows] == mol_ids
+        return rows, self.ids[rows] == mol_ids
 
     def rows_of(self, mol_ids) -> np.ndarray:
         """Key rows of an array of ids, all of which must be present."""
@@ -120,10 +111,6 @@ class CandidateIndex:
         if not present.all():
             raise KeyError(int(np.asarray(mol_ids)[~present].flat[0]))
         return rows
-
-    def row_of(self, mol_id: int) -> int:
-        """Key row of a candidate id, or of the halt row for ``HALT_ID``."""
-        return int(self.rows_of(int(mol_id)))
 
     # --- construction ---
 
@@ -139,20 +126,12 @@ class CandidateIndex:
     def from_raw_keys(cls, raw: np.ndarray, candidate_ids=None,
                       halt_key: np.ndarray | None = None) -> "CandidateIndex":
         """Index over already-computed raw (unnormalized) key vectors, which
-        are copied, not changed; ``halt_key``, if given, is the last row."""
+        are copied, not changed. ``halt_key`` is accepted and not used: the
+        halt key is not a candidate, but the predict-large-pool set-up in
+        ``perfbench/workloads.py`` still passes it."""
         if candidate_ids is None:
             candidate_ids = np.arange(np.shape(raw)[0], dtype=np.int64)
-        rows = [raw] if halt_key is None else [raw, np.reshape(halt_key, (1, -1))]
-        keys = normalize_rows(np.concatenate(rows, dtype=np.float32))
-        return cls(keys, candidate_ids, halt_key is not None)
-
-    def with_halt(self, params: ParamStore) -> "CandidateIndex":
-        """Derived snapshot with the current halt key appended (for search)."""
-        if self.includes_halt:
-            return self
-        halt = normalize_rows(np.array(params.tensors["halt_key"].data,
-                                       dtype=np.float32, ndmin=2))
-        return CandidateIndex(np.vstack([self.keys, halt]), self.ids, True)
+        return cls(normalize_rows(np.array(raw, dtype=np.float32)), candidate_ids)
 
     # --- queries ---
 
@@ -201,7 +180,7 @@ class CandidateIndex:
         qi, rows, exact = self._shortlist(queries, k, exclude_rows, offsets)
         qi, rows, exact, _ = self._per_query_topk(qi, rows, exact, k)
         totals = offsets[qi] + exact
-        order = np.lexsort((self.all_ids()[rows], qi, -totals))[:k]
+        order = np.lexsort((self.ids[rows], qi, -totals))[:k]
         return qi[order], rows[order], totals[order]
 
     def _shortlist(self, queries: np.ndarray, k: int, exclude_rows,
@@ -310,7 +289,7 @@ class CandidateIndex:
                         k: int):
         """Each query's first K pairs by descending cosine, then ascending
         id, grouped by query, with their positions within the query."""
-        order = np.lexsort((self.all_ids()[rows], -exact, qi))
+        order = np.lexsort((self.ids[rows], -exact, qi))
         qi, rows, exact = qi[order], rows[order], exact[order]
         rank = np.arange(qi.shape[0]) - np.searchsorted(qi, qi)
         keep = rank < k
@@ -325,7 +304,7 @@ class CandidateIndex:
         rows, present = self.find_rows(np.fromiter(exclude, dtype=np.int64))
         rows, scores = self.topk_rows(np.asarray(query)[None, :], k, [rows[present]])
         found = rows[0] >= 0
-        return list(zip(self.all_ids()[rows[0][found]].tolist(),
+        return list(zip(self.ids[rows[0][found]].tolist(),
                         scores[0][found].tolist()))
 
 
@@ -410,7 +389,8 @@ def _flat_exclusions(exclude_rows, n_queries: int,
 
 def hard_neighbors(index: CandidateIndex, anchor_ids, k: int,
                    embed_query=None) -> set[int]:
-    """Union of each anchor's top-K nearest candidate ids, anchors excluded.
+    """Union of each anchor's top-K nearest candidate ids, each anchor's
+    own row excluded.
 
     All anchors go through one batched ``topk_rows`` call. Anchors absent
     from the index (e.g. products outside the pool) need
@@ -419,30 +399,30 @@ def hard_neighbors(index: CandidateIndex, anchor_ids, k: int,
     anchors = sorted(int(a) for a in anchor_ids)
     if k <= 0 or not anchors:
         return set()
-    halt = [index.row_of(HALT_ID)] if index.includes_halt else []
     queries, excluded = [], []
     anchor_rows, present = index.find_rows(anchors)
     for anchor, row, inside in zip(anchors, anchor_rows.tolist(), present.tolist()):
         if inside:
             queries.append(index.keys[row])
-            excluded.append([row] + halt)
+            excluded.append([row])
         elif embed_query is not None:
             queries.append(embed_query(anchor))
-            excluded.append(halt)
+            excluded.append([])
         else:
             raise KeyError(f"anchor {anchor} not in index and no embedder given")
     rows, _ = index.topk_rows(np.stack(queries), k, excluded)
-    return set(index.all_ids()[rows[rows >= 0]].tolist())
+    return set(index.ids[rows[rows >= 0]].tolist())
 
 
 # --- on-disk cache ---
 
 def save_index(index: CandidateIndex, path: str) -> None:
     """RCLX cache: header, ids as u64 LE, then row-major float32 LE keys. The
-    file at ``path`` is replaced only once the whole cache is written."""
+    header's last byte, once set by files that held a halt row after the
+    keys, is always 0. The file at ``path`` is replaced only once the whole
+    cache is written."""
     with replace_on_success(path) as fh:
-        fh.write(_HEADER.pack(_MAGIC, _VERSION, index.n_candidates,
-                              index.dim, 1 if index.includes_halt else 0))
+        fh.write(_HEADER.pack(_MAGIC, _VERSION, index.n_candidates, index.dim, 0))
         fh.write(index.ids.astype("<u8").tobytes())
         fh.write(np.ascontiguousarray(index.keys, dtype="<f4").tobytes())
 
@@ -452,7 +432,11 @@ class CorruptIndexCache(ValueError):
 
 
 def load_index(path: str) -> CandidateIndex:
-    """Read an RCLX cache, the ids and keys straight into their arrays."""
+    """Read an RCLX cache, the ids and keys straight into their arrays. An
+    older file whose header flags a halt row after the keys is read without
+    that row. Ids that repeat or reach 2^63 and keys that are not finite
+    raise ``CorruptIndexCache``; the keys are checked in row blocks, so no
+    temporary is the pool's size."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:
@@ -465,9 +449,18 @@ def load_index(path: str) -> CandidateIndex:
         rows = n + (1 if halt_flag else 0)
         if os.fstat(fh.fileno()).st_size != _HEADER.size + 8 * n + 4 * rows * d:
             raise CorruptIndexCache("unexpected file size")
-        ids = np.empty(n, dtype="<u8")
-        keys = np.empty((rows, d), dtype="<f4")
+        # Read as signed, an id of 2^63 or more is negative.
+        ids = np.empty(n, dtype="<i8")
+        keys = np.empty((n, d), dtype="<f4")
         for array in (ids, keys):
             if fh.readinto(array.reshape(-1).view(np.uint8)) != array.nbytes:
                 raise CorruptIndexCache("unexpected file size")
-    return CandidateIndex(keys, ids, bool(halt_flag))
+    step = max(1, _RESCORE_BYTES // (4 * max(1, d)))
+    for lo in range(0, n, step):
+        finite = np.isfinite(keys[lo:lo + step]).all(axis=1)
+        if not finite.all():
+            raise CorruptIndexCache(f"key row {lo + int(np.argmin(finite))} is not finite")
+    try:
+        return CandidateIndex(keys, ids)
+    except ValueError as exc:
+        raise CorruptIndexCache(f"bad ids: {exc}") from None

@@ -30,8 +30,8 @@ import numpy as np
 # benchmark's tracer (perfbench/layers.py), so they stay importable from
 # this module.
 from .chem import Molecule, canonical_form, featurize, pack  # noqa: F401
-from .encoder import ParamStore, embed_graphs, embed_matrix, type_bias
-from .index import HALT_ID, CandidateIndex, EmptyIndex
+from .encoder import ParamStore, embed_graphs, embed_matrix, normalize_rows, type_bias
+from .index import CandidateIndex, EmptyIndex
 from .scoring import (MAX_PERM_THRESHOLD, ScoredSet, cosine64,  # noqa: F401
                       reaction_score, score_sets)
 
@@ -58,13 +58,12 @@ def beam_search(product: Molecule | None, index: CandidateIndex, params: ParamSt
 
     ``g_pool`` holds raw reactant-query embeddings aligned with the index
     candidate rows. The product's own pool id (if any) must be passed in
-    ``exclude_ids``; chosen ids are excluded from later rounds, and so is the
-    index's halt row. ``f_product`` is the product-query embedding if the
-    caller already has it; otherwise it is embedded from ``product``.
+    ``exclude_ids``; chosen ids are excluded from later rounds. A
+    hypothesis's halt term is not searched for: ``rank`` adds it from the
+    parameters. ``f_product`` is the product-query embedding if the caller
+    already has it; otherwise it is embedded from ``product``.
     """
-    if not index.includes_halt:
-        raise ValueError("beam search needs an index built with the halt key")
-    if index.keys.shape[0] == 0 or index.n_candidates == 0:
+    if index.n_candidates == 0:
         raise EmptyIndex("empty candidate index")
     if beam < 1 or n_max < 1:
         raise ValueError("beam and n_max must be >= 1")
@@ -79,7 +78,7 @@ def beam_search(product: Molecule | None, index: CandidateIndex, params: ParamSt
         query += np.asarray(u_bias, dtype=np.float64)
 
     excluded_rows, present = index.find_rows(list(exclude_ids or ()))
-    blocked = np.append(index.row_of(HALT_ID), excluded_rows[present])
+    blocked = excluded_rows[present]
     # The beam, one line per live hypothesis: chosen key rows in selection
     # order, running query and running score sum.
     chosen = np.empty((1, 0), dtype=np.int64)
@@ -147,9 +146,9 @@ def rank(product: Molecule | None, banked: Banked, params: ParamStore,
 
 class Predictor:
     """Read-only prediction engine over one parameter/index snapshot. The
-    key index (halt row appended) and ``g_pool`` come from one trunk pass
-    over ``candidates``; with a given ``index`` (e.g. from an RCLX cache) of
-    their current keys, only ``g_pool`` is embedded."""
+    key index and ``g_pool`` come from one trunk pass over ``candidates``; a
+    given ``index`` (e.g. from an RCLX cache) of their current keys is used
+    as it is, and only ``g_pool`` is embedded."""
 
     def __init__(self, params: ParamStore, candidates: list[Molecule],
                  candidate_ids=None, forms: list[str] | None = None,
@@ -163,10 +162,10 @@ class Predictor:
         self.candidate_ids = np.asarray(candidate_ids, dtype=np.int64)
         if index is None:
             h_rows, self.g_pool = embed_matrix(candidates, params, ("h", "g"))
-            self.index = CandidateIndex.from_raw_keys(
-                h_rows, self.candidate_ids, halt_key=params.tensors["halt_key"].data)
+            # The h rows are a fresh array, so they are normalized in place.
+            self.index = CandidateIndex(normalize_rows(h_rows), self.candidate_ids)
         else:
-            self.index = index.with_halt(params)
+            self.index = index
             (self.g_pool,) = embed_matrix(candidates, params, ("g",))
         self.forms = forms if forms is not None \
             else [canonical_form(m) for m in candidates]

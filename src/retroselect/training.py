@@ -4,8 +4,9 @@ Each step embeds every molecule of the batch candidate set inside the tape
 (train-mode batch norm over all node rows), scores the whole batch with one
 masked log-softmax pick over one cosine matrix (a query row per backward
 selection step and per forward synthesizability check, a key column per
-candidate plus the halt key), and applies one clipped SGD update. The
-candidate index used for hard-negative mining is rebuilt periodically from
+candidate plus the halt key), and applies one clipped SGD update. The halt
+key is a column of that matrix only, never a row of the candidate index.
+The candidate index used for hard-negative mining is rebuilt periodically from
 the current parameters; at a step that also validates, it is the
 validation predictor's index, so the pool is embedded once.
 """
@@ -21,7 +22,7 @@ from .autodiff import SgdConfig, Tensor
 from .chem import PackedGraphs, featurize, pack
 from .data import Corpus, MetricsLog, ReactionRecord
 from .encoder import ModelDims, ParamStore, embed_graphs, init_params, type_row
-from .index import HALT_ID, CandidateIndex, hard_neighbors
+from .index import CandidateIndex, hard_neighbors
 from .scoring import MAX_PERM_THRESHOLD, best_order, cosine_table
 
 
@@ -188,7 +189,7 @@ def batch_loss(batch: list[ReactionRecord], table: EmbedTable,
                 start += u_table.data[u_row]
             order = _selection_order(record, table, keys, start, tau,
                                      perm_threshold, halt_mode)
-            for step, chosen in enumerate(order + (HALT_ID,)):
+            for step in range(len(order) + 1):
                 query = len(targets)
                 add_term("f", product_row, query)
                 if u_row is not None:
@@ -199,7 +200,7 @@ def batch_loss(batch: list[ReactionRecord], table: EmbedTable,
                 final = step == len(order)
                 if not final and halt_mode == "final":
                     dead.append((query, halt_col))
-                targets.append(halt_col if final else row_of[chosen])
+                targets.append(halt_col if final else row_of[order[step]])
                 owners.append(owner)
     n_backward = len(targets)
     if "forward" in sides:
@@ -352,9 +353,7 @@ def train(corpus: Corpus, cfg: TrainConfig, dims: ModelDims | None = None,
                                   beam=cfg.val_beam, n_max=VAL_N_MAX,
                                   perm_threshold=cfg.perm_threshold)
             if refresh:
-                # Its index holds the current keys, and mining never returns
-                # the halt row.
-                index = predictor.index
+                index = predictor.index  # the current keys
             hits = 0
             for record in val_records:
                 predicted = predictor.predict(corpus.molecule(record.product_id), k=1,

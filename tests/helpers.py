@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import struct
 
 import networkx as nx
 import numpy as np
@@ -335,3 +336,12 @@ def loop_featurize(mol: Molecule):
         src[2 * bidx + 1], dst[2 * bidx + 1] = bond.b, bond.a
     return PackedGraphs(atom_rows, bond_rows, src, dst, np.zeros(n, dtype=np.int64), 1,
                         warnings)
+
+
+def rclx_bytes(ids, keys, halt_flag: int = 0, tail: bytes = b"") -> bytes:
+    """An RCLX v1 index cache written field by field, not by ``save_index``:
+    the header (magic, version, rows, width, flag byte), u64 LE ids, float32
+    LE keys and then ``tail``."""
+    keys = np.asarray(keys, dtype="<f4")
+    return (struct.pack("<4sIQIB", b"RCLX", 1, len(ids), keys.shape[1], halt_flag)
+            + np.asarray(ids, dtype="<u8").tobytes() + keys.tobytes() + tail)

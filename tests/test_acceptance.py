@@ -148,8 +148,7 @@ def test_criterion_03_search_matches_exhaustive_scoring():
         params.tensors["halt_key"].data[:] = \
             rng.standard_normal(d).astype(np.float32)
         raw = rng.standard_normal((8, d)).astype(np.float32)
-        index = CandidateIndex.from_raw_keys(
-            raw, np.arange(8), halt_key=params.tensors["halt_key"].data)
+        index = CandidateIndex.from_raw_keys(raw, np.arange(8))
         g_pool = rng.standard_normal((8, d)).astype(np.float32)
         f_p = rng.standard_normal(d)
         h_p = rng.standard_normal(d)

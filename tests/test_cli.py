@@ -9,7 +9,9 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
+from helpers import rclx_bytes
 from hypothesis import given, settings, strategies as st
 
 from retroselect.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, build_parser, main
@@ -31,7 +33,7 @@ def trained_world(tmp_path_factory):
         "--checkpoint", ckpt, "--metrics-out", metrics,
         "--total-iters", "80", "--eval-every", "40", "--refresh-every", "40",
         "--batch-size", "6", "--dim", "16", "--layers", "2",
-        "--val-beam", "8", "--seed", "4", "--threads", "1",
+        "--val-beam", "8", "--seed", "4",
     ])
     assert code == EXIT_OK
     return world, ckpt, metrics
@@ -58,17 +60,16 @@ _SURFACE = {
         ["train", "--train", "t", "--checkpoint", "c"],
         {"command": "train", "train": "t", "val": None, "candidates": None,
          "checkpoint": "c", "metrics_out": None, "config": None, **_TRAIN_SETTINGS,
-         "dim": 256, "layers": 5, "types": None, "threads": 1},
+         "dim": 256, "layers": 5, "types": None},
         {"--train", "--val", "--candidates", "--checkpoint", "--metrics-out", "--config",
          "--learning-rate", "--momentum", "--weight-decay", "--batch-size", "--clip-norm",
          "--total-iters", "--eval-every", "--refresh-every", "--tau", "--hard-k",
          "--perm-threshold", "--halt-in-denominator", "--val-cap", "--val-beam", "--seed",
-         "--dim", "--layers", "--types", "--threads"}),
+         "--dim", "--layers", "--types"}),
     "index": (
         ["index", "--checkpoint", "c", "--candidates", "p", "--output", "o"],
-        {"command": "index", "checkpoint": "c", "candidates": "p", "output": "o",
-         "threads": 1},
-        {"--checkpoint", "--candidates", "--output", "--threads"}),
+        {"command": "index", "checkpoint": "c", "candidates": "p", "output": "o"},
+        {"--checkpoint", "--candidates", "--output"}),
     "predict": (
         ["predict", "--checkpoint", "c", "--candidates", "p", "--products", "q"],
         {"command": "predict", "checkpoint": "c", "candidates": "p", "products": "q",
@@ -87,10 +88,9 @@ _SURFACE = {
         ["route", "--checkpoint", "c", "--candidates", "p", "--building-blocks", "b",
          "--target", "CCO"],
         {"command": "route", "checkpoint": "c", "candidates": "p", "building_blocks": "b",
-         "target": "CCO", "max_expansions": 100, "k_per_step": 5, "beam": 50, "n_max": 4,
-         "threads": 1},
+         "target": "CCO", "max_expansions": 100, "k_per_step": 5, "beam": 50, "n_max": 4},
         {"--checkpoint", "--candidates", "--building-blocks", "--target",
-         "--max-expansions", "--k-per-step", "--beam", "--n-max", "--threads"}),
+         "--max-expansions", "--k-per-step", "--beam", "--n-max"}),
 }
 
 
@@ -256,7 +256,7 @@ def test_index_build_and_reload(trained_world, tmp_path, capsys):
                         rf"\(\d+ mol/s\) -> {re.escape(str(out_path))}\n", out)
     from retroselect.index import load_index
     index = load_index(str(out_path))
-    assert not index.includes_halt and index.n_candidates == 30
+    assert index.n_candidates == index.keys.shape[0] == 30
 
 
 def test_route_trivial_target(trained_world, capsys):
@@ -341,42 +341,68 @@ def test_index_cache_size_mismatch(trained_world, tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("case", ["truncated-cache", "pool-not-utf8"])
+@pytest.mark.parametrize("case", ["truncated-cache", "empty-cache", "bad-magic-cache",
+                                  "repeated-id-cache", "id-2**63-cache", "inf-key-cache",
+                                  "nan-key-cache", "shifted-ids-cache", "reversed-ids-cache",
+                                  "directory-cache", "pool-not-utf8"])
 def test_bad_cache_or_pool_bytes_are_data_errors(case, trained_world, tmp_path, capsys):
+    """Each kind of bad ``--index-cache`` file, and a pool file that is not
+    UTF-8, ends ``predict`` with exit 2 and one ``error:`` line, with no
+    traceback and nothing on stdout."""
+    from retroselect.index import load_index
     world, ckpt, _ = trained_world
     products = tmp_path / "p.txt"
     products.write_text("CCO\n", encoding="utf-8")
     pool, cache = world.candidates_path, tmp_path / "pool.rclx"
-    if case == "truncated-cache":
-        assert main(["index", "--checkpoint", ckpt, "--candidates", pool,
-                     "--output", str(cache)]) == EXIT_OK
-        cache.write_bytes(cache.read_bytes()[:-7])
-    else:
+    argv = ["predict", "--checkpoint", ckpt, "--products", str(products), "--beam", "4"]
+    if case == "pool-not-utf8":
         with open(world.candidates_path, "rb") as fh:
             pool = tmp_path / "latin1.txt"
             pool.write_bytes(fh.read() + "CC(=O)OC\xe9\n".encode("latin-1"))
+    else:
+        assert main(["index", "--checkpoint", ckpt, "--candidates", pool,
+                     "--output", str(cache)]) == EXIT_OK
+        blob, index = cache.read_bytes(), load_index(str(cache))
+        ids, keys = index.ids.astype(np.uint64), index.keys.copy()
+        if case == "repeated-id-cache":
+            ids[1] = ids[0]
+        elif case == "id-2**63-cache":
+            ids[1] = 2**63
+        elif case == "shifted-ids-cache":
+            ids += 100
+        elif case == "reversed-ids-cache":
+            ids = ids[::-1]
+        elif case.endswith("-key-cache"):
+            keys[3, 0] = np.inf if case == "inf-key-cache" else np.nan
+        cache.unlink()
+        if case == "directory-cache":
+            cache.mkdir()
+        else:
+            files = {"truncated-cache": blob[:-7], "empty-cache": b"",
+                     "bad-magic-cache": b"RCLY" + blob[4:]}
+            cache.write_bytes(files.get(case, rclx_bytes(ids, keys)))
+        argv += ["--index-cache", str(cache)]
     capsys.readouterr()
-    code = main(["predict", "--checkpoint", ckpt, "--candidates", str(pool),
-                 "--products", str(products), "--beam", "4"]
-                + (["--index-cache", str(cache)] if case == "truncated-cache" else []))
-    assert code == EXIT_DATA
+    code = main(argv + ["--candidates", str(pool)])
     captured = capsys.readouterr()
+    assert code == EXIT_DATA, captured.err
     errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and "Traceback" not in captured.err and captured.out == ""
 
 
 def test_index_cache_changes_no_prediction(trained_world, tmp_path):
-    """No cache, a cache from ``index`` and an older cache that holds the
-    halt row all give the same bytes."""
-    from retroselect.data import load_checkpoint, load_corpus
-    from retroselect.index import CandidateIndex, save_index
+    """No cache, a cache from ``index`` and an older cache whose flag byte
+    marks a halt row after the keys all give the same bytes."""
+    from retroselect.data import load_checkpoint
+    from retroselect.index import load_index
     world, ckpt, _ = trained_world
     params, _meta = load_checkpoint(ckpt)
-    candidates = load_corpus({}, candidates_path=world.candidates_path).molecules
     plain, halt_row = tmp_path / "plain.rclx", tmp_path / "halt_row.rclx"
     assert main(["index", "--checkpoint", ckpt, "--candidates", world.candidates_path,
                  "--output", str(plain)]) == EXIT_OK
-    save_index(CandidateIndex.build(params, candidates).with_halt(params), str(halt_row))
+    index, halt = load_index(str(plain)), params.tensors["halt_key"].data
+    halt_row.write_bytes(rclx_bytes(index.ids, index.keys, halt_flag=1,
+                                    tail=(halt / np.linalg.norm(halt)).astype("<f4").tobytes()))
     products = tmp_path / "products.txt"
     with open(world.reaction_paths["train"], encoding="utf-8") as fh:
         products.write_text("".join(line.strip().split(">>")[1] + "\n" for line in fh),
@@ -439,9 +465,6 @@ def test_bad_type_or_cache_width_is_data_error(case, trained_world, tmp_path, ca
     ["predict", "--products", "unread.txt", "--threads", "0"],
     ["predict", "--products", "unread.txt", "--threads", "-3"],
     ["evaluate", "--test", "unread.txt", "--threads", "0"],
-    ["route", "--building-blocks", "unread.txt", "--target", "CCO", "--threads", "0"],
-    ["index", "--output", "unread.rclx", "--threads", "0"],
-    ["train", "--train", "unread.txt", "--threads", "-3"],
     ["train", "--train", "unread.txt", "--dim", "0"],
     ["train", "--train", "unread.txt", "--dim", "-3"],
     ["train", "--train", "unread.txt", "--types", "0"],
@@ -454,6 +477,22 @@ def test_counts_below_one_are_data_errors(argv, capsys):
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [f"error: {argv[-2]} must be at least 1, "
                                          f"got {argv[-1]}"]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["route", "--building-blocks", "unread.txt", "--target", "CCO", "--threads", "0"],
+    ["index", "--output", "unread.rclx", "--threads", "0"],
+    ["train", "--train", "unread.txt", "--threads", "-3"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")
+def test_threads_is_a_usage_error_off_predict_and_evaluate(argv, capsys):
+    # Only predict and evaluate run products in parallel, so only they take
+    # --threads; the others reject it as an unknown flag.
+    code = main(argv + ["--checkpoint", "unread.rclc", "--candidates", "unread.txt"])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1] == \
+        f"error: unrecognized arguments: --threads {argv[-1]}"
     assert captured.out == ""
 
 

@@ -3,13 +3,14 @@ import threading
 
 import numpy as np
 import pytest
+from helpers import rclx_bytes
 
 from retroselect import index as index_module
 from retroselect import workers
 from retroselect.chem import parse_smiles
 from retroselect.encoder import embed_molecule
-from retroselect.index import (HALT_ID, CandidateIndex, CorruptIndexCache,
-                               hard_neighbors, load_index, save_index)
+from retroselect.index import (CandidateIndex, CorruptIndexCache, hard_neighbors,
+                               load_index, save_index)
 from retroselect.scoring import cosine64
 
 
@@ -33,11 +34,9 @@ def naive_topk(keys, ids, query, k, exclude=()):
     return rows[:k]
 
 
-def build_random_index(rng, n=50, d=8, halt=False):
+def build_random_index(rng, n=50, d=8):
     raw = rng.standard_normal((n, d)).astype(np.float32)
-    ids = np.arange(n, dtype=np.int64)
-    halt_key = rng.standard_normal(d).astype(np.float32) if halt else None
-    return CandidateIndex.from_raw_keys(raw, ids, halt_key=halt_key)
+    return CandidateIndex.from_raw_keys(raw, np.arange(n, dtype=np.int64))
 
 
 def test_build_from_molecules(tiny_params):
@@ -45,9 +44,7 @@ def test_build_from_molecules(tiny_params):
     index = CandidateIndex.build(tiny_params, mols, np.array([10, 20, 30]))
     assert index.keys.shape == (3, tiny_params.dims.d)
     assert index.n_candidates == 3
-    with_halt = index.with_halt(tiny_params)
-    assert with_halt.keys.shape == (4, tiny_params.dims.d)
-    assert with_halt.all_ids().tolist() == [10, 20, 30, HALT_ID]
+    assert index.ids.tolist() == [10, 20, 30]
     rebuilt = CandidateIndex.build(tiny_params, mols, np.array([10, 20, 30]))
     assert np.array_equal(index.keys, rebuilt.keys)
 
@@ -129,23 +126,21 @@ def test_query_scale_invariance(rng):
 
 def naive_topk_rows(index, queries, k, exclude_rows):
     """One full float64 scan per query: the oracle for ``topk_rows``."""
-    all_ids = index.all_ids()
-    return [naive_topk(index.keys, all_ids, query, k,
-                       exclude={int(all_ids[r]) for r in excluded})
+    return [naive_topk(index.keys, index.ids, query, k,
+                       exclude={int(index.ids[r]) for r in excluded})
             for query, excluded in zip(queries, exclude_rows)]
 
 
 def kernel_lists(index, rows, scores):
     """``topk_rows`` output as per-query (id, score) lists, checking that
     every slot past a query's valid rows is padded with -1 and -inf."""
-    all_ids = index.all_ids()
     out = []
     for line_rows, line_scores in zip(rows, scores):
         valid = line_rows >= 0
         n_valid = int(valid.sum())
         assert valid[:n_valid].all() and not valid[n_valid:].any()
         assert np.all(line_scores[n_valid:] == -np.inf)
-        out.append([(int(all_ids[r]), float(s))
+        out.append([(int(index.ids[r]), float(s))
                     for r, s in zip(line_rows[:n_valid], line_scores[:n_valid])])
     return out
 
@@ -170,7 +165,7 @@ def test_topk_rows_matches_naive_scan_with_exclusions(rng):
     for trial in range(20):
         n = int(rng.integers(5, 300))
         d = int(rng.integers(2, 24))
-        index = build_random_index(rng, n=n, d=d, halt=bool(trial % 2))
+        index = build_random_index(rng, n=n, d=d)
         n_rows = index.keys.shape[0]
         queries = rng.standard_normal((int(rng.integers(1, 25)), d))
         k = int(rng.integers(1, n + 3))
@@ -228,7 +223,7 @@ def test_topk_rows_planted_near_ties(rng):
 def test_topk_rows_spans_column_blocks(rng, monkeypatch):
     d, n_queries = 3, 7
     monkeypatch.setattr(index_module, "_BLOCK_BYTES", 4 * n_queries * 64)
-    index = build_random_index(rng, n=300, d=d, halt=True)
+    index = build_random_index(rng, n=300, d=d)
     assert index.keys.shape[0] >= 3 * 64
     groups = rng.permutation(300)[:30].reshape(3, 10)
     queries = [plant_near_ties(index, group, rng) for group in groups]
@@ -320,7 +315,7 @@ def test_topk_rows_and_pairs_adversarial_block_order(rng, monkeypatch, width, ri
             rows, scores = index.topk_rows(queries, k, exclude)
             assert kernel_lists(index, rows, scores) == [line[:k] for line in lines], k
             qi, rows, totals = index.topk_pairs(queries, offsets, k, exclude)
-            got = list(zip(qi.tolist(), index.all_ids()[rows].tolist(), totals.tolist()))
+            got = list(zip(qi.tolist(), index.ids[rows].tolist(), totals.tolist()))
             assert got == naive_topk_pairs(lines, offsets, k), (count, k)
 
 
@@ -328,11 +323,11 @@ def test_concurrent_scans_share_the_pool(rng, monkeypatch):
     # Six callers at once, each scan dealt over four workers in one-column
     # blocks, with the interpreter switching threads as often as it can:
     # every caller gets the single-threaded result.
-    index = build_random_index(rng, n=200, d=5, halt=True)
+    index = build_random_index(rng, n=200, d=5)
     plant_near_ties(index, rng.choice(200, size=20, replace=False), rng)
     queries = rng.standard_normal((6, 5))
     offsets = rng.choice([0.2, 0.2 + 2e-5], size=6)
-    exclude = random_exclusions(rng, 6, 201, most=8)
+    exclude = random_exclusions(rng, 6, 200, most=8)
     monkeypatch.setattr(index_module, "_SEED_BYTES", 4)
     monkeypatch.setattr(index_module, "_BLOCK_BYTES", 4 * 6 * 4)
 
@@ -388,12 +383,12 @@ def test_scan_margin_bounds_float32_error_at_large_width(rng, monkeypatch):
         rows, scores = index.topk_rows(queries, k, exclude)
         assert kernel_lists(index, rows, scores) == [line[:k] for line in lines], k
         qi, rows, totals = index.topk_pairs(queries, offsets, k, exclude)
-        got = list(zip(qi.tolist(), index.all_ids()[rows].tolist(), totals.tolist()))
+        got = list(zip(qi.tolist(), index.ids[rows].tolist(), totals.tolist()))
         assert got == naive_topk_pairs(lines, offsets, k), k
 
 
 def test_topk_rows_k_at_or_above_valid_rows(rng):
-    index = build_random_index(rng, n=9, d=4, halt=True)
+    index = build_random_index(rng, n=10, d=4)
     queries = rng.standard_normal((3, 4))
     exclude = [[], [0, 4, 9], list(range(10))]
     for k in (7, 10, 25):
@@ -407,7 +402,7 @@ def test_topk_rows_k_at_or_above_valid_rows(rng):
 def test_topk_pairs_k_above_all_pairs(rng):
     # No result holds more than queries x rows pairs, so a larger K returns
     # the same arrays, and allocates nothing of K's size.
-    index = build_random_index(rng, n=9, d=4, halt=True)
+    index = build_random_index(rng, n=10, d=4)
     queries = rng.standard_normal((3, 4))
     offsets = rng.standard_normal(3)
     exclude = [[], [0, 4, 9], list(range(10))]
@@ -451,7 +446,7 @@ def test_hard_neighbors_external_anchor(rng):
 
 def test_hard_neighbors_match_per_anchor_naive_scan(rng, monkeypatch):
     monkeypatch.setattr(index_module, "_BLOCK_BYTES", 4 * 5 * 32)
-    index = build_random_index(rng, n=120, d=6, halt=True)
+    index = build_random_index(rng, n=120, d=6)
     plant_near_ties(index, rng.choice(120, size=10, replace=False), rng)
     probe = rng.standard_normal(6)
     anchors = [7, 31, 999, 64, 7]
@@ -459,22 +454,21 @@ def test_hard_neighbors_match_per_anchor_naive_scan(rng, monkeypatch):
         got = hard_neighbors(index, anchors, k, embed_query=lambda _id: probe)
         expected = set()
         for anchor in set(anchors):
-            query = index.keys[index.row_of(anchor)] if anchor in index.ids else probe
-            expected |= {i for i, _ in naive_topk(index.keys, index.all_ids(), query,
-                                                  k, exclude={anchor, HALT_ID})}
+            query = index.keys[index.rows_of(anchor)] if anchor in index.ids else probe
+            expected |= {i for i, _ in naive_topk(index.keys, index.ids, query,
+                                                  k, exclude={anchor})}
         assert got == expected
 
 
 def test_index_cache_round_trip(tmp_path, rng):
-    index = build_random_index(rng, n=12, d=6, halt=True)
+    index = build_random_index(rng, n=12, d=6)
     path = tmp_path / "cache.rclx"
     save_index(index, str(path))
     blob = path.read_bytes()
-    assert blob[:4] == b"RCLX"
+    assert blob[:4] == b"RCLX" and blob[index_module._HEADER.size - 1] == 0
     loaded = load_index(str(path))
     assert np.array_equal(loaded.keys, index.keys)
     assert np.array_equal(loaded.ids, index.ids)
-    assert loaded.includes_halt
     save_index(loaded, str(tmp_path / "again.rclx"))
     assert (tmp_path / "again.rclx").read_bytes() == blob
 
@@ -500,19 +494,39 @@ def test_index_cache_corruption(tmp_path, rng):
     path = tmp_path / "cache.rclx"
     save_index(index, str(path))
     blob = path.read_bytes()
-    (tmp_path / "trunc.rclx").write_bytes(blob[:-5])
-    with pytest.raises(CorruptIndexCache):
-        load_index(str(tmp_path / "trunc.rclx"))
-    (tmp_path / "magic.rclx").write_bytes(b"XXXX" + blob[4:])
-    with pytest.raises(CorruptIndexCache):
-        load_index(str(tmp_path / "magic.rclx"))
+    bad = {"trunc": blob[:-5], "magic": b"XXXX" + blob[4:], "empty": b"",
+           "repeated-id": rclx_bytes([0, 1, 1, 3], index.keys),
+           "id-2**63": rclx_bytes([0, 1, 2**63, 3], index.keys)}
+    for name, value in (("inf", np.inf), ("nan", np.nan)):
+        keys = index.keys.copy()
+        keys[2, 1] = value
+        bad[name] = rclx_bytes(index.ids, keys)
+    for name, data in bad.items():
+        (tmp_path / f"{name}.rclx").write_bytes(data)
+        with pytest.raises(CorruptIndexCache):
+            load_index(str(tmp_path / f"{name}.rclx"))
 
 
-def test_with_halt_appends_row(tiny_params, rng):
-    mols = [parse_smiles("CCO")]
-    index = CandidateIndex.build(tiny_params, mols)
-    derived = index.with_halt(tiny_params)
-    assert derived.keys.shape[0] == 2
-    halt_unit = tiny_params.tensors["halt_key"].data
-    halt_unit = halt_unit / np.linalg.norm(halt_unit)
-    assert np.abs(derived.keys[-1] - halt_unit).max() < 1e-6
+def test_index_cache_halt_row_is_dropped(tmp_path, rng):
+    # A v1 file whose flag byte is set holds one more key row, which is not
+    # read: the index is the pool's keys and ids only.
+    index = build_random_index(rng, n=6, d=4)
+    halt = rng.standard_normal((1, 4)).astype("<f4")
+    path = tmp_path / "halt.rclx"
+    path.write_bytes(rclx_bytes(index.ids, index.keys, halt_flag=1, tail=halt.tobytes()))
+    loaded = load_index(str(path))
+    assert loaded.keys.tobytes() == index.keys.tobytes()
+    assert np.array_equal(loaded.ids, index.ids)
+    # Written again, the file has no flag and no halt row.
+    save_index(loaded, str(tmp_path / "plain.rclx"))
+    assert (tmp_path / "plain.rclx").read_bytes() == rclx_bytes(index.ids, index.keys)
+
+
+def test_from_raw_keys_ignores_halt_key(rng):
+    raw = rng.standard_normal((7, 5)).astype(np.float32)
+    ids = rng.permutation(7) + 10
+    plain = CandidateIndex.from_raw_keys(raw, ids)
+    given = CandidateIndex.from_raw_keys(raw, ids, halt_key=rng.standard_normal(5))
+    assert given.keys.shape == (7, 5)
+    assert given.keys.tobytes() == plain.keys.tobytes()
+    assert np.array_equal(given.ids, plain.ids)

@@ -24,8 +24,7 @@ def synthetic_world(rng, n=8, d=6):
     params = init_params(1, ModelDims(d=d, n_layers=1, n_types=1))
     params.tensors["halt_key"].data[:] = rng.standard_normal(d).astype(np.float32)
     raw = rng.standard_normal((n, d)).astype(np.float32)
-    index = CandidateIndex.from_raw_keys(
-        raw, np.arange(n), halt_key=params.tensors["halt_key"].data)
+    index = CandidateIndex.from_raw_keys(raw, np.arange(n))
     g_pool = rng.standard_normal((n, d)).astype(np.float32)
     f_p = rng.standard_normal(d)
     return params, index, g_pool, f_p
@@ -59,12 +58,14 @@ def test_beam_monotone_in_width(rng):
     assert set(id_sets(small)) <= set(id_sets(large))
 
 
-def test_beam_requires_halt_index(rng, tiny_params):
-    mols = [parse_smiles("CCO")]
-    index = CandidateIndex.build(tiny_params, mols)  # no halt row
-    with pytest.raises(ValueError):
-        beam_search(parse_smiles("CCOC"), index, tiny_params,
-                    np.zeros((1, tiny_params.dims.d), np.float32))
+def test_beam_runs_on_the_pool_keys_alone(tiny_params):
+    # The index holds no halt row: ``rank`` adds the halt term itself.
+    mols = [parse_smiles(s) for s in ("CCO", "CCN")]
+    index = CandidateIndex.build(tiny_params, mols)
+    assert index.keys.shape[0] == index.n_candidates == 2
+    done = beam_search(parse_smiles("CCOC"), index, tiny_params,
+                       np.zeros((2, tiny_params.dims.d), np.float32), n_max=3)
+    assert id_sets(done) == [(), (0,), (1,), (0, 1)]
 
 
 def test_predictor_rejects_perm_threshold_outside_order_table(tiny_params):
@@ -94,7 +95,7 @@ def test_predictor_runs_the_trunk_once_per_chunk(n, tiny_params, corpus_molecule
     assert len(chunks) >= -(-atoms // 512)
     assert len(calls) == len(chunks)  # both heads per pass
     assert predictor.g_pool.shape == (n, tiny_params.dims.d)
-    assert predictor.index.keys.shape == (n + 1, tiny_params.dims.d)
+    assert predictor.index.keys.shape == (n, tiny_params.dims.d)
 
 
 def reference_beam(index, g_pool, f_p, beam, n_max, exclude_ids=()):
@@ -138,10 +139,8 @@ def near_tie_world(rng, n, d, copies=6):
     nudge = rng.integers(0, 3, size=keys.shape[0]).astype(np.float32)
     keys[rows, top] -= np.sign(keys[rows, top]) * nudge * np.spacing(
         np.abs(keys[rows, top]))
-    halt = params.tensors["halt_key"].data
-    halt_row = (halt / np.linalg.norm(halt)).astype(np.float32)[None, :]
     ids = rng.permutation(keys.shape[0]) * 3 + 1
-    index = CandidateIndex(np.vstack([keys, halt_row]), ids, includes_halt=True)
+    index = CandidateIndex(keys, ids)
     # Copies share their g row, so exact duplicates give exactly tied totals.
     g_pool = np.repeat(0.3 * rng.standard_normal((n // copies, d)), copies,
                        axis=0).astype(np.float32)
@@ -161,7 +160,7 @@ def test_beam_matches_float64_reference_on_near_ties(rng):
     for trial in range(4):
         params, index, g_pool, f_p = near_tie_world(rng, n=48, d=5)
         exclude = {int(index.ids[trial])}
-        # 60 is wider than the 49 key rows.
+        # 60 is wider than the 48 key rows.
         for beam in (1, 4, 9, 60):
             done = beam_search(None, index, params, g_pool, beam=beam, n_max=3,
                                exclude_ids=exclude, f_product=f_p)
@@ -180,7 +179,7 @@ def test_beam_matches_float64_reference_across_blocks(rng, monkeypatch):
 
 
 def test_beam_wider_than_all_extensions_across_blocks(rng, monkeypatch):
-    # Eight columns per block, so the first round scans the 31 key rows in
+    # Eight columns per block, so the first round scans the 30 key rows in
     # four blocks. The first two rounds have fewer extensions (30, then
     # 30 x 29) than the beam keeps, so every pair is banked.
     monkeypatch.setattr(index_module, "_BLOCK_BYTES", 4 * 8)
@@ -195,7 +194,7 @@ def test_topk_pairs_and_beam_invariant_to_block_size(rng, monkeypatch):
     params, index, g_pool, f_p = near_tie_world(rng, n=150, d=4, copies=5)
     queries = f_p + 0.05 * rng.standard_normal((6, 4))
     offsets = rng.choice([0.5, 0.5 + 3e-5, 0.5 - 1e-9], size=6)
-    exclude = [rng.choice(151, size=3, replace=False) for _ in range(6)]
+    exclude = [rng.choice(150, size=3, replace=False) for _ in range(6)]
     runs = []
     # One block; blocks of 40 columns in all, the first floor set by max(K,
     # 3) leading columns; blocks of one column. Each on one, two and three
@@ -290,8 +289,7 @@ def test_rank_matches_per_set_reaction_score_loop(rng, monkeypatch):
         raw = rng.standard_normal((n, d)).astype(np.float32)
         g_pool = rng.standard_normal((n, d)).astype(np.float32)
         raw[:10], g_pool[:10] = raw[10:20], g_pool[10:20]  # exact duplicates
-        index = CandidateIndex.from_raw_keys(raw, rng.permutation(n) * 2 + 1,
-                                             halt_key=params.tensors["halt_key"].data)
+        index = CandidateIndex.from_raw_keys(raw, rng.permutation(n) * 2 + 1)
         ids = index.ids
         sets = [rng.choice(ids, size=size, replace=False)
                 for size in range(n_max + 1) for _ in range(12)]
@@ -316,8 +314,8 @@ def test_rank_matches_per_set_reaction_score_loop(rng, monkeypatch):
                           perm_threshold=threshold, f_product=f_p, h_product=h_p)
             u_bias = params.tensors["type.u"].data[0] if rxn_type else None
             v_bias = params.tensors["type.v"].data[0] if rxn_type else None
-            loop = [reaction_score(f_p, h_p, {i: g_pool[index.row_of(i)] for i in chosen},
-                                   {i: index.keys[index.row_of(i)] for i in chosen},
+            loop = [reaction_score(f_p, h_p, {i: g_pool[index.rows_of(i)] for i in chosen},
+                                   {i: index.keys[index.rows_of(i)] for i in chosen},
                                    params.tensors["halt_key"].data, u_bias=u_bias,
                                    v_bias=v_bias, perm_threshold=threshold)
                     for chosen in id_sets(banked)]
