@@ -10,8 +10,8 @@ Every molecule and reaction file but ``canon``'s input and ``predict``'s
 products is read by ``data.load_corpus`` (up to 1% of bad lines dropped, more
 is a data error) and reported on a ``corpus:`` line on stderr. The commands
 that load a model and pool then report their thread split on a ``threads:``
-line: the workers that pool embedding and retrieval scans spread over, BLAS
-threads and products in flight.
+line: the workers that products, pool embedding and retrieval scans spread
+over (``workers.fan_out``), and BLAS threads.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 
 EXIT_OK = 0
@@ -37,7 +36,7 @@ _EVAL_KS = (1, 3, 5, 10, 20, 50)
 # Each count option's least legal value, checked before any file is read;
 # ``TrainConfig`` checks the train settings' ranges.
 _COUNTS = {"-k": 1, "--beam": 1, "--n-max": 1, "--k-per-step": 1, "--limit": 1,
-           "--threads": 1, "--dim": 1, "--layers": 0, "--types": 1, "--max-expansions": 0}
+           "--dim": 1, "--layers": 0, "--types": 1, "--max-expansions": 0}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,8 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     # Shared flags. A parent's Actions are shared by its subcommands, so a flag
     # whose default differs between them (--beam) is declared per subcommand.
-    threads = _Parser(add_help=False)
-    threads.add_argument("--threads", type=int, default=1)
     model = _Parser(add_help=False)
     model.add_argument("--checkpoint", required=True)
     model.add_argument("--candidates", required=True)
@@ -143,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
                                        "RCLX index cache.")
     index.add_argument("--output", required=True)
 
-    predict = sub.add_parser("predict", parents=[model, cached, n_max, threads],
+    predict = sub.add_parser("predict", parents=[model, cached, n_max],
                              help="predict reactant sets",
                              description="Ranked reactant sets per product; "
                                          "one block per product on stdout.")
@@ -153,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     predict.add_argument("-k", type=int, default=5)
     predict.add_argument("--beam", type=int, default=200)
 
-    evaluate = sub.add_parser("evaluate", parents=[model, cached, n_max, threads],
+    evaluate = sub.add_parser("evaluate", parents=[model, cached, n_max],
                               help="top-k exact match table",
                               description="Evaluate predictions on a test split.")
     evaluate.add_argument("--test", required=True, help="test reactions file")
@@ -267,25 +264,24 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _load_model_and_pool(args, products: int):
+def _load_model_and_pool(args):
     """The checkpoint's parameters and the candidate pool, then one stderr
-    line with the thread split: the workers that pool embedding and each
-    retrieval scan spread over, the BLAS threads (``unknown`` without a
-    bundled OpenBLAS to ask), and the ``products`` predicted at once."""
+    line with the thread split: the workers that products, pool embedding
+    and each retrieval scan spread over, and the BLAS threads (``unknown``
+    without a bundled OpenBLAS to ask)."""
     from . import workers
     from .data import load_checkpoint
     params, _meta = load_checkpoint(args.checkpoint)
     pool = _load_corpus({}, args.candidates)
     get_threads = _openblas_symbol("get_num_threads", ctypes.c_int)
     blas = get_threads() if get_threads is not None else "unknown"
-    print(f"threads: workers={workers.COUNT} blas={blas} products={products}",
-          file=sys.stderr)
+    print(f"threads: workers={workers.COUNT} blas={blas}", file=sys.stderr)
     return params, pool
 
 
 def _cmd_index(args) -> int:
     from .index import CandidateIndex, save_index
-    params, pool = _load_model_and_pool(args, products=0)
+    params, pool = _load_model_and_pool(args)
     start = time.perf_counter()
     index = CandidateIndex.build(params, pool.molecules)
     seconds = time.perf_counter() - start
@@ -327,16 +323,6 @@ def _read_products(path, use_types, n_types):
     return products
 
 
-def _predict_many(predictor, jobs, k, threads):
-    def run(job):
-        mol, rxn_type = job
-        return predictor.predict(mol, k, rxn_type=rxn_type)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, jobs))
-    return [run(job) for job in jobs]
-
-
 def _cached_index(args, n_candidates, dim):
     path = getattr(args, "index_cache", None)
     if not path:
@@ -361,12 +347,12 @@ def _cmd_predict(args) -> int:
     from .chem import canonical_form
     from .data import replace_on_success
     from .search import Predictor
-    params, pool = _load_model_and_pool(args, args.threads)
+    params, pool = _load_model_and_pool(args)
     products = _read_products(args.products, args.use_types, params.dims.n_types)
     predictor = Predictor(params, pool.molecules, forms=pool.forms,
                           index=_cached_index(args, len(pool.molecules), params.dims.d),
                           beam=args.beam, n_max=args.n_max)
-    results = _predict_many(predictor, products, args.k, args.threads)
+    results = predictor.predict_many(products, args.k)
 
     def write(out) -> None:
         for (mol, _t), ranked in zip(products, results):
@@ -388,7 +374,7 @@ def _cmd_predict(args) -> int:
 def _cmd_evaluate(args) -> int:
     from .data import topk_exact_match
     from .search import Predictor
-    params, pool = _load_model_and_pool(args, args.threads)
+    params, pool = _load_model_and_pool(args)
     # Predictions and truths are compared as canonical forms, so the test
     # corpus needs no ids shared with the pool.
     corpus = _load_corpus({"test": args.test})
@@ -404,8 +390,7 @@ def _cmd_evaluate(args) -> int:
                           beam=args.beam, n_max=args.n_max)
     jobs = [(corpus.molecule(r.product_id),
              r.rxn_type if args.use_types else None) for r in records]
-    k_max = max(_EVAL_KS)
-    results = _predict_many(predictor, jobs, k_max, args.threads)
+    results = predictor.predict_many(jobs, max(_EVAL_KS))
     predictions = [[tuple(sorted(predictor.form_of_id[i] for i in s.reactant_ids))
                     for s in ranked] for ranked in results]
     truths = [tuple(sorted(corpus.form(i) for i in r.reactant_ids))
@@ -420,7 +405,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_route(args) -> int:
     from .chem import parse_smiles
     from .search import Predictor, route_search
-    params, pool = _load_model_and_pool(args, products=1)
+    params, pool = _load_model_and_pool(args)
     blocks = set(_load_corpus({}, args.building_blocks).forms)
     predictor = Predictor(params, pool.molecules, forms=pool.forms,
                           beam=args.beam, n_max=args.n_max)

@@ -296,11 +296,14 @@ def topk_exact_match(predictions: list[list[tuple[str, ...]]],
 
 
 class MetricsLog:
-    """Line-delimited JSON metrics; also keeps records in memory."""
+    """Line-delimited JSON metrics of one run (a file at ``path`` is emptied
+    when the log is made); also keeps records in memory."""
 
     def __init__(self, path: str | None = None):
         self.path = path
         self.records: list[dict] = []
+        if path:
+            open(path, "w", encoding="utf-8").close()
 
     def log(self, **fields) -> None:
         self.records.append(fields)

@@ -16,7 +16,8 @@ from its ids alone by the full permutation-maximized overall score, one
 batched ``scoring.score_sets`` call per block, orders all sets with one
 lexsort and builds ``ScoredSet`` records only for the top ``k``.
 ``Predictor.predict`` embeds its product once, a graph batch of one, and
-hands the f and h rows to both.
+hands the f and h rows to both; ``Predictor.predict_many`` deals products
+over the usable CPUs through ``workers.fan_out``.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import workers
 # ``pack``, ``cosine64`` and ``reaction_score`` are looked up here by the
 # benchmark's tracer (perfbench/layers.py), so they stay importable from
 # this module.
@@ -193,6 +195,17 @@ class Predictor:
         return rank(product, banked, self.params, self.index, self.g_pool,
                     rxn_type=rxn_type, perm_threshold=self.perm_threshold,
                     f_product=f_product, h_product=h_product, k=k)
+
+    def predict_many(self, jobs: list, k: int) -> list[list[ScoredSet]]:
+        """``predict`` of each ``(product, rxn_type)`` job, in input order;
+        each ``workers.fan_out`` share predicts its jobs in turn."""
+        shares = workers.fan_out(
+            lambda share: [self.predict(mol, k, rxn_type=rxn_type) for mol, rxn_type in share],
+            jobs)
+        results = [None] * len(jobs)
+        for w, share in enumerate(shares):  # undo the round-robin deal
+            results[w::len(shares)] = share
+        return results
 
 
 # --- multi-step route search ---

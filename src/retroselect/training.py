@@ -354,14 +354,12 @@ def train(corpus: Corpus, cfg: TrainConfig, dims: ModelDims | None = None,
                                   perm_threshold=cfg.perm_threshold)
             if refresh:
                 index = predictor.index  # the current keys
-            hits = 0
-            for record in val_records:
-                predicted = predictor.predict(corpus.molecule(record.product_id), k=1,
-                                              rxn_type=record.rxn_type)
-                # The corpus interns one id per canonical form, so equal ids
-                # are equal sets of forms.
-                if predicted and predicted[0].reactant_ids == record.reactant_ids:
-                    hits += 1
+            predicted = predictor.predict_many(
+                [(corpus.molecule(r.product_id), r.rxn_type) for r in val_records], k=1)
+            # The corpus interns one id per canonical form, so equal ids are
+            # equal sets of forms.
+            hits = sum(1 for ranked, record in zip(predicted, val_records)
+                       if ranked and ranked[0].reactant_ids == record.reactant_ids)
             val_top1 = hits / max(1, len(val_records))
             step_metrics["val_top1"] = val_top1
             if val_top1 > best_score:

@@ -1,11 +1,10 @@
-"""Threads shared by the library's data-parallel loops.
-
-``fan_out`` spreads independent items over the CPUs this process may run on
-(``taskset`` limits them): the pool embedding's chunks and the retrieval
-scan's column blocks. The calling thread runs one share; the others go to
-one pool of ``COUNT - 1`` threads shared by every caller, created at first
-use. NumPy releases the interpreter lock inside its matrix products, so the
-shares' products run at once.
+"""The library's one way to run work in parallel. ``fan_out`` spreads
+independent items (a batch prediction's products, the pool embedding's
+chunks, the retrieval scan's column blocks) over the CPUs this process may
+run on, which ``taskset`` limits. The calling thread runs one share; the
+others go to one pool of ``COUNT - 1`` threads shared by every caller,
+created at first use. NumPy releases the interpreter lock inside its matrix
+products, so the shares' products run at once.
 """
 
 from __future__ import annotations
@@ -27,19 +26,20 @@ def fan_out(task, items) -> list:
     """``task(share)`` for each share of ``items``, results in share order.
 
     ``items`` are dealt round-robin to ``min(COUNT, len(items))`` shares,
-    so which share gets an item depends only on its position. The calling
-    thread runs share 0 and the pool the others. The call returns once every
-    share has finished; if any failed, it then raises the exception of the
-    first in share order. A call from inside a share runs all items as one
-    share on its caller, so no share waits for the pool it runs on, and
-    callers on several threads at once queue their shares without
-    deadlock."""
+    so which share gets an item depends only on its position. One share is
+    a plain call, so fan-outs nested in it still reach the pool; of several,
+    the calling thread runs share 0 and the pool the others. The call
+    returns once every share has finished; if any failed, it then raises
+    the exception of the first in share order. A call from inside one of
+    several shares runs all items as one share on its caller, so no share
+    waits for the pool it runs on and callers on several threads at once
+    queue their shares without deadlock."""
     items = list(items)
     if getattr(_SHARE, "inside", False):
         return [task(items)] if items else []
     shares = [items[w::COUNT] for w in range(min(COUNT, len(items)))]
-    if not shares:
-        return []
+    if len(shares) < 2:
+        return [task(share) for share in shares]
     futures = [_pool().submit(_run, task, share) for share in shares[1:]]
     try:
         first = _run(task, shares[0])

@@ -74,16 +74,15 @@ _SURFACE = {
         ["predict", "--checkpoint", "c", "--candidates", "p", "--products", "q"],
         {"command": "predict", "checkpoint": "c", "candidates": "p", "products": "q",
          "output": None, "index_cache": None, "k": 5, "beam": 200, "n_max": 4,
-         "use_types": False, "threads": 1},
+         "use_types": False},
         {"--checkpoint", "--candidates", "--products", "--output", "--index-cache", "-k",
-         "--beam", "--n-max", "--use-types", "--threads"}),
+         "--beam", "--n-max", "--use-types"}),
     "evaluate": (
         ["evaluate", "--checkpoint", "c", "--candidates", "p", "--test", "t"],
         {"command": "evaluate", "checkpoint": "c", "candidates": "p", "test": "t",
-         "index_cache": None, "beam": 200, "n_max": 4, "use_types": False, "limit": None,
-         "threads": 1},
+         "index_cache": None, "beam": 200, "n_max": 4, "use_types": False, "limit": None},
         {"--checkpoint", "--candidates", "--test", "--index-cache", "--beam", "--n-max",
-         "--use-types", "--limit", "--threads"}),
+         "--use-types", "--limit"}),
     "route": (
         ["route", "--checkpoint", "c", "--candidates", "p", "--building-blocks", "b",
          "--target", "CCO"],
@@ -172,6 +171,20 @@ def test_metrics_schema(trained_world):
     assert len(records) == 80
     assert {"step", "loss_b", "loss_f", "grad_norm"} <= set(records[0])
     assert "val_top1" in records[39]
+
+
+def test_metrics_out_holds_only_the_last_run(tmp_path, capsys):
+    reactions = tmp_path / "two.txt"
+    reactions.write_text("CCO.CC(=O)O>>CC(=O)OCC\nCN.CC(=O)O>>CC(=O)NC\n", encoding="utf-8")
+    metrics = tmp_path / "metrics.jsonl"
+    argv = ["train", "--train", str(reactions), "--checkpoint", str(tmp_path / "model.rclc"),
+            "--metrics-out", str(metrics), "--total-iters", "3", "--batch-size", "2",
+            "--dim", "8", "--layers", "1"]
+    for seed in ("1", "2"):
+        assert main(argv + ["--seed", seed]) == EXIT_OK
+        records = [json.loads(line) for line in metrics.read_text(encoding="utf-8").splitlines()]
+        assert [record["step"] for record in records] == [1, 2, 3]
+    capsys.readouterr()
 
 
 def test_predict_output_format(trained_world, tmp_path, capsys):
@@ -462,9 +475,6 @@ def test_bad_type_or_cache_width_is_data_error(case, trained_world, tmp_path, ca
     ["route", "--building-blocks", "unread.txt", "--target", "CCO", "--k-per-step", "0"],
     ["evaluate", "--test", "unread.txt", "--limit", "0"],
     ["evaluate", "--test", "unread.txt", "--limit", "-1"],
-    ["predict", "--products", "unread.txt", "--threads", "0"],
-    ["predict", "--products", "unread.txt", "--threads", "-3"],
-    ["evaluate", "--test", "unread.txt", "--threads", "0"],
     ["train", "--train", "unread.txt", "--dim", "0"],
     ["train", "--train", "unread.txt", "--dim", "-3"],
     ["train", "--train", "unread.txt", "--types", "0"],
@@ -481,14 +491,21 @@ def test_counts_below_one_are_data_errors(argv, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["canon", "--threads", "2"],
+    ["predict", "--products", "unread.txt", "--threads", "0"],
+    ["predict", "--products", "unread.txt", "--threads", "-3"],
+    ["predict", "--products", "unread.txt", "--threads", "2"],
+    ["evaluate", "--test", "unread.txt", "--threads", "0"],
     ["route", "--building-blocks", "unread.txt", "--target", "CCO", "--threads", "0"],
     ["index", "--output", "unread.rclx", "--threads", "0"],
     ["train", "--train", "unread.txt", "--threads", "-3"],
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}={argv[-1]}")
 def test_threads_is_a_usage_error_off_predict_and_evaluate(argv, capsys):
-    # Only predict and evaluate run products in parallel, so only they take
-    # --threads; the others reject it as an unknown flag.
-    code = main(argv + ["--checkpoint", "unread.rclc", "--candidates", "unread.txt"])
+    # Products fan out over the usable CPUs like pool chunks and scan blocks,
+    # so no subcommand takes --threads: each rejects it as an unknown flag.
+    pool = [] if argv[0] == "canon" else ["--checkpoint", "unread.rclc",
+                                          "--candidates", "unread.txt"]
+    code = main(argv + pool)
     assert code == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.err.splitlines()[-1] == \
@@ -566,60 +583,9 @@ def test_train_types_below_corpus_types_is_data_error(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_threads_flag_consistent(trained_world, tmp_path, capsys):
-    world, ckpt, _ = trained_world
-    products = tmp_path / "products.txt"
-    with open(world.reaction_paths["train"], encoding="utf-8") as fh:
-        prods = [line.strip().split(">>")[1] for line in fh][:4]
-    products.write_text("\n".join(prods) + "\n", encoding="utf-8")
-    outputs = []
-    for threads in ("1", "2"):
-        out_file = tmp_path / f"out{threads}.txt"
-        code = main(["predict", "--checkpoint", ckpt,
-                     "--candidates", world.candidates_path,
-                     "--products", str(products), "-k", "2", "--beam", "8",
-                     "--threads", threads, "--output", str(out_file)])
-        assert code == EXIT_OK
-        outputs.append(out_file.read_text(encoding="utf-8"))
-    assert outputs[0] == outputs[1]
-
-
-def test_product_threads_share_the_scan_pool(trained_world, tmp_path, monkeypatch):
-    # One-column blocks after a one-column seed, over three workers, so
-    # every scan hands shares to the worker pool, from one product thread or
-    # from two at once. Each run must finish and write the unpatched bytes.
-    from retroselect import index as index_module
-    from retroselect import workers
-    world, ckpt, _ = trained_world
-    with open(world.reaction_paths["train"], encoding="utf-8") as fh:
-        prods = [line.strip().split(">>")[1] for line in fh][:4]
-    products = tmp_path / "products.txt"
-    products.write_text("\n".join(prods) + "\n", encoding="utf-8")
-
-    def predict(threads):
-        out_file = tmp_path / f"out{threads}.txt"
-        assert main(["predict", "--checkpoint", ckpt, "--candidates", world.candidates_path,
-                     "--products", str(products), "-k", "2", "--beam", "8",
-                     "--threads", threads, "--output", str(out_file)]) == EXIT_OK
-        return out_file.read_bytes()
-
-    reference = predict("1")
-    monkeypatch.setattr(workers, "COUNT", 3)
-    monkeypatch.setattr(index_module, "_BLOCK_BYTES", 4)
-    monkeypatch.setattr(index_module, "_SEED_BYTES", 4)
-    shares = []  # one call per share handed to the pool
-    pool = workers._pool
-    monkeypatch.setattr(workers, "_pool", lambda: shares.append(1) or pool())
-    for threads in ("1", "2"):
-        shares.clear()
-        assert predict(threads) == reference
-        assert shares
-
-
-@pytest.mark.parametrize("subcommand, products", [("index", "0"), ("predict", "1"),
-                                                  ("evaluate", "1"), ("route", "1")])
-def test_thread_split_reported_once(subcommand, products, trained_world, tmp_path,
-                                    monkeypatch, capsys):
+@pytest.mark.parametrize("subcommand", ["index", "predict", "evaluate", "route"])
+def test_thread_split_reported_once(subcommand, trained_world, tmp_path, monkeypatch,
+                                    capsys):
     from retroselect import workers
     world, ckpt, _ = trained_world
     monkeypatch.setattr(workers, "COUNT", 5)
@@ -630,8 +596,7 @@ def test_thread_split_reported_once(subcommand, products, trained_world, tmp_pat
     lines = [i for i, line in enumerate(err) if line.startswith("threads: ")]
     assert len(lines) == 1
     assert err[lines[0] - 1].startswith("corpus: ")
-    assert re.fullmatch(rf"threads: workers=5 blas=(\d+|unknown) products={products}",
-                        err[lines[0]])
+    assert re.fullmatch(r"threads: workers=5 blas=(\d+|unknown)", err[lines[0]])
 
 
 def test_limit_threads_warns_without_threadpoolctl(monkeypatch, capsys):
@@ -681,10 +646,10 @@ def test_limit_threads_pins_bundled_openblas_without_threadpoolctl(tmp_path):
     assert done.stderr == ""
 
 
-def test_predict_pins_blas_at_every_thread_count(trained_world, tmp_path):
-    # Fresh processes whose BLAS pool is not pinned by the environment:
-    # --threads 2 pins BLAS to one thread too, since the library spreads its
-    # own work over the CPUs, and writes the bytes of --threads 1.
+def test_predict_pins_blas_at_every_thread_count(trained_world, tmp_path, capsys):
+    # A fresh process whose BLAS pool is not pinned by the environment pins
+    # it to one thread, since the library spreads its own work over the CPUs,
+    # and writes the bytes of a run whose BLAS the environment pins.
     world, ckpt, _ = trained_world
     with open(world.reaction_paths["train"], encoding="utf-8") as fh:
         prods = [line.strip().split(">>")[1] for line in fh][:4]
@@ -693,24 +658,20 @@ def test_predict_pins_blas_at_every_thread_count(trained_world, tmp_path):
     env = {key: value for key, value in os.environ.items()
            if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
     env["PYTHONPATH"] = os.pathsep.join(sys.path)
-    outputs = []
-    for threads in ("1", "2"):
-        done = subprocess.run([sys.executable, "-m", "retroselect", "predict",
-                               "--checkpoint", ckpt, "--candidates", world.candidates_path,
-                               "--products", str(products), "-k", "2", "--beam", "8",
-                               "--threads", threads],
-                              env=env, cwd=tmp_path, capture_output=True, text=True,
-                              timeout=120)
-        assert done.returncode == 0, done.stderr
-        split = [line for line in done.stderr.splitlines() if line.startswith("threads: ")]
-        assert len(split) == 1
-        blas = re.fullmatch(rf"threads: workers=\d+ blas=(\d+|unknown) products={threads}",
-                            split[0]).group(1)
-        if blas == "unknown":
-            pytest.skip("numpy is not linked against a bundled OpenBLAS")
-        assert blas == "1"
-        outputs.append(done.stdout)
-    assert outputs[0] == outputs[1]
+    argv = ["predict", "--checkpoint", ckpt, "--candidates", world.candidates_path,
+            "--products", str(products), "-k", "2", "--beam", "8"]
+    done = subprocess.run([sys.executable, "-m", "retroselect"] + argv, env=env,
+                          cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    split = [line for line in done.stderr.splitlines() if line.startswith("threads: ")]
+    assert len(split) == 1
+    blas = re.fullmatch(r"threads: workers=\d+ blas=(\d+|unknown)", split[0]).group(1)
+    if blas == "unknown":
+        pytest.skip("numpy is not linked against a bundled OpenBLAS")
+    assert blas == "1"
+    capsys.readouterr()
+    assert main(argv) == EXIT_OK
+    assert done.stdout == capsys.readouterr().out
 
 
 def test_train_and_evaluate_report_dropped_lines(tmp_path, capsys):

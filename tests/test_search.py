@@ -215,16 +215,22 @@ def test_topk_pairs_and_beam_invariant_to_block_size(rng, monkeypatch):
             assert totals.tobytes() == totals0.tobytes()
 
 
-def test_scan_within_its_seed_starts_no_thread(tmp_path, monkeypatch):
-    # The toy pool is narrower than the leading columns that set a scan's
-    # first floor, so every scan of a prediction ends there: no share is
-    # handed out and the scan pool is never created.
+def toy_predictor(tmp_path):
+    """A toy world's train products and an untrained predictor over its pool."""
     corpus = make_memorization_world(str(tmp_path), seed=3, n_fragments=30,
                                      n_reactions=12, n_distractors=0).load()
     params = init_params(3, ModelDims(d=16, n_layers=2, n_types=1))
     predictor = Predictor(params, corpus.candidates(), np.array(corpus.candidate_ids),
                           beam=16, n_max=3)
-    product = corpus.molecule(corpus.reactions["train"][0].product_id)
+    return [corpus.molecule(r.product_id) for r in corpus.reactions["train"]], predictor
+
+
+def test_scan_within_its_seed_starts_no_thread(tmp_path, monkeypatch):
+    # The toy pool is narrower than the leading columns that set a scan's
+    # first floor, so every scan of a prediction ends there: no share is
+    # handed out and the scan pool is never created.
+    products, predictor = toy_predictor(tmp_path)
+    product = products[0]
     monkeypatch.setattr(workers, "COUNT", 3)
     monkeypatch.setattr(workers, "_POOL", None)
     threads = threading.active_count()
@@ -236,6 +242,36 @@ def test_scan_within_its_seed_starts_no_thread(tmp_path, monkeypatch):
     monkeypatch.setattr(index_module, "_SEED_BYTES", 4)
     assert predictor.predict(product, 5) == ranked
     assert workers._POOL is not None
+
+
+def test_predict_many_is_predict_in_input_order(tmp_path, monkeypatch):
+    # 0, 1 and 4 products on one and three workers, with scans of one-column
+    # blocks, give each product's own ``predict`` in the order given.
+    products, predictor = toy_predictor(tmp_path)
+    jobs = [(product, rxn_type) for product, rxn_type in zip(products[:4], (None, 1, 1, None))]
+    expected = [predictor.predict(product, 3, rxn_type=rxn_type) for product, rxn_type in jobs]
+    monkeypatch.setattr(index_module, "_BLOCK_BYTES", 4)
+    monkeypatch.setattr(index_module, "_SEED_BYTES", 4)
+    for count in (1, 3):
+        monkeypatch.setattr(workers, "COUNT", count)
+        for n in (0, 1, 4):
+            assert predictor.predict_many(jobs[:n], 3) == expected[:n]
+        assert predictor.predict_many(jobs[::-1], 3) == expected[::-1]
+
+
+def test_one_product_scans_reach_the_pool(tmp_path, monkeypatch):
+    # A lone product is a one-share fan-out, run as a plain call, so its
+    # scans still hand shares to the worker pool.
+    products, predictor = toy_predictor(tmp_path)
+    monkeypatch.setattr(workers, "COUNT", 3)
+    monkeypatch.setattr(index_module, "_BLOCK_BYTES", 4)
+    monkeypatch.setattr(index_module, "_SEED_BYTES", 4)
+    shares = []  # one call per share handed to the pool
+    pool = workers._pool
+    monkeypatch.setattr(workers, "_pool", lambda: shares.append(1) or pool())
+    ranked = predictor.predict_many([(products[0], None)], 5)
+    assert shares
+    assert ranked == [predictor.predict(products[0], 5)]
 
 
 def test_rank_matches_exhaustive_scoring(rng):

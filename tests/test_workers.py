@@ -1,5 +1,7 @@
+import ast
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -58,3 +60,34 @@ def test_nested_fan_out_runs_inline(monkeypatch):
         assert all(inner == [[0, 1, 2, 3]] for share in shares for _, inner in share)
     pooled = {name for shares in results for share in shares[1:] for name, _ in share}
     assert all(name.startswith("share") for name in pooled)
+
+
+def test_one_share_runs_on_the_caller_unmarked(monkeypatch):
+    # One item makes one share: a plain call on the caller, so a fan-out
+    # nested in it still deals its items over the pool.
+    monkeypatch.setattr(workers, "COUNT", 2)
+    monkeypatch.setattr(workers, "_POOL", None)
+
+    def outer(share):
+        inner = workers.fan_out(lambda part: threading.current_thread().name, range(4))
+        return threading.current_thread(), getattr(workers._SHARE, "inside", False), inner
+
+    [(thread, inside, inner)] = workers.fan_out(outer, [0])
+    assert thread is threading.current_thread() and not inside
+    assert inner[0] == thread.name and inner[1].startswith("share")
+
+
+def test_only_workers_starts_threads():
+    # ``workers.fan_out`` is the one way the library runs work in parallel:
+    # no other module names a thread or process pool or a thread class.
+    src = Path(workers.__file__).parent
+    field = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+    found = []
+    for path in sorted(src.rglob("*.py")):
+        if path == Path(workers.__file__):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(node, field.get(type(node), ""), None)
+            if name in ("ThreadPoolExecutor", "ProcessPoolExecutor", "Thread"):
+                found.append(f"{path.relative_to(src)}:{node.lineno} {name}")
+    assert found == []
