@@ -403,12 +403,6 @@ class BatchNormState:
     running_mean: np.ndarray
     running_var: np.ndarray
 
-    @classmethod
-    def create(cls, width: int, dtype=np.float32) -> "BatchNormState":
-        return cls(parameter(np.ones(width, dtype=dtype)),
-                   parameter(np.zeros(width, dtype=dtype)),
-                   np.zeros(width, dtype=dtype), np.ones(width, dtype=dtype))
-
     @property
     def width(self) -> int:
         return self.gamma.data.shape[0]

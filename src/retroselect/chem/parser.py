@@ -48,7 +48,7 @@ def parse_smiles(text: str, allow_fragments: bool = False) -> Molecule:
 
 def parse_reaction(line: str) -> tuple[list[Molecule], Molecule, int | None]:
     """Parse a reaction line ``R1.R2>>P`` or ``R1>reagents>P`` with an
-    optional trailing tab-separated integer reaction type.
+    optional trailing tab-separated reaction type, an integer from 1.
 
     The reagent segment is discarded. Multi-fragment products are rejected.
     """
@@ -64,6 +64,8 @@ def parse_reaction(line: str) -> tuple[list[Molecule], Molecule, int | None]:
                 rxn_type = int(tail)
             except ValueError:
                 raise MalformedReaction(f"bad reaction type field {tail!r}")
+            if rxn_type < 1:
+                raise MalformedReaction(f"reaction type {rxn_type} is below 1")
     parts = line.split(">")
     if len(parts) != 3:
         raise MalformedReaction(

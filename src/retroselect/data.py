@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chem import ChemError, Molecule, canonical_form, parse_reaction, parse_smiles
-from .encoder import ModelDims, ParamStore, init_params
+from .encoder import D_ATOM, D_BOND, ModelDims, ParamStore
 
 SPLITS = ("train", "val", "test")
 # A load aborts when more than this share of reaction (or pool) lines fails.
@@ -207,7 +207,7 @@ def save_checkpoint(params: ParamStore, path: str, tau: float = 0.1,
     arrays = params.state_arrays()
     with replace_on_success(path) as fh:
         fh.write(_CKPT_HEADER.pack(_CKPT_MAGIC, _CKPT_VERSION, dims.d,
-                                   dims.n_layers, dims.d_atom, dims.d_bond,
+                                   dims.n_layers, D_ATOM, D_BOND,
                                    dims.n_types, float(tau), params.step, seed))
         fh.write(struct.pack("<I", len(arrays)))
         for name in sorted(arrays):
@@ -221,8 +221,11 @@ def save_checkpoint(params: ParamStore, path: str, tau: float = 0.1,
 
 
 def load_checkpoint(path: str) -> tuple[ParamStore, dict]:
-    """Load a checkpoint; returns (params, header metadata). Strict: unknown
-    or missing tensor names are an error."""
+    """Load a checkpoint; returns (params, header metadata). Checks, each a
+    ``CorruptCheckpoint``: the header (``d`` >= 1, widths ``D_ATOM`` and
+    ``D_BOND``), the tensor table and its finite values, then its names and
+    shapes against the layout, which ``ParamStore`` reads no further than the
+    table holds: allocation is bounded by the file's size, not the header."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < _CKPT_HEADER.size + 4:
@@ -233,6 +236,8 @@ def load_checkpoint(path: str) -> tuple[ParamStore, dict]:
         raise CorruptCheckpoint(f"bad magic {magic!r}")
     if version != _CKPT_VERSION:
         raise CorruptCheckpoint(f"unsupported checkpoint version {version}")
+    if d < 1 or (d_atom, d_bond) != (D_ATOM, D_BOND):
+        raise CorruptCheckpoint(f"bad header widths d={d}, atom {d_atom}, bond {d_bond}")
     offset = _CKPT_HEADER.size
     (count,) = struct.unpack_from("<I", blob, offset)
     offset += 4
@@ -255,14 +260,12 @@ def load_checkpoint(path: str) -> tuple[ParamStore, dict]:
         raise CorruptCheckpoint(f"truncated tensor table: {exc}") from exc
     if offset != len(blob):
         raise CorruptCheckpoint("trailing bytes after tensor table")
-    dims = ModelDims(d_atom=d_atom, d_bond=d_bond, d=d,
-                     n_layers=n_layers, n_types=n_types)
-    params = init_params(0, dims)
+    if not all(np.isfinite(array).all() for array in arrays.values()):
+        raise CorruptCheckpoint("non-finite values in the tensor table")
     try:
-        params.load_state_arrays(arrays)
-    except KeyError as exc:
-        raise CorruptCheckpoint(str(exc)) from exc
-    params.step = step
+        params = ParamStore(ModelDims(d=d, n_layers=n_layers, n_types=n_types), arrays, step)
+    except (KeyError, ValueError) as exc:
+        raise CorruptCheckpoint(exc.args[0]) from exc
     meta = {"tau": tau, "step": step, "seed": seed}
     return params, meta
 

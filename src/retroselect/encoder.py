@@ -4,6 +4,8 @@ A shared L-layer trunk computes per-atom embeddings from atom and bond
 features; three residual heads (``f`` product-query, ``g`` reactant-query,
 ``h`` key) sum-pool atoms into molecule vectors. Reaction-type bias rows
 ``u``/``v`` and the trainable halt key live alongside the network weights.
+Every state array is one entry of one table, ``_layout``: a ``ParamStore``
+is built from one array per entry, whether initialised, copied or loaded.
 
 Message passing is written as sparse-dense products (Kipf & Welling,
 arXiv:1609.02907): a layer's neighbour sum over edges into atom i is one
@@ -30,7 +32,7 @@ one (``featurize``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,47 +49,82 @@ HEADS = ("f", "g", "h")
 
 @dataclass(frozen=True)
 class ModelDims:
-    d_atom: int = D_ATOM
-    d_bond: int = D_BOND
+    """Model size; the feature widths are the constants D_ATOM and D_BOND."""
     d: int = 256
     n_layers: int = 5
     n_types: int = 10
 
 
+_BN_INIT = {"gamma": "ones", "beta": "zeros", "running_mean": "zeros", "running_var": "ones"}
+
+
+def _layout(dims: ModelDims):
+    """Yields (name, shape, initial value) of every state array, lazily, in
+    ``ParamStore.state_arrays`` order: network tensors, each batch-norm
+    site's gamma and beta, then each site's running mean and variance. The
+    initial value is "uniform" (fan-in; exactly the weight-decayed tensors),
+    "zeros" or "ones"."""
+    d, sites = dims.d, ["trunk.bn0"]
+
+    def weight(name, rows=d):
+        return name, (rows, d), "uniform"
+
+    def bias(name):
+        return name, (d,), "zeros"
+
+    yield from (weight("trunk.w0_atom", D_ATOM), bias("trunk.b0"),
+                weight("trunk.w0_bond", D_BOND))
+    for prefix in (f"trunk.l{layer}" for layer in range(1, dims.n_layers + 1)):
+        yield from (weight(f"{prefix}.w1"), bias(f"{prefix}.b1"),
+                    weight(f"{prefix}.w_bond", D_BOND), weight(f"{prefix}.w2"),
+                    bias(f"{prefix}.b2"))
+        sites += [f"{prefix}.bn1", f"{prefix}.bn2"]
+    yield from (weight("trunk.w_last"), bias("trunk.b_last"))
+    for prefix in (f"head.{head}" for head in HEADS):
+        yield from (weight(f"{prefix}.w1"), bias(f"{prefix}.b1"),
+                    weight(f"{prefix}.w2"), bias(f"{prefix}.b2"))
+        sites += [f"{prefix}.bn1", f"{prefix}.bn2"]
+    yield from (("type.u", (dims.n_types, d), "zeros"),
+                ("type.v", (dims.n_types, d), "zeros"), ("halt_key", (d,), "uniform"))
+    yield from ((f"{site}.{field}", (d,), _BN_INIT[field]) for fields in
+                (("gamma", "beta"), ("running_mean", "running_var"))
+                for site in sites for field in fields)
+
+
 class ParamStore:
-    """All trainable tensors plus batch-norm running statistics."""
+    """All trainable tensors plus batch-norm running statistics, on one array
+    per ``_layout`` entry of ``dims``, kept as given (not copied). A missing
+    or unknown name raises ``KeyError`` and a wrong shape ``ValueError``; the
+    layout is read no further than the first name that ``arrays`` lacks."""
 
-    def __init__(self, dims: ModelDims, dtype=np.float32):
-        self.dims = dims
-        self.dtype = np.dtype(dtype)
-        self.step = 0
-        self.tensors: dict[str, Tensor] = {}
-        self.bn_states: dict[str, BatchNormState] = {}
-        self._no_decay: set[str] = set()
+    def __init__(self, dims: ModelDims, arrays: dict[str, np.ndarray], step: int = 0):
+        layout = []
+        for name, shape, init in _layout(dims):
+            if name not in arrays:
+                raise KeyError(f"missing tensor {name} in state")
+            if arrays[name].shape != shape:
+                raise ValueError(f"shape mismatch for {name}: expected {shape}, "
+                                 f"got {arrays[name].shape}")
+            layout.append((name, init))
+        unknown = arrays.keys() - dict(layout).keys()
+        if unknown:
+            raise KeyError(f"unknown tensors in state: {sorted(unknown)[:4]}")
+        self.dims, self.dtype, self.step = dims, arrays[layout[0][0]].dtype, step
+        self._decayed = {name for name, init in layout if init == "uniform"}
+        self.tensors = {name: ad.parameter(arrays[name]) for name, _ in layout
+                        if name.rpartition(".")[2] not in _BN_INIT}
+        sites = [name[:-len(".gamma")] for name, _ in layout if name.endswith(".gamma")]
+        self.bn_states = {site: BatchNormState(
+            ad.parameter(arrays[f"{site}.gamma"]), ad.parameter(arrays[f"{site}.beta"]),
+            arrays[f"{site}.running_mean"], arrays[f"{site}.running_var"]) for site in sites}
         self._detached: ParamStore | None = None
-
-    # --- construction helpers ---
-
-    def _add_weight(self, name: str, shape: tuple[int, ...], rng) -> None:
-        fan_in = shape[0]
-        bound = 1.0 / np.sqrt(fan_in)
-        data = rng.uniform(-bound, bound, size=shape).astype(self.dtype)
-        self.tensors[name] = ad.parameter(data)
-
-    def _add_zeros(self, name: str, shape: tuple[int, ...], decay: bool = False) -> None:
-        self.tensors[name] = ad.parameter(np.zeros(shape, dtype=self.dtype))
-        if not decay:
-            self._no_decay.add(name)
-
-    def _add_bn(self, name: str) -> None:
-        self.bn_states[name] = BatchNormState.create(self.dims.d, dtype=self.dtype)
 
     # --- parameter access ---
 
     def named_parameters(self):
         """Yields (name, tensor, decay) in a fixed deterministic order."""
         for name, tensor in self.tensors.items():
-            yield name, tensor, name not in self._no_decay
+            yield name, tensor, name in self._decayed
         for bn_name, state in self.bn_states.items():
             yield f"{bn_name}.gamma", state.gamma, False
             yield f"{bn_name}.beta", state.beta, False
@@ -98,37 +135,19 @@ class ParamStore:
 
     def gradients(self) -> dict[str, np.ndarray]:
         """Gradient map after a backward pass; unreached parameters are zero."""
-        out = {}
-        for name, tensor, _ in self.named_parameters():
-            out[name] = tensor.grad if tensor.grad is not None \
-                else np.zeros_like(tensor.data)
-        return out
+        return {name: tensor.grad if tensor.grad is not None else np.zeros_like(tensor.data)
+                for name, tensor, _ in self.named_parameters()}
 
     def num_parameters(self) -> int:
         return sum(t.data.size for _, t, _ in self.named_parameters())
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        """Every persistent array: parameters plus BN running statistics."""
+        """Every persistent array, in ``_layout`` order: parameters, BN statistics."""
         out = {name: t.data for name, t, _ in self.named_parameters()}
         for bn_name, state in self.bn_states.items():
             out[f"{bn_name}.running_mean"] = state.running_mean
             out[f"{bn_name}.running_var"] = state.running_var
         return out
-
-    def load_state_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        expected = self.state_arrays()
-        unknown = set(arrays) - set(expected)
-        if unknown:
-            raise KeyError(f"unknown tensors in state: {sorted(unknown)[:4]}")
-        missing = set(expected) - set(arrays)
-        if missing:
-            raise KeyError(f"missing tensors in state: {sorted(missing)[:4]}")
-        for name, value in arrays.items():
-            target = expected[name]
-            if target.shape != value.shape:
-                raise ValueError(f"shape mismatch for {name}: "
-                                 f"{target.shape} vs {value.shape}")
-            target[...] = value
 
     def detached(self) -> "ParamStore":
         """The same weights as constants, for forwards that are never
@@ -138,60 +157,30 @@ class ParamStore:
         in place, so the view is built once per store and its outputs are
         bitwise those of the trainable store."""
         if self._detached is None:
-            view = ParamStore(self.dims, self.dtype)
-            view.tensors = {name: ad.constant(t.data) for name, t in self.tensors.items()}
-            view.bn_states = {name: replace(state, gamma=ad.constant(state.gamma.data),
-                                            beta=ad.constant(state.beta.data))
-                              for name, state in self.bn_states.items()}
-            view._detached = view
-            self._detached = view
+            view = ParamStore(self.dims, self.state_arrays())
+            for _, tensor, _ in view.named_parameters():
+                tensor.requires_grad = False
+            self._detached = view._detached = view
         return self._detached
 
     def copy(self) -> "ParamStore":
-        clone = ParamStore(self.dims, self.dtype)
-        _populate(clone, np.random.default_rng(0))
-        clone.load_state_arrays({k: v.copy() for k, v in self.state_arrays().items()})
-        clone.step = self.step
-        return clone
-
-
-def _populate(params: ParamStore, rng) -> None:
-    dims = params.dims
-    d, d_atom, d_bond = dims.d, dims.d_atom, dims.d_bond
-    params._add_weight("trunk.w0_atom", (d_atom, d), rng)
-    params._add_zeros("trunk.b0", (d,))
-    params._add_weight("trunk.w0_bond", (d_bond, d), rng)
-    params._add_bn("trunk.bn0")
-    for layer in range(1, dims.n_layers + 1):
-        prefix = f"trunk.l{layer}"
-        params._add_weight(f"{prefix}.w1", (d, d), rng)
-        params._add_zeros(f"{prefix}.b1", (d,))
-        params._add_weight(f"{prefix}.w_bond", (d_bond, d), rng)
-        params._add_bn(f"{prefix}.bn1")
-        params._add_weight(f"{prefix}.w2", (d, d), rng)
-        params._add_zeros(f"{prefix}.b2", (d,))
-        params._add_bn(f"{prefix}.bn2")
-    params._add_weight("trunk.w_last", (d, d), rng)
-    params._add_zeros("trunk.b_last", (d,))
-    for head in HEADS:
-        prefix = f"head.{head}"
-        params._add_weight(f"{prefix}.w1", (d, d), rng)
-        params._add_zeros(f"{prefix}.b1", (d,))
-        params._add_bn(f"{prefix}.bn1")
-        params._add_weight(f"{prefix}.w2", (d, d), rng)
-        params._add_zeros(f"{prefix}.b2", (d,))
-        params._add_bn(f"{prefix}.bn2")
-    params._add_zeros("type.u", (dims.n_types, d))
-    params._add_zeros("type.v", (dims.n_types, d))
-    params._add_weight("halt_key", (d,), rng)
+        arrays = {name: array.copy() for name, array in self.state_arrays().items()}
+        return ParamStore(self.dims, arrays, self.step)
 
 
 def init_params(seed: int, dims: ModelDims | None = None, dtype=np.float32) -> ParamStore:
-    """Uniform fan-in initialized weights; biases and type biases zero."""
+    """Fan-in uniform weights, drawn in ``_layout`` order from one generator
+    seeded with ``seed``; every other array zeros or ones."""
     dims = dims or ModelDims()
-    params = ParamStore(dims, dtype)
-    _populate(params, np.random.default_rng(seed))
-    return params
+    rng = np.random.default_rng(seed)
+    arrays = {}
+    for name, shape, init in _layout(dims):
+        if init == "uniform":
+            bound = 1.0 / np.sqrt(shape[0])
+            arrays[name] = rng.uniform(-bound, bound, size=shape).astype(dtype)
+        else:
+            arrays[name] = (np.zeros if init == "zeros" else np.ones)(shape, dtype=dtype)
+    return ParamStore(dims, arrays)
 
 
 # --- forward passes ---
@@ -213,10 +202,6 @@ def embed_nodes(feats: PackedGraphs, params: ParamStore, mode: str = "eval",
                 ops: _GraphOps | None = None) -> Tensor:
     """Per-atom embedding matrix [n_atoms, d] for a graph batch. Eval mode
     runs on the store's detached view and records no tape."""
-    if feats.atom_features.shape[1] != params.dims.d_atom:
-        raise ad.ShapeMismatch("atom feature width does not match parameters")
-    if feats.bond_features.shape[1] != params.dims.d_bond:
-        raise ad.ShapeMismatch("bond feature width does not match parameters")
     if mode == "eval":
         params = params.detached()
     ops = ops or _GraphOps(feats)

@@ -202,6 +202,14 @@ def edge_loop_embeddings(packed, params, mode: str, heads=("f", "g", "h")) -> di
     return out
 
 
+def new_bn_state(width: int, dtype=np.float32) -> ad.BatchNormState:
+    """A batch-norm site as a fresh model has it: gamma one, beta zero,
+    running mean zero and running variance one."""
+    return ad.BatchNormState(ad.parameter(np.ones(width, dtype=dtype)),
+                             ad.parameter(np.zeros(width, dtype=dtype)),
+                             np.zeros(width, dtype=dtype), np.ones(width, dtype=dtype))
+
+
 def randomize_batchnorm(params, rng) -> None:
     """Non-trivial running statistics, gamma and beta in every BN layer."""
     for state in params.bn_states.values():

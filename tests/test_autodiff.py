@@ -8,7 +8,7 @@ import scipy.sparse as sp
 
 from retroselect import autodiff as ad
 
-from helpers import composed_affine_batchnorm, mul, relative_error
+from helpers import composed_affine_batchnorm, mul, new_bn_state, relative_error
 
 
 def fd_check(make_loss, params, h=1e-5, tol=1e-6, samples=6, seed=0):
@@ -93,7 +93,7 @@ def _identity_site(x, state, mode="train"):
 
 
 def test_batchnorm_two_point_train():
-    state = ad.BatchNormState.create(1, dtype=np.float64)
+    state = new_bn_state(1, dtype=np.float64)
     out = _identity_site(ad.constant(np.array([[1.0], [3.0]])), state)
     assert np.abs(out.data - np.array([[-1.0], [1.0]])).max() < 1e-2
     assert np.abs(state.running_mean[0] - 0.2) < 1e-12          # 0.1 * mean 2
@@ -101,14 +101,14 @@ def test_batchnorm_two_point_train():
 
 
 def test_batchnorm_eval_identity():
-    state = ad.BatchNormState.create(3, dtype=np.float64)
+    state = new_bn_state(3, dtype=np.float64)
     x = np.random.default_rng(0).standard_normal((4, 3))
     out = _identity_site(ad.constant(x), state, "eval")
     assert np.abs(out.data - x).max() < 1e-4  # epsilon-perturbed identity
 
 
 def test_batchnorm_degenerate_batch():
-    state = ad.BatchNormState.create(2)
+    state = new_bn_state(2)
     with pytest.raises(ad.DegenerateBatch):
         _identity_site(ad.constant(np.zeros((1, 2), dtype=np.float32)), state)
     one_row = ad.constant(np.zeros((1, 2)))
@@ -119,7 +119,7 @@ def test_batchnorm_degenerate_batch():
 
 
 def test_batchnorm_backward_finite_differences(rng):
-    state = ad.BatchNormState.create(3, dtype=np.float64)
+    state = new_bn_state(3, dtype=np.float64)
     state.gamma.data[:] = rng.uniform(0.5, 1.5, 3)
     state.beta.data[:] = rng.standard_normal(3)
     x = ad.parameter(rng.standard_normal((4, 3)))
@@ -135,7 +135,7 @@ def _random_bn_site(rng, n=6, widths=(4, 2), d=3, dtype=np.float64):
     bias, a residual and non-trivial running statistics, gamma and beta."""
     def normal(*shape):
         return rng.standard_normal(shape).astype(dtype)
-    state = ad.BatchNormState.create(d, dtype=dtype)
+    state = new_bn_state(d, dtype=dtype)
     state.running_mean[:] = normal(d)
     state.running_var[:] = rng.uniform(0.3, 3.0, d)
     state.gamma.data[:] = rng.uniform(-1.5, 1.5, d)
@@ -218,7 +218,7 @@ def test_affine_batchnorm_train_shared_input(rng):
     w_atom, w_bond0, w_bond1, w_mid = (ad.parameter(rng.standard_normal(shape))
                                        for shape in ((3, d), (2, d), (2, d), (d, d)))
     b0, b1 = (ad.parameter(rng.standard_normal(d)) for _ in range(2))
-    states = [ad.BatchNormState.create(d, dtype=np.float64) for _ in range(2)]
+    states = [new_bn_state(d, dtype=np.float64) for _ in range(2)]
     for state in states:
         state.gamma.data[:] = rng.uniform(0.5, 1.5, d)
         state.beta.data[:] = rng.standard_normal(d)
@@ -331,7 +331,7 @@ def test_backward_frees_saved_buffers_as_it_runs(rng):
     # second's normalized buffer is gone. Leaves keep their gradients.
     terms, b, state, _ = _random_bn_site(rng, n=6, widths=(4,), d=3)
     w2 = ad.parameter(rng.standard_normal((3, 3)))
-    state2 = ad.BatchNormState.create(3, dtype=np.float64)
+    state2 = new_bn_state(3, dtype=np.float64)
     first = ad.affine_batchnorm(terms, b, state, "train", relu=True)
     second = ad.affine_batchnorm([(first, w2)], b, state2, "train", relu=True)
     x_hat = weakref.ref(_saved(second, "x_hat"))
@@ -376,7 +376,7 @@ def test_backward_frees_swept_nodes_before_the_sweep_ends(rng):
     start = ad.scale(x, 1.0)
     first = ad.affine_batchnorm([(start, w)], b, state, "train", relu=True)
     w2 = ad.parameter(rng.standard_normal((3, 3)))
-    second = ad.affine_batchnorm([(first, w2)], b, ad.BatchNormState.create(3, np.float64),
+    second = ad.affine_batchnorm([(first, w2)], b, new_bn_state(3, np.float64),
                                  "train", relu=True)
     output = weakref.ref(first.data)
     alive_at_start = []

@@ -674,6 +674,23 @@ def test_predict_pins_blas_at_every_thread_count(trained_world, tmp_path, capsys
     assert done.stdout == capsys.readouterr().out
 
 
+@pytest.mark.parametrize("rxn_type", ["0", "-2"])
+def test_train_reaction_type_below_one_is_data_error(rxn_type, tmp_path, capsys):
+    """A type below 1 drops its line as unparsable; one bad line in four is
+    above the 1% a load forgives."""
+    reactions = tmp_path / "typed.txt"
+    reactions.write_text("CCO.CC(=O)O>>CC(=O)OCC\t1\nCN.CC(=O)O>>CC(=O)NC\t1\n"
+                         f"CCC.O>>CCCO\t{rxn_type}\nCCN.CC(=O)O>>CC(=O)NCC\t1\n",
+                         encoding="utf-8")
+    ckpt = tmp_path / "model.rclc"
+    assert main(["train", "--train", str(reactions), "--checkpoint", str(ckpt),
+                 "--total-iters", "1", "--batch-size", "2", "--dim", "8",
+                 "--layers", "1"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert len([line for line in err.splitlines() if line.startswith("error:")]) == 1
+    assert "Traceback" not in err and not ckpt.exists()
+
+
 def test_train_and_evaluate_report_dropped_lines(tmp_path, capsys):
     reactions = tmp_path / "reactions.txt"
     lines = ["CCO.CC(=O)O>>CC(=O)OCC"] * 100 + ["CN.CC(=O)O>>CC(=O)NC", "C1CC>>CC"]

@@ -1,11 +1,15 @@
+import contextlib
+import struct
+
 import numpy as np
 import pytest
 
-from retroselect.chem import canonical_form, parse_smiles
+from retroselect.chem import D_ATOM, canonical_form, parse_smiles
 from retroselect.data import (Corpus, CorpusError, CorruptCheckpoint, MetricsLog,
                               load_checkpoint, load_corpus, save_checkpoint,
                               topk_exact_match)
 from retroselect.encoder import ModelDims, init_params
+from retroselect.index import CandidateIndex, CorruptIndexCache, load_index, save_index
 
 
 def write(path, text):
@@ -133,7 +137,6 @@ def test_checkpoint_shapes_match_init(tmp_path):
 
 
 def test_failed_checkpoint_write_keeps_previous_file(tmp_path, monkeypatch):
-    import struct
     path = tmp_path / "model.rclc"
     save_checkpoint(init_params(1, ModelDims(d=4, n_layers=1, n_types=1)), str(path))
     before = path.read_bytes()
@@ -166,14 +169,89 @@ def test_checkpoint_corruption(tmp_path):
     (tmp_path / "tail.rclc").write_bytes(blob + b"xx")
     with pytest.raises(CorruptCheckpoint):
         load_checkpoint(str(tmp_path / "tail.rclc"))
+    params.tensors["halt_key"].data[1] = np.nan  # would rank every set at NaN
+    save_checkpoint(params, str(tmp_path / "nan.rclc"))
+    with pytest.raises(CorruptCheckpoint, match="non-finite"):
+        load_checkpoint(str(tmp_path / "nan.rclc"))
 
 
-def test_load_state_rejects_unknown_tensor():
-    params = init_params(0, ModelDims(d=4, n_layers=1, n_types=1))
-    state = params.state_arrays()
-    state["mystery"] = np.zeros(3)
-    with pytest.raises(KeyError):
-        params.load_state_arrays(state)
+_HEADER = struct.Struct("<4sIIIIIIdQQ")  # magic, version, d, n_layers, widths, ...
+_FIELDS = ("magic", "version", "d", "n_layers", "d_atom", "d_bond", "n_types", "tau",
+           "step", "seed")
+
+
+def _with_header(blob: bytes, **fields) -> bytes:
+    header = dict(zip(_FIELDS, _HEADER.unpack_from(blob, 0)))
+    header.update(fields)
+    return _HEADER.pack(*header.values()) + blob[_HEADER.size:]
+
+
+@pytest.mark.parametrize("fields", [
+    dict(d=0), dict(d=2**20), dict(n_layers=2**32 - 1, d=1), dict(d_atom=D_ATOM - 1),
+    dict(d_bond=4), dict(d=8), dict(n_layers=1), dict(n_types=2**32 - 1)])
+def test_checkpoint_header_is_checked_before_allocation(fields, tmp_path):
+    """A header that disagrees with the file's tensor table raises
+    ``CorruptCheckpoint`` without building the model the header describes."""
+    path = tmp_path / "model.rclc"
+    save_checkpoint(init_params(0, ModelDims(d=16, n_layers=2, n_types=1)), str(path))
+    path.write_bytes(_with_header(path.read_bytes(), **fields))
+    with pytest.raises(CorruptCheckpoint):
+        load_checkpoint(str(path))
+
+
+def test_load_and_copy_build_no_random_model(tmp_path, monkeypatch):
+    params = init_params(2, ModelDims(d=4, n_layers=1, n_types=1))
+    path = str(tmp_path / "model.rclc")
+    save_checkpoint(params, path)
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a random generator was made")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    loaded, _ = load_checkpoint(path)
+    clone = loaded.copy()
+    for name, array in params.state_arrays().items():
+        assert np.array_equal(clone.state_arrays()[name], array), name
+        assert clone.state_arrays()[name] is not loaded.state_arrays()[name]
+
+
+def _set_bytes_and_truncate(blob: bytes, offsets, header_size: int):
+    """Every byte at ``offsets`` set to 0x00 and then to 0xFF, then the file
+    cut at every offset of its header."""
+    for offset in offsets:
+        for value in (0x00, 0xFF):
+            yield blob[:offset] + bytes([value]) + blob[offset + 1:]
+    for size in range(header_size):
+        yield blob[:size]
+
+
+def test_every_header_byte_loads_or_raises_its_format_error(tmp_path):
+    """Each mutation of a checkpoint's or an RCLX cache's header and first
+    table record either loads or raises that format's own error."""
+    d = 4
+    save_checkpoint(init_params(0, ModelDims(d=d, n_layers=1, n_types=1)),
+                    str(tmp_path / "model.rclc"))
+    checkpoint = (tmp_path / "model.rclc").read_bytes()
+    header = _HEADER.size + 4  # the fixed header, then the table's entry count
+    first = 2 + len(b"halt_key") + 1 + 4 + 4 * d  # name, rank, shape, data
+    assert checkpoint[header + 2:header + 10] == b"halt_key"
+    rows = np.arange(6 * d, dtype=np.float32).reshape(6, d) + 1
+    save_index(CandidateIndex.from_raw_keys(rows, np.arange(6)), str(tmp_path / "c.rclx"))
+    cache = (tmp_path / "c.rclx").read_bytes()
+    rclx_header = 21  # magic, version, rows, width, flag byte
+    keys = rclx_header + 8 * 6  # the key rows start after the six ids
+    cases = [(load_checkpoint, CorruptCheckpoint,
+              _set_bytes_and_truncate(checkpoint, range(header + first), header)),
+             (load_index, CorruptIndexCache,
+              # the header and the first record: its id and its key row
+              _set_bytes_and_truncate(cache, [*range(rclx_header + 8),
+                                              *range(keys, keys + 4 * d)], rclx_header))]
+    path = tmp_path / "mutated"
+    for load, error, mutations in cases:
+        for data in mutations:
+            path.write_bytes(data)
+            with contextlib.suppress(error):
+                load(str(path))
 
 
 # --- evaluation ---

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import threading
 import time
@@ -10,7 +11,7 @@ from retroselect import autodiff as ad
 from retroselect import encoder, workers
 from retroselect.chem import (D_ATOM, D_BOND, PackedGraphs, disjoint_union, featurize, pack,
                               parse_smiles, write_smiles)
-from retroselect.encoder import (HEADS, ModelDims, embed_graphs, embed_molecule,
+from retroselect.encoder import (HEADS, ModelDims, ParamStore, embed_graphs, embed_molecule,
                                  embed_nodes, embed_pool, init_params, type_bias)
 
 from helpers import (CORPUS_SMILES, edge_loop_embeddings, mul, random_permutation,
@@ -43,15 +44,43 @@ def test_type_biases_start_zero():
 
 
 def test_parameter_count_matches_hand_formula():
-    d, L, T, d_atom, d_bond = 8, 2, 3, 35, 5
-    params = init_params(0, ModelDims(d_atom, d_bond, d, L, T))
-    trunk = (d_atom * d + d) + (d_bond * d)            # input projections
-    trunk += L * (2 * (d * d + d) + d_bond * d)        # per-layer W1, W2, Wbond
+    d, L, T = 8, 2, 3
+    params = init_params(0, ModelDims(d, L, T))
+    trunk = (D_ATOM * d + d) + (D_BOND * d)            # input projections
+    trunk += L * (2 * (d * d + d) + D_BOND * d)        # per-layer W1, W2, Wbond
     trunk += d * d + d                                 # last linear
     heads = 3 * 2 * (d * d + d)                        # W1/W2 per head
     bn = (1 + 2 * L + 3 * 2) * 2 * d                   # gamma+beta per BN
     extras = 2 * T * d + d                             # u, v, halt key
     assert params.num_parameters() == trunk + heads + bn + extras
+
+
+def test_param_store_rejects_unknown_missing_and_misshaped_arrays():
+    dims = ModelDims(d=4, n_layers=1, n_types=1)
+    arrays = init_params(0, dims).state_arrays()
+    with pytest.raises(KeyError, match="unknown"):
+        ParamStore(dims, {**arrays, "mystery": np.zeros(3, np.float32)})
+    with pytest.raises(KeyError, match="missing"):
+        ParamStore(dims, {k: v for k, v in arrays.items() if k != "head.g.bn2.running_var"})
+    with pytest.raises(ValueError, match="type.u"):
+        ParamStore(dims, {**arrays, "type.u": np.zeros((2, 4), np.float32)})
+    # Dims that ask for more layers than the arrays hold stop at the first
+    # missing name, however many layers they ask for.
+    with pytest.raises(KeyError, match="trunk.l2.w1"):
+        ParamStore(ModelDims(d=4, n_layers=2**32 - 1, n_types=1), arrays)
+    store = ParamStore(dims, arrays, step=5)
+    assert store.step == 5
+    assert all(store.state_arrays()[name] is array for name, array in arrays.items())
+
+
+@pytest.mark.parametrize("mode", ["eval", "train"])
+@pytest.mark.parametrize("field", ["atom_features", "bond_features"])
+def test_batch_one_column_short_is_shape_mismatch(field, mode):
+    params = init_params(0, ModelDims(d=8, n_layers=1, n_types=1))
+    feats = featurize(parse_smiles("CC(=O)O"))
+    short = dataclasses.replace(feats, **{field: getattr(feats, field)[:, :-1]})
+    with pytest.raises(ad.ShapeMismatch):
+        embed_nodes(short, params, mode)
 
 
 def test_single_atom_rows_do_not_mix():

@@ -182,6 +182,8 @@ def test_reaction_reagents_dropped():
     ("CCO>>C.C", MultiFragmentProduct),
     ("CCO>>", MultiFragmentProduct),
     ("CCO>>CC\tx", MalformedReaction),
+    ("CCC.O>>CCCO\t0", MalformedReaction),   # reaction types are 1-based
+    ("CCC.O>>CCCO\t-2", MalformedReaction),
 ])
 def test_reaction_errors(line, error):
     with pytest.raises(error):
