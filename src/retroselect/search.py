@@ -11,13 +11,14 @@ memory is O(live x block) and the round keeps exactly the float64 top
 ``beam`` extensions (each hypothesis offering its own top ``beam`` by
 cosine, then ascending id). Each round banks the id sets of its live
 hypotheses, and only those: one lexsort over the sorted id rows makes a
-block of distinct sets (``Banked``). ``rank`` scores every banked set
-from its ids alone by the full permutation-maximized overall score, one
-batched ``scoring.score_sets`` call per block, orders all sets with one
-lexsort and builds ``ScoredSet`` records only for the top ``k``.
-``Predictor.predict`` embeds its product once, a graph batch of one, and
-hands the f and h rows to both; ``Predictor.predict_many`` deals products
-over the usable CPUs through ``workers.fan_out``.
+block of distinct sets (``Banked``). A reaction has at least one reactant,
+so the empty set the search starts from is never banked. ``rank`` scores
+every banked set from its ids alone by the full permutation-maximized
+overall score, one batched ``scoring.score_sets`` call per block, orders
+all sets with one lexsort and builds ``ScoredSet`` records only for the
+top ``k``. ``Predictor.predict`` embeds its product once, a graph batch of
+one, and hands the f and h rows to both; ``Predictor.predict_many`` deals
+products over the usable CPUs through ``workers.fan_out``.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ from .scoring import (MAX_PERM_THRESHOLD, ScoredSet, cosine64,  # noqa: F401
 
 @dataclass(frozen=True)
 class Banked:
-    """Reactant sets reached by one beam search, one block per round: an
-    [m, n] array of m distinct id sets of size n, each row in ascending id
-    order and the rows in ascending order."""
+    """Reactant sets reached by one beam search, one block per round (none
+    for the empty set): an [m, n] array of m distinct id sets of size n,
+    each row in ascending id order and the rows in ascending order."""
 
     blocks: tuple[np.ndarray, ...]
 
@@ -56,7 +57,7 @@ def beam_search(product: Molecule | None, index: CandidateIndex, params: ParamSt
                 exclude_ids: set[int] | None = None,
                 f_product: np.ndarray | None = None) -> Banked:
     """Id sets of the hypotheses live at each round for one product, from
-    the empty set up to size ``n_max``, one block of distinct sets per round.
+    one reactant up to ``n_max``, one block of distinct sets per round.
 
     ``g_pool`` holds raw reactant-query embeddings aligned with the index
     candidate rows. The product's own pool id (if any) must be passed in
@@ -86,7 +87,7 @@ def beam_search(product: Molecule | None, index: CandidateIndex, params: ParamSt
     chosen = np.empty((1, 0), dtype=np.int64)
     queries = query[None, :]
     cum = np.zeros(1)
-    blocks = [index.ids[chosen]]  # the empty set
+    blocks = []
     for _ in range(n_max):
         excluded = np.hstack([np.broadcast_to(blocked, (cum.shape[0], blocked.shape[0])),
                               chosen])
@@ -115,7 +116,7 @@ def rank(product: Molecule | None, banked: Banked, params: ParamStore,
     block is scored in one batched call, each set exactly as
     ``reaction_score`` scores it alone; all sets are then ordered by one
     lexsort, and records are built for the first ``k`` only (all if ``k``
-    is None)."""
+    is None). A ``Banked`` with no blocks ranks as ``[]``."""
     if f_product is None or h_product is None:
         embs = embed_graphs(featurize(product), params, heads=("f", "h"))
         f_product = embs["f"].data[0] if f_product is None else f_product
@@ -123,7 +124,7 @@ def rank(product: Molecule | None, banked: Banked, params: ParamStore,
     halt_key = params.tensors["halt_key"].data
     u_bias = type_bias(params, "u", rxn_type)
     v_bias = type_bias(params, "v", rxn_type)
-    width = max(ids.shape[1] for ids in banked.blocks)
+    width = max((ids.shape[1] for ids in banked.blocks), default=0)
     # Ids right-padded with zeros: ranking compares ids only within one size.
     sets = np.zeros((len(banked), width), dtype=np.int64)
     best_orders = np.zeros_like(sets)

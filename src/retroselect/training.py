@@ -1,14 +1,16 @@
 """Contrastive training over per-batch candidate sets with hard negatives.
 
-Each step embeds every molecule of the batch candidate set inside the tape
-(train-mode batch norm over all node rows), scores the whole batch with one
-masked log-softmax pick over one cosine matrix (a query row per backward
+Each step featurizes the batch candidate set in one pass, embeds it inside
+the tape (train-mode batch norm over all node rows), chooses reactant orders
+with one ``best_order`` call per reactant count, scores the whole batch with
+one masked log-softmax pick over one cosine matrix (a query row per backward
 selection step and per forward synthesizability check, a key column per
-candidate plus the halt key), and applies one clipped SGD update. The halt
-key is a column of that matrix only, never a row of the candidate index.
-The candidate index used for hard-negative mining is rebuilt periodically from
-the current parameters; at a step that also validates, it is the
-validation predictor's index, so the pool is embedded once.
+candidate plus the halt key), and applies one clipped SGD update. A step
+keeps no per-molecule state for the next. The halt key is a column of that
+matrix only, never a row of the candidate index. The candidate index used
+for hard-negative mining is rebuilt periodically from the current
+parameters; at a step that also validates, it is the validation predictor's
+index, so the pool is embedded once.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import SgdConfig, Tensor
-from .chem import PackedGraphs, featurize, pack
+# The benchmark's tracer looks up ``featurize`` and ``pack`` here (perfbench/layers.py).
+from .chem import featurize, featurize_packed, pack  # noqa: F401
 from .data import Corpus, MetricsLog, ReactionRecord
-from .encoder import ModelDims, ParamStore, embed_graphs, init_params, type_row
+from .encoder import ModelDims, ParamStore, embed_graphs, embed_matrix, init_params, type_row
 from .index import CandidateIndex, hard_neighbors
 from .scoring import MAX_PERM_THRESHOLD, best_order, cosine_table
 
@@ -80,8 +83,7 @@ def batch_candidates(batch: list[ReactionRecord], index: CandidateIndex,
     base: set[int] = set()
     for record in batch:
         base.update(record.molecule_ids())
-    mined = hard_neighbors(index, sorted(base), k, embed_query) if k > 0 else set()
-    return sorted(base | mined)
+    return sorted(base | hard_neighbors(index, sorted(base), k, embed_query))
 
 
 @dataclass
@@ -92,54 +94,57 @@ class EmbedTable:
     f: Tensor
     g: Tensor
     h: Tensor
-    row_of: dict[int, int] = field(default_factory=dict)
+    row_of: dict[int, int] = field(init=False)
 
     def __post_init__(self):
-        if not self.row_of:
-            self.row_of = {mol_id: row for row, mol_id in enumerate(self.ids)}
+        self.row_of = {mol_id: row for row, mol_id in enumerate(self.ids)}
 
 
-def _featurized(mol_ids, corpus: Corpus, bundle_cache: dict | None) -> PackedGraphs:
-    """Corpus molecules as one graph batch, each molecule featurized once
-    per ``bundle_cache`` (one-molecule batches by id) if given."""
-    if bundle_cache is None:
-        bundle_cache = {}
-    for mol_id in mol_ids:
-        if mol_id not in bundle_cache:
-            bundle_cache[mol_id] = featurize(corpus.molecule(mol_id))
-    return pack([bundle_cache[mol_id] for mol_id in mol_ids])
-
-
-def build_embed_table(candidate_ids: list[int], corpus: Corpus, params: ParamStore,
-                      bundle_cache: dict | None = None) -> EmbedTable:
-    """Train-mode (taped) embeddings of the batch candidate set."""
-    embeddings = embed_graphs(_featurized(candidate_ids, corpus, bundle_cache),
-                              params, "train")
+def build_embed_table(candidate_ids: list[int], corpus: Corpus,
+                      params: ParamStore) -> EmbedTable:
+    """Train-mode (taped) embeddings of the batch candidate set, featurized
+    in one pass."""
+    feats = featurize_packed([corpus.molecule(i) for i in candidate_ids])
+    embeddings = embed_graphs(feats, params, "train")
     return EmbedTable(list(candidate_ids), embeddings["f"], embeddings["g"],
                       embeddings["h"])
 
 
-def _selection_order(record: ReactionRecord, table: EmbedTable, keys: np.ndarray,
-                     start: np.ndarray, tau: float, perm_threshold: int,
-                     halt_mode: str) -> tuple[int, ...]:
-    """Detached ``best_order`` of the record's reactants on the float64 step
-    log-probs the loss picks (``keys``: the table's h rows, then the halt
-    key); the loss then follows this active branch of the order max."""
-    live = np.ones(keys.shape[0], dtype=bool)
-    live[table.row_of[record.product_id]] = False
-    if halt_mode == "final":
-        live[-1] = False
-    members = [table.row_of[i] for i in record.reactant_ids]
+def _selection_orders(batch: list[ReactionRecord], table: EmbedTable, params: ParamStore,
+                      type_rows: list, tau: float, perm_threshold: int,
+                      halt_mode: str) -> list[tuple[int, ...]]:
+    """Each record's reactant ids in their detached ``best_order`` on the
+    float64 step log-probs the loss picks (keys: the table's h rows, then the
+    halt key), one call per reactant count as ``score_sets`` batches sets of
+    one size; the loss then follows this active branch of the order max."""
+    keys = np.vstack([table.h.data, params.tensors["halt_key"].data]).astype(np.float64)
+    products = np.array([table.row_of[r.product_id] for r in batch], dtype=np.intp)
+    starts = table.f.data[products].astype(np.float64)
+    typed = [owner for owner, row in enumerate(type_rows) if row is not None]
+    starts[typed] += params.tensors["type.u"].data[[type_rows[owner] for owner in typed]]
+    counts = np.array([len(r.reactant_ids) for r in batch])
+    orders = [()] * len(batch)
+    for n in np.unique(counts).tolist():
+        owners = np.flatnonzero(counts == n)
+        ids = np.array([batch[owner].reactant_ids for owner in owners], dtype=np.int64)
+        members = np.vectorize(table.row_of.__getitem__, otypes=[np.intp])(ids)
+        live = np.ones((owners.size, 1, keys.shape[0]), dtype=bool)  # [m, 1, K]
+        live[np.arange(owners.size), 0, products[owners]] = False
+        if halt_mode == "final":
+            live[..., -1] = False
 
-    def step_scores(queries: np.ndarray) -> np.ndarray:
-        scores = np.where(live, cosine_table(queries, keys) / tau, -np.inf)
-        high = scores.max(axis=-1, keepdims=True)
-        log_z = high + np.log(np.exp(scores - high).sum(axis=-1, keepdims=True))
-        return scores[..., members] - log_z
+        def step_scores(queries: np.ndarray) -> np.ndarray:
+            scores = np.where(live, cosine_table(queries, keys) / tau, -np.inf)
+            high = scores.max(axis=-1, keepdims=True)
+            log_z = high + np.log(np.exp(scores - high).sum(axis=-1, keepdims=True))
+            return np.take_along_axis(scores, members[:, None, :], axis=-1) - log_z
 
-    orders, _, _ = best_order(start[None], table.g.data[None, members].astype(np.float64),
-                              step_scores, perm_threshold)
-    return tuple(record.reactant_ids[p] for p in orders[0].tolist())
+        positions, _, _ = best_order(starts[owners], table.g.data[members].astype(np.float64),
+                                     step_scores, perm_threshold)
+        for owner, order in zip(owners.tolist(),
+                                np.take_along_axis(ids, positions, axis=1).tolist()):
+            orders[owner] = tuple(order)
+    return orders
 
 
 def batch_loss(batch: list[ReactionRecord], table: EmbedTable,
@@ -149,7 +154,7 @@ def batch_loss(batch: list[ReactionRecord], table: EmbedTable,
 
     Query rows: each backward selection step of each record (the product's
     f row plus its type.u row minus the g rows already chosen, in the order
-    ``_selection_order`` returns, then the halt step), followed by one
+    ``_selection_orders`` returns, then the halt step), followed by one
     forward row per record (its reactants' g rows plus its type.v row). Key
     columns: every table row's h, then ``halt_key``. The live mask drops the
     product from its backward rows, the halt key from non-final steps when
@@ -166,10 +171,11 @@ def batch_loss(batch: list[ReactionRecord], table: EmbedTable,
                 f"product is among the reactants")
     row_of = table.row_of
     halt_col = len(table.ids)
-    u_table = params.tensors["type.u"]
+    type_rows = [type_row(params, record.rxn_type) for record in batch]
     # Per source tensor: query rows, source rows and signs of the entries of
     # one sparse matrix, so each source adds one sparse product to the queries.
-    sources = {"f": table.f, "g": table.g, "u": u_table, "v": params.tensors["type.v"]}
+    sources = {"f": table.f, "g": table.g, "u": params.tensors["type.u"],
+               "v": params.tensors["type.v"]}
     terms = {name: ([], [], []) for name in sources}
     targets, dead, owners = [], [], []
 
@@ -180,15 +186,10 @@ def batch_loss(batch: list[ReactionRecord], table: EmbedTable,
         signs.append(sign)
 
     if "backward" in sides:
-        keys = np.vstack([table.h.data, params.tensors["halt_key"].data]).astype(np.float64)
-        for owner, record in enumerate(batch):
+        orders = _selection_orders(batch, table, params, type_rows, tau, perm_threshold,
+                                   halt_mode)
+        for owner, (record, order, u_row) in enumerate(zip(batch, orders, type_rows)):
             product_row = row_of[record.product_id]
-            u_row = type_row(params, record.rxn_type)
-            start = table.f.data[product_row].astype(np.float64)
-            if u_row is not None:
-                start += u_table.data[u_row]
-            order = _selection_order(record, table, keys, start, tau,
-                                     perm_threshold, halt_mode)
             for step in range(len(order) + 1):
                 query = len(targets)
                 add_term("f", product_row, query)
@@ -204,12 +205,11 @@ def batch_loss(batch: list[ReactionRecord], table: EmbedTable,
                 owners.append(owner)
     n_backward = len(targets)
     if "forward" in sides:
-        for record in batch:
+        for record, v_row in zip(batch, type_rows):
             query = len(targets)
             for reactant in record.reactant_ids:
                 add_term("g", row_of[reactant], query)
                 dead.append((query, row_of[reactant]))
-            v_row = type_row(params, record.rxn_type)
             if v_row is not None:
                 add_term("v", v_row, query)
             dead.append((query, halt_col))
@@ -256,17 +256,13 @@ def loss_forward(record: ReactionRecord, table: EmbedTable, params: ParamStore,
 
 
 def _anchor_queries(batch: list[ReactionRecord], index: CandidateIndex,
-                    corpus: Corpus, params: ParamStore,
-                    bundle_cache: dict | None):
-    """Batched eval h-embeddings for anchors outside the pool (products)."""
+                    corpus: Corpus, params: ParamStore):
+    """Eval h-embeddings of the batch's anchors outside the pool (products),
+    by the pool's chunked ``embed_matrix`` path, as a lookup by id."""
     anchors = np.array(sorted({i for r in batch for i in r.molecule_ids()}), dtype=np.int64)
     missing = anchors[~index.find_rows(anchors)[1]].tolist()
-    if not missing:
-        return None
-    rows = embed_graphs(_featurized(missing, corpus, bundle_cache), params,
-                        heads=("h",))["h"].data
-    vectors = {mol_id: rows[i] for i, mol_id in enumerate(missing)}
-    return vectors.__getitem__
+    (rows,) = embed_matrix([corpus.molecule(i) for i in missing], params, ("h",))
+    return dict(zip(missing, rows)).__getitem__
 
 
 def train_step(batch: list[ReactionRecord], index: CandidateIndex,
@@ -276,12 +272,13 @@ def train_step(batch: list[ReactionRecord], index: CandidateIndex,
 
     Mines the batch candidate set, embeds it on the tape, and takes the
     whole batch's loss from one ``batch_loss`` call; ``loss_b``/``loss_f``
-    are per-record means of its detached values.
+    are per-record means of its detached values. ``bundle_cache`` is not
+    used: the train-paper set-up in ``perfbench/workloads.py`` passes it.
     """
-    embed_query = (_anchor_queries(batch, index, corpus, params, bundle_cache)
+    embed_query = (_anchor_queries(batch, index, corpus, params)
                    if cfg.hard_k > 0 else None)
     candidate_ids = batch_candidates(batch, index, cfg.hard_k, embed_query)
-    table = build_embed_table(candidate_ids, corpus, params, bundle_cache)
+    table = build_embed_table(candidate_ids, corpus, params)
     loss, loss_b, loss_f = batch_loss(batch, table, params, cfg.tau,
                                       cfg.perm_threshold, cfg.halt_in_denominator)
     mean_loss = ad.scale(loss, 1.0 / len(batch))
@@ -336,7 +333,6 @@ def train(corpus: Corpus, cfg: TrainConfig, dims: ModelDims | None = None,
 
     candidates = corpus.candidates()
     candidate_ids = np.asarray(corpus.candidate_ids, dtype=np.int64)
-    bundle_cache: dict = {}
     sampler = _BatchSampler(train_records, cfg.batch_size, cfg.seed)
     index = CandidateIndex.build(params, candidates, candidate_ids)
 
@@ -344,8 +340,7 @@ def train(corpus: Corpus, cfg: TrainConfig, dims: ModelDims | None = None,
     best_params = None
     for step in range(1, cfg.total_iters + 1):
         batch = sampler.next_batch()
-        step_metrics = train_step(batch, index, params, cfg, corpus,
-                                  optimizer, bundle_cache=bundle_cache)
+        step_metrics = train_step(batch, index, params, cfg, corpus, optimizer)
         refresh = step % cfg.refresh_every == 0 and step < cfg.total_iters
         if step % cfg.eval_every == 0 or step == cfg.total_iters:
             predictor = Predictor(params, candidates, candidate_ids,

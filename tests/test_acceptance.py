@@ -158,9 +158,9 @@ def test_criterion_03_search_matches_exhaustive_scoring():
                       f_product=f_p, h_product=h_p)
         halt = params.tensors["halt_key"].data
         oracle = []
-        for size in range(3):
+        for size in range(1, 3):
             for subset in itertools.combinations(range(8), size):
-                best = -np.inf if subset else 0.0
+                best = -np.inf
                 for perm in itertools.permutations(subset):
                     query = np.asarray(f_p, dtype=np.float64).copy()
                     value = 0.0
@@ -173,7 +173,7 @@ def test_criterion_03_search_matches_exhaustive_scoring():
                 for chosen in subset:
                     final = final - g_pool[chosen].astype(np.float64)
                     total = total + g_pool[chosen].astype(np.float64)
-                psi_sum = (best if subset else 0.0) + cosine64(final, halt)
+                psi_sum = best + cosine64(final, halt)
                 score = (psi_sum + cosine64(total, h_p)) / (len(subset) + 2)
                 oracle.append((tuple(subset), score))
         oracle.sort(key=lambda pair: (-pair[1], len(pair[0]), pair[0]))

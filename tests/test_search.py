@@ -34,8 +34,7 @@ def test_beam_explores_all_subsets(rng):
     params, index, g_pool, f_p = synthetic_world(rng)
     done = beam_search(None, index, params, g_pool, beam=200, n_max=2,
                        f_product=f_p)
-    expected = {()} | {(i,) for i in range(8)} \
-        | set(itertools.combinations(range(8), 2))
+    expected = {(i,) for i in range(8)} | set(itertools.combinations(range(8), 2))
     assert set(id_sets(done)) == expected
     assert len(done) == len(id_sets(done)) == len(expected)
 
@@ -65,7 +64,7 @@ def test_beam_runs_on_the_pool_keys_alone(tiny_params):
     assert index.keys.shape[0] == index.n_candidates == 2
     done = beam_search(parse_smiles("CCOC"), index, tiny_params,
                        np.zeros((2, tiny_params.dims.d), np.float32), n_max=3)
-    assert id_sets(done) == [(), (0,), (1,), (0, 1)]
+    assert id_sets(done) == [(0,), (1,), (0, 1)]
 
 
 def test_predictor_rejects_perm_threshold_outside_order_table(tiny_params):
@@ -102,12 +101,13 @@ def reference_beam(index, g_pool, f_p, beam, n_max, exclude_ids=()):
     """Float64 reference beam: each hypothesis scans the whole pool with
     ``cosine64``, keeps its top ``beam`` by (-score, id), and the round keeps
     the top ``beam`` extensions by (-total, hypothesis index, id). Returns
-    the sorted id sets of the hypotheses live at some round."""
+    the sorted id sets of the hypotheses live at some round after the
+    first."""
     ids = index.ids.tolist()
     banked = set()
     live = [((), np.asarray(f_p, dtype=np.float64), 0.0)]
     for depth in range(n_max + 1):
-        banked.update(tuple(sorted(chosen)) for chosen, _, _ in live)
+        banked.update(tuple(sorted(chosen)) for chosen, _, _ in live if chosen)
         if depth == n_max:
             break
         extensions = []
@@ -150,7 +150,7 @@ def near_tie_world(rng, n, d, copies=6):
 
 def assert_same_beam(done, reference):
     # Each block holds distinct sets of one size, ids and rows ascending.
-    for size, block in enumerate(done.blocks):
+    for size, block in enumerate(done.blocks, start=1):
         assert block.shape[1] == size
         assert np.array_equal(block, np.unique(np.sort(block, axis=1), axis=0))
     assert sorted(id_sets(done)) == sorted(reference)
@@ -186,7 +186,7 @@ def test_beam_wider_than_all_extensions_across_blocks(rng, monkeypatch):
     params, index, g_pool, f_p = near_tie_world(rng, n=30, d=4, copies=5)
     done = beam_search(None, index, params, g_pool, beam=1000, n_max=3,
                        f_product=f_p)
-    assert done.blocks[2].shape[0] == 30 * 29 // 2
+    assert done.blocks[1].shape[0] == 30 * 29 // 2
     assert_same_beam(done, reference_beam(index, g_pool, f_p, 1000, 3))
 
 
@@ -284,9 +284,9 @@ def test_rank_matches_exhaustive_scoring(rng):
                   f_product=f_p, h_product=h_p)
     # Oracle: enumerate every subset, score by the overall formula, sort.
     oracle = []
-    for size in range(0, 3):
+    for size in range(1, 3):
         for subset in itertools.combinations(index.ids.tolist(), size):
-            best = -np.inf if subset else 0.0
+            best = -np.inf
             for perm in itertools.permutations(subset):
                 query = np.asarray(f_p, dtype=np.float64).copy()
                 value = 0.0
@@ -297,7 +297,7 @@ def test_rank_matches_exhaustive_scoring(rng):
             final_query = np.asarray(f_p, dtype=np.float64).copy()
             for chosen in subset:
                 final_query = final_query - g_pool[chosen].astype(np.float64)
-            psi_sum = (best if subset else 0.0) + cosine64(final_query, halt)
+            psi_sum = best + cosine64(final_query, halt)
             total = np.zeros(6)
             for chosen in subset:
                 total = total + g_pool[chosen].astype(np.float64)
@@ -369,6 +369,22 @@ def test_rank_top_k_is_prefix_of_full_ranking(rng):
     for k in (1, 3, len(ranked), len(ranked) + 5):
         assert rank(None, done, params, index, g_pool, f_product=f_p, h_product=h_p,
                     k=k) == ranked[:k]
+
+
+def test_no_empty_set_is_ranked_or_taken_as_a_route_step():
+    # A reaction has at least one reactant, so the empty set the beam starts
+    # from is never ranked, and never makes a solved one-step route.
+    params = init_params(0, ModelDims(d=16, n_layers=1, n_types=1))
+    predictor = Predictor(params, [parse_smiles(s) for s in ("CCO", "CC(=O)O")],
+                          beam=5, n_max=1)
+    product = parse_smiles("CCOC(C)=O")
+    ranked = predictor.predict(product, 5)
+    assert sorted(s.reactant_ids for s in ranked) == [(0,), (1,)]
+    assert route_search(product, {canonical_form(parse_smiles("CCN"))}, predictor,
+                        max_expansions=3, k_per_step=5) is None
+    f_p = np.ones(params.dims.d)
+    assert rank(None, Banked(()), params, predictor.index, predictor.g_pool,
+                f_product=f_p, h_product=f_p) == []
 
 
 def test_ranked_scores_bounded_and_sorted(rng):

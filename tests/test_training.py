@@ -10,7 +10,7 @@ from retroselect.chem import featurize, pack, parse_smiles
 from retroselect.data import Corpus, ReactionRecord
 from retroselect.encoder import HEADS, ModelDims, init_params
 from retroselect.index import CandidateIndex
-from retroselect.scoring import best_order
+from retroselect.scoring import best_order, cosine_table
 from retroselect.search import Predictor
 from retroselect import training
 from retroselect.toy import make_memorization_world
@@ -266,12 +266,11 @@ def oracle_order(table, params, record, tau, halt_mode):
 
 @pytest.mark.parametrize("halt_mode", ["always", "final"])
 def test_batch_loss_order_matches_itertools_oracle(halt_mode, monkeypatch):
-    followed = []
+    followed = []  # (reactant count, one order per record of that count)
 
     def spy(*args):
         result = best_order(*args)
-        (positions,) = result[0]  # each record's order is a batch of one set
-        followed.append(positions.tolist())
+        followed.append((args[1].shape[1], result[0].tolist()))
         return result
 
     monkeypatch.setattr(training, "best_order", spy)
@@ -290,9 +289,81 @@ def test_batch_loss_order_matches_itertools_oracle(halt_mode, monkeypatch):
                                           owner % 3 or None))
         followed.clear()
         batch_loss(records, table, params, 0.1, 5, halt_mode, sides=("backward",))
-        for record, positions in zip(records, followed, strict=True):
-            got = tuple(record.reactant_ids[p] for p in positions)
-            assert got == oracle_order(table, params, record, 0.1, halt_mode)
+        # One call per reactant count, its rows the records of that count in
+        # batch order.
+        counts = [n for n, _ in followed]
+        assert sorted(counts) == sorted({len(r.reactant_ids) for r in records})
+        for n, rows in followed:
+            of_count = [r for r in records if len(r.reactant_ids) == n]
+            for record, positions in zip(of_count, rows, strict=True):
+                got = tuple(record.reactant_ids[p] for p in positions)
+                assert got == oracle_order(table, params, record, 0.1, halt_mode)
+
+
+def per_record_order(record, table, params, tau, perm_threshold, halt_mode):
+    """``best_order`` of one record alone (a batch of m = 1) on the float64
+    step log-probs the loss picks: the product's column masked, and the halt
+    column too in "final" mode."""
+    keys = np.vstack([table.h.data, params.tensors["halt_key"].data]).astype(np.float64)
+    live = np.ones(keys.shape[0], dtype=bool)
+    live[table.row_of[record.product_id]] = False
+    if halt_mode == "final":
+        live[-1] = False
+    members = [table.row_of[i] for i in record.reactant_ids]
+    start = table.f.data[table.row_of[record.product_id]].astype(np.float64)
+    if record.rxn_type is not None:
+        start += params.tensors["type.u"].data[record.rxn_type - 1]
+
+    def step_scores(queries):
+        scores = np.where(live, cosine_table(queries, keys) / tau, -np.inf)
+        high = scores.max(axis=-1, keepdims=True)
+        log_z = high + np.log(np.exp(scores - high).sum(axis=-1, keepdims=True))
+        return scores[..., members] - log_z
+
+    (positions,), _, _ = best_order(start[None], table.g.data[None, members].astype(np.float64),
+                                    step_scores, perm_threshold)
+    return tuple(record.reactant_ids[p] for p in positions.tolist())
+
+
+@pytest.mark.parametrize("perm_threshold", [5, 2])
+@pytest.mark.parametrize("halt_mode", ["always", "final"])
+def test_batched_order_choice_equals_per_record_call(halt_mode, perm_threshold, monkeypatch):
+    # Batches of 1-4 reactants, typed and untyped, under shuffled ids; with
+    # threshold 2 the larger sets take the greedy branch. Rows 10-19 repeat
+    # the g and h rows of rows 0-9, so a record holding both rows of a pair
+    # has exactly tied orders, and the first maximum must win in both.
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1].shape[1])
+        return best_order(*args)
+
+    monkeypatch.setattr(training, "best_order", counted)
+    rng = np.random.default_rng(11)
+    params = init_params(8, ModelDims(d=6, n_layers=1, n_types=2), dtype=np.float64)
+    for name in ("type.u", "halt_key"):
+        params.tensors[name].data[:] = rng.standard_normal(params.tensors[name].data.shape)
+    for _ in range(6):
+        f, g, h = (ad.parameter(rng.standard_normal((20, 6))) for _ in range(3))
+        g.data[10:], h.data[10:] = g.data[:10], h.data[:10]
+        ids = (rng.permutation(20) * 3 + 1).tolist()
+        table = EmbedTable(ids, f, g, h)
+        records = []
+        for owner in range(16):
+            n = int(rng.integers(1, 5))
+            pair = int(rng.integers(10))
+            rows = [pair, pair + 10] if n >= 2 and owner % 2 else []
+            rest = [row for row in rng.permutation(20).tolist() if row not in rows]
+            rows += rest[:n - len(rows)]
+            records.append(ReactionRecord(tuple(sorted(ids[row] for row in rows)),
+                                          ids[rest[-1]], owner % 3 or None))
+        type_rows = [None if r.rxn_type is None else r.rxn_type - 1 for r in records]
+        calls.clear()
+        got = training._selection_orders(records, table, params, type_rows, 0.1,
+                                         perm_threshold, halt_mode)
+        assert sorted(calls) == sorted({len(r.reactant_ids) for r in records})
+        assert got == [per_record_order(record, table, params, 0.1, perm_threshold,
+                                        halt_mode) for record in records]
 
 
 def test_batch_loss_sides_add_up():
@@ -463,6 +534,39 @@ def test_train_step_keeps_only_what_its_backward_reads(tmp_path, monkeypatch):
     sites = 1 + 2 * dims.n_layers + 2 * len(HEADS)
     assert seen["node_sized"] == 2 * sites + 1
     assert seen["backward_peak"] - seen["forward_end"] <= 7 * seen["node_bytes"]
+
+
+def test_train_step_featurizes_once_and_keeps_nothing(world, monkeypatch):
+    # A step featurizes its candidate set in one pass, in ``candidate_ids``
+    # order, whether or not the same batch came before.
+    corpus, records, params, index = world
+
+    def per_molecule(*args):
+        raise AssertionError("a train step featurizes molecule by molecule")
+
+    monkeypatch.setattr(training, "featurize", per_molecule)
+    monkeypatch.setattr(training, "pack", per_molecule)
+    featurized, candidate_sets = [], []
+    featurize_packed, mine = training.featurize_packed, training.batch_candidates
+
+    def spy_featurize(mols):
+        featurized.append(list(mols))
+        return featurize_packed(mols)
+
+    def spy_mine(*args):
+        candidate_sets.append(mine(*args))
+        return candidate_sets[-1]
+
+    monkeypatch.setattr(training, "featurize_packed", spy_featurize)
+    monkeypatch.setattr(training, "batch_candidates", spy_mine)
+    cfg = TrainConfig(batch_size=3, hard_k=2, tau=0.1)
+    optimizer = SgdConfig(cfg.learning_rate, cfg.momentum, cfg.weight_decay, cfg.clip_norm)
+    for step in range(2):
+        train_step(records, index, params, cfg, corpus, optimizer)
+        assert len(featurized) == step + 1
+        expected = [corpus.molecule(i) for i in candidate_sets[step]]
+        assert len(featurized[step]) == len(expected)
+        assert all(a is b for a, b in zip(featurized[step], expected))
 
 
 def test_typed_training_updates_bias_tables(world):
