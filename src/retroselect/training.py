@@ -24,7 +24,7 @@ from .autodiff import SgdConfig, Tensor
 # The benchmark's tracer looks up ``featurize`` and ``pack`` here (perfbench/layers.py).
 from .chem import featurize, featurize_packed, pack  # noqa: F401
 from .data import Corpus, MetricsLog, ReactionRecord
-from .encoder import ModelDims, ParamStore, embed_graphs, embed_matrix, init_params, type_row
+from .encoder import ModelDims, ParamStore, embed_graphs, init_params, type_row
 from .index import CandidateIndex, hard_neighbors
 from .scoring import MAX_PERM_THRESHOLD, best_order, cosine_table
 
@@ -258,10 +258,12 @@ def loss_forward(record: ReactionRecord, table: EmbedTable, params: ParamStore,
 def _anchor_queries(batch: list[ReactionRecord], index: CandidateIndex,
                     corpus: Corpus, params: ParamStore):
     """Eval h-embeddings of the batch's anchors outside the pool (products),
-    by the pool's chunked ``embed_matrix`` path, as a lookup by id."""
+    as a lookup by id: one graph batch on the calling thread, so a step's
+    time does not hang on a second CPU being free."""
     anchors = np.array(sorted({i for r in batch for i in r.molecule_ids()}), dtype=np.int64)
     missing = anchors[~index.find_rows(anchors)[1]].tolist()
-    (rows,) = embed_matrix([corpus.molecule(i) for i in missing], params, ("h",))
+    feats = featurize_packed([corpus.molecule(i) for i in missing])
+    rows = embed_graphs(feats, params, heads=("h",))["h"].data
     return dict(zip(missing, rows)).__getitem__
 
 

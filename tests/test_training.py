@@ -537,9 +537,13 @@ def test_train_step_keeps_only_what_its_backward_reads(tmp_path, monkeypatch):
 
 
 def test_train_step_featurizes_once_and_keeps_nothing(world, monkeypatch):
-    # A step featurizes its candidate set in one pass, in ``candidate_ids``
-    # order, whether or not the same batch came before.
+    # A step featurizes the anchors outside the pool in one pass, then its
+    # candidate set in one pass, in ``candidate_ids`` order, whether or not
+    # the same batch came before.
     corpus, records, params, index = world
+    anchors = sorted({i for r in records for i in r.molecule_ids()})
+    outside = [i for i, inside in zip(anchors, index.find_rows(anchors)[1]) if not inside]
+    assert outside
 
     def per_molecule(*args):
         raise AssertionError("a train step featurizes molecule by molecule")
@@ -563,10 +567,11 @@ def test_train_step_featurizes_once_and_keeps_nothing(world, monkeypatch):
     optimizer = SgdConfig(cfg.learning_rate, cfg.momentum, cfg.weight_decay, cfg.clip_norm)
     for step in range(2):
         train_step(records, index, params, cfg, corpus, optimizer)
-        assert len(featurized) == step + 1
-        expected = [corpus.molecule(i) for i in candidate_sets[step]]
-        assert len(featurized[step]) == len(expected)
-        assert all(a is b for a, b in zip(featurized[step], expected))
+        assert len(featurized) == 2 * (step + 1)
+        for mols, ids in zip(featurized[2 * step:], (outside, candidate_sets[step])):
+            expected = [corpus.molecule(i) for i in ids]
+            assert len(mols) == len(expected)
+            assert all(a is b for a, b in zip(mols, expected))
 
 
 def test_typed_training_updates_bias_tables(world):
